@@ -6,7 +6,9 @@
 #              fault-injection path that still aborts, leaks, or trips UB
 #              fails here
 #
-# Usage: scripts/check.sh [jobs]          full tier-1 run (default: nproc)
+# Usage: scripts/check.sh [jobs]          full tier-1 run (default: nproc),
+#                                         ending with the tpcdbench build
+#                                         and its self-tests
 #        scripts/check.sh --plan-bench    planning-time gate only: builds the
 #                                         default preset, runs bench_table1_q3
 #                                         --plan-time into BENCH_plan.json and
@@ -524,7 +526,18 @@ fi
 
 plan_bench_gate
 
+# The TPC-D suite benchmark (tpcdbench/) builds src/ through a CMake
+# package of its own, which the builds above never compile. Build it and
+# run its harness self-tests, so a change to an engine API the benchmark
+# calls (ExecutePlan, OperatorStats, OpKind) fails here rather than at
+# benchmark time.
+echo "==> tpcdbench build + self-tests"
+python3 tpcdbench/run.py --selftest
+cmake --build "${CARGO_TARGET_DIR:-.bench_build}/tpcdbench" -j "$JOBS" \
+  --target tpcd_bench
+
 echo "OK: both configurations build and pass; fuzz matrix and Q3 clean"
 echo "    under runtime order verification; no spill files leaked; trace"
 echo "    export valid and within overhead budget; planning time within"
-echo "    the recorded baseline."
+echo "    the recorded baseline; the TPC-D suite benchmark builds and its"
+echo "    self-tests pass."

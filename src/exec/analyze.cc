@@ -51,7 +51,13 @@ struct Renderer {
       for (const Visited& k : kids) {
         if (k.stats != nullptr) child_ns += k.stats->total_ns();
       }
-      int64_t self_ns = std::max<int64_t>(0, stats->total_ns() - child_ns);
+      // An exchange's children carry stats summed over all workers, so
+      // "total minus children" says nothing; its self time is its own
+      // consumer-thread time.
+      int64_t self_ns =
+          node->kind == OpKind::kExchange
+              ? stats->total_ns()
+              : std::max<int64_t>(0, stats->total_ns() - child_ns);
       line += StrFormat(" act=%lld time=%s self=%s next=%lld",
                         static_cast<long long>(stats->rows_out),
                         FormatMs(stats->total_ns()).c_str(),

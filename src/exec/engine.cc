@@ -88,13 +88,9 @@ void EmitExecEvents(TraceCollector* trace, const QueryResult& result,
     e.SetInt("next_calls", p.stats.next_calls);
     e.SetInt("open_ns", p.stats.open_ns);
     e.SetInt("next_ns", p.stats.next_ns);
-    e.SetInt("rows_scanned", p.stats.rows_scanned);
-    e.SetInt("comparisons", p.stats.comparisons);
-    e.SetInt("seq_pages", p.stats.seq_pages);
-    e.SetInt("random_pages", p.stats.random_pages);
-    e.SetInt("index_probes", p.stats.index_probes);
-    e.SetInt("spill_runs", p.stats.spill_runs);
-    e.SetInt("spill_retries", p.stats.spill_retries);
+#define ORDOPT_SET_COUNTER(field) e.SetInt(#field, p.stats.field);
+    ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_SET_COUNTER)
+#undef ORDOPT_SET_COUNTER
     e.SetInt("buffered_rows_peak", p.stats.buffered_rows_peak);
   }
   TraceEvent& m = trace->Add("exec", "metrics");

@@ -138,39 +138,39 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
           new SortOp(std::move(children[0]), plan->sort_spec, ctx));
       break;
     case OpKind::kMergeJoin:
-      built = OperatorPtr(new MergeJoinOp(std::move(children[0]),
-                                          std::move(children[1]),
-                                          plan->join_pairs, ctx));
+    case OpKind::kMergeLeftJoin:
+      built = OperatorPtr(new MergeJoinOp(
+          std::move(children[0]), std::move(children[1]), plan->join_pairs,
+          plan->kind == OpKind::kMergeJoin ? JoinKind::kInner
+                                           : JoinKind::kLeft,
+          ctx));
+      break;
+    case OpKind::kHashJoin:
+    case OpKind::kHashLeftJoin:
+      built = OperatorPtr(new HashJoinOp(
+          std::move(children[0]), std::move(children[1]), plan->join_pairs,
+          plan->kind == OpKind::kHashJoin ? JoinKind::kInner
+                                          : JoinKind::kLeft,
+          ctx));
+      break;
+    case OpKind::kNaiveNLJoin:
+      // Cartesian product: the join's residual predicates sit in a Filter
+      // above it.
+      built = OperatorPtr(new NaiveNLJoinOp(std::move(children[0]),
+                                            std::move(children[1]), {},
+                                            JoinKind::kInner, ctx));
+      break;
+    case OpKind::kNaiveLeftJoin:
+      built = OperatorPtr(new NaiveNLJoinOp(std::move(children[0]),
+                                            std::move(children[1]),
+                                            plan->predicates,
+                                            JoinKind::kLeft, ctx));
       break;
     case OpKind::kIndexNLJoin:
       built = OperatorPtr(new IndexNLJoinOp(std::move(children[0]),
                                             *plan->table, plan->table_id,
                                             plan->index_ordinal,
                                             plan->join_pairs, ctx, prune));
-      break;
-    case OpKind::kNaiveNLJoin:
-      built = OperatorPtr(new NaiveNLJoinOp(std::move(children[0]),
-                                            std::move(children[1]), ctx));
-      break;
-    case OpKind::kHashJoin:
-      built = OperatorPtr(new HashJoinOp(std::move(children[0]),
-                                         std::move(children[1]),
-                                         plan->join_pairs, ctx));
-      break;
-    case OpKind::kMergeLeftJoin:
-      built = OperatorPtr(new MergeLeftJoinOp(std::move(children[0]),
-                                              std::move(children[1]),
-                                              plan->join_pairs, ctx));
-      break;
-    case OpKind::kHashLeftJoin:
-      built = OperatorPtr(new HashLeftJoinOp(std::move(children[0]),
-                                             std::move(children[1]),
-                                             plan->join_pairs, ctx));
-      break;
-    case OpKind::kNaiveLeftJoin:
-      built = OperatorPtr(new NaiveLeftJoinOp(std::move(children[0]),
-                                              std::move(children[1]),
-                                              plan->predicates, ctx));
       break;
     case OpKind::kStreamGroupBy:
     case OpKind::kSortGroupBy:

@@ -45,6 +45,25 @@ std::vector<int> PositionsOf(const std::vector<ColumnId>& cols,
   return out;
 }
 
+// True when any join key column of `row` (at `positions`) is NULL; such a
+// row matches nothing.
+bool KeyHasNull(const Row& row, const std::vector<int>& positions) {
+  for (int p : positions) {
+    if (row[static_cast<size_t>(p)].is_null()) return true;
+  }
+  return false;
+}
+
+// Replaces `key` with the join key of `row` at `positions`; false when a
+// key column is NULL.
+bool ExtractKey(const Row& row, const std::vector<int>& positions,
+                std::vector<Value>* key) {
+  if (KeyHasNull(row, positions)) return false;
+  key->clear();
+  for (int p : positions) key->push_back(row[static_cast<size_t>(p)]);
+  return true;
+}
+
 // Layout of a base-table stream, optionally pruned to `required` (build-time
 // column pruning). `src_ordinals`, when given, receives the table-column
 // ordinal backing each emitted column.
@@ -715,14 +734,14 @@ void SortOp::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// MergeJoinOp
+// JoinOp
 // ---------------------------------------------------------------------------
 
-MergeJoinOp::MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
-                         std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                         ExecContext ctx)
+JoinOp::JoinOp(OperatorPtr outer, OperatorPtr inner,
+               const std::vector<std::pair<ColumnId, ColumnId>>& pairs,
+               JoinKind kind, ExecContext ctx)
     : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
-      group_buffer_(ctx.guard, &stats_) {
+      kind_(kind), buffer_(ctx.guard, &stats_) {
   layout_ = outer_->layout();
   for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
   std::vector<ColumnId> ocols, icols;
@@ -733,6 +752,30 @@ MergeJoinOp::MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
   outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
   inner_positions_ = PositionsOf(icols, inner_->layout(), ctx_);
 }
+
+bool JoinOp::NextBatchImpl(RowBatch* out) {
+  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
+}
+
+void JoinOp::Close() {
+  outer_->Close();
+  inner_->Close();
+  buffer_.Release();
+}
+
+void JoinOp::PadUnmatched(Row outer_row, Row* out) const {
+  *out = std::move(outer_row);
+  out->resize(layout_.size(), Value::Null());
+}
+
+// ---------------------------------------------------------------------------
+// MergeJoinOp
+// ---------------------------------------------------------------------------
+
+MergeJoinOp::MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
+                         std::vector<std::pair<ColumnId, ColumnId>> pairs,
+                         JoinKind kind, ExecContext ctx)
+    : JoinOp(std::move(outer), std::move(inner), pairs, kind, ctx) {}
 
 void MergeJoinOp::OpenImpl() {
   outer_->Open();
@@ -771,7 +814,7 @@ bool MergeJoinOp::FetchOuter() {
 
 void MergeJoinOp::LoadInnerGroup() {
   group_.clear();
-  group_buffer_.Release();
+  buffer_.Release();
   group_key_.clear();
   for (int p : inner_positions_) {
     group_key_.push_back(inner_row_[static_cast<size_t>(p)]);
@@ -786,7 +829,7 @@ void MergeJoinOp::LoadInnerGroup() {
       }
     }
     if (!same) break;
-    if (!group_buffer_.Add(inner_row_)) {
+    if (!buffer_.Add(inner_row_)) {
       inner_valid_ = false;  // buffer limit tripped: wind down
       break;
     }
@@ -797,13 +840,9 @@ void MergeJoinOp::LoadInnerGroup() {
   group_pos_ = 0;
 }
 
-bool MergeJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
 bool MergeJoinOp::ProduceRow(Row* out) {
-  while (true) {
-    if (group_valid_ && outer_valid_ && OuterKeyEqualsGroup(outer_row_)) {
+  while (outer_valid_) {
+    if (group_valid_ && OuterKeyEqualsGroup(outer_row_)) {
       if (group_pos_ < group_.size()) {
         *out = outer_row_;
         const Row& inner = group_[group_pos_++];
@@ -814,49 +853,37 @@ bool MergeJoinOp::ProduceRow(Row* out) {
       FetchOuter();
       continue;
     }
-    if (!outer_valid_) return false;
-
-    // Skip outer rows with NULL join keys (they match nothing).
-    bool outer_null = false;
-    for (int p : outer_positions_) {
-      if (outer_row_[static_cast<size_t>(p)].is_null()) outer_null = true;
-    }
-    if (outer_null) {
-      FetchOuter();
-      continue;
-    }
-
-    // Advance inner past smaller (or NULL) keys.
-    while (inner_valid_) {
-      bool inner_null = false;
-      for (int p : inner_positions_) {
-        if (inner_row_[static_cast<size_t>(p)].is_null()) inner_null = true;
-      }
-      if (inner_null || CompareKeys(outer_row_, inner_row_) > 0) {
+    // Outer rows with NULL join keys match nothing.
+    if (!KeyHasNull(outer_row_, outer_positions_)) {
+      // Advance inner past smaller (or NULL) keys.
+      while (inner_valid_ &&
+             (KeyHasNull(inner_row_, inner_positions_) ||
+              CompareKeys(outer_row_, inner_row_) > 0)) {
         inner_valid_ = inner_->Next(&inner_row_);
+      }
+      // Inner exhausted: no later outer row can match either (a
+      // still-loaded group's key is below the current outer's), so an
+      // inner join ends here and a left join pads the rest.
+      if (!inner_valid_ && kind_ == JoinKind::kInner) return false;
+      if (inner_valid_ && CompareKeys(outer_row_, inner_row_) == 0) {
+        LoadInnerGroup();
         continue;
       }
-      break;
     }
-    if (!inner_valid_) {
-      // Inner exhausted: no outer row can match any more. A still-loaded
-      // group can only match the current outer, which we already checked.
-      return false;
+    // Inner key > outer key, or no inner left: the outer row is unmatched.
+    if (kind_ == JoinKind::kLeft) {
+      PadUnmatched(std::move(outer_row_), out);
+      FetchOuter();
+      return true;
     }
-    if (CompareKeys(outer_row_, inner_row_) == 0) {
-      LoadInnerGroup();
-      continue;
-    }
-    // inner key > outer key: advance outer.
     FetchOuter();
   }
+  return false;
 }
 
 void MergeJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
+  JoinOp::Close();
   group_.clear();
-  group_buffer_.Release();
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,54 +1087,55 @@ void IndexNLJoinOp::Close() { outer_->Close(); }
 // ---------------------------------------------------------------------------
 
 NaiveNLJoinOp::NaiveNLJoinOp(OperatorPtr outer, OperatorPtr inner,
-                             ExecContext ctx)
-    : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
-      buffer_(ctx.guard, &stats_) {
-  layout_ = outer_->layout();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
-}
+                             std::vector<Predicate> on_predicates,
+                             JoinKind kind, ExecContext ctx)
+    : JoinOp(std::move(outer), std::move(inner), {}, kind, ctx),
+      on_predicates_(std::move(on_predicates)) {}
 
 void NaiveNLJoinOp::OpenImpl() {
   outer_->Open();
   inner_->Open();
+  eval_ = std::make_unique<ExprEvaluator>(layout_, ctx_.guard);
   inner_rows_.clear();
   buffer_.Release();
+  outer_valid_ = false;
+  matched_current_ = false;
+  inner_pos_ = 0;
   Row row;
   while (inner_->Next(&row)) {
-    if (!buffer_.Add(row)) {
-      outer_valid_ = false;
-      inner_pos_ = 0;
-      return;
-    }
+    if (!buffer_.Add(row)) return;
     inner_rows_.push_back(std::move(row));
   }
   outer_valid_ = outer_->Next(&outer_row_);
-  inner_pos_ = 0;
-}
-
-bool NaiveNLJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
 }
 
 bool NaiveNLJoinOp::ProduceRow(Row* out) {
   while (outer_valid_) {
-    if (inner_pos_ < inner_rows_.size()) {
+    while (inner_pos_ < inner_rows_.size()) {
       *out = outer_row_;
       const Row& inner = inner_rows_[inner_pos_++];
       out->insert(out->end(), inner.begin(), inner.end());
-      return true;
+      if (std::all_of(on_predicates_.begin(), on_predicates_.end(),
+                      [&](const Predicate& p) {
+                        return eval_->EvalPredicate(p, *out);
+                      })) {
+        matched_current_ = true;
+        return true;
+      }
     }
-    inner_pos_ = 0;
+    const bool pad = kind_ == JoinKind::kLeft && !matched_current_;
+    if (pad) PadUnmatched(std::move(outer_row_), out);
     outer_valid_ = outer_->Next(&outer_row_);
+    matched_current_ = false;
+    inner_pos_ = 0;
+    if (pad) return true;
   }
   return false;
 }
 
 void NaiveNLJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
+  JoinOp::Close();
   inner_rows_.clear();
-  buffer_.Release();
 }
 
 // ---------------------------------------------------------------------------
@@ -1133,19 +1161,8 @@ bool HashJoinOp::KeyEq::operator()(const std::vector<Value>& a,
 
 HashJoinOp::HashJoinOp(OperatorPtr outer, OperatorPtr inner,
                        std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                       ExecContext ctx)
-    : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
-      buffer_(ctx.guard, &stats_) {
-  layout_ = outer_->layout();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
-  std::vector<ColumnId> ocols, icols;
-  for (const auto& [o, i] : pairs) {
-    ocols.push_back(o);
-    icols.push_back(i);
-  }
-  outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
-  inner_positions_ = PositionsOf(icols, inner_->layout(), ctx_);
-}
+                       JoinKind kind, ExecContext ctx)
+    : JoinOp(std::move(outer), std::move(inner), pairs, kind, ctx) {}
 
 void HashJoinOp::OpenImpl() {
   outer_->Open();
@@ -1153,23 +1170,14 @@ void HashJoinOp::OpenImpl() {
   hash_table_.clear();
   buffer_.Release();
   Row row;
+  std::vector<Value> key;
   while (inner_->Next(&row)) {
-    std::vector<Value> key;
-    bool has_null = false;
-    for (int p : inner_positions_) {
-      if (row[static_cast<size_t>(p)].is_null()) has_null = true;
-      key.push_back(row[static_cast<size_t>(p)]);
-    }
-    if (has_null) continue;
+    if (!ExtractKey(row, inner_positions_, &key)) continue;
     if (!buffer_.Add(row)) break;  // buffer limit tripped: wind down
     hash_table_[std::move(key)].push_back(std::move(row));
   }
   matches_ = nullptr;
   match_pos_ = 0;
-}
-
-bool HashJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
 }
 
 bool HashJoinOp::ProduceRow(Row* out) {
@@ -1183,347 +1191,24 @@ bool HashJoinOp::ProduceRow(Row* out) {
     }
     matches_ = nullptr;
     if (!outer_->Next(&outer_row_)) return false;
-    std::vector<Value> key;
-    bool has_null = false;
-    for (int p : outer_positions_) {
-      if (outer_row_[static_cast<size_t>(p)].is_null()) has_null = true;
-      key.push_back(outer_row_[static_cast<size_t>(p)]);
+    if (ExtractKey(outer_row_, outer_positions_, &probe_key_)) {
+      auto it = hash_table_.find(probe_key_);
+      if (it != hash_table_.end()) {
+        matches_ = &it->second;
+        match_pos_ = 0;
+        continue;
+      }
     }
-    if (has_null) continue;
-    auto it = hash_table_.find(key);
-    if (it != hash_table_.end()) {
-      matches_ = &it->second;
-      match_pos_ = 0;
+    if (kind_ == JoinKind::kLeft) {
+      PadUnmatched(std::move(outer_row_), out);
+      return true;
     }
   }
 }
 
 void HashJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
+  JoinOp::Close();
   hash_table_.clear();
-  buffer_.Release();
-}
-
-// ---------------------------------------------------------------------------
-// MergeLeftJoinOp
-// ---------------------------------------------------------------------------
-
-MergeLeftJoinOp::MergeLeftJoinOp(
-    OperatorPtr outer, OperatorPtr inner,
-    std::vector<std::pair<ColumnId, ColumnId>> pairs, ExecContext ctx)
-    : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
-      group_buffer_(ctx.guard, &stats_) {
-  layout_ = outer_->layout();
-  inner_width_ = inner_->layout().size();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
-  std::vector<ColumnId> ocols, icols;
-  for (const auto& [o, i] : pairs) {
-    ocols.push_back(o);
-    icols.push_back(i);
-  }
-  outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
-  inner_positions_ = PositionsOf(icols, inner_->layout(), ctx_);
-}
-
-void MergeLeftJoinOp::OpenImpl() {
-  outer_->Open();
-  inner_->Open();
-  outer_valid_ = outer_->Next(&outer_row_);
-  inner_valid_ = inner_->Next(&inner_row_);
-  started_ = false;
-  group_valid_ = false;
-}
-
-bool MergeLeftJoinOp::KeyEqualsGroup(const Row& outer_row) const {
-  for (size_t i = 0; i < outer_positions_.size(); ++i) {
-    if (outer_row[static_cast<size_t>(outer_positions_[i])].Compare(
-            group_key_[i]) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool MergeLeftJoinOp::OuterKeyHasNull() const {
-  for (int p : outer_positions_) {
-    if (outer_row_[static_cast<size_t>(p)].is_null()) return true;
-  }
-  return false;
-}
-
-void MergeLeftJoinOp::AdvanceOuter() {
-  outer_valid_ = outer_->Next(&outer_row_);
-  started_ = false;
-}
-
-void MergeLeftJoinOp::LoadGroupFor(const Row& outer_row) {
-  // Advance the inner past NULL keys and keys below the outer's.
-  while (inner_valid_) {
-    bool inner_null = false;
-    int cmp = 0;
-    for (size_t i = 0; i < inner_positions_.size() && cmp == 0; ++i) {
-      const Value& iv = inner_row_[static_cast<size_t>(inner_positions_[i])];
-      if (iv.is_null()) {
-        inner_null = true;
-        break;
-      }
-      ++ctx_.metrics->comparisons;
-      cmp = iv.Compare(
-          outer_row[static_cast<size_t>(outer_positions_[i])]);
-    }
-    if (inner_null || cmp < 0) {
-      inner_valid_ = inner_->Next(&inner_row_);
-      continue;
-    }
-    if (cmp > 0) {
-      group_valid_ = false;
-      return;
-    }
-    // Equal: buffer the whole group.
-    group_.clear();
-    group_buffer_.Release();
-    group_key_.clear();
-    for (int p : inner_positions_) {
-      group_key_.push_back(inner_row_[static_cast<size_t>(p)]);
-    }
-    while (inner_valid_) {
-      bool same = true;
-      for (size_t i = 0; i < inner_positions_.size(); ++i) {
-        if (inner_row_[static_cast<size_t>(inner_positions_[i])].Compare(
-                group_key_[i]) != 0) {
-          same = false;
-          break;
-        }
-      }
-      if (!same) break;
-      if (!group_buffer_.Add(inner_row_)) {
-        inner_valid_ = false;  // buffer limit tripped: wind down
-        break;
-      }
-      group_.push_back(inner_row_);
-      inner_valid_ = inner_->Next(&inner_row_);
-    }
-    group_valid_ = true;
-    return;
-  }
-  group_valid_ = false;
-}
-
-Row MergeLeftJoinOp::Padded() const {
-  Row out = outer_row_;
-  for (size_t i = 0; i < inner_width_; ++i) out.push_back(Value::Null());
-  return out;
-}
-
-bool MergeLeftJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool MergeLeftJoinOp::ProduceRow(Row* out) {
-  while (outer_valid_) {
-    if (!started_) {
-      started_ = true;
-      group_pos_ = 0;
-      if (OuterKeyHasNull()) {
-        match_ = false;
-      } else {
-        if (!(group_valid_ && KeyEqualsGroup(outer_row_))) {
-          LoadGroupFor(outer_row_);
-        }
-        match_ = group_valid_ && KeyEqualsGroup(outer_row_);
-      }
-    }
-    if (!match_) {
-      *out = Padded();
-      AdvanceOuter();
-      return true;
-    }
-    if (group_pos_ < group_.size()) {
-      *out = outer_row_;
-      const Row& inner = group_[group_pos_++];
-      out->insert(out->end(), inner.begin(), inner.end());
-      return true;
-    }
-    AdvanceOuter();
-  }
-  return false;
-}
-
-void MergeLeftJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
-  group_.clear();
-  group_buffer_.Release();
-}
-
-// ---------------------------------------------------------------------------
-// HashLeftJoinOp
-// ---------------------------------------------------------------------------
-
-HashLeftJoinOp::HashLeftJoinOp(
-    OperatorPtr outer, OperatorPtr inner,
-    std::vector<std::pair<ColumnId, ColumnId>> pairs, ExecContext ctx)
-    : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
-      buffer_(ctx.guard, &stats_) {
-  layout_ = outer_->layout();
-  inner_width_ = inner_->layout().size();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
-  std::vector<ColumnId> ocols, icols;
-  for (const auto& [o, i] : pairs) {
-    ocols.push_back(o);
-    icols.push_back(i);
-  }
-  outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
-  inner_positions_ = PositionsOf(icols, inner_->layout(), ctx_);
-}
-
-void HashLeftJoinOp::OpenImpl() {
-  outer_->Open();
-  inner_->Open();
-  hash_table_.clear();
-  buffer_.Release();
-  Row row;
-  while (inner_->Next(&row)) {
-    std::vector<Value> key;
-    bool has_null = false;
-    for (int p : inner_positions_) {
-      if (row[static_cast<size_t>(p)].is_null()) has_null = true;
-      key.push_back(row[static_cast<size_t>(p)]);
-    }
-    if (has_null) continue;
-    if (!buffer_.Add(row)) break;  // buffer limit tripped: wind down
-    hash_table_[std::move(key)].push_back(std::move(row));
-  }
-  matches_ = nullptr;
-  match_pos_ = 0;
-}
-
-bool HashLeftJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool HashLeftJoinOp::ProduceRow(Row* out) {
-  if (!ctx_.GuardOk()) return false;
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = outer_row_;
-      const Row& inner = (*matches_)[match_pos_++];
-      out->insert(out->end(), inner.begin(), inner.end());
-      return true;
-    }
-    matches_ = nullptr;
-    if (!outer_->Next(&outer_row_)) return false;
-    std::vector<Value> key;
-    bool has_null = false;
-    for (int p : outer_positions_) {
-      if (outer_row_[static_cast<size_t>(p)].is_null()) has_null = true;
-      key.push_back(outer_row_[static_cast<size_t>(p)]);
-    }
-    auto it = has_null ? hash_table_.end() : hash_table_.find(key);
-    if (it != hash_table_.end()) {
-      matches_ = &it->second;
-      match_pos_ = 0;
-      continue;
-    }
-    // No match: null-padded output.
-    *out = outer_row_;
-    for (size_t i = 0; i < inner_width_; ++i) out->push_back(Value::Null());
-    return true;
-  }
-}
-
-void HashLeftJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
-  hash_table_.clear();
-  buffer_.Release();
-}
-
-// ---------------------------------------------------------------------------
-// NaiveLeftJoinOp
-// ---------------------------------------------------------------------------
-
-NaiveLeftJoinOp::NaiveLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                                 std::vector<Predicate> on_predicates,
-                                 ExecContext ctx)
-    : Operator(ctx),
-      outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      on_predicates_(std::move(on_predicates)),
-      buffer_(ctx.guard, &stats_) {
-  layout_ = outer_->layout();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
-}
-
-void NaiveLeftJoinOp::OpenImpl() {
-  outer_->Open();
-  inner_->Open();
-  eval_ = std::make_unique<ExprEvaluator>(layout_, ctx_.guard);
-  inner_rows_.clear();
-  buffer_.Release();
-  Row row;
-  while (inner_->Next(&row)) {
-    if (!buffer_.Add(row)) {
-      outer_valid_ = false;
-      inner_pos_ = 0;
-      return;
-    }
-    inner_rows_.push_back(std::move(row));
-  }
-  outer_valid_ = outer_->Next(&outer_row_);
-  matched_current_ = false;
-  inner_pos_ = 0;
-}
-
-bool NaiveLeftJoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool NaiveLeftJoinOp::ProduceRow(Row* out) {
-  while (outer_valid_) {
-    while (inner_pos_ < inner_rows_.size()) {
-      const Row& inner = inner_rows_[inner_pos_++];
-      Row combined = outer_row_;
-      combined.insert(combined.end(), inner.begin(), inner.end());
-      bool pass = true;
-      for (const Predicate& p : on_predicates_) {
-        if (!eval_->EvalPredicate(p, combined)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        matched_current_ = true;
-        *out = std::move(combined);
-        return true;
-      }
-    }
-    bool emit_pad = !matched_current_;
-    Row padded;
-    if (emit_pad) {
-      padded = outer_row_;
-      size_t inner_width = layout_.size() - outer_row_.size();
-      for (size_t i = 0; i < inner_width; ++i) {
-        padded.push_back(Value::Null());
-      }
-    }
-    outer_valid_ = outer_->Next(&outer_row_);
-    matched_current_ = false;
-    inner_pos_ = 0;
-    if (emit_pad) {
-      *out = std::move(padded);
-      return true;
-    }
-  }
-  return false;
-}
-
-void NaiveLeftJoinOp::Close() {
-  outer_->Close();
-  inner_->Close();
-  inner_rows_.clear();
-  buffer_.Release();
 }
 
 // ---------------------------------------------------------------------------

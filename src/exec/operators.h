@@ -138,38 +138,25 @@ class Operator {
   /// sorts / buffered peaks are tracked elsewhere (rows_out counts this
   /// operator's own emissions, buffered_rows_peak via BufferAccount).
   struct MetricsSnapshot {
-    int64_t rows_scanned = 0;
-    int64_t comparisons = 0;
-    int64_t seq_pages = 0;
-    int64_t random_pages = 0;
-    int64_t index_probes = 0;
-    int64_t spill_runs = 0;
-    int64_t spill_retries = 0;
+    ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DECLARE_COUNTER)
   };
 
   MetricsSnapshot Snapshot() const {
     MetricsSnapshot s;
     if (ctx_.metrics != nullptr) {
-      s.rows_scanned = ctx_.metrics->rows_scanned;
-      s.comparisons = ctx_.metrics->comparisons;
-      s.seq_pages = ctx_.metrics->seq_pages;
-      s.random_pages = ctx_.metrics->random_pages;
-      s.index_probes = ctx_.metrics->index_probes;
-      s.spill_runs = ctx_.metrics->spill_runs;
-      s.spill_retries = ctx_.metrics->spill_retries;
+#define ORDOPT_SNAPSHOT_COUNTER(field) s.field = ctx_.metrics->field;
+      ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_SNAPSHOT_COUNTER)
+#undef ORDOPT_SNAPSHOT_COUNTER
     }
     return s;
   }
 
   void AccumulateDelta(const MetricsSnapshot& before) {
     if (ctx_.metrics == nullptr) return;
-    stats_.rows_scanned += ctx_.metrics->rows_scanned - before.rows_scanned;
-    stats_.comparisons += ctx_.metrics->comparisons - before.comparisons;
-    stats_.seq_pages += ctx_.metrics->seq_pages - before.seq_pages;
-    stats_.random_pages += ctx_.metrics->random_pages - before.random_pages;
-    stats_.index_probes += ctx_.metrics->index_probes - before.index_probes;
-    stats_.spill_runs += ctx_.metrics->spill_runs - before.spill_runs;
-    stats_.spill_retries += ctx_.metrics->spill_retries - before.spill_retries;
+#define ORDOPT_DELTA_COUNTER(field) \
+  stats_.field += ctx_.metrics->field - before.field;
+    ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DELTA_COUNTER)
+#undef ORDOPT_DELTA_COUNTER
   }
 
   static int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
@@ -360,29 +347,58 @@ class SortOp : public Operator {
   bool merging_ = false;
 };
 
-/// Merge join of two streams sorted on the join keys (ascending). Handles
-/// many-to-many groups by buffering the inner group; NULL keys never match.
-class MergeJoinOp : public Operator {
+/// Which rows a binary join emits. kInner: the matching pairs. kLeft
+/// (LEFT OUTER JOIN): the matching pairs, plus every outer row that ends
+/// with no match — including outer rows with a NULL join key — emitted
+/// once, padded with NULLs on the inner width. The plan's OpKind picks the
+/// kind (kMergeLeftJoin, kHashLeftJoin, kNaiveLeftJoin are kLeft).
+enum class JoinKind { kInner, kLeft };
+
+/// Shared shape of the joins that read both inputs as streams (merge,
+/// hash, nested loop): outer columns then inner columns, the equality key
+/// positions on either side, one buffer account for whatever the algorithm
+/// holds of the inner, and the left-join padding step. Subclasses produce
+/// one row at a time; NULL join keys never match.
+class JoinOp : public Operator {
  public:
-  MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
-              std::vector<std::pair<ColumnId, ColumnId>> pairs,
-              ExecContext ctx);
-  void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
+ protected:
+  JoinOp(OperatorPtr outer, OperatorPtr inner,
+         const std::vector<std::pair<ColumnId, ColumnId>>& pairs,
+         JoinKind kind, ExecContext ctx);
+
+  virtual bool ProduceRow(Row* out) = 0;
+  /// The padding step: `out` becomes `outer_row` followed by inner-width
+  /// NULLs. Takes the outer row by value so callers that are done with
+  /// it can move it in.
+  void PadUnmatched(Row outer_row, Row* out) const;
+
+  OperatorPtr outer_;
+  OperatorPtr inner_;
+  JoinKind kind_;
+  std::vector<int> outer_positions_;
+  std::vector<int> inner_positions_;
+  BufferAccount buffer_;
+};
+
+/// Merge join of two streams sorted on the join keys (ascending). Handles
+/// many-to-many groups by buffering the inner group. Preserves outer order.
+class MergeJoinOp : public JoinOp {
+ public:
+  MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
+              std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
+              ExecContext ctx);
+  void OpenImpl() override;
+  void Close() override;
+
  private:
-  bool ProduceRow(Row* out);
+  bool ProduceRow(Row* out) override;
   int CompareKeys(const Row& outer_row, const Row& inner_row) const;
   bool OuterKeyEqualsGroup(const Row& outer_row) const;
   bool FetchOuter();
   void LoadInnerGroup();
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  BufferAccount group_buffer_;
 
   Row outer_row_;
   bool outer_valid_ = false;
@@ -445,41 +461,42 @@ class IndexNLJoinOp : public Operator {
   std::vector<int64_t> match_rid_;
 };
 
-/// Naive nested-loop join (inner materialized once, rescanned per outer
-/// row); used for cartesian products and non-equality joins.
-class NaiveNLJoinOp : public Operator {
+/// Naive nested-loop join: the inner is materialized once and rescanned
+/// per outer row; a pair matches when it passes every ON predicate
+/// (evaluated over the concatenated row). With no predicates this is the
+/// cartesian product. Preserves outer order.
+class NaiveNLJoinOp : public JoinOp {
  public:
   NaiveNLJoinOp(OperatorPtr outer, OperatorPtr inner,
+                std::vector<Predicate> on_predicates, JoinKind kind,
                 ExecContext ctx = ExecContext());
   void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out);
+  bool ProduceRow(Row* out) override;
 
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  BufferAccount buffer_;
+  std::vector<Predicate> on_predicates_;
+  std::unique_ptr<ExprEvaluator> eval_;
   std::vector<Row> inner_rows_;
   Row outer_row_;
   bool outer_valid_ = false;
+  bool matched_current_ = false;
   size_t inner_pos_ = 0;
 };
 
 /// Hash join: builds on the inner, probes with the outer (outer order NOT
 /// preserved by contract, although probing happens in outer order).
-class HashJoinOp : public Operator {
+class HashJoinOp : public JoinOp {
  public:
   HashJoinOp(OperatorPtr outer, OperatorPtr inner,
-             std::vector<std::pair<ColumnId, ColumnId>> pairs,
+             std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
              ExecContext ctx = ExecContext());
   void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out);
+  bool ProduceRow(Row* out) override;
 
   struct KeyHash {
     size_t operator()(const std::vector<Value>& key) const;
@@ -489,108 +506,12 @@ class HashJoinOp : public Operator {
                     const std::vector<Value>& b) const;
   };
 
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  BufferAccount buffer_;
   std::unordered_map<std::vector<Value>, std::vector<Row>, KeyHash, KeyEq>
       hash_table_;
   Row outer_row_;
+  std::vector<Value> probe_key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
-};
-
-/// LEFT OUTER merge join: both inputs sorted ascending on the ON-equality
-/// keys; unmatched (or NULL-keyed) outer rows emit once, null-padded on
-/// the inner width. Preserves outer order.
-class MergeLeftJoinOp : public Operator {
- public:
-  MergeLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                  std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                  ExecContext ctx);
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
-
- private:
-  bool ProduceRow(Row* out);
-  bool KeyEqualsGroup(const Row& outer_row) const;
-  bool OuterKeyHasNull() const;
-  void AdvanceOuter();
-  void LoadGroupFor(const Row& outer_row);
-  Row Padded() const;
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  size_t inner_width_;
-  BufferAccount group_buffer_;
-
-  Row outer_row_;
-  bool outer_valid_ = false;
-  bool started_ = false;  ///< matching state initialized for current outer
-  bool match_ = false;
-  Row inner_row_;
-  bool inner_valid_ = false;
-  std::vector<Row> group_;
-  std::vector<Value> group_key_;
-  bool group_valid_ = false;
-  size_t group_pos_ = 0;
-};
-
-/// LEFT OUTER hash join: build inner, probe outer, pad on miss.
-class HashLeftJoinOp : public Operator {
- public:
-  HashLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                 std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                 ExecContext ctx = ExecContext());
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
-
- private:
-  bool ProduceRow(Row* out);
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  size_t inner_width_;
-  BufferAccount buffer_;
-  std::map<std::vector<Value>, std::vector<Row>> hash_table_;
-  Row outer_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
-/// LEFT OUTER nested-loop join with an arbitrary ON condition: the inner
-/// is materialized once; per outer row every inner row is tested against
-/// the ON predicates (evaluated over the concatenated row); unmatched
-/// outers emit null-padded. Preserves outer order.
-class NaiveLeftJoinOp : public Operator {
- public:
-  NaiveLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                  std::vector<Predicate> on_predicates,
-                  ExecContext ctx = ExecContext());
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
-
- private:
-  bool ProduceRow(Row* out);
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<Predicate> on_predicates_;
-  std::unique_ptr<ExprEvaluator> eval_;
-  BufferAccount buffer_;
-  std::vector<Row> inner_rows_;
-  Row outer_row_;
-  bool outer_valid_ = false;
-  bool matched_current_ = false;
-  size_t inner_pos_ = 0;
 };
 
 /// Streaming aggregation over an input whose order makes groups adjacent

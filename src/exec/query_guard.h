@@ -239,6 +239,9 @@ class QueryGuard {
   int64_t buffered_rows() const {
     return buffered_rows_.load(std::memory_order_relaxed);
   }
+  int64_t buffered_bytes() const {
+    return buffered_bytes_.load(std::memory_order_relaxed);
+  }
   int64_t buffered_rows_peak() const {
     return buffered_rows_peak_.load(std::memory_order_relaxed);
   }

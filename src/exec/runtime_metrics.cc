@@ -6,91 +6,64 @@
 
 namespace ordopt {
 
+namespace {
+
+enum class CounterMerge { kSum, kMax, kNone };
+enum class CounterUnit { kCount, kNanos };
+
+void MergeCounter(CounterMerge rule, int64_t* into, int64_t worker) {
+  switch (rule) {
+    case CounterMerge::kSum:
+      *into += worker;
+      break;
+    case CounterMerge::kMax:
+      *into = std::max(*into, worker);
+      break;
+    case CounterMerge::kNone:
+      break;
+  }
+}
+
+void AppendLabeled(std::string* out, const char* label, int64_t value,
+                   CounterUnit unit) {
+  *out += label;
+  *out += '=';
+  *out += unit == CounterUnit::kNanos
+              ? StrFormat("%.3fs", static_cast<double>(value) / 1e9)
+              : std::to_string(value);
+  *out += ' ';
+}
+
+}  // namespace
+
 void RuntimeMetrics::MergeFrom(const RuntimeMetrics& worker) {
-  rows_produced += worker.rows_produced;
-  rows_scanned += worker.rows_scanned;
-  comparisons += worker.comparisons;
-  seq_pages += worker.seq_pages;
-  random_pages += worker.random_pages;
-  index_probes += worker.index_probes;
-  sorts_performed += worker.sorts_performed;
-  rows_sorted += worker.rows_sorted;
-  rows_buffered_peak = std::max(rows_buffered_peak, worker.rows_buffered_peak);
-  bytes_buffered_peak =
-      std::max(bytes_buffered_peak, worker.bytes_buffered_peak);
-  spill_runs += worker.spill_runs;
-  spill_rows += worker.spill_rows;
-  spill_bytes += worker.spill_bytes;
-  spill_retries += worker.spill_retries;
-  parallel_workers = std::max(parallel_workers, worker.parallel_workers);
-  exchange_batches += worker.exchange_batches;
-  worker_busy_ns_max = std::max(worker_busy_ns_max, worker.worker_busy_ns_max);
-  worker_busy_ns_total += worker.worker_busy_ns_total;
+#define ORDOPT_MERGE_COUNTER(field, merge, label, unit) \
+  MergeCounter(CounterMerge::merge, &field, worker.field);
+  ORDOPT_RUNTIME_COUNTERS(ORDOPT_MERGE_COUNTER)
+#undef ORDOPT_MERGE_COUNTER
 }
 
 std::string RuntimeMetrics::ToString() const {
-  return StrFormat(
-      "rows=%lld scanned=%lld cmp=%lld seq_pages=%lld rand_pages=%lld "
-      "probes=%lld sorts=%lld rows_sorted=%lld buf_rows_peak=%lld "
-      "buf_bytes_peak=%lld spill_runs=%lld spill_rows=%lld "
-      "spill_bytes=%lld spill_retries=%lld reduce_hits=%lld "
-      "reduce_misses=%lld workers=%lld exch_batches=%lld "
-      "worker_busy_max=%.3fs worker_busy_total=%.3fs "
-      "sim_io=%.3fs sim_cpu=%.3fs",
-      static_cast<long long>(rows_produced),
-      static_cast<long long>(rows_scanned),
-      static_cast<long long>(comparisons),
-      static_cast<long long>(seq_pages),
-      static_cast<long long>(random_pages),
-      static_cast<long long>(index_probes),
-      static_cast<long long>(sorts_performed),
-      static_cast<long long>(rows_sorted),
-      static_cast<long long>(rows_buffered_peak),
-      static_cast<long long>(bytes_buffered_peak),
-      static_cast<long long>(spill_runs), static_cast<long long>(spill_rows),
-      static_cast<long long>(spill_bytes),
-      static_cast<long long>(spill_retries),
-      static_cast<long long>(reduce_cache_hits),
-      static_cast<long long>(reduce_cache_misses),
-      static_cast<long long>(parallel_workers),
-      static_cast<long long>(exchange_batches),
-      static_cast<double>(worker_busy_ns_max) / 1e9,
-      static_cast<double>(worker_busy_ns_total) / 1e9, SimulatedIoSeconds(),
-      SimulatedCpuSeconds());
+  std::string out;
+#define ORDOPT_LABEL_COUNTER(field, merge, label, unit) \
+  AppendLabeled(&out, label, field, CounterUnit::unit);
+  ORDOPT_RUNTIME_COUNTERS(ORDOPT_LABEL_COUNTER)
+#undef ORDOPT_LABEL_COUNTER
+  return out + StrFormat("sim_io=%.3fs sim_cpu=%.3fs", SimulatedIoSeconds(),
+                         SimulatedCpuSeconds());
 }
 
 std::string RuntimeMetrics::ToJson() const {
-  return StrFormat(
-      "{\"rows_produced\":%lld,\"rows_scanned\":%lld,\"comparisons\":%lld,"
-      "\"seq_pages\":%lld,\"random_pages\":%lld,\"index_probes\":%lld,"
-      "\"sorts_performed\":%lld,\"rows_sorted\":%lld,"
-      "\"rows_buffered_peak\":%lld,\"bytes_buffered_peak\":%lld,"
-      "\"spill_runs\":%lld,\"spill_rows\":%lld,\"spill_bytes\":%lld,"
-      "\"spill_retries\":%lld,\"reduce_cache_hits\":%lld,"
-      "\"reduce_cache_misses\":%lld,\"parallel_workers\":%lld,"
-      "\"exchange_batches\":%lld,\"worker_busy_ns_max\":%lld,"
-      "\"worker_busy_ns_total\":%lld,\"sim_io_seconds\":%.6g,"
-      "\"sim_cpu_seconds\":%.6g,\"sim_elapsed_seconds\":%.6g}",
-      static_cast<long long>(rows_produced),
-      static_cast<long long>(rows_scanned),
-      static_cast<long long>(comparisons),
-      static_cast<long long>(seq_pages),
-      static_cast<long long>(random_pages),
-      static_cast<long long>(index_probes),
-      static_cast<long long>(sorts_performed),
-      static_cast<long long>(rows_sorted),
-      static_cast<long long>(rows_buffered_peak),
-      static_cast<long long>(bytes_buffered_peak),
-      static_cast<long long>(spill_runs), static_cast<long long>(spill_rows),
-      static_cast<long long>(spill_bytes),
-      static_cast<long long>(spill_retries),
-      static_cast<long long>(reduce_cache_hits),
-      static_cast<long long>(reduce_cache_misses),
-      static_cast<long long>(parallel_workers),
-      static_cast<long long>(exchange_batches),
-      static_cast<long long>(worker_busy_ns_max),
-      static_cast<long long>(worker_busy_ns_total), SimulatedIoSeconds(),
-      SimulatedCpuSeconds(), SimulatedElapsedSeconds());
+  std::string out = "{";
+#define ORDOPT_JSON_COUNTER(field, merge, label, unit) \
+  out += "\"" #field "\":" + std::to_string(field) + ",";
+  ORDOPT_RUNTIME_COUNTERS(ORDOPT_JSON_COUNTER)
+#undef ORDOPT_JSON_COUNTER
+  return out + StrFormat(
+                   "\"sim_io_seconds\":%.6g,\"sim_cpu_seconds\":%.6g,"
+                   "\"sim_elapsed_seconds\":%.6g}",
+                   SimulatedIoSeconds(), SimulatedCpuSeconds(),
+                   SimulatedElapsedSeconds());
 }
 
 }  // namespace ordopt

@@ -7,6 +7,56 @@
 
 namespace ordopt {
 
+/// The RuntimeMetrics counters, declared once as
+/// X(field, merge rule, ToString label, unit). The list generates the
+/// fields, MergeFrom, ToString (label=value) and ToJson ("field":value).
+/// Merge rules: kSum for additive counters, kMax for peaks and widths,
+/// kNone for the plan-time reduce-cache fields (workers never plan). Units:
+/// kCount prints as an integer, kNanos prints as seconds in ToString.
+///
+/// Groups, in order: root output and scan/sort work; guardrail high-water
+/// marks (filled by the QueryGuard even when the query tripped: peak rows
+/// and approximate bytes held at once in blocking operators); external-sort
+/// spill activity (runs, rows and bytes written when a sort exceeds its row
+/// budget, and retried transient I/O failures); the reduce-cache statistics
+/// of the optimization that produced the plan (copied from the planner by
+/// the engine, 0/0 for prebuilt plans); morsel-parallel execution (worker
+/// count of the widest exchange, batches forwarded through exchanges, and
+/// per-worker thread-CPU busy time: max is the parallel region's critical
+/// path, total the work distributed; all zero for serial plans).
+#define ORDOPT_RUNTIME_COUNTERS(X)                                           \
+  X(rows_produced, kSum, "rows", kCount)       /* rows emitted by the root */ \
+  X(rows_scanned, kSum, "scanned", kCount)     /* rows read from tables */    \
+  X(comparisons, kSum, "cmp", kCount)          /* sort + merge comparisons */ \
+  X(seq_pages, kSum, "seq_pages", kCount)      /* sequential page reads */    \
+  X(random_pages, kSum, "rand_pages", kCount)  /* random page reads */        \
+  X(index_probes, kSum, "probes", kCount)      /* nested-loop index probes */ \
+  X(sorts_performed, kSum, "sorts", kCount)    /* Sort operators that ran */  \
+  X(rows_sorted, kSum, "rows_sorted", kCount)  /* rows through sorts */     \
+  X(rows_buffered_peak, kMax, "buf_rows_peak", kCount)                       \
+  X(bytes_buffered_peak, kMax, "buf_bytes_peak", kCount)                     \
+  X(spill_runs, kSum, "spill_runs", kCount)                                  \
+  X(spill_rows, kSum, "spill_rows", kCount)                                  \
+  X(spill_bytes, kSum, "spill_bytes", kCount)                                \
+  X(spill_retries, kSum, "spill_retries", kCount)                            \
+  X(reduce_cache_hits, kNone, "reduce_hits", kCount)                         \
+  X(reduce_cache_misses, kNone, "reduce_misses", kCount)                     \
+  X(parallel_workers, kMax, "workers", kCount)                               \
+  X(exchange_batches, kSum, "exch_batches", kCount)                          \
+  X(worker_busy_ns_max, kMax, "worker_busy_max", kNanos)                     \
+  X(worker_busy_ns_total, kSum, "worker_busy_total", kNanos)
+
+/// The RuntimeMetrics counters that OperatorStats attributes to each
+/// operator as inclusive deltas, declared once as X(field). The list
+/// generates the OperatorStats fields and MergeFrom, Operator's
+/// snapshot/delta bookkeeping, and the exec trace event's fields.
+#define ORDOPT_OPERATOR_DELTA_COUNTERS(X)                          \
+  X(rows_scanned) X(comparisons) X(seq_pages) X(random_pages)      \
+  X(index_probes) X(spill_runs) X(spill_retries)
+
+/// Declares one counter of either list as a zero-initialized field.
+#define ORDOPT_DECLARE_COUNTER(field, ...) int64_t field = 0;
+
 /// Runtime counters collected during execution. Page counters come from a
 /// per-scan locality tracker: a row fetch that stays on the current page is
 /// free, a move to the next page counts as a sequential page read, and any
@@ -14,48 +64,12 @@ namespace ordopt {
 /// sequences naturally cost sequential I/O (the §8.1 effect) without the
 /// executor special-casing them.
 struct RuntimeMetrics {
-  int64_t rows_produced = 0;   ///< rows emitted by the plan root
-  int64_t rows_scanned = 0;    ///< rows read from base tables
-  int64_t comparisons = 0;     ///< sort + merge comparisons
-  int64_t seq_pages = 0;       ///< sequential page reads
-  int64_t random_pages = 0;    ///< random page reads
-  int64_t index_probes = 0;    ///< nested-loop index probes
-  int64_t sorts_performed = 0; ///< Sort operators that ran
-  int64_t rows_sorted = 0;     ///< total rows passed through sorts
-  /// Guardrail consumption high-water marks (filled by the QueryGuard so
-  /// callers can compare consumption against configured limits even when
-  /// the query tripped): peak rows / approximate bytes held at once in
-  /// blocking operators (sorts, hash builds, materialized inners).
-  int64_t rows_buffered_peak = 0;
-  int64_t bytes_buffered_peak = 0;
-  /// External-sort spill activity (SpillManager): sorted runs written to
-  /// disk when a sort exceeds its row budget, and the rows/bytes they
-  /// carried. Zero for queries that stayed in memory.
-  int64_t spill_runs = 0;
-  int64_t spill_rows = 0;
-  int64_t spill_bytes = 0;
-  /// Spill I/O attempts that were retried after a transient failure.
-  int64_t spill_retries = 0;
-  /// Reduce-cache statistics of the optimization that produced this
-  /// query's plan (copied from the planner by the engine so trace export
-  /// and the plan-bench gate see cache behavior alongside the runtime
-  /// counters). 0/0 when the query was executed from a prebuilt plan.
-  int64_t reduce_cache_hits = 0;
-  int64_t reduce_cache_misses = 0;
-  /// Morsel-parallel execution (src/exec/parallel/): worker count of the
-  /// widest exchange that ran, batches forwarded through exchanges, and
-  /// per-worker thread-CPU busy time (max = the parallel region's critical
-  /// path, total = work that was distributed). All zero for serial plans.
-  int64_t parallel_workers = 0;
-  int64_t exchange_batches = 0;
-  int64_t worker_busy_ns_max = 0;
-  int64_t worker_busy_ns_total = 0;
+  ORDOPT_RUNTIME_COUNTERS(ORDOPT_DECLARE_COUNTER)
 
-  /// Accumulates a worker's counters into this (query-level) instance.
-  /// Workers execute with private RuntimeMetrics so the hot paths never
-  /// share cache lines; the exchange merges them at Close. Sums the
-  /// additive counters, maxes the peaks, and leaves the plan-time fields
-  /// (reduce-cache) alone — workers never plan.
+  /// Accumulates a worker's counters into this (query-level) instance by
+  /// each counter's merge rule. Workers execute with private RuntimeMetrics
+  /// so the hot paths never share cache lines; the exchange merges them at
+  /// Close.
   void MergeFrom(const RuntimeMetrics& worker);
 
   /// Simulated I/O time with 1996-style disk parameters: a random page
@@ -106,13 +120,7 @@ struct OperatorStats {
   int64_t next_calls = 0;  ///< Next() invocations (incl. the final false)
   int64_t rows_out = 0;    ///< rows this operator produced
   /// RuntimeMetrics deltas attributed to this subtree (inclusive).
-  int64_t rows_scanned = 0;
-  int64_t comparisons = 0;
-  int64_t seq_pages = 0;
-  int64_t random_pages = 0;
-  int64_t index_probes = 0;
-  int64_t spill_runs = 0;
-  int64_t spill_retries = 0;
+  ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DECLARE_COUNTER)
   /// Peak rows this operator held buffered at once (its BufferAccount).
   int64_t buffered_rows_peak = 0;
 
@@ -127,13 +135,9 @@ struct OperatorStats {
     next_ns += other.next_ns;
     next_calls += other.next_calls;
     rows_out += other.rows_out;
-    rows_scanned += other.rows_scanned;
-    comparisons += other.comparisons;
-    seq_pages += other.seq_pages;
-    random_pages += other.random_pages;
-    index_probes += other.index_probes;
-    spill_runs += other.spill_runs;
-    spill_retries += other.spill_retries;
+#define ORDOPT_SUM_COUNTER(field) field += other.field;
+    ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_SUM_COUNTER)
+#undef ORDOPT_SUM_COUNTER
     if (other.buffered_rows_peak > buffered_rows_peak) {
       buffered_rows_peak = other.buffered_rows_peak;
     }

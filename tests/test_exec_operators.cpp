@@ -14,7 +14,9 @@ namespace {
 
 class RowSource : public Operator {
  public:
-  RowSource(std::vector<ColumnId> layout, std::vector<Row> rows) {
+  RowSource(std::vector<ColumnId> layout, std::vector<Row> rows,
+            ExecContext ctx = ExecContext())
+      : Operator(ctx) {
     layout_ = std::move(layout);
     rows_ = std::move(rows);
   }
@@ -156,7 +158,7 @@ TEST(ExecMergeJoin, ManyToManyGroups) {
       li, std::vector<Row>{R({2, 10}), R({2, 20}), R({3, 30}), R({4, 40})});
   RuntimeMetrics m;
   MergeJoinOp join(std::move(outer), std::move(inner),
-                   {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner, &m);
   std::vector<Row> rows = Drain(&join);
   // 2 outer 2s x 2 inner 2s + 1x1 for key 4 = 5 rows.
   ASSERT_EQ(rows.size(), 5u);
@@ -176,7 +178,7 @@ TEST(ExecMergeJoin, NullKeysNeverMatch) {
       li, std::vector<Row>{null_row, R({1})});
   RuntimeMetrics m;
   MergeJoinOp join(std::move(outer), std::move(inner),
-                   {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner, &m);
   EXPECT_EQ(Drain(&join).size(), 1u);
 }
 
@@ -190,7 +192,7 @@ TEST(ExecHashJoin, MatchesAndNulls) {
   auto inner = std::make_unique<RowSource>(
       li, std::vector<Row>{R({5, 1}), R({5, 2}), R({7, 3})});
   HashJoinOp join(std::move(outer), std::move(inner),
-                  {{ColumnId(0, 0), ColumnId(1, 0)}});
+                  {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner);
   std::vector<Row> rows = Drain(&join);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0].AsInt(), 5);
@@ -218,7 +220,8 @@ TEST(ExecNaiveNLJoin, CrossProduct) {
       std::make_unique<RowSource>(lo, std::vector<Row>{R({1}), R({2})});
   auto inner =
       std::make_unique<RowSource>(li, std::vector<Row>{R({10}), R({20})});
-  NaiveNLJoinOp join(std::move(outer), std::move(inner));
+  NaiveNLJoinOp join(std::move(outer), std::move(inner), {},
+                     JoinKind::kInner);
   EXPECT_EQ(Drain(&join).size(), 4u);
 }
 
@@ -234,8 +237,8 @@ TEST(ExecMergeLeftJoin, PadsUnmatchedAndNullKeys) {
   auto inner = std::make_unique<RowSource>(
       li, std::vector<Row>{R({2, 10}), R({2, 20}), R({3, 30}), R({4, 40})});
   RuntimeMetrics m;
-  MergeLeftJoinOp join(std::move(outer), std::move(inner),
-                       {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+  MergeJoinOp join(std::move(outer), std::move(inner),
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kLeft, &m);
   std::vector<Row> rows = Drain(&join);
   // NULL -> padded; 1 -> padded; 2 -> two matches each (x2 outers);
   // 4 -> one match. Total 1 + 1 + 4 + 1 = 7, in outer order.
@@ -257,8 +260,8 @@ TEST(ExecHashLeftJoin, PadsUnmatched) {
   auto outer = std::make_unique<RowSource>(
       lo, std::vector<Row>{R({7}), R({8})});
   auto inner = std::make_unique<RowSource>(li, std::vector<Row>{R({8})});
-  HashLeftJoinOp join(std::move(outer), std::move(inner),
-                      {{ColumnId(0, 0), ColumnId(1, 0)}});
+  HashJoinOp join(std::move(outer), std::move(inner),
+                  {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kLeft);
   std::vector<Row> rows = Drain(&join);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0][1].is_null());
@@ -283,8 +286,8 @@ TEST(ExecNaiveLeftJoin, ArbitraryOnCondition) {
                         BoundExpr::Column({1, 0}, DataType::kInt64, "i"),
                         BoundExpr::Literal(Value::Int(9)), DataType::kInt64),
       DataType::kInt64);
-  NaiveLeftJoinOp join(std::move(outer), std::move(inner),
-                       {ClassifyPredicate(std::move(cond))});
+  NaiveNLJoinOp join(std::move(outer), std::move(inner),
+                     {ClassifyPredicate(std::move(cond))}, JoinKind::kLeft);
   std::vector<Row> rows = Drain(&join);
   // outer 1 matches inner 2 and 3; outer 5 matches nothing -> padded.
   ASSERT_EQ(rows.size(), 3u);
@@ -292,6 +295,179 @@ TEST(ExecNaiveLeftJoin, ArbitraryOnCondition) {
   EXPECT_EQ(rows[1], R({1, 3}));
   EXPECT_EQ(rows[2][0].AsInt(), 5);
   EXPECT_TRUE(rows[2][1].is_null());
+}
+
+// Join differential: seeded inputs through every join algorithm x kind x
+// batch size, checked against a brute-force nested loop over the same
+// inputs. Keys are drawn from a small domain so keys repeat on both sides
+// (many-to-many), with NULLs on either side, int64 outer keys against
+// equal double inner keys, one- and two-column keys, and empty inputs.
+
+enum class JoinAlgo { kMerge, kHash, kNestedLoop };
+
+struct JoinInputs {
+  size_t key_cols = 1;
+  std::vector<Row> outer;  // key columns, then a payload id
+  std::vector<Row> inner;
+};
+
+Value RandomKey(Rng* rng, bool as_double) {
+  if (rng->Chance(0.15)) return Value::Null();
+  const int64_t k = rng->Uniform(0, 4);
+  if (!as_double) return Value::Int(k);
+  // Mostly integral doubles (equal to an int64 key), sometimes a fraction
+  // that matches nothing.
+  return Value::Double(static_cast<double>(k) + (rng->Chance(0.2) ? 0.5 : 0));
+}
+
+std::vector<Row> RandomRows(Rng* rng, size_t key_cols, bool double_keys,
+                            int64_t payload_base) {
+  const int64_t n = rng->Chance(0.1) ? 0 : rng->Uniform(1, 12);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    Row row;
+    for (size_t c = 0; c < key_cols; ++c) {
+      row.push_back(RandomKey(rng, double_keys && rng->Chance(0.5)));
+    }
+    row.push_back(Value::Int(payload_base + i));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+JoinInputs RandomJoinInputs(uint64_t seed) {
+  Rng rng(seed);
+  JoinInputs in;
+  in.key_cols = rng.Chance(0.5) ? 1 : 2;
+  in.outer = RandomRows(&rng, in.key_cols, /*double_keys=*/false, 1000);
+  in.inner = RandomRows(&rng, in.key_cols, /*double_keys=*/true, 2000);
+  return in;
+}
+
+std::vector<ColumnId> JoinSideLayout(int table, size_t key_cols) {
+  std::vector<ColumnId> layout;
+  for (size_t c = 0; c <= key_cols; ++c) {
+    layout.push_back(ColumnId(table, static_cast<int32_t>(c)));
+  }
+  return layout;
+}
+
+bool KeysMatch(const Row& o, const Row& i, size_t key_cols) {
+  for (size_t c = 0; c < key_cols; ++c) {
+    if (o[c].is_null() || i[c].is_null() || o[c].Compare(i[c]) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Brute-force reference in outer order, inner order within an outer row.
+// The inner nested-loop case is the cartesian product.
+std::vector<Row> ReferenceJoin(const JoinInputs& in, JoinAlgo algo,
+                               JoinKind kind) {
+  const bool cartesian =
+      algo == JoinAlgo::kNestedLoop && kind == JoinKind::kInner;
+  std::vector<Row> out;
+  for (const Row& o : in.outer) {
+    bool matched = false;
+    for (const Row& i : in.inner) {
+      if (!cartesian && !KeysMatch(o, i, in.key_cols)) continue;
+      matched = true;
+      Row row = o;
+      row.insert(row.end(), i.begin(), i.end());
+      out.push_back(std::move(row));
+    }
+    if (kind == JoinKind::kLeft && !matched) {
+      Row row = o;
+      row.resize(o.size() + in.key_cols + 1, Value::Null());
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+void SortByKey(std::vector<Row>* rows, size_t key_cols) {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [key_cols](const Row& a, const Row& b) {
+                     for (size_t c = 0; c < key_cols; ++c) {
+                       int cmp = a[c].Compare(b[c]);
+                       if (cmp != 0) return cmp < 0;
+                     }
+                     return false;
+                   });
+}
+
+std::vector<Row> RunJoin(JoinInputs in, JoinAlgo algo, JoinKind kind,
+                         int64_t batch_rows, RuntimeMetrics* m) {
+  ExecContext ctx(m);
+  ctx.batch_rows = batch_rows;
+  const std::vector<ColumnId> lo = JoinSideLayout(0, in.key_cols);
+  const std::vector<ColumnId> li = JoinSideLayout(1, in.key_cols);
+  std::vector<std::pair<ColumnId, ColumnId>> pairs;
+  std::vector<Predicate> on;
+  for (size_t c = 0; c < in.key_cols; ++c) {
+    pairs.emplace_back(lo[c], li[c]);
+    on.push_back(ClassifyPredicate(BoundExpr::Binary(
+        BinOp::kEq, BoundExpr::Column(lo[c], DataType::kInt64, "o"),
+        BoundExpr::Column(li[c], DataType::kDouble, "i"), DataType::kInt64)));
+  }
+  auto outer = std::make_unique<RowSource>(lo, std::move(in.outer), ctx);
+  auto inner = std::make_unique<RowSource>(li, std::move(in.inner), ctx);
+  std::unique_ptr<Operator> join;
+  switch (algo) {
+    case JoinAlgo::kMerge:
+      join = std::make_unique<MergeJoinOp>(std::move(outer), std::move(inner),
+                                           pairs, kind, ctx);
+      break;
+    case JoinAlgo::kHash:
+      join = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
+                                          pairs, kind, ctx);
+      break;
+    case JoinAlgo::kNestedLoop:
+      if (kind == JoinKind::kInner) on.clear();
+      join = std::make_unique<NaiveNLJoinOp>(
+          std::move(outer), std::move(inner), std::move(on), kind, ctx);
+      break;
+  }
+  return Drain(join.get());
+}
+
+TEST(ExecJoinDifferential, MatchesBruteForceReference) {
+  const JoinAlgo algos[] = {JoinAlgo::kMerge, JoinAlgo::kHash,
+                            JoinAlgo::kNestedLoop};
+  const JoinKind kinds[] = {JoinKind::kInner, JoinKind::kLeft};
+  const int64_t batch_sizes[] = {1, 3, 1024};
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    JoinInputs in = RandomJoinInputs(seed);
+    // The merge join consumes both sides sorted on the key; the reference
+    // runs over the same (sorted) inputs so row order stays comparable.
+    JoinInputs sorted = in;
+    SortByKey(&sorted.outer, sorted.key_cols);
+    SortByKey(&sorted.inner, sorted.key_cols);
+    for (JoinAlgo algo : algos) {
+      const JoinInputs& input = algo == JoinAlgo::kMerge ? sorted : in;
+      for (JoinKind kind : kinds) {
+        std::vector<Row> expected = ReferenceJoin(input, algo, kind);
+        for (int64_t batch : batch_sizes) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed=" << seed << " algo=" << static_cast<int>(algo)
+                       << " left=" << (kind == JoinKind::kLeft)
+                       << " batch=" << batch);
+          RuntimeMetrics m;
+          std::vector<Row> actual = RunJoin(input, algo, kind, batch, &m);
+          if (algo == JoinAlgo::kHash) {
+            // Output order is not part of the hash join's contract.
+            std::vector<Row> want = expected;
+            std::sort(want.begin(), want.end());
+            std::sort(actual.begin(), actual.end());
+            ASSERT_EQ(actual, want);
+          } else {
+            ASSERT_EQ(actual, expected);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ExecUnion, AllAndMerge) {

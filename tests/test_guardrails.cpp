@@ -161,6 +161,45 @@ TEST_F(GuardrailsTest, BufferChargeReleasesBetweenQueries) {
   }
 }
 
+TEST_F(GuardrailsTest, BufferedRowsLimitTripsEveryLeftJoinAlgorithm) {
+  struct Case {
+    OpKind kind;
+    bool hash_join;
+    const char* sql;
+  };
+  const Case cases[] = {
+      {OpKind::kHashLeftJoin, true,
+       "select e.eno, t.hours from emp e left join task t on e.eno = t.eno"},
+      {OpKind::kMergeLeftJoin, false,
+       "select d.dno, e.eno from dept d left join emp e on d.dno = e.dno"},
+      // A non-equality ON conjunct forces the general nested-loop form.
+      {OpKind::kNaiveLeftJoin, true,
+       "select d.dno, e.eno from dept d left join emp e "
+       "on d.dno = e.dno and d.budget > e.salary"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(OpKindName(c.kind));
+    OptimizerConfig config;
+    config.enable_hash_join = c.hash_join;
+    QueryEngine engine(&db_, config);
+    auto unguarded = engine.Run(c.sql);
+    ASSERT_TRUE(unguarded.ok()) << unguarded.status().ToString();
+    ASSERT_TRUE(unguarded.value().plan->ContainsKind(c.kind));
+
+    QueryLimits limits;
+    limits.max_buffered_rows = 10;
+    QueryGuard guard(limits);
+    auto r = engine.Run(c.sql, &guard);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("buffer limit"), std::string::npos);
+    EXPECT_GT(guard.buffered_rows_peak(), 10);
+    // Every operator released its charge on Close, failed query or not.
+    EXPECT_EQ(guard.buffered_rows(), 0);
+    EXPECT_EQ(guard.buffered_bytes(), 0);
+  }
+}
+
 TEST_F(GuardrailsTest, GuardStateDirectly) {
   QueryLimits limits;
   limits.max_rows_scanned = 2;

@@ -257,6 +257,31 @@ TEST(ParallelPlanShape, ExchangeInPlanAndSerialUnchanged) {
   EXPECT_EQ(serial_run.value().metrics.exchange_batches, 0);
 }
 
+// EXPLAIN ANALYZE: an exchange's children carry stats summed over every
+// worker, so "total minus children" would always print self=0. Its self
+// time is its own consumer-thread time, i.e. equal to its total time.
+TEST(ParallelPlanShape, ExchangeSelfTimeIsItsOwnTime) {
+  OptimizerConfig config;
+  config.parallel_workers = 4;
+  QueryEngine engine(ToyDb(), config);
+  auto run =
+      engine.RunAnalyzed("select e.eno, e.salary from emp e order by e.salary");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::string& text = run.value().analyzed_plan_text;
+  const size_t line_start = text.find("Exchange(");
+  ASSERT_NE(line_start, std::string::npos) << text;
+  const std::string line =
+      text.substr(line_start, text.find('\n', line_start) - line_start);
+  auto field = [&line](const std::string& name) {
+    const size_t at = line.find(" " + name + "=");
+    EXPECT_NE(at, std::string::npos) << line;
+    const size_t begin = at + name.size() + 2;
+    return line.substr(begin, line.find(' ', begin) - begin);
+  };
+  EXPECT_EQ(field("self"), field("time")) << line;
+  EXPECT_NE(field("time"), "0.000ms") << line;
+}
+
 // ---- Merge ablation: union exchange + re-sort --------------------------
 
 // With parallel_merge_exchange off, a sorted chain parallelizes through
