@@ -7,8 +7,11 @@
 #              fails here
 #
 # Usage: scripts/check.sh [jobs]          full tier-1 run (default: nproc),
-#                                         ending with the tpcdbench build
-#                                         and its self-tests
+#                                         ending with the tpcdbench build,
+#                                         its self-tests, and a 2 s
+#                                         correctness smoke run of the
+#                                         service_mixed and olap_hash_par4
+#                                         workloads
 #        scripts/check.sh --plan-bench    planning-time gate only: builds the
 #                                         default preset, runs bench_table1_q3
 #                                         --plan-time into BENCH_plan.json and
@@ -536,8 +539,28 @@ python3 tpcdbench/run.py --selftest
 cmake --build "${CARGO_TARGET_DIR:-.bench_build}/tpcdbench" -j "$JOBS" \
   --target tpcd_bench
 
+# Benchmark correctness smoke: a short run of two workloads, each of which
+# checks every result against the disabled-baseline reference — an
+# end-to-end oracle for the hash operators and the exchange.
+echo "==> tpcdbench correctness smoke"
+for workload in service_mixed olap_hash_par4; do
+  SMOKE=$(python3 tpcdbench/run.py --workload "$workload" --seconds 2 \
+    --trace 0 | tail -n 1)
+  python3 - "$workload" "$SMOKE" <<'EOF'
+import json, sys
+
+name, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    print(f"FAIL: {name}: correct={result.get('correct')} "
+          f"failed={result.get('failed')}")
+    sys.exit(1)
+print(f"    {name}: correct, {result['attempted']} attempted, 0 failed")
+EOF
+done
+
 echo "OK: both configurations build and pass; fuzz matrix and Q3 clean"
 echo "    under runtime order verification; no spill files leaked; trace"
 echo "    export valid and within overhead budget; planning time within"
-echo "    the recorded baseline; the TPC-D suite benchmark builds and its"
-echo "    self-tests pass."
+echo "    the recorded baseline; the TPC-D suite benchmark builds, its"
+echo "    self-tests pass, and its smoke runs match the reference results."

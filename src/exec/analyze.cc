@@ -1,6 +1,7 @@
 #include "exec/analyze.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/str_util.h"
 
@@ -151,12 +152,21 @@ std::vector<EstActualRow> EstVsActualRows(
 }
 
 std::string RenderDecisions(const TraceCollector& trace) {
-  std::string out;
+  // The planner re-tests the same orders across join enumeration; print
+  // each distinct line once, in first-seen order, with its repeat count.
+  std::vector<std::string> lines;
+  std::unordered_map<std::string, int64_t> counts;
   for (const TraceEvent& e : trace.events()) {
     if (e.phase() != "optimizer") continue;
-    out += "  ";
-    out += e.ToShortString();
-    out += "\n";
+    std::string line = e.ToShortString();
+    if (counts[line]++ == 0) lines.push_back(std::move(line));
+  }
+  std::string out;
+  for (const std::string& line : lines) {
+    const int64_t n = counts[line];
+    out += "  " + line +
+           (n > 1 ? StrFormat(" x%lld", static_cast<long long>(n)) : "") +
+           "\n";
   }
   return out;
 }

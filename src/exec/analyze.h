@@ -33,9 +33,10 @@ std::vector<EstActualRow> EstVsActualRows(
     const PlanRef& plan, const std::vector<OperatorProfile>& profiles,
     const ColumnNamer& namer = nullptr);
 
-/// The optimizer-phase trace events as a compact human-readable block
-/// (one ToShortString line per event), for the EXPLAIN ANALYZE decisions
-/// section. Empty string when there are none.
+/// The optimizer-phase trace events as a compact human-readable block, for
+/// the EXPLAIN ANALYZE decisions section: each distinct ToShortString line
+/// once, in first-seen order, suffixed " xN" when N events rendered to it.
+/// Empty string when there are none.
 std::string RenderDecisions(const TraceCollector& trace);
 
 }  // namespace ordopt

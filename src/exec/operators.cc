@@ -64,6 +64,14 @@ bool ExtractKey(const Row& row, const std::vector<int>& positions,
   return true;
 }
 
+// The values of row `row` of `batch` at `positions` (a grouping key).
+Row KeyAt(const RowBatch& batch, int64_t row,
+          const std::vector<int>& positions) {
+  Row key;
+  for (int p : positions) key.push_back(batch.At(static_cast<size_t>(p), row));
+  return key;
+}
+
 // Layout of a base-table stream, optionally pruned to `required` (build-time
 // column pruning). `src_ordinals`, when given, receives the table-column
 // ordinal backing each emitted column.
@@ -1212,313 +1220,133 @@ void HashJoinOp::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// StreamGroupByOp
+// GroupByOp / StreamGroupByOp / HashGroupByOp
 // ---------------------------------------------------------------------------
 
-StreamGroupByOp::StreamGroupByOp(OperatorPtr child,
-                                 std::vector<ColumnId> group_columns,
-                                 std::vector<AggregateSpec> aggregates,
-                                 ExecContext ctx)
+GroupByOp::GroupByOp(OperatorPtr child,
+                     const std::vector<ColumnId>& group_columns,
+                     std::vector<AggregateSpec> aggregates, ExecContext ctx)
     : Operator(ctx),
       child_(std::move(child)),
-      group_columns_(std::move(group_columns)),
-      aggregates_(std::move(aggregates)),
-      distinct_buffer_(ctx.guard, &stats_) {
-  for (const ColumnId& c : group_columns_) layout_.push_back(c);
-  for (const AggregateSpec& a : aggregates_) layout_.push_back(a.output);
-  group_positions_ = PositionsOf(group_columns_, child_->layout(), ctx_);
+      buffer_(ctx.guard, &stats_),
+      acc_(group_columns.size(), std::move(aggregates), child_->layout(),
+           ctx.guard, &buffer_) {
+  layout_ = group_columns;
+  for (const AggregateSpec& a : acc_.specs()) layout_.push_back(a.output);
+  group_positions_ = PositionsOf(group_columns, child_->layout(), ctx_);
+}
+
+void GroupByOp::Close() {
+  child_->Close();
+  acc_.Clear();
+  buffer_.Release();
 }
 
 void StreamGroupByOp::OpenImpl() {
   child_->Open();
-  eval_ = std::make_unique<ExprEvaluator>(child_->layout(), ctx_.guard);
-  distinct_buffer_.Release();
-  pending_valid_ = child_->Next(&pending_row_);
+  input_.Reset(0, 1);
+  pos_ = 0;
+  has_group_ = false;
   done_ = false;
-  emitted_global_ = false;
+  // A global aggregate's one group is open from the start, so it emits a
+  // row even for empty input.
+  if (group_positions_.empty()) StartGroup();
 }
 
-void StreamGroupByOp::InitStates() {
-  states_.assign(aggregates_.size(), State());
-  distinct_buffer_.Release();  // previous group's DISTINCT sets are gone
+void StreamGroupByOp::StartGroup() {
+  acc_.Clear();
+  acc_.AddGroup(KeyAt(input_, pos_, group_positions_));
+  buffer_.Release();  // previous group's DISTINCT values are gone
+  has_group_ = true;
 }
 
-void StreamGroupByOp::Accumulate(const Row& row) {
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    const AggregateSpec& spec = aggregates_[i];
-    State& st = states_[i];
-    if (spec.count_star) {
-      ++st.count;
-      continue;
-    }
-    Value v = eval_->Eval(spec.arg, row);
-    if (v.is_null()) continue;
-    if (spec.distinct) {
-      auto inserted = st.distinct_values.emplace(std::vector<Value>{v}, true);
-      // Each retained distinct value is buffered state; a trip poisons
-      // the guard and Next() winds the stream down.
-      if (inserted.second && !distinct_buffer_.Add(inserted.first->first)) {
-        return;
-      }
-      continue;
-    }
-    st.saw_value = true;
-    ++st.count;
-    switch (spec.func) {
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        if (v.type() == DataType::kInt64 && st.sum_is_int) {
-          st.sum_i += v.AsInt();
-        } else {
-          if (st.sum_is_int) {
-            st.sum_d = static_cast<double>(st.sum_i);
-            st.sum_is_int = false;
-          }
-          st.sum_d += v.AsDouble();
-        }
-        break;
-      case AggFunc::kMin:
-        if (st.min_v.is_null() || v.Compare(st.min_v) < 0) st.min_v = v;
-        break;
-      case AggFunc::kMax:
-        if (st.max_v.is_null() || v.Compare(st.max_v) > 0) st.max_v = v;
-        break;
-      case AggFunc::kCount:
-        break;  // count accumulated above
+bool StreamGroupByOp::SameGroup() {
+  for (size_t i = 0; i < group_positions_.size(); ++i) {
+    ++ctx_.metrics->comparisons;
+    if (input_.At(static_cast<size_t>(group_positions_[i]), pos_)
+            .Compare(acc_.key(0, i)) != 0) {
+      return false;
     }
   }
-}
-
-Row StreamGroupByOp::EmitGroup() {
-  Row out = Row(current_key_.begin(), current_key_.end());
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    const AggregateSpec& spec = aggregates_[i];
-    State& st = states_[i];
-    if (spec.distinct) {
-      // Fold the collected distinct values.
-      st.saw_value = !st.distinct_values.empty();
-      st.count = 0;
-      st.sum_is_int = true;
-      st.sum_i = 0;
-      st.sum_d = 0.0;
-      st.min_v = Value::Null();
-      st.max_v = Value::Null();
-      for (const auto& [key, _] : st.distinct_values) {
-        const Value& v = key[0];
-        ++st.count;
-        if (v.type() == DataType::kInt64 && st.sum_is_int) {
-          st.sum_i += v.AsInt();
-        } else {
-          if (st.sum_is_int) {
-            st.sum_d = static_cast<double>(st.sum_i);
-            st.sum_is_int = false;
-          }
-          st.sum_d += v.AsDouble();
-        }
-        if (st.min_v.is_null() || v.Compare(st.min_v) < 0) st.min_v = v;
-        if (st.max_v.is_null() || v.Compare(st.max_v) > 0) st.max_v = v;
-      }
-    }
-    switch (spec.func) {
-      case AggFunc::kCount:
-        out.push_back(Value::Int(st.count));
-        break;
-      case AggFunc::kSum:
-        if (!st.saw_value) {
-          out.push_back(Value::Null());
-        } else if (st.sum_is_int) {
-          out.push_back(Value::Int(st.sum_i));
-        } else {
-          out.push_back(Value::Double(st.sum_d));
-        }
-        break;
-      case AggFunc::kAvg:
-        if (!st.saw_value || st.count == 0) {
-          out.push_back(Value::Null());
-        } else {
-          double total = st.sum_is_int ? static_cast<double>(st.sum_i)
-                                       : st.sum_d;
-          out.push_back(Value::Double(total /
-                                      static_cast<double>(st.count)));
-        }
-        break;
-      case AggFunc::kMin:
-        out.push_back(st.min_v);
-        break;
-      case AggFunc::kMax:
-        out.push_back(st.max_v);
-        break;
-    }
-  }
-  ++ctx_.metrics->comparisons;  // group-boundary detection work
-  return out;
-}
-
-bool StreamGroupByOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool StreamGroupByOp::ProduceRow(Row* out) {
-  if (done_ || !ctx_.GuardOk()) return false;
-  if (!pending_valid_) {
-    // Empty input: a global aggregate still emits one row.
-    if (group_columns_.empty() && !emitted_global_) {
-      current_key_.clear();
-      InitStates();
-      emitted_global_ = true;
-      done_ = true;
-      *out = EmitGroup();
-      return true;
-    }
-    done_ = true;
-    return false;
-  }
-  // Start a new group from the pending row.
-  current_key_.clear();
-  for (int p : group_positions_) {
-    current_key_.push_back(pending_row_[static_cast<size_t>(p)]);
-  }
-  InitStates();
-  Accumulate(pending_row_);
-  emitted_global_ = true;
-  Row row;
-  while (child_->Next(&row)) {
-    bool same = true;
-    for (size_t i = 0; i < group_positions_.size(); ++i) {
-      ++ctx_.metrics->comparisons;
-      if (row[static_cast<size_t>(group_positions_[i])].Compare(
-              current_key_[i]) != 0) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      Accumulate(row);
-      continue;
-    }
-    pending_row_ = std::move(row);
-    *out = EmitGroup();
-    return true;
-  }
-  pending_valid_ = false;
-  *out = EmitGroup();
   return true;
 }
 
-void StreamGroupByOp::Close() {
-  child_->Close();
-  states_.clear();
-  distinct_buffer_.Release();
+void StreamGroupByOp::EmitGroup(RowBatch* out) {
+  acc_.FoldDistinct();
+  acc_.Finalize(0, out);
+  ++ctx_.metrics->comparisons;  // group-boundary detection work
+  has_group_ = false;
 }
 
-// ---------------------------------------------------------------------------
-// HashGroupByOp
-// ---------------------------------------------------------------------------
-
-HashGroupByOp::HashGroupByOp(OperatorPtr child,
-                             std::vector<ColumnId> group_columns,
-                             std::vector<AggregateSpec> aggregates,
-                             ExecContext ctx)
-    : Operator(ctx),
-      child_(std::move(child)),
-      group_columns_(std::move(group_columns)),
-      aggregates_(std::move(aggregates)),
-      buffer_(ctx.guard, &stats_),
-      results_buffer_(ctx.guard, &stats_) {
-  for (const ColumnId& c : group_columns_) layout_.push_back(c);
-  for (const AggregateSpec& a : aggregates_) layout_.push_back(a.output);
-}
-
-void HashGroupByOp::OpenImpl() {
-  // Implemented by delegation: hash grouping is sort-grouping with an
-  // order-insensitive map. We materialize child rows grouped by key (an
-  // ordered map for determinism), then stream-aggregate each bucket.
-  child_->Open();
-  results_.clear();
-  buffer_.Release();
-  results_buffer_.Release();
-  pos_ = 0;
-
-  std::vector<int> positions =
-      PositionsOf(group_columns_, child_->layout(), ctx_);
-  std::map<std::vector<Value>, std::vector<Row>> buckets;
-  Row row;
-  while (child_->Next(&row)) {
-    if (!buffer_.Add(row)) return;  // buffer limit tripped: wind down
-    std::vector<Value> key;
-    for (int p : positions) key.push_back(row[static_cast<size_t>(p)]);
-    buckets[std::move(key)].push_back(std::move(row));
-  }
-  if (!ctx_.GuardOk()) return;
-
-  // Reuse the streaming accumulator per bucket via a tiny adapter.
-  class BucketSource : public Operator {
-   public:
-    BucketSource(const std::vector<Row>* rows, std::vector<ColumnId> layout) {
-      rows_ = rows;
-      layout_ = std::move(layout);
-    }
-    void OpenImpl() override { pos_ = 0; }
-    bool NextBatchImpl(RowBatch* out) override {
-      out->Reset(layout_.size(), BatchCapacity());
-      while (!out->full() && pos_ < rows_->size()) {
-        out->AppendRow((*rows_)[pos_++]);
-      }
-      return !out->empty();
-    }
-
-   private:
-    const std::vector<Row>* rows_;
-    size_t pos_ = 0;
-  };
-
-  if (buckets.empty() && group_columns_.empty()) {
-    // Global aggregate over empty input still emits one row; delegate to
-    // the streaming accumulator over an empty source.
-    static const std::vector<Row> kEmpty;
-    StreamGroupByOp agg(
-        std::make_unique<BucketSource>(&kEmpty, child_->layout()),
-        group_columns_, aggregates_, ctx_);
-    agg.Open();
-    Row out;
-    while (agg.Next(&out)) {
-      if (!results_buffer_.Add(out)) return;  // limit tripped: wind down
-      results_.push_back(std::move(out));
-    }
-    return;
-  }
-
-  for (const auto& [key, rows] : buckets) {
-    StreamGroupByOp agg(std::make_unique<BucketSource>(&rows,
-                                                       child_->layout()),
-                        group_columns_, aggregates_, ctx_);
-    agg.Open();
-    Row out;
-    while (agg.Next(&out)) {
-      if (!results_buffer_.Add(out)) {  // limit tripped: wind down
-        results_.clear();
-        return;
-      }
-      results_.push_back(std::move(out));
-    }
-  }
-  buffer_.Release();  // buckets die with this scope
-}
-
-bool HashGroupByOp::NextBatchImpl(RowBatch* out) {
+bool StreamGroupByOp::NextBatchImpl(RowBatch* out) {
   out->Reset(layout_.size(), BatchCapacity());
-  while (!out->full() && pos_ < results_.size()) {
-    out->AppendRow(std::move(results_[pos_]));
+  while (!done_ && !out->full() && ctx_.GuardOk()) {
+    if (pos_ == input_.size()) {
+      if (!child_->NextBatch(&input_)) {
+        if (has_group_) EmitGroup(out);
+        done_ = true;
+        break;
+      }
+      pos_ = 0;
+      acc_.EvaluateArgs(input_);
+      continue;
+    }
+    if (!has_group_) {
+      StartGroup();
+    } else if (!SameGroup()) {
+      EmitGroup(out);
+      continue;
+    }
+    if (!acc_.Update(0, pos_)) break;  // buffer limit tripped: wind down
     ++pos_;
   }
   return !out->empty();
 }
 
-void HashGroupByOp::Close() {
-  child_->Close();
-  results_.clear();
+void HashGroupByOp::OpenImpl() {
+  child_->Open();
+  table_.Clear();
+  acc_.Clear();
+  order_.clear();
+  pos_ = 0;
   buffer_.Release();
-  results_buffer_.Release();
+  bool inserted = false;
+  // A global aggregate's one group exists even for empty input.
+  if (group_positions_.empty()) {
+    table_.FindOrInsert(std::string_view(), &inserted);
+    acc_.AddGroup(Row());
+    if (!buffer_.Add(Row())) return;
+  }
+  while (child_->NextBatch(&input_)) {
+    acc_.EvaluateArgs(input_);
+    for (int64_t row = 0; row < input_.size(); ++row) {
+      const int64_t group =
+          table_.FindOrInsert(input_, row, group_positions_, &inserted);
+      if (inserted) {
+        Row key = KeyAt(input_, row, group_positions_);
+        if (!buffer_.Add(key)) return;  // buffer limit tripped: wind down
+        acc_.AddGroup(std::move(key));
+      }
+      if (!acc_.Update(group, row)) return;
+    }
+  }
+  if (!ctx_.GuardOk()) return;
+  acc_.FoldDistinct();
+  order_ = table_.SortedGroups();
+}
+
+bool HashGroupByOp::NextBatchImpl(RowBatch* out) {
+  out->Reset(layout_.size(), BatchCapacity());
+  while (!out->full() && pos_ < order_.size()) {
+    acc_.Finalize(order_[pos_++], out);
+  }
+  return !out->empty();
+}
+
+void HashGroupByOp::Close() {
+  GroupByOp::Close();
+  table_.Clear();
+  order_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -1571,42 +1399,39 @@ void StreamDistinctOp::Close() { child_->Close(); }
 
 HashDistinctOp::HashDistinctOp(OperatorPtr child, ColumnSet distinct_columns,
                                ExecContext ctx)
-    : Operator(ctx), child_(std::move(child)),
-      distinct_columns_(std::move(distinct_columns)), buffer_(ctx.guard, &stats_) {
+    : Operator(ctx), child_(std::move(child)), buffer_(ctx.guard, &stats_) {
   layout_ = child_->layout();
-  std::vector<ColumnId> cols(distinct_columns_.begin(),
-                             distinct_columns_.end());
+  std::vector<ColumnId> cols(distinct_columns.begin(),
+                             distinct_columns.end());
   positions_ = PositionsOf(cols, layout_, ctx_);
 }
 
 void HashDistinctOp::OpenImpl() {
   child_->Open();
-  seen_.clear();
+  seen_.Clear();
   buffer_.Release();
 }
 
 bool HashDistinctOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool HashDistinctOp::ProduceRow(Row* out) {
-  Row row;
-  while (child_->Next(&row)) {
-    std::vector<Value> key;
-    for (int p : positions_) key.push_back(row[static_cast<size_t>(p)]);
-    auto inserted = seen_.emplace(std::move(key), true);
-    if (!inserted.second) continue;
-    // The seen-set retains every distinct key: charge it as buffered.
-    if (!buffer_.Add(inserted.first->first)) return false;
-    *out = std::move(row);
-    return true;
+  while (ctx_.GuardOk() && child_->NextBatch(out)) {
+    sel_.clear();
+    for (int64_t row = 0; row < out->size(); ++row) {
+      bool inserted = false;
+      seen_.FindOrInsert(*out, row, positions_, &inserted);
+      if (!inserted) continue;
+      // The seen-set retains every distinct key: charge it as buffered.
+      if (!buffer_.Add(KeyAt(*out, row, positions_))) return false;
+      sel_.push_back(static_cast<int32_t>(row));
+    }
+    if (static_cast<int64_t>(sel_.size()) != out->size()) out->Compact(sel_);
+    if (!out->empty()) return true;
   }
   return false;
 }
 
 void HashDistinctOp::Close() {
   child_->Close();
-  seen_.clear();
+  seen_.Clear();
   buffer_.Release();
 }
 

@@ -2,7 +2,6 @@
 #define ORDOPT_EXEC_OPERATORS_H_
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "exec/expr_eval.h"
+#include "exec/group_table.h"
 #include "exec/runtime_metrics.h"
 #include "exec/query_guard.h"
 #include "exec/row_batch.h"
@@ -514,73 +514,76 @@ class HashJoinOp : public JoinOp {
   size_t match_pos_ = 0;
 };
 
-/// Streaming aggregation over an input whose order makes groups adjacent
-/// (also used above an explicit Sort). Output layout: group columns then
-/// aggregate outputs. With no group columns, emits exactly one row (the
-/// SQL global-aggregate contract), even for empty input.
-class StreamGroupByOp : public Operator {
+/// Shared shape of the grouping operators, both on the grouping kernel:
+/// output layout (group columns then aggregate outputs), the key positions
+/// in the child layout, the accumulator, and one buffer account for what
+/// the operator retains.
+class GroupByOp : public Operator {
  public:
-  StreamGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
-                  std::vector<AggregateSpec> aggregates, ExecContext ctx);
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
- private:
-  struct AggState;
-
-  bool ProduceRow(Row* out);
-
-  void InitStates();
-  void Accumulate(const Row& row);
-  Row EmitGroup();
+ protected:
+  GroupByOp(OperatorPtr child, const std::vector<ColumnId>& group_columns,
+            std::vector<AggregateSpec> aggregates, ExecContext ctx);
 
   OperatorPtr child_;
-  std::vector<ColumnId> group_columns_;
-  std::vector<AggregateSpec> aggregates_;
   std::vector<int> group_positions_;
-  std::unique_ptr<ExprEvaluator> eval_;
-  /// Charges the DISTINCT-aggregate value sets (the one place this
-  /// streaming operator buffers unboundedly) against the guard.
-  BufferAccount distinct_buffer_;
-
-  std::vector<Value> current_key_;
-  bool group_open_ = false;
-  Row pending_row_;
-  bool pending_valid_ = false;
-  bool done_ = false;
-  bool emitted_global_ = false;
-
-  struct State {
-    double sum_d = 0.0;
-    int64_t sum_i = 0;
-    bool sum_is_int = true;
-    bool saw_value = false;
-    int64_t count = 0;
-    Value min_v;
-    Value max_v;
-    std::map<std::vector<Value>, bool> distinct_values;
-  };
-  std::vector<State> states_;
+  BufferAccount buffer_;
+  AggAccumulator acc_;
+  RowBatch input_;  ///< scratch batch pulled from the child
 };
 
-/// Hash aggregation (no order in, no order out).
-class HashGroupByOp : public Operator {
+/// Streaming aggregation over an input whose order makes groups adjacent
+/// (also used above an explicit Sort). With no group columns, emits exactly
+/// one row (the SQL global-aggregate contract), even for empty input.
+/// Batch-native: one group is open at a time, as the accumulator's group
+/// 0; each input row's key is compared column by column with the open
+/// group's (one `comparisons` tick per column compared, plus one per group
+/// emitted). Only DISTINCT-aggregate values are buffered, released as each
+/// group closes.
+class StreamGroupByOp : public GroupByOp {
+ public:
+  StreamGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
+                  std::vector<AggregateSpec> aggregates, ExecContext ctx)
+      : GroupByOp(std::move(child), group_columns, std::move(aggregates),
+                  ctx) {}
+  void OpenImpl() override;
+  bool NextBatchImpl(RowBatch* out) override;
+
+ private:
+  /// Opens a group keyed by row pos_ of input_ (the global group has no
+  /// key).
+  void StartGroup();
+  /// Whether row pos_ of input_ belongs to the open group.
+  bool SameGroup();
+  /// Appends the open group's result row to `out` and closes the group.
+  void EmitGroup(RowBatch* out);
+
+  int64_t pos_ = 0;  ///< next unconsumed row of input_
+  bool has_group_ = false;
+  bool done_ = false;
+};
+
+/// Hash aggregation on the grouping kernel: the first row of each key
+/// inserts a GroupTable entry and an accumulator group, and every row
+/// updates its group in place. At end of input the groups are emitted in
+/// ascending key order (Value::Compare order; not claimed as an order
+/// property, just reproducible). Buffers one row per group (its key) and
+/// per retained DISTINCT-aggregate value, never one per input row.
+class HashGroupByOp : public GroupByOp {
  public:
   HashGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
-                std::vector<AggregateSpec> aggregates, ExecContext ctx);
+                std::vector<AggregateSpec> aggregates, ExecContext ctx)
+      : GroupByOp(std::move(child), group_columns, std::move(aggregates),
+                  ctx) {}
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  OperatorPtr child_;
-  std::vector<ColumnId> group_columns_;
-  std::vector<AggregateSpec> aggregates_;
-  BufferAccount buffer_;          ///< materialized input buckets
-  BufferAccount results_buffer_;  ///< aggregated result rows
-  std::vector<Row> results_;
-  size_t pos_ = 0;
+  GroupTable table_;            ///< group i is the accumulator's group i
+  std::vector<int64_t> order_;  ///< groups in emission order
+  size_t pos_ = 0;              ///< next entry of order_ to emit
 };
 
 /// Duplicate elimination on a column subset for inputs where duplicates are
@@ -603,7 +606,9 @@ class StreamDistinctOp : public Operator {
   bool has_last_ = false;
 };
 
-/// Hash-based duplicate elimination (destroys order).
+/// Hash-based duplicate elimination on the grouping kernel's GroupTable
+/// (no aggregates). Streaming: each key's first row passes through in
+/// input order. Buffers one row per distinct key.
 class HashDistinctOp : public Operator {
  public:
   HashDistinctOp(OperatorPtr child, ColumnSet distinct_columns,
@@ -613,13 +618,11 @@ class HashDistinctOp : public Operator {
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out);
-
   OperatorPtr child_;
-  ColumnSet distinct_columns_;
   std::vector<int> positions_;
   BufferAccount buffer_;
-  std::map<std::vector<Value>, bool> seen_;
+  GroupTable seen_;
+  SelectionVector sel_;  ///< first-seen rows of the current batch
 };
 
 /// Concatenates branch streams. Columns are positional: every child's row

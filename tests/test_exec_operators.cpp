@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
@@ -638,6 +641,284 @@ TEST(ExecDistinct, StreamAndHash) {
   StreamDistinctOp subset(std::make_unique<RowSource>(layout, sorted_dups),
                           ColumnSet{{0, 0}});
   EXPECT_EQ(Drain(&subset).size(), 2u);
+}
+
+// --- Aggregation differential: hash vs stream vs brute force ---------------
+
+// Input columns: k1 (int64, double or NULL; int 3 and double 3.0 both
+// occur), k2 (string or NULL), then the aggregate arguments i (int64), d
+// (double), dt (date), s (string) and mix (int64 or double), each
+// sometimes NULL.
+enum AggCol { kK1, kK2, kI, kD, kDt, kS, kMix, kAggCols };
+
+std::vector<Row> RandomAggInput(uint64_t seed) {
+  Rng rng(seed);
+  const int64_t n = rng.Uniform(0, 3) == 0 ? 0 : rng.Uniform(1, 120);
+  const int64_t key_range = rng.Uniform(1, 6);
+  auto maybe_null = [&rng](Value v) {
+    return rng.Chance(0.15) ? Value::Null() : std::move(v);
+  };
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t k = rng.Uniform(0, key_range);
+    Row row(kAggCols);
+    const Value int_key = Value::Int(k);
+    const Value double_key = Value::Double(static_cast<double>(k));
+    row[kK1] = maybe_null(rng.Chance(0.5) ? int_key : double_key);
+    row[kK2] = maybe_null(Value::Str(std::string(1, static_cast<char>(
+                                         'a' + rng.Uniform(0, 2)))));
+    row[kI] = maybe_null(Value::Int(rng.Uniform(-5, 5)));
+    row[kD] = maybe_null(Value::Double(rng.Uniform(-40, 40) / 8.0 + 0.1));
+    row[kDt] = maybe_null(Value::Date(9000 + rng.Uniform(0, 6)));
+    row[kS] = maybe_null(Value::Str(std::string(
+        static_cast<size_t>(rng.Uniform(0, 2)),
+        static_cast<char>('p' + rng.Uniform(0, 3)))));
+    const int64_t m = rng.Uniform(0, 4);
+    row[kMix] = maybe_null(rng.Chance(0.5) ? Value::Int(m)
+                                           : Value::Double(m + 0.25));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+std::vector<ColumnId> AggLayout() {
+  std::vector<ColumnId> layout;
+  for (int c = 0; c < kAggCols; ++c) layout.push_back(ColumnId(0, c));
+  return layout;
+}
+
+std::vector<AggregateSpec> DifferentialAggs() {
+  std::vector<AggregateSpec> aggs;
+  auto add = [&aggs](AggFunc func, int col, bool distinct) {
+    aggs.push_back(MakeAgg(func, ColumnId(0, col),
+                           ColumnId(5, static_cast<int>(aggs.size())),
+                           distinct));
+  };
+  aggs.push_back(MakeAgg(AggFunc::kCount, {0, 0}, {5, 0}, false,
+                         /*star=*/true));
+  for (bool distinct : {false, true}) {
+    add(AggFunc::kCount, kI, distinct);
+    add(AggFunc::kCount, kS, distinct);
+    for (int col : {kI, kD, kMix}) {
+      add(AggFunc::kSum, col, distinct);
+      add(AggFunc::kAvg, col, distinct);
+    }
+    for (int col : {kI, kDt, kS, kMix}) {
+      add(AggFunc::kMin, col, distinct);
+      add(AggFunc::kMax, col, distinct);
+    }
+  }
+  return aggs;
+}
+
+// Lexicographic Value::Compare over the first `width` columns.
+int CompareKeys(const Row& a, const Row& b, size_t width) {
+  for (size_t c = 0; c < width; ++c) {
+    const int cmp = a[c].Compare(b[c]);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
+}
+
+// Same type and value; doubles compared bit for bit.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() != DataType::kDouble) return a.Compare(b) == 0;
+  const double x = a.AsDouble();
+  const double y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+void ExpectSameRows(const std::vector<Row>& actual,
+                    const std::vector<Row>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t r = 0; r < actual.size(); ++r) {
+    ASSERT_EQ(actual[r].size(), expected[r].size()) << "row " << r;
+    for (size_t c = 0; c < actual[r].size(); ++c) {
+      EXPECT_TRUE(SameValue(actual[r][c], expected[r][c]))
+          << "row " << r << " col " << c << ": "
+          << actual[r][c].ToString() << " vs " << expected[r][c].ToString();
+    }
+  }
+}
+
+// Brute force: groups found by linear search (first-seen key values kept),
+// values folded in input order, DISTINCT values deduplicated by Compare
+// (first seen kept) and folded in ascending order; groups emitted in
+// ascending key order. A global aggregate always has its one group.
+std::vector<Row> ReferenceGroupBy(const std::vector<Row>& input,
+                                  const std::vector<int>& keys,
+                                  const std::vector<AggregateSpec>& aggs) {
+  struct Group {
+    Row key;
+    std::vector<const Row*> rows;
+  };
+  std::vector<Group> groups;
+  if (keys.empty()) groups.push_back({});
+  for (const Row& row : input) {
+    Row key;
+    for (int k : keys) key.push_back(row[static_cast<size_t>(k)]);
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return CompareKeys(g.key, key, keys.size()) == 0;
+    });
+    if (it == groups.end()) {
+      groups.push_back({key, {}});
+      it = groups.end() - 1;
+    }
+    it->rows.push_back(&row);
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [&](const Group& a, const Group& b) {
+                     return CompareKeys(a.key, b.key, keys.size()) < 0;
+                   });
+  std::vector<Row> out;
+  for (const Group& g : groups) {
+    Row row = g.key;
+    for (const AggregateSpec& spec : aggs) {
+      if (spec.count_star) {
+        row.push_back(Value::Int(static_cast<int64_t>(g.rows.size())));
+        continue;
+      }
+      std::vector<Value> values;
+      for (const Row* r : g.rows) {
+        const Value& v = (*r)[static_cast<size_t>(spec.arg.column().column)];
+        if (v.is_null()) continue;
+        if (spec.distinct &&
+            std::any_of(values.begin(), values.end(),
+                        [&v](const Value& w) { return w.Compare(v) == 0; })) {
+          continue;
+        }
+        values.push_back(v);
+      }
+      if (spec.distinct) std::sort(values.begin(), values.end());
+      int64_t sum_i = 0;
+      double sum_d = 0.0;
+      bool is_int = true;
+      Value best;
+      const bool sums =
+          spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg;
+      for (const Value& v : values) {
+        if (sums && v.type() == DataType::kInt64 && is_int) {
+          sum_i += v.AsInt();
+        } else if (sums) {
+          if (is_int) sum_d = static_cast<double>(sum_i);
+          is_int = false;
+          sum_d += v.AsDouble();
+        }
+        const int cmp = best.is_null() ? 0 : v.Compare(best);
+        if (best.is_null() || (spec.func == AggFunc::kMin && cmp < 0) ||
+            (spec.func == AggFunc::kMax && cmp > 0)) {
+          best = v;
+        }
+      }
+      const int64_t n = static_cast<int64_t>(values.size());
+      const double total = is_int ? static_cast<double>(sum_i) : sum_d;
+      switch (spec.func) {
+        case AggFunc::kCount:
+          row.push_back(Value::Int(n));
+          break;
+        case AggFunc::kSum:
+          row.push_back(n == 0 ? Value::Null()
+                               : is_int ? Value::Int(sum_i)
+                                        : Value::Double(sum_d));
+          break;
+        case AggFunc::kAvg:
+          row.push_back(n == 0 ? Value::Null()
+                               : Value::Double(total / static_cast<double>(n)));
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          row.push_back(best);
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(ExecAggregationDifferential, HashStreamAndReferenceAgree) {
+  const std::vector<ColumnId> layout = AggLayout();
+  const std::vector<AggregateSpec> aggs = DifferentialAggs();
+  const std::vector<std::vector<int>> key_sets = {{}, {kK1}, {kK1, kK2}};
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const std::vector<Row> input = RandomAggInput(seed);
+    for (const std::vector<int>& keys : key_sets) {
+      std::vector<ColumnId> group_columns;
+      for (int k : keys) {
+        group_columns.push_back(layout[static_cast<size_t>(k)]);
+      }
+      const std::vector<Row> expected = ReferenceGroupBy(input, keys, aggs);
+      // Stream grouping reads the input stably sorted on the key, so each
+      // group's rows keep their input order.
+      std::vector<Row> sorted = input;
+      SortByKey(&sorted, keys.size());
+      // Exact stream comparisons: each row after the first compares key
+      // columns until the first mismatch, plus one per emitted group.
+      int64_t stream_cmp = static_cast<int64_t>(expected.size());
+      for (size_t r = 1; r < sorted.size(); ++r) {
+        size_t c = 0;
+        while (c < keys.size() && sorted[r][c].Compare(sorted[r - 1][c]) == 0) {
+          ++c;
+        }
+        stream_cmp += static_cast<int64_t>(std::min(c + 1, keys.size()));
+      }
+      for (int64_t batch : {1, 3, 1024}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " keys="
+                                          << keys.size() << " batch=" << batch);
+        RuntimeMetrics hm;
+        ExecContext hctx(&hm);
+        hctx.batch_rows = batch;
+        HashGroupByOp hash(std::make_unique<RowSource>(layout, input, hctx),
+                           group_columns, aggs, hctx);
+        const std::vector<Row> hashed = Drain(&hash);
+        ExpectSameRows(hashed, expected);
+        for (size_t r = 1; r < hashed.size(); ++r) {
+          EXPECT_LT(CompareKeys(hashed[r - 1], hashed[r], keys.size()), 0);
+        }
+        EXPECT_EQ(hm.comparisons, 0);
+
+        RuntimeMetrics sm;
+        ExecContext sctx(&sm);
+        sctx.batch_rows = batch;
+        StreamGroupByOp stream(
+            std::make_unique<RowSource>(layout, sorted, sctx), group_columns,
+            aggs, sctx);
+        ExpectSameRows(Drain(&stream), expected);
+        EXPECT_EQ(sm.comparisons, stream_cmp);
+      }
+    }
+  }
+}
+
+TEST(ExecAggregationDifferential, HashDistinctKeepsFirstRowInInputOrder) {
+  const std::vector<ColumnId> layout = AggLayout();
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const std::vector<Row> input = RandomAggInput(seed);
+    for (size_t width : {1u, 2u}) {
+      std::vector<Row> expected;
+      for (const Row& row : input) {
+        const bool seen =
+            std::any_of(expected.begin(), expected.end(), [&](const Row& e) {
+              return CompareKeys(e, row, width) == 0;
+            });
+        if (!seen) expected.push_back(row);
+      }
+      ColumnSet columns{layout[kK1]};
+      if (width == 2) columns = ColumnSet{layout[kK1], layout[kK2]};
+      for (int64_t batch : {1, 3, 1024}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " width="
+                                          << width << " batch=" << batch);
+        RuntimeMetrics m;
+        ExecContext ctx(&m);
+        ctx.batch_rows = batch;
+        HashDistinctOp distinct(
+            std::make_unique<RowSource>(layout, input, ctx), columns, ctx);
+        ExpectSameRows(Drain(&distinct), expected);
+        EXPECT_EQ(m.comparisons, 0);
+      }
+    }
+  }
 }
 
 TEST(ExecFilterProject, EvaluateExpressions) {

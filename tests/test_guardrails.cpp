@@ -200,6 +200,45 @@ TEST_F(GuardrailsTest, BufferedRowsLimitTripsEveryLeftJoinAlgorithm) {
   }
 }
 
+// Hash grouping holds one buffered row per group, not one per input row:
+// 300 emp rows in at most 48 age groups fit under a limit just above the
+// group count, while the ~140 salary groups trip it and every charge is
+// released on the failure path.
+TEST_F(GuardrailsTest, HashGroupByBuffersOneRowPerGroup) {
+  QueryEngine engine(&db_);
+  const char* few_groups = "select age, count(*), sum(salary) from emp "
+                           "group by age";
+  const char* many_groups = "select salary, count(*) from emp "
+                            "group by salary";
+  auto few = engine.Run(few_groups);
+  auto many = engine.Run(many_groups);
+  ASSERT_TRUE(few.ok() && many.ok());
+  ASSERT_TRUE(few.value().plan->ContainsKind(OpKind::kHashGroupBy));
+  ASSERT_TRUE(many.value().plan->ContainsKind(OpKind::kHashGroupBy));
+  const int64_t groups = static_cast<int64_t>(few.value().rows.size());
+  ASSERT_LE(groups, 48);
+  ASSERT_GT(static_cast<int64_t>(many.value().rows.size()), groups + 2);
+
+  QueryLimits limits;
+  limits.max_buffered_rows = groups + 2;
+  {
+    QueryGuard guard(limits);
+    auto r = engine.Run(few_groups, &guard);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().rows, few.value().rows);
+    EXPECT_EQ(guard.buffered_rows_peak(), groups);
+  }
+  {
+    QueryGuard guard(limits);
+    auto r = engine.Run(many_groups, &guard);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("buffer limit"), std::string::npos);
+    EXPECT_EQ(guard.buffered_rows(), 0);
+    EXPECT_EQ(guard.buffered_bytes(), 0);
+  }
+}
+
 TEST_F(GuardrailsTest, GuardStateDirectly) {
   QueryLimits limits;
   limits.max_rows_scanned = 2;

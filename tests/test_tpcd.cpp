@@ -152,6 +152,34 @@ TEST(Tpcd, OtherBenchmarkQueriesRun) {
   }
 }
 
+// Under the hash profile (hash operators, 4 exchange workers) pricing
+// summary aggregates thousands of lineitems into a handful of groups; the
+// hash group-by buffers one row per group, never the input.
+TEST(Tpcd, PricingSummaryHashGroupByBuffersOnlyGroups) {
+  Database db;
+  TpcdConfig config;
+  config.scale_factor = 0.002;
+  ASSERT_TRUE(LoadTpcd(&db, config).ok());
+  OptimizerConfig cfg;
+  cfg.parallel_workers = 4;
+  QueryEngine engine(&db, cfg);
+  auto r = engine.RunAnalyzed(tpcd_queries::kPricingSummary);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& q = r.value();
+  const int64_t groups = static_cast<int64_t>(q.rows.size());
+  ASSERT_GT(groups, 0);
+  ASSERT_LE(groups, 6);
+  int hash_group_bys = 0;
+  for (const OperatorProfile& p : q.op_profile) {
+    if (p.node->kind != OpKind::kHashGroupBy) continue;
+    ++hash_group_bys;
+    EXPECT_LE(p.stats.buffered_rows_peak, groups);
+    EXPECT_GT(p.stats.rows_out, 0);
+  }
+  EXPECT_EQ(hash_group_bys, 1);
+  EXPECT_GT(q.metrics.rows_scanned, 1000);
+}
+
 TEST(Tpcd, CrossConfigAgreementOnExtendedQueries) {
   Database db;
   TpcdConfig config;

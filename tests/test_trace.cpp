@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -430,6 +431,49 @@ TEST(TraceTpcdTest, Query3AnalyzedWithDecisions) {
                       q.trace->Count("sortahead.candidate");
   EXPECT_GE(decisions, 1);
   EXPECT_EQ(q.trace->Count("plan.chosen"), 1);
+}
+
+// The decisions block prints each distinct line once, suffixed " xN" for N
+// repeats; the counts add back up to the optimizer events. Hash operators
+// on widen the join enumeration, so Q3 re-tests the same orders often.
+TEST(TraceTpcdTest, Query3DecisionsAreDeduplicated) {
+  Database db;
+  TpcdConfig data;
+  data.scale_factor = 0.01;
+  ASSERT_TRUE(LoadTpcd(&db, data).ok());
+  QueryEngine engine(&db, OptimizerConfig());
+  Result<QueryResult> r = engine.RunAnalyzed(tpcd_queries::kQuery3);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& q = r.value();
+  ASSERT_NE(q.trace, nullptr);
+  const std::string& text = q.analyzed_plan_text;
+  const size_t start = text.find("decisions:\n");
+  ASSERT_NE(start, std::string::npos);
+
+  std::istringstream block(text.substr(start + std::strlen("decisions:\n")));
+  std::set<std::string> seen;
+  int64_t total = 0;
+  bool repeated = false;
+  std::string line;
+  while (std::getline(block, line)) {
+    EXPECT_TRUE(seen.insert(line).second) << "repeated line: " << line;
+    int64_t count = 1;
+    const size_t x = line.rfind(" x");
+    if (x != std::string::npos && x + 2 < line.size() &&
+        line.find_first_not_of("0123456789", x + 2) == std::string::npos) {
+      count = std::stoll(line.substr(x + 2));
+      EXPECT_GT(count, 1) << line;
+      repeated = true;
+    }
+    total += count;
+  }
+  int64_t optimizer_events = 0;
+  for (const TraceEvent& e : q.trace->events()) {
+    if (e.phase() == "optimizer") ++optimizer_events;
+  }
+  EXPECT_EQ(total, optimizer_events);
+  EXPECT_LT(static_cast<int64_t>(seen.size()), optimizer_events);
+  EXPECT_TRUE(repeated);
 }
 
 }  // namespace
