@@ -13,7 +13,10 @@
 //   .hash on|off       toggle hash join/aggregation (DB2/CS profile = off)
 //   .sortahead on|off  toggle sort-ahead
 //   .sortmem <rows>    sort-memory budget; small values force sorts to
-//                      spill runs to temp files (0 = never spill)
+//                      spill runs to temp files (0 = never spill). A sort
+//                      under a SortGroupBy folds up to <rows>/2 groups in
+//                      place (every group at 0) and buffers only the rest,
+//                      so a query with few groups never spills
 //   .qgm <sql>         show the bound QGM box tree
 //   .metrics           dump the process metrics registry (counters,
 //                      gauges, histograms) in text exposition format

@@ -10,8 +10,8 @@
 #                                         ending with the tpcdbench build,
 #                                         its self-tests, and a 2 s
 #                                         correctness smoke run of the
-#                                         service_mixed and olap_hash_par4
-#                                         workloads
+#                                         service_mixed, olap_hash_par4 and
+#                                         olap_sort_serial workloads
 #        scripts/check.sh --plan-bench    planning-time gate only: builds the
 #                                         default preset, runs bench_table1_q3
 #                                         --plan-time into BENCH_plan.json and
@@ -539,11 +539,13 @@ python3 tpcdbench/run.py --selftest
 cmake --build "${CARGO_TARGET_DIR:-.bench_build}/tpcdbench" -j "$JOBS" \
   --target tpcd_bench
 
-# Benchmark correctness smoke: a short run of two workloads, each of which
+# Benchmark correctness smoke: a short run of three workloads, each of which
 # checks every result against the disabled-baseline reference — an
-# end-to-end oracle for the hash operators and the exchange.
+# end-to-end oracle for the hash operators, the exchange, and (in
+# olap_sort_serial, the only workload that runs SortGroupBy) in-sort
+# aggregation.
 echo "==> tpcdbench correctness smoke"
-for workload in service_mixed olap_hash_par4; do
+for workload in service_mixed olap_hash_par4 olap_sort_serial; do
   SMOKE=$(python3 tpcdbench/run.py --workload "$workload" --seconds 2 \
     --trace 0 | tail -n 1)
   python3 - "$workload" "$SMOKE" <<'EOF'

@@ -50,8 +50,26 @@ ColumnSet NodeOwnColumns(const PlanNode& plan, bool verify_orders) {
   return own;
 }
 
+/// Whether a SortGroupBy aggregates in its child sort (DESIGN.md §14,
+/// "In-sort aggregation"). Not over an exchange, not in the row shim, and
+/// not with a DISTINCT aggregate, whose value sets every resident group
+/// would hold at once.
+bool AggregatesInSort(const PlanNode& plan, const ExecContext& ctx) {
+  if (plan.kind != OpKind::kSortGroupBy || ctx.row_shim ||
+      plan.group_columns.empty() || plan.children[0]->kind != OpKind::kSort) {
+    return false;
+  }
+  for (const AggregateSpec& a : plan.aggregates) {
+    if (a.distinct) return false;
+  }
+  return true;
+}
+
+/// Builds `plan`'s operator; `*unwrapped` (when given) receives it before
+/// any OrderCheckOp wrapping.
 Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
-                              const RequiredColumns& required) {
+                              const RequiredColumns& required,
+                              Operator** unwrapped = nullptr) {
   // Effective requirement on this node's output: what the parent needs
   // plus what the node itself touches. Scans prune their emitted columns
   // down to it; everything else derives its layout from its children and
@@ -105,8 +123,11 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
   }
 
   std::vector<OperatorPtr> children;
-  for (const PlanRef& child : plan->children) {
-    ORDOPT_ASSIGN_OR_RETURN(OperatorPtr op, BuildTree(child, ctx, child_req));
+  std::vector<Operator*> unwrapped_children(plan->children.size());
+  for (size_t i = 0; i < plan->children.size(); ++i) {
+    ORDOPT_ASSIGN_OR_RETURN(
+        OperatorPtr op, BuildTree(plan->children[i], ctx, child_req,
+                                  &unwrapped_children[i]));
     children.push_back(std::move(op));
   }
   const ColumnSet* prune = eff.all ? nullptr : &eff.cols;
@@ -173,11 +194,16 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
                                             plan->join_pairs, ctx, prune));
       break;
     case OpKind::kStreamGroupBy:
-    case OpKind::kSortGroupBy:
-      built = OperatorPtr(new StreamGroupByOp(std::move(children[0]),
-                                              plan->group_columns,
-                                              plan->aggregates, ctx));
+    case OpKind::kSortGroupBy: {
+      auto* group_by = new StreamGroupByOp(
+          std::move(children[0]), plan->group_columns, plan->aggregates, ctx);
+      built = OperatorPtr(group_by);
+      if (AggregatesInSort(*plan, ctx)) {
+        group_by->AggregateInSort(
+            static_cast<SortOp*>(unwrapped_children[0]));
+      }
       break;
+    }
     case OpKind::kHashGroupBy:
       built = OperatorPtr(new HashGroupByOp(std::move(children[0]),
                                             plan->group_columns,
@@ -231,6 +257,7 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
   if (ctx.op_registry != nullptr) {
     ctx.op_registry->push_back({plan.get(), built.get()});
   }
+  if (unwrapped != nullptr) *unwrapped = built.get();
   // Wrap after the registry push so EXPLAIN ANALYZE keeps pairing plan
   // nodes with the operators that actually execute them; the checker is a
   // pure pass-through observer of this node's asserted properties.

@@ -12,18 +12,20 @@ namespace ordopt {
 // GroupTable
 // ---------------------------------------------------------------------------
 
-int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted) {
+int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted,
+                                 bool may_insert) {
   if (static_cast<size_t>(size() + 1) * 2 > slots_.size()) Grow();
   const uint64_t hash = std::hash<std::string_view>()(key);
   const size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     Slot& slot = slots_[i];
     if (slot.group < 0) {
+      *inserted = may_insert;
+      if (!may_insert) return -1;
       slot.hash = hash;
       slot.group = size();
       arena_.append(key);
       offsets_.push_back(arena_.size());
-      *inserted = true;
       return slot.group;
     }
     if (slot.hash == hash && this->key(slot.group) == key) {
@@ -35,13 +37,13 @@ int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted) {
 
 int64_t GroupTable::FindOrInsert(const RowBatch& batch, int64_t row,
                                  const std::vector<int>& positions,
-                                 bool* inserted) {
+                                 bool* inserted, bool may_insert) {
   scratch_.clear();
   for (int p : positions) {
     AppendNormalizedKeyColumn(batch.At(static_cast<size_t>(p), row),
                               /*descending=*/false, &scratch_);
   }
-  return FindOrInsert(scratch_, inserted);
+  return FindOrInsert(scratch_, inserted, may_insert);
 }
 
 void GroupTable::Grow() {

@@ -30,12 +30,15 @@ namespace ordopt {
 class GroupTable {
  public:
   /// The group whose key bytes equal `key`. When there is none a new group
-  /// (index size()) is appended; `*inserted` says which happened.
-  int64_t FindOrInsert(std::string_view key, bool* inserted);
+  /// (index size()) is appended — or, with `may_insert` false, -1 is
+  /// returned; `*inserted` says whether a group was appended.
+  int64_t FindOrInsert(std::string_view key, bool* inserted,
+                       bool may_insert = true);
   /// Encodes the key of row `row` of `batch` (the columns at `positions`)
   /// and finds or inserts its group.
   int64_t FindOrInsert(const RowBatch& batch, int64_t row,
-                       const std::vector<int>& positions, bool* inserted);
+                       const std::vector<int>& positions, bool* inserted,
+                       bool may_insert = true);
 
   int64_t size() const { return static_cast<int64_t>(offsets_.size()) - 1; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <ctime>
+#include <numeric>
 
 #include "exec/sort_key.h"
 
@@ -643,14 +644,24 @@ void SortOp::OpenImpl() {
     while (child_->NextBatch(&batch)) {
       const int64_t n = batch.size();
       for (int64_t i = 0; i < n; ++i) {
-        batch.TakeRowInto(i, &row);
-        if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
-          JoinAllJobs();
+        bool absorbed = false;
+        if (absorber_ != nullptr && !absorber_->Absorb(batch, i, &absorbed)) {
+          JoinAllJobs();  // buffer limit tripped: wind down
           return;
         }
-        rows_.push_back(std::move(row));
-        ++total_rows;
-        if (budget > 0 && static_cast<int64_t>(rows_.size()) >= budget) {
+        if (!absorbed) {
+          batch.TakeRowInto(i, &row);
+          if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
+            JoinAllJobs();
+            return;
+          }
+          rows_.push_back(std::move(row));
+          ++total_rows;
+        }
+        // Resident groups share the budget: each holds one row's worth.
+        const int64_t room =
+            budget - (absorber_ != nullptr ? absorber_->resident_groups() : 0);
+        if (budget > 0 && static_cast<int64_t>(rows_.size()) >= room) {
           if (!(async_runs ? SpillRunAsync() : SpillCurrentRun())) {
             Abandon();
             return;
@@ -1242,8 +1253,59 @@ void GroupByOp::Close() {
   buffer_.Release();
 }
 
+void StreamGroupByOp::AggregateInSort(SortOp* sort) {
+  resident_ = std::make_unique<Resident>(ctx_.guard, &stats_,
+                                         group_positions_.size(), acc_.specs(),
+                                         child_->layout());
+  Resident& r = *resident_;
+  std::vector<ColumnId> spec_columns;
+  for (const OrderElement& e : sort->spec()) {
+    spec_columns.push_back(e.col);
+    r.spec_descending.push_back(e.dir == SortDirection::kDescending);
+  }
+  r.spec_positions = PositionsOf(spec_columns, child_->layout(), ctx_);
+  // Resident groups take at most half the sort's budget; without one, every
+  // group is admitted.
+  const int64_t budget =
+      ctx_.spill != nullptr ? ctx_.spill->config().sort_memory_rows : 0;
+  r.max_groups = budget > 0 ? budget / 2 : INT64_MAX;
+  sort->set_absorber(this);
+}
+
+bool StreamGroupByOp::Absorb(const RowBatch& batch, int64_t row,
+                             bool* absorbed) {
+  Resident& r = *resident_;
+  if (row == 0) r.acc.EvaluateArgs(batch);
+  bool inserted = false;
+  const int64_t group =
+      r.table.FindOrInsert(batch, row, group_positions_, &inserted,
+                           /*may_insert=*/r.table.size() < r.max_groups);
+  *absorbed = group >= 0;
+  if (!*absorbed) return true;
+  if (inserted) {
+    Row key = KeyAt(batch, row, group_positions_);
+    if (!r.buffer.Add(key)) return false;
+    r.acc.AddGroup(std::move(key));
+    AppendNormalizedKey(batch, row, r.spec_positions, r.spec_descending,
+                        &r.spec_keys);
+    r.spec_offsets.push_back(r.spec_keys.size());
+  }
+  return r.acc.Update(group, row);
+}
+
+void StreamGroupByOp::Resident::Clear() {
+  buffer.Release();
+  table.Clear();
+  acc.Clear();
+  spec_keys.clear();
+  spec_offsets.assign(1, 0);
+  order.clear();
+  next = due = 0;
+}
+
 void StreamGroupByOp::OpenImpl() {
-  child_->Open();
+  if (resident_ != nullptr) resident_->Clear();
+  child_->Open();  // an absorbing sort fills the resident groups here
   input_.Reset(0, 1);
   pos_ = 0;
   has_group_ = false;
@@ -1251,6 +1313,20 @@ void StreamGroupByOp::OpenImpl() {
   // A global aggregate's one group is open from the start, so it emits a
   // row even for empty input.
   if (group_positions_.empty()) StartGroup();
+  if (resident_ == nullptr || !ctx_.GuardOk()) return;
+  Resident& r = *resident_;
+  r.order.resize(static_cast<size_t>(r.table.size()));
+  std::iota(r.order.begin(), r.order.end(), int64_t{0});
+  std::stable_sort(r.order.begin(), r.order.end(),
+                   [&](int64_t a, int64_t b) {
+                     ++ctx_.metrics->comparisons;
+                     return r.spec_key(a) < r.spec_key(b);
+                   });
+}
+
+void StreamGroupByOp::Close() {
+  GroupByOp::Close();
+  if (resident_ != nullptr) resident_->Clear();
 }
 
 void StreamGroupByOp::StartGroup() {
@@ -1258,6 +1334,25 @@ void StreamGroupByOp::StartGroup() {
   acc_.AddGroup(KeyAt(input_, pos_, group_positions_));
   buffer_.Release();  // previous group's DISTINCT values are gone
   has_group_ = true;
+  if (resident_ == nullptr) return;
+  // The resident groups up to this group's spec bytes go first.
+  Resident& r = *resident_;
+  r.open_key.clear();
+  AppendNormalizedKey(input_, pos_, r.spec_positions, r.spec_descending,
+                      &r.open_key);
+  while (r.due < r.order.size()) {
+    ++ctx_.metrics->comparisons;
+    if (r.spec_key(r.order[r.due]) > r.open_key) break;
+    ++r.due;
+  }
+}
+
+bool StreamGroupByOp::EmitResident(RowBatch* out) {
+  if (resident_ == nullptr) return false;
+  Resident& r = *resident_;
+  if (r.next == (done_ ? r.order.size() : r.due)) return false;
+  r.acc.Finalize(r.order[r.next++], out);
+  return true;
 }
 
 bool StreamGroupByOp::SameGroup() {
@@ -1280,12 +1375,14 @@ void StreamGroupByOp::EmitGroup(RowBatch* out) {
 
 bool StreamGroupByOp::NextBatchImpl(RowBatch* out) {
   out->Reset(layout_.size(), BatchCapacity());
-  while (!done_ && !out->full() && ctx_.GuardOk()) {
+  while (!out->full() && ctx_.GuardOk()) {
+    if (EmitResident(out)) continue;
+    if (done_) break;
     if (pos_ == input_.size()) {
       if (!child_->NextBatch(&input_)) {
         if (has_group_) EmitGroup(out);
         done_ = true;
-        break;
+        continue;
       }
       pos_ = 0;
       acc_.EvaluateArgs(input_);

@@ -268,6 +268,8 @@ class FilterOp : public Operator {
   SelectionVector sel_;  ///< surviving row indices within input_
 };
 
+class StreamGroupByOp;
+
 /// ORDER BY via bounded-memory external-merge sort. Rows are buffered up
 /// to the spill budget (SpillConfig::sort_memory_rows); each full buffer
 /// is stable-sorted and written as a run file through the context's
@@ -276,12 +278,22 @@ class FilterOp : public Operator {
 /// so the merge is exactly as stable as the in-memory sort. Without a
 /// SpillManager — or with the budget disabled — this degenerates to the
 /// classic full in-memory sort.
+///
+/// Under a SortGroupBy the sort can have an absorber (in-sort aggregation,
+/// DESIGN.md §14): every input row is first offered to the parent
+/// group-by, which folds the rows of its resident groups in place; only
+/// the other rows are buffered, sorted, spilled and emitted, and the
+/// buffer spills at the budget minus the resident group count.
+/// rows_sorted and rows_out count those overflow rows only.
 class SortOp : public Operator {
  public:
   SortOp(OperatorPtr child, OrderSpec spec, ExecContext ctx);
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
+
+  const OrderSpec& spec() const { return spec_; }
+  void set_absorber(StreamGroupByOp* absorber) { absorber_ = absorber; }
 
  private:
   /// Resolves the OrderSpec against the child layout into
@@ -334,6 +346,7 @@ class SortOp : public Operator {
 
   OperatorPtr child_;
   OrderSpec spec_;
+  StreamGroupByOp* absorber_ = nullptr;
   BufferAccount buffer_;
   std::vector<int> positions_;
   std::vector<bool> descending_;
@@ -541,6 +554,16 @@ class GroupByOp : public Operator {
 /// group's (one `comparisons` tick per column compared, plus one per group
 /// emitted). Only DISTINCT-aggregate values are buffered, released as each
 /// group closes.
+///
+/// Over a SortOp it can also hold resident groups (in-sort aggregation,
+/// DESIGN.md §14; AggregateInSort): the sort offers it every input row
+/// (Absorb), and a group becomes resident when its first row arrives while
+/// fewer than sort_memory_rows / 2 groups are (all groups without a
+/// budget). A resident group folds all of its rows in arrival order and is
+/// charged as one buffered row; the rest of the input reaches this
+/// operator through the sort, in spec order, and is stream-aggregated as
+/// above. The two streams merge on the sort-spec bytes of each group's
+/// first row, a resident group first on a tie.
 class StreamGroupByOp : public GroupByOp {
  public:
   StreamGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
@@ -549,8 +572,52 @@ class StreamGroupByOp : public GroupByOp {
                   ctx) {}
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
+  void Close() override;
+
+  /// Turns on in-sort aggregation with `sort` — this operator's child, or
+  /// the child of the order checker in between — as the absorbing sort.
+  /// Needs group columns and no DISTINCT aggregate.
+  void AggregateInSort(SortOp* sort);
+  /// Called by the absorbing sort for each row of its input, each batch's
+  /// rows in order from row 0: folds the row into its resident group,
+  /// admitting the group if there is room. `*absorbed` false leaves the row
+  /// to the sort. False once the buffer limit trips.
+  bool Absorb(const RowBatch& batch, int64_t row, bool* absorbed);
+  int64_t resident_groups() const {
+    return resident_ != nullptr ? resident_->table.size() : 0;
+  }
 
  private:
+  /// In-sort aggregation state. Group i of `table` is group i of `acc`,
+  /// and its first row's sort-spec bytes are spec_keys[spec_offsets[i],
+  /// spec_offsets[i + 1]).
+  struct Resident {
+    Resident(QueryGuard* guard, OperatorStats* stats, size_t key_width,
+             std::vector<AggregateSpec> specs,
+             const std::vector<ColumnId>& input_layout)
+        : buffer(guard, stats),
+          acc(key_width, std::move(specs), input_layout, guard, &buffer) {}
+    std::string_view spec_key(int64_t group) const {
+      const size_t g = static_cast<size_t>(group);
+      return std::string_view(spec_keys).substr(
+          spec_offsets[g], spec_offsets[g + 1] - spec_offsets[g]);
+    }
+    void Clear();
+
+    std::vector<int> spec_positions;  ///< in the input layout
+    std::vector<bool> spec_descending;
+    int64_t max_groups = 0;
+    BufferAccount buffer;  ///< one row per resident group
+    GroupTable table;
+    AggAccumulator acc;
+    std::string spec_keys;
+    std::vector<size_t> spec_offsets{0};
+    std::vector<int64_t> order;  ///< groups in spec-byte order
+    size_t next = 0;  ///< next entry of order to emit
+    size_t due = 0;   ///< entries of order that precede the open group
+    std::string open_key;  ///< the open stream group's spec bytes
+  };
+
   /// Opens a group keyed by row pos_ of input_ (the global group has no
   /// key).
   void StartGroup();
@@ -558,10 +625,14 @@ class StreamGroupByOp : public GroupByOp {
   bool SameGroup();
   /// Appends the open group's result row to `out` and closes the group.
   void EmitGroup(RowBatch* out);
+  /// Appends the next resident group's row to `out` if it is due: it
+  /// precedes the open group, or the input is done.
+  bool EmitResident(RowBatch* out);
 
   int64_t pos_ = 0;  ///< next unconsumed row of input_
   bool has_group_ = false;
   bool done_ = false;
+  std::unique_ptr<Resident> resident_;  ///< null unless AggregateInSort
 };
 
 /// Hash aggregation on the grouping kernel: the first row of each key

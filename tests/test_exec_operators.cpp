@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "common/random.h"
 #include "exec/executor.h"
@@ -916,6 +918,142 @@ TEST(ExecAggregationDifferential, HashDistinctKeepsFirstRowInInputOrder) {
             std::make_unique<RowSource>(layout, input, ctx), columns, ctx);
         ExpectSameRows(Drain(&distinct), expected);
         EXPECT_EQ(m.comparisons, 0);
+      }
+    }
+  }
+}
+
+// --- In-sort aggregation differential: absorbing sort vs plain sort --------
+
+// RandomAggInput plus kE, a copy of k1 (a spec column outside the group
+// columns that carries the same values, like an equivalence-class head),
+// and kF, a string k1 determines (an FD-determined group column a spec may
+// omit).
+enum InSortCol { kE = kAggCols, kF };
+
+std::vector<Row> RandomInSortInput(uint64_t seed) {
+  std::vector<Row> rows = RandomAggInput(seed);
+  for (Row& row : rows) {
+    const Value k1 = row[kK1];
+    row.push_back(k1);
+    row.push_back(k1.is_null() ? Value::Str("none")
+                               : Value::Str(std::to_string(
+                                     static_cast<int64_t>(k1.AsDouble()))));
+  }
+  return rows;
+}
+
+struct InSortCase {
+  std::vector<int> keys;
+  std::vector<std::pair<int, bool>> spec;  ///< (column, descending)
+};
+
+// Orders reference output rows (group key first) by a case's spec: a spec
+// column is a key column, or kE, which carries k1's values.
+bool SpecLess(const InSortCase& c, const Row& a, const Row& b) {
+  for (const auto& [col, desc] : c.spec) {
+    const int key_col = col == kE ? kK1 : col;
+    const size_t p = static_cast<size_t>(
+        std::find(c.keys.begin(), c.keys.end(), key_col) - c.keys.begin());
+    const int cmp = a[p].Compare(b[p]);
+    if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+  }
+  return false;
+}
+
+// Rows the sort keeps when groups are admitted in first-seen order while
+// fewer than budget / 2 are resident (every group without a budget).
+int64_t OverflowRows(const std::vector<Row>& input,
+                     const std::vector<int>& keys, int64_t budget) {
+  const size_t cap = budget > 0 ? static_cast<size_t>(budget / 2) : SIZE_MAX;
+  std::vector<Row> resident;
+  int64_t overflow = 0;
+  for (const Row& row : input) {
+    Row key;
+    for (int k : keys) key.push_back(row[static_cast<size_t>(k)]);
+    const bool found =
+        std::any_of(resident.begin(), resident.end(), [&](const Row& r) {
+          return CompareKeys(r, key, keys.size()) == 0;
+        });
+    if (found) continue;
+    if (resident.size() < cap) {
+      resident.push_back(std::move(key));
+    } else {
+      ++overflow;
+    }
+  }
+  return overflow;
+}
+
+TEST(ExecInSortAggregationDifferential, AbsorbingSortMatchesPlainAndReference) {
+  std::vector<ColumnId> layout = AggLayout();
+  layout.push_back(ColumnId(0, kE));
+  layout.push_back(ColumnId(0, kF));
+  const std::vector<AggregateSpec> with_distinct = DifferentialAggs();
+  std::vector<AggregateSpec> plain;
+  for (const AggregateSpec& a : with_distinct) {
+    if (!a.distinct) plain.push_back(a);
+  }
+  const std::vector<InSortCase> cases = {
+      {{kK1, kK2}, {{kK1, false}, {kK2, false}}},
+      {{kK1, kK2}, {{kK1, true}, {kK2, true}}},
+      {{kK1, kK2}, {{kK2, false}, {kK1, true}}},
+      {{kK1, kK2}, {{kE, true}, {kK2, false}}},
+      {{kK1, kF}, {{kK1, false}}},
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<Row> input = RandomInSortInput(seed);
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      const InSortCase& c = cases[ci];
+      std::vector<ColumnId> group_columns;
+      for (int k : c.keys) group_columns.push_back(ColumnId(0, k));
+      OrderSpec spec;
+      for (const auto& [col, desc] : c.spec) {
+        spec.Append({ColumnId(0, col), desc ? SortDirection::kDescending
+                                               : SortDirection::kAscending});
+      }
+      // A DISTINCT aggregate list never absorbs (resident groups would hold
+      // every group's value set at once), so it runs the plain build only.
+      for (bool distinct : {false, true}) {
+        const std::vector<AggregateSpec>& aggs =
+            distinct ? with_distinct : plain;
+        std::vector<Row> expected = ReferenceGroupBy(input, c.keys, aggs);
+        std::stable_sort(
+            expected.begin(), expected.end(),
+            [&c](const Row& a, const Row& b) { return SpecLess(c, a, b); });
+        for (int64_t budget : {0, 1, 2, 3, 7, 1 << 20}) {
+          const int64_t overflow = OverflowRows(input, c.keys, budget);
+          for (int64_t batch : {1, 3, 1024}) {
+            for (bool absorb : {true, false}) {
+              if (absorb && distinct) continue;  // the same plain build
+              SCOPED_TRACE(::testing::Message()
+                           << "seed=" << seed << " case=" << ci
+                           << " distinct=" << distinct << " budget=" << budget
+                           << " batch=" << batch << " absorb=" << absorb);
+              RuntimeMetrics m;
+              SpillConfig config;
+              config.sort_memory_rows = budget;
+              SpillManager spill(config, &m);
+              ExecContext ctx(&m, nullptr, &spill);
+              ctx.batch_rows = batch;
+              ctx.collect_op_stats = true;
+              auto sort = std::make_unique<SortOp>(
+                  std::make_unique<RowSource>(layout, input, ctx), spec, ctx);
+              SortOp* sort_op = sort.get();
+              StreamGroupByOp group(std::move(sort), group_columns, aggs,
+                                    ctx);
+              if (absorb) group.AggregateInSort(sort_op);
+              const std::vector<Row> rows = Drain(&group);
+              ExpectSameRows(rows, expected);
+              for (size_t r = 1; r < rows.size(); ++r) {
+                EXPECT_TRUE(SpecLess(c, rows[r - 1], rows[r])) << "row " << r;
+              }
+              EXPECT_EQ(sort_op->stats().rows_out,
+                        absorb ? overflow
+                               : static_cast<int64_t>(input.size()));
+            }
+          }
+        }
       }
     }
   }

@@ -4,6 +4,12 @@
 // never as a crash or a silently-truncated result.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <string>
 
 #include "exec/engine.h"
 #include "exec/query_guard.h"
@@ -236,6 +242,102 @@ TEST_F(GuardrailsTest, HashGroupByBuffersOneRowPerGroup) {
     EXPECT_NE(r.status().message().find("buffer limit"), std::string::npos);
     EXPECT_EQ(guard.buffered_rows(), 0);
     EXPECT_EQ(guard.buffered_bytes(), 0);
+  }
+}
+
+// In-sort aggregation under the DB2/CS profile: a SortGroupBy's sort folds
+// up to B/2 resident groups and buffers, sorts and spills the rest at
+// B - resident rows, so the pair never holds more than B rows. The ~48 age
+// groups overflow B = 20, so runs still spill, and the rows match the
+// unbudgeted run exactly (avg is a double, compared bit for bit).
+class InSortAggregationTest : public GuardrailsTest {
+ protected:
+  static constexpr const char* kAgeGroups =
+      "select age, count(*), sum(salary), avg(salary) from emp group by age";
+
+  void SetUp() override {
+    GuardrailsTest::SetUp();
+    spill_dir_ = (std::filesystem::temp_directory_path() /
+                  ("ordopt-insort-" + std::to_string(::getpid())))
+                     .string();
+    std::filesystem::remove_all(spill_dir_);
+    std::filesystem::create_directories(spill_dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(spill_dir_); }
+
+  QueryEngine Db2Engine(int64_t budget) {
+    OptimizerConfig config;
+    config.enable_hash_join = false;
+    config.enable_hash_grouping = false;
+    config.cost_params.sort_memory_rows = budget;
+    config.spill_temp_dir = spill_dir_;
+    return QueryEngine(&db_, config);
+  }
+
+  int SpillFiles() const {
+    return static_cast<int>(
+        std::distance(std::filesystem::directory_iterator(spill_dir_),
+                      std::filesystem::directory_iterator()));
+  }
+
+  std::string spill_dir_;
+};
+
+TEST_F(InSortAggregationTest, PeakStaysWithinBudgetAndRowsMatch) {
+  constexpr int64_t kBudget = 20;
+  QueryEngine unbudgeted = Db2Engine(0);
+  auto reference = unbudgeted.Run(kAgeGroups);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference.value().plan->ContainsKind(OpKind::kSortGroupBy));
+  ASSERT_GT(static_cast<int64_t>(reference.value().rows.size()),
+            kBudget / 2);
+
+  QueryEngine engine = Db2Engine(kBudget);
+  QueryGuard guard{QueryLimits()};
+  auto r = engine.Run(kAgeGroups, &guard);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_LE(guard.buffered_rows_peak(), kBudget);
+  EXPECT_GT(r.value().metrics.spill_runs, 0);
+  const std::vector<Row>& rows = r.value().rows;
+  const std::vector<Row>& expected = reference.value().rows;
+  ASSERT_EQ(rows.size(), expected.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), expected[i].size());
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      ASSERT_EQ(rows[i][c].type(), expected[i][c].type());
+      if (rows[i][c].type() != DataType::kDouble) {
+        EXPECT_EQ(rows[i][c], expected[i][c]);
+        continue;
+      }
+      const double a = rows[i][c].AsDouble();
+      const double b = expected[i][c].AsDouble();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << "row " << i;
+    }
+  }
+  EXPECT_EQ(SpillFiles(), 0);
+}
+
+// A buffer-limit trip fails the query cleanly, with every charge released
+// and every run file removed, wherever it happens: at a resident group's
+// charge (limit 5), in the absorbing sort's buffer (limit 15), or in a sort
+// above the group-by (limit 20) while the absorbing sort's runs are open.
+TEST_F(InSortAggregationTest, BufferLimitTripReleasesEverything) {
+  QueryEngine engine = Db2Engine(20);
+  const std::string ordered =
+      std::string(kAgeGroups) + " order by sum(salary)";
+  for (const auto& [limit, sql] :
+       {std::pair<int64_t, std::string>{5, kAgeGroups}, {15, kAgeGroups},
+        {20, ordered}}) {
+    SCOPED_TRACE(sql + " limit " + std::to_string(limit));
+    QueryLimits limits;
+    limits.max_buffered_rows = limit;
+    QueryGuard guard(limits);
+    auto r = engine.Run(sql, &guard);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(guard.buffered_rows(), 0);
+    EXPECT_EQ(guard.buffered_bytes(), 0);
+    EXPECT_EQ(SpillFiles(), 0);
   }
 }
 

@@ -180,6 +180,46 @@ TEST(Tpcd, PricingSummaryHashGroupByBuffersOnlyGroups) {
   EXPECT_GT(q.metrics.rows_scanned, 1000);
 }
 
+// Under the DB2/CS profile the pricing summary's sort aggregates in place:
+// its 6 groups stay resident, so with a sort budget far below the input no
+// row is sorted, buffered or spilled, and the group-by holds one row per
+// group.
+TEST(Tpcd, PricingSummarySortProfileAggregatesInSort) {
+  Database db;
+  TpcdConfig config;
+  config.scale_factor = 0.002;
+  ASSERT_TRUE(LoadTpcd(&db, config).ok());
+  OptimizerConfig cfg;
+  cfg.enable_hash_join = false;
+  cfg.enable_hash_grouping = false;
+  cfg.parallel_workers = 1;
+  cfg.cost_params.sort_memory_rows = 1000;
+  QueryEngine engine(&db, cfg);
+  auto r = engine.RunAnalyzed(tpcd_queries::kPricingSummary);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& q = r.value();
+  const int64_t groups = static_cast<int64_t>(q.rows.size());
+  ASSERT_GT(groups, 0);
+  ASSERT_LE(groups, 6);
+  ASSERT_GT(q.metrics.rows_scanned, cfg.cost_params.sort_memory_rows);
+  EXPECT_EQ(q.metrics.spill_runs, 0);
+  EXPECT_EQ(q.metrics.rows_sorted, 0);
+  int sorts = 0;
+  int group_bys = 0;
+  for (const OperatorProfile& p : q.op_profile) {
+    if (p.node->kind == OpKind::kSort) {
+      ++sorts;
+      EXPECT_EQ(p.stats.rows_out, 0);
+    } else if (p.node->kind == OpKind::kSortGroupBy) {
+      ++group_bys;
+      EXPECT_EQ(p.stats.rows_out, groups);
+      EXPECT_LE(p.stats.buffered_rows_peak, groups);
+    }
+  }
+  EXPECT_EQ(sorts, 1);
+  EXPECT_EQ(group_bys, 1);
+}
+
 TEST(Tpcd, CrossConfigAgreementOnExtendedQueries) {
   Database db;
   TpcdConfig config;

@@ -433,6 +433,52 @@ TEST(TraceTpcdTest, Query3AnalyzedWithDecisions) {
   EXPECT_EQ(q.trace->Count("plan.chosen"), 1);
 }
 
+// In-sort aggregation keeps EXPLAIN ANALYZE's pairing of plan nodes with
+// operators: pricing summary under the DB2/CS profile still has one profile
+// per node — with and without the order checkers wrapping the sort — and
+// its Sort emits no row (every group stayed resident) while the
+// SortGroupBy emits every group.
+TEST(TraceTpcdTest, PricingSummaryInSortAggregationProfilesPairWithPlan) {
+  Database db;
+  TpcdConfig data;
+  data.scale_factor = 0.002;
+  ASSERT_TRUE(LoadTpcd(&db, data).ok());
+  for (bool verify : {false, true}) {
+    SCOPED_TRACE(verify);
+    OptimizerConfig cfg;
+    cfg.enable_hash_join = false;
+    cfg.enable_hash_grouping = false;
+    cfg.verify_orders = verify;
+    QueryEngine engine(&db, cfg);
+    Result<QueryResult> r = engine.RunAnalyzed(tpcd_queries::kPricingSummary);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& q = r.value();
+    ASSERT_EQ(static_cast<int>(q.op_profile.size()), q.plan->NodeCount());
+    std::set<const PlanNode*> nodes;
+    for (const OperatorProfile& p : q.op_profile) nodes.insert(p.node);
+    EXPECT_EQ(static_cast<int>(nodes.size()), q.plan->NodeCount());
+
+    const std::string groups = std::to_string(q.rows.size());
+    int sort_lines = 0;
+    int group_by_lines = 0;
+    std::istringstream text(q.analyzed_plan_text);
+    std::string line;
+    while (std::getline(text, line)) {
+      const std::string op = line.substr(line.find_first_not_of(' '));
+      if (op.rfind("Sort(", 0) == 0) {
+        ++sort_lines;
+        EXPECT_NE(line.find(" act=0 "), std::string::npos) << line;
+      } else if (op.rfind("SortGroupBy[", 0) == 0) {
+        ++group_by_lines;
+        EXPECT_NE(line.find(" act=" + groups + " "), std::string::npos)
+            << line;
+      }
+    }
+    EXPECT_EQ(sort_lines, 1);
+    EXPECT_EQ(group_by_lines, 1);
+  }
+}
+
 // The decisions block prints each distinct line once, suffixed " xN" for N
 // repeats; the counts add back up to the optimizer events. Hash operators
 // on widen the join enumeration, so Q3 re-tests the same orders often.
