@@ -63,8 +63,9 @@
 #                                         then runs the Q3 parallel-worker
 #                                         sweep into BENCH_parallel.json and
 #                                         enforces row-identity to serial
-#                                         plus >= 1.8x modeled critical-path
-#                                         speedup at 4 workers
+#                                         plus >= 1.8x wall-clock speedup at
+#                                         4 workers (the modeled critical-path
+#                                         speedup is reported beside it)
 #        scripts/check.sh --metrics       observability gate: runs the
 #                                         metrics suite (histogram math,
 #                                         shard merge, snapshot deltas,
@@ -285,10 +286,10 @@ fi
 # workers) under address/UB sanitizers AND ThreadSanitizer — exchange
 # workers, the shared morsel scheduler, and guard accounting are all
 # cross-thread, so TSan is the gate that keeps them honest. Finishes with
-# the Q3 parallel-worker sweep. The host has one core, so the sweep's
-# speedup is the modeled critical-path speedup from per-thread CPU time
-# (main thread + busiest worker); rows must be identical to serial and
-# the model must show >= 1.8x at 4 workers. CPU-time noise can push the
+# the Q3 parallel-worker sweep: rows must be identical to serial and the
+# wall-clock speedup must reach >= 1.8x at 4 workers; the modeled
+# critical-path speedup from per-thread CPU time (main thread + busiest
+# worker) is reported beside it. Other load on the host can push the wall
 # ratio down, so one passing attempt out of three proves the true value.
 if [ "${1:-}" = "--parallel" ]; then
   JOBS="${2:-$(nproc)}"
@@ -324,10 +325,11 @@ by_workers = {w["workers"]: w for w in report["workers"]}
 if 4 not in by_workers:
     failures.append("sweep is missing the 4-worker mode")
 else:
-    speedup = by_workers[4]["modeled_speedup"]
+    speedup = by_workers[4]["wall_speedup"]
     if speedup < 1.8:
         failures.append(
-            f"modeled speedup {speedup:.2f}x at 4 workers is below 1.8x")
+            f"wall-clock speedup {speedup:.2f}x at 4 workers is below 1.8x "
+            f"(modeled {by_workers[4]['modeled_speedup']:.2f}x)")
     if by_workers[4]["exchange_batches"] <= 0:
         failures.append("4-worker run reports no exchange batches")
 
@@ -336,7 +338,8 @@ if failures:
         print("    " + f)
     sys.exit(1)
 print("    " + ", ".join(
-    f"{w['workers']}w: {w['modeled_speedup']:.2f}x"
+    f"{w['workers']}w: {w['wall_speedup']:.2f}x wall "
+    f"({w['modeled_speedup']:.2f}x modeled)"
     for w in report["workers"]) + "; rows identical to serial")
 EOF
     then
@@ -346,11 +349,11 @@ EOF
     echo "    (attempt $attempt below target; retrying)"
   done
   if [ "$PARALLEL_GATE_OK" -ne 1 ]; then
-    echo "FAIL: parallel gate: modeled speedup under 1.8x on 3 attempts"
+    echo "FAIL: parallel gate: wall-clock speedup under 1.8x on 3 attempts"
     exit 1
   fi
   echo "OK: parallel battery clean under asan-ubsan and tsan; sweep rows"
-  echo "    identical to serial and modeled speedup within target;"
+  echo "    identical to serial and wall-clock speedup within target;"
   echo "    BENCH_parallel.json written"
   exit 0
 fi

@@ -64,6 +64,10 @@ struct Renderer {
                         FormatMs(stats->total_ns()).c_str(),
                         FormatMs(self_ns).c_str(),
                         static_cast<long long>(stats->next_calls));
+      if (node->kind == OpKind::kExchange) {
+        // The part of self spent blocked on worker queues, not merging.
+        line += " wait=" + FormatMs(stats->exchange_wait_ns);
+      }
       if (stats->rows_scanned > 0) {
         line += StrFormat(" scanned=%lld",
                           static_cast<long long>(stats->rows_scanned));

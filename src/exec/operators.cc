@@ -272,16 +272,36 @@ void IndexScanOp::OpenImpl() {
     }
   }
 
+  clustered_walk_ = def.clustered && !reverse_ && range_predicates_.empty();
   if (reverse_) {
     cursor_ = index->SeekLast();
     return;
   }
+  // Seek to the first qualifying entry in index order. A comparison's
+  // qualifying entries are contiguous after the equality prefix, but where
+  // they start depends on the column's direction: descending turns < / <=
+  // into the seek bound and > / >= into the stop condition, and NULLs
+  // (never qualifying) sort first under an ascending column — so an
+  // ascending upper-bound scan seeks past them — and last under a
+  // descending one, where the stop condition ends the scan at them.
   IndexKey seek = eq_prefix_;
-  if (cmp_position_ >= 0 &&
-      (cmp_op_ == BinOp::kGt || cmp_op_ == BinOp::kGe)) {
-    seek.push_back(cmp_bound_);
-    cursor_ = cmp_op_ == BinOp::kGt ? index->SeekAfter(seek)
-                                    : index->SeekAtLeast(seek);
+  bool after = false;
+  if (cmp_position_ >= 0) {
+    const bool desc = def.directions[static_cast<size_t>(cmp_position_)] ==
+                      SortDirection::kDescending;
+    const bool seek_bound =
+        desc ? cmp_op_ == BinOp::kLt || cmp_op_ == BinOp::kLe
+             : cmp_op_ == BinOp::kGt || cmp_op_ == BinOp::kGe;
+    if (seek_bound) {
+      seek.push_back(cmp_bound_);
+      after = cmp_op_ == BinOp::kGt || cmp_op_ == BinOp::kLt;
+    } else if (!desc) {
+      seek.push_back(Value::Null());
+      after = true;
+    }
+  }
+  if (after) {
+    cursor_ = index->SeekAfter(seek);
   } else if (!seek.empty()) {
     cursor_ = index->SeekAtLeast(seek);
   } else {
@@ -335,27 +355,32 @@ bool IndexScanOp::NextBatchImpl(RowBatch* out) {
   scratch_rids_.clear();
   int64_t first_ordinal = 0;
   if (morsel_driver_) {
-    // The qualifying rids are materialized once, in index-walk order, into
-    // the exchange's shared vector (the first worker to get here walks its
-    // own cursor; the rest reuse). Workers then claim position ranges, so
-    // a row's provenance ordinal is simply its walk position, and every
-    // worker's stream stays ascending in it.
+    // Workers claim position ranges of the index walk, so a row's
+    // provenance ordinal is simply its walk position, and every worker's
+    // stream stays ascending in it. A full forward walk of the clustered
+    // index visits rids 0..N-1 in order (BuildIndexes stable-sorts the heap
+    // by its key and the B-tree breaks key ties by rid), so position is
+    // rid and workers claim rid ranges directly. Any other walk's
+    // qualifying rids are materialized once into the exchange's shared
+    // vector (the first worker to get here walks its own cursor; the rest
+    // reuse).
     if (pos_ >= limit_) {
       if (ctx_.InjectFault("exec.parallel.morsel")) return false;
       if (!ctx_.GuardOk()) return false;
-      if (rids_ == nullptr) {
+      if (rids_ == nullptr && !clustered_walk_) {
         rids_ = &ctx_.morsels->EnsureRids(
             [this](std::vector<int64_t>* rids) { CollectRids(rids); });
       }
-      if (!ctx_.morsels->ClaimRange(static_cast<int64_t>(rids_->size()),
-                                    &pos_, &limit_)) {
-        return false;
-      }
+      const int64_t total = clustered_walk_
+                                ? table_.row_count()
+                                : static_cast<int64_t>(rids_->size());
+      if (!ctx_.morsels->ClaimRange(total, &pos_, &limit_)) return false;
     }
     first_ordinal = pos_;
     while (static_cast<int64_t>(scratch_rids_.size()) < cap &&
            pos_ < limit_) {
-      const int64_t rid = (*rids_)[static_cast<size_t>(pos_)];
+      const int64_t rid =
+          clustered_walk_ ? pos_ : (*rids_)[static_cast<size_t>(pos_)];
       pages_.Access(rid);
       ++ctx_.metrics->rows_scanned;
       if (!ctx_.OnRowScanned()) break;  // tripped row: counted, not emitted

@@ -129,6 +129,13 @@ class Operator {
     return !out->empty();
   }
 
+  /// Steady-clock nanoseconds since `start`.
+  static int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }
+
   ExecContext ctx_;
   std::vector<ColumnId> layout_;
   OperatorStats stats_;
@@ -159,11 +166,6 @@ class Operator {
 #undef ORDOPT_DELTA_COUNTER
   }
 
-  static int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  }
 
   // Row-compat shim state (see Next(Row*)).
   RowBatch shim_batch_;
@@ -243,8 +245,12 @@ class IndexScanOp : public Operator {
   bool done_ = false;
   bool morsel_driver_ = false;
   bool emit_provenance_ = false;
+  /// Forward, predicate-free walk of the clustered index: walk position
+  /// equals rid, so morsel mode needs no shared rid vector.
+  bool clustered_walk_ = false;
   int64_t ordinal_ = 0;  ///< serial mode: walk ordinal of the next row
-  /// Morsel mode: shared qualifying rids plus the claimed [pos_, limit_).
+  /// Morsel mode: shared qualifying rids (null for a clustered walk) plus
+  /// the claimed [pos_, limit_).
   const std::vector<int64_t>* rids_ = nullptr;
   int64_t pos_ = 0;
   int64_t limit_ = 0;

@@ -1,7 +1,7 @@
 #include "exec/parallel/exchange.h"
 
 #include <algorithm>
-#include <cstring>
+#include <chrono>
 #include <ctime>
 #include <utility>
 
@@ -131,6 +131,7 @@ void ExchangeOp::WorkerMain(size_t index) {
   RowBatch batch;
   while (ctx_.GuardOk()) {
     if (!w.root->NextBatch(&batch)) break;
+    if (batch.empty()) continue;  // consumers rely on non-empty items
     Item item;
     swap(item.batch, batch);
     if (merge_) {
@@ -166,8 +167,12 @@ void ExchangeOp::WorkerMain(size_t index) {
 bool ExchangeOp::LoadHead(size_t index) {
   std::unique_lock<std::mutex> lock(mu_);
   Stream& s = streams_[index];
-  produced_cv_.wait(lock,
-                    [&] { return closed_ || s.done || !s.queue.empty(); });
+  auto ready = [&] { return closed_ || s.done || !s.queue.empty(); };
+  if (!ready()) {
+    const auto start = std::chrono::steady_clock::now();
+    produced_cv_.wait(lock, ready);
+    ctx_.metrics->exchange_wait_ns += ElapsedNs(start);
+  }
   if (s.queue.empty()) return false;  // stream done (or exchange closed)
   heads_[index] = std::move(s.queue.front());
   s.queue.pop_front();
@@ -179,14 +184,6 @@ bool ExchangeOp::LoadHead(size_t index) {
   return true;
 }
 
-void ExchangeOp::MoveRowInto(RowBatch* src, int64_t row, RowBatch* out) {
-  // Rows leave a head batch exactly once, in cursor order, so values move
-  // out (TakeRow semantics); the provenance column is simply skipped.
-  for (size_t c = 0; c < emit_cols_.size(); ++c) {
-    out->AppendColumnValue(c, std::move(*src->MutableAt(emit_cols_[c], row)));
-  }
-}
-
 bool ExchangeOp::NextBatchImpl(RowBatch* out) {
   out->Reset(layout_.size(), BatchCapacity());
   if (!started_) return false;
@@ -194,77 +191,115 @@ bool ExchangeOp::NextBatchImpl(RowBatch* out) {
   if (!ctx_.GuardOk()) return false;
 
   if (merge_) {
-    // K-way linear min-scan (worker counts are single-digit): among the
-    // current stream heads, emit the row with the smallest normalized key.
-    // Planner-built merge keys end in the provenance column, which belongs
-    // to exactly one stream, so cross-stream ties cannot happen; if a
-    // hand-built plan produces one anyway, the lowest stream index wins —
-    // still deterministic.
-    int64_t emitted = 0;
+    // Run-at-a-time k-way merge (worker counts are single-digit). A linear
+    // scan of the stream heads finds the smallest normalized key (the
+    // winner) and the runner-up. The winner's rows that sort before the
+    // runner-up's head form a run no other stream can interleave; a binary
+    // search over the winner's sorted head batch finds its end, and the run
+    // moves as one column range. Planner-built merge keys end in the
+    // provenance column, which belongs to exactly one stream, so
+    // cross-stream ties cannot happen; if a hand-built plan produces one
+    // anyway, the lower stream index wins — still deterministic. In a
+    // sortless chain a worker batch is usually one run; a run that is a
+    // whole head batch is handed over by swap, so when it does not fit it
+    // starts the next output batch instead of being split.
     const int64_t cap = out->capacity();
-    while (emitted < cap && ctx_.GuardOk()) {
+    while (out->size() < cap && ctx_.GuardOk()) {
       int best = -1;
-      const char* best_key = nullptr;
-      size_t best_len = 0;
+      int second = -1;
+      std::string_view best_key;
+      std::string_view second_key;
       for (size_t i = 0; i < streams_.size(); ++i) {
         if (!head_valid_[i] && !LoadHead(i)) continue;
-        const Item& item = heads_[i];
-        const size_t r = static_cast<size_t>(cursor_[i]);
-        const char* key = item.keys.data() + item.offsets[r];
-        const size_t len = item.offsets[r + 1] - item.offsets[r];
+        const std::string_view key = heads_[i].Key(cursor_[i]);
         if (best >= 0) {
           ++ctx_.metrics->comparisons;
-          const size_t min_len = len < best_len ? len : best_len;
-          const int c = std::memcmp(key, best_key, min_len);
-          if (c > 0 || (c == 0 && len >= best_len)) continue;
+          if (!(key < best_key)) {
+            if (second >= 0) {
+              ++ctx_.metrics->comparisons;
+              if (!(key < second_key)) continue;
+            }
+            second = static_cast<int>(i);
+            second_key = key;
+            continue;
+          }
+          second = best;
+          second_key = best_key;
         }
         best = static_cast<int>(i);
         best_key = key;
-        best_len = len;
       }
       if (best < 0) break;  // every stream drained
       const size_t b = static_cast<size_t>(best);
-      MoveRowInto(&heads_[b].batch, cursor_[b], out);
-      ++emitted;
-      if (++cursor_[b] >= heads_[b].batch.size()) head_valid_[b] = false;
+      Item& head = heads_[b];
+      const int64_t begin = cursor_[b];
+      const int64_t size = head.batch.size();
+      int64_t end = size;
+      if (second >= 0) {
+        // Row r precedes the runner-up's head when its key is smaller, or
+        // equal with the winner on the lower stream index.
+        const bool ties_to_winner = best < second;
+        auto precedes = [&](int64_t r) {
+          ++ctx_.metrics->comparisons;
+          const int c = head.Key(r).compare(second_key);
+          return c < 0 || (c == 0 && ties_to_winner);
+        };
+        if (size - begin > 1 && !precedes(size - 1)) {
+          // Row `begin` precedes, row size-1 does not: bisect between.
+          int64_t lo = begin + 1;
+          int64_t hi = size - 1;
+          while (lo < hi) {
+            const int64_t mid = lo + (hi - lo) / 2;
+            if (precedes(mid)) {
+              lo = mid + 1;
+            } else {
+              hi = mid;
+            }
+          }
+          end = lo;
+        }
+      }
+      const int64_t room = cap - out->size();
+      if (end - begin > room) {
+        // A whole head batch is swapped in next call rather than split.
+        if (begin == 0 && end == size && !out->empty()) break;
+        end = begin + room;
+      }
+      out->MoveRangeFrom(&head.batch, emit_cols_, begin, end);
+      cursor_[b] = end;
+      if (end >= size) head_valid_[b] = false;
     }
-    out->SetRowCount(emitted);
-    return emitted > 0;
+    return !out->empty();
   }
 
   // Union mode: forward the next available batch from any stream, round-
   // robin so one fast worker cannot starve the others' queues.
-  for (;;) {
-    Item item;
-    bool popped = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        bool all_done = true;
-        for (size_t k = 0; k < streams_.size(); ++k) {
-          const size_t i = (next_stream_ + k) % streams_.size();
-          if (!streams_[i].queue.empty()) {
-            item = std::move(streams_[i].queue.front());
-            streams_[i].queue.pop_front();
-            next_stream_ = (i + 1) % streams_.size();
-            popped = true;
-            break;
-          }
-          if (!streams_[i].done) all_done = false;
+  Item item;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      bool all_done = true;
+      for (size_t k = 0; k < streams_.size(); ++k) {
+        const size_t i = (next_stream_ + k) % streams_.size();
+        if (!streams_[i].queue.empty()) {
+          item = std::move(streams_[i].queue.front());
+          streams_[i].queue.pop_front();
+          next_stream_ = (i + 1) % streams_.size();
+          break;
         }
-        if (popped || all_done || closed_) break;
-        produced_cv_.wait(lock);
+        if (!streams_[i].done) all_done = false;
       }
+      if (!item.batch.empty() || all_done || closed_) break;
+      const auto start = std::chrono::steady_clock::now();
+      produced_cv_.wait(lock);
+      ctx_.metrics->exchange_wait_ns += ElapsedNs(start);
     }
-    if (!popped) return false;
-    consumed_cv_.notify_all();
-    ++ctx_.metrics->exchange_batches;
-    const int64_t n = item.batch.size();
-    if (n == 0) continue;
-    for (int64_t r = 0; r < n; ++r) MoveRowInto(&item.batch, r, out);
-    out->SetRowCount(n);
-    return true;
   }
+  if (item.batch.empty()) return false;
+  consumed_cv_.notify_all();
+  ++ctx_.metrics->exchange_batches;
+  out->MoveRangeFrom(&item.batch, emit_cols_, 0, item.batch.size());
+  return true;
 }
 
 void ExchangeOp::JoinWorkers() {

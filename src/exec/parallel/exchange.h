@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,10 +28,12 @@ namespace ordopt {
 ///    of — the hidden provenance column). Because each provenance value
 ///    belongs to exactly one worker, key ties never span streams and the
 ///    merged output reproduces the *serial* row sequence exactly; the
-///    chain's order property crosses the exchange intact.
+///    chain's order property crosses the exchange intact. The merge moves
+///    runs, not rows: see NextBatchImpl.
 ///  - union: batches forwarded in arrival order (no order claim). Kept as
 ///    the contrast case for tests and the re-sort-above ablation.
-/// Both modes strip the provenance column before emitting.
+/// Both modes strip the provenance column while moving rows out
+/// (RowBatch::MoveRangeFrom), handing whole worker batches over by swap.
 ///
 /// Isolation: every worker runs with a private RuntimeMetrics and a
 /// private SpillManager (run files are process-uniquely named), against
@@ -67,6 +70,12 @@ class ExchangeOp : public Operator {
     RowBatch batch;
     std::string keys;
     std::vector<size_t> offsets;  ///< size()+1 offsets into `keys`
+
+    std::string_view Key(int64_t row) const {
+      const size_t r = static_cast<size_t>(row);
+      return std::string_view(keys.data() + offsets[r],
+                              offsets[r + 1] - offsets[r]);
+    }
   };
 
   struct Stream {
@@ -91,9 +100,6 @@ class ExchangeOp : public Operator {
   /// an empty queue; false when the stream is done (or the exchange
   /// closed). Merge mode only.
   bool LoadHead(size_t index);
-  /// Moves row `row` of `src`, minus the provenance column, into `out`'s
-  /// columns (columnar; the caller sets the row count).
-  void MoveRowInto(RowBatch* src, int64_t row, RowBatch* out);
   void JoinWorkers();
   void MergeWorkerAccounting();
 

@@ -1,6 +1,8 @@
 #include "exec/row_batch.h"
 
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 namespace ordopt {
 
@@ -137,6 +139,33 @@ void RowBatch::Truncate(int64_t n) {
     }
   }
   rows_ = n;
+}
+
+void RowBatch::MoveRangeFrom(RowBatch* src,
+                             const std::vector<size_t>& src_cols,
+                             int64_t begin, int64_t end) {
+  assert(src_cols.size() == cols_.size());
+  assert(0 <= begin && begin <= end && end <= src->rows_);
+  assert(rows_ + (end - begin) <= capacity_);
+  if (rows_ == 0 && begin == 0 && end == src->rows_) {
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      std::swap(cols_[c], src->cols_[src_cols[c]]);
+    }
+    rows_ = end;
+    return;
+  }
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    ColumnData& from = src->cols_[src_cols[c]];
+    ColumnData& to = cols_[c];
+    to.values.insert(to.values.end(),
+                     std::make_move_iterator(from.values.begin() + begin),
+                     std::make_move_iterator(from.values.begin() + end));
+    // Destination bits are pre-zeroed (Reset/Clear), so only NULLs write.
+    for (int64_t r = begin; r < end; ++r) {
+      if (src->IsNull(src_cols[c], r)) SetNullBit(c, rows_ + (r - begin), true);
+    }
+  }
+  rows_ += end - begin;
 }
 
 Row RowBatch::MaterializeRow(int64_t row) const {

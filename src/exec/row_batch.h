@@ -116,6 +116,15 @@ class RowBatch {
   /// Keeps only the first `n` rows (no-op when n >= size). LimitOp's cut.
   void Truncate(int64_t n);
 
+  /// Appends rows [begin, end) of `src` column-wise: column c of this
+  /// batch receives src column `src_cols[c]`; src columns not listed are
+  /// dropped. Values move out (TakeRow caveats apply to `src`). When this
+  /// batch is empty and the range is all of `src`, the listed columns'
+  /// storage is handed over by swap and no value moves at all. The rows
+  /// must fit within this batch's capacity.
+  void MoveRangeFrom(RowBatch* src, const std::vector<size_t>& src_cols,
+                     int64_t begin, int64_t end);
+
   /// Materializes row `row` as an owned Row (used by the row-compat shim and
   /// the executor's result collection).
   Row MaterializeRow(int64_t row) const;

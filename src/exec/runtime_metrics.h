@@ -21,7 +21,8 @@ namespace ordopt {
 /// budget, and retried transient I/O failures); the reduce-cache statistics
 /// of the optimization that produced the plan (copied from the planner by
 /// the engine, 0/0 for prebuilt plans); morsel-parallel execution (worker
-/// count of the widest exchange, batches forwarded through exchanges, and
+/// count of the widest exchange, batches forwarded through exchanges, the
+/// consuming thread's time blocked waiting on worker queues, and
 /// per-worker thread-CPU busy time: max is the parallel region's critical
 /// path, total the work distributed; all zero for serial plans).
 #define ORDOPT_RUNTIME_COUNTERS(X)                                           \
@@ -43,6 +44,7 @@ namespace ordopt {
   X(reduce_cache_misses, kNone, "reduce_misses", kCount)                     \
   X(parallel_workers, kMax, "workers", kCount)                               \
   X(exchange_batches, kSum, "exch_batches", kCount)                          \
+  X(exchange_wait_ns, kSum, "exch_wait", kNanos)                             \
   X(worker_busy_ns_max, kMax, "worker_busy_max", kNanos)                     \
   X(worker_busy_ns_total, kSum, "worker_busy_total", kNanos)
 
@@ -52,7 +54,7 @@ namespace ordopt {
 /// snapshot/delta bookkeeping, and the exec trace event's fields.
 #define ORDOPT_OPERATOR_DELTA_COUNTERS(X)                          \
   X(rows_scanned) X(comparisons) X(seq_pages) X(random_pages)      \
-  X(index_probes) X(spill_runs) X(spill_retries)
+  X(index_probes) X(spill_runs) X(spill_retries) X(exchange_wait_ns)
 
 /// Declares one counter of either list as a zero-initialized field.
 #define ORDOPT_DECLARE_COUNTER(field, ...) int64_t field = 0;

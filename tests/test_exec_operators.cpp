@@ -134,6 +134,57 @@ TEST(ExecScan, IndexRangeScans) {
   }
 }
 
+// Where a comparison's qualifying entries start depends on the key
+// column's direction: NULLs sort first under ASC, so an upper-bound scan
+// must seek past them; under DESC, < / <= bound the seek and > / >= end
+// the scan.
+TEST(ExecScan, IndexRangeScansHonorNullsAndDescColumns) {
+  TableDef def;
+  def.name = "t";
+  def.columns = {{"k", DataType::kInt64}, {"d", DataType::kInt64}};
+  def.AddIndex("t_kd", {"k", "d"});
+  def.indexes.back().directions[1] = SortDirection::kDescending;
+  Table t(std::move(def));
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(t.AppendRow({i % 6 == 0 ? Value::Null() : Value::Int(i % 5),
+                             Value::Int(i % 4)})
+                    .ok());
+  }
+  ASSERT_TRUE(t.BuildIndexes().ok());
+  RuntimeMetrics m;
+  auto scan = [&](std::vector<Predicate> preds) {
+    IndexScanOp op(t, 0, 0, false, std::move(preds), &m);
+    return Drain(&op);
+  };
+  auto count = [&](auto keep) {
+    size_t n = 0;
+    for (int64_t rid = 0; rid < t.row_count(); ++rid) {
+      if (keep(t.row(rid))) ++n;
+    }
+    return n;
+  };
+  // k < 3: the 10 NULL-k rows sort first and must be skipped, not end it.
+  std::vector<Row> rows = scan({MakeRangePred({0, 0}, BinOp::kLt, 3)});
+  EXPECT_EQ(rows.size(), count([](const Row& r) {
+              return !r[0].is_null() && r[0].AsInt() < 3;
+            }));
+  EXPECT_FALSE(rows.empty());
+  // k = 2 and d > 1 / d <= 1 under d DESC.
+  rows = scan({MakeRangePred({0, 0}, BinOp::kEq, 2),
+               MakeRangePred({0, 1}, BinOp::kGt, 1)});
+  EXPECT_EQ(rows.size(), count([](const Row& r) {
+              return !r[0].is_null() && r[0].AsInt() == 2 && r[1].AsInt() > 1;
+            }));
+  for (const Row& r : rows) EXPECT_GT(r[1].AsInt(), 1);
+  rows = scan({MakeRangePred({0, 0}, BinOp::kEq, 2),
+               MakeRangePred({0, 1}, BinOp::kLe, 1)});
+  EXPECT_EQ(rows.size(), count([](const Row& r) {
+              return !r[0].is_null() && r[0].AsInt() == 2 && r[1].AsInt() <= 1;
+            }));
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front()[1].AsInt(), 1);  // DESC: 1 before 0
+}
+
 TEST(ExecSort, SortsWithDirectionsAndCountsComparisons) {
   std::vector<ColumnId> layout = {{0, 0}, {0, 1}};
   auto src = std::make_unique<RowSource>(

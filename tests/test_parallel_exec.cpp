@@ -7,8 +7,11 @@
 // is byte-identical to the serial run's, at any worker count and any
 // batch size. The battery pins that down over every golden query
 // (examples + TPC-D) at 1/2/4/8 workers, under adversarial per-worker
-// batch sizes (1, 3, 1024), at empty-result and single-morsel edge
-// cases, with runtime order verification on for the whole matrix, and
+// batch sizes (1, 3, 1024; and 1, 3, 1000, 1024 over multi-morsel TPC-D
+// streams, with and without a Sort inside the chain), at empty-result and
+// single-morsel edge cases, with runtime order verification on for the
+// whole matrix, over clustered index scans that claim rid ranges directly
+// (and the predicate/reverse scans that must not), and
 // under injected faults at the two parallel sites (one worker failing
 // must cancel the whole query cleanly: clean Status naming the site,
 // shared budget drained to zero, no leaked spill files). A final tsan
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -28,9 +32,13 @@
 
 #include "common/fault_injection.h"
 #include "exec/engine.h"
+#include "exec/executor.h"
+#include "exec/operators.h"
+#include "exec/parallel/morsel.h"
 #include "exec/query_guard.h"
 #include "exec/spill.h"
 #include "golden_queries.h"
+#include "qgm/predicate.h"
 #include "query_test_util.h"
 #include "tpcd/tpcd.h"
 
@@ -207,6 +215,281 @@ TEST(ParallelDeterminism, AdversarialBatchSizes) {
   }
 }
 
+// ---- Multi-morsel merges at odd batch sizes -----------------------------
+
+// SF 0.002: lineitem spans about 12 morsels, so every worker claims several
+// and the merge resequences interleaved multi-morsel streams.
+Database* TpcdMultiMorselDb() {
+  static Database* db = [] {
+    auto* d = new Database();
+    TpcdConfig config;
+    config.scale_factor = 0.002;
+    Status st = LoadTpcd(d, config);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return d;
+  }();
+  return db;
+}
+
+// A hash-off query whose chain keeps its Sort: each worker sorts its
+// morsels, so worker runs interleave row by row and the merge's run search
+// must split head batches exactly.
+const char kSortInChainQuery[] =
+    "select l_orderkey, l_linenumber, l_extendedprice from lineitem "
+    "where l_shipdate > date('1995-01-01') "
+    "order by l_extendedprice, l_orderkey, l_linenumber";
+
+// Runs `sql` under `config` serially at the default batch size, then at
+// every batch size in {1, 3, 1000, 1024} and worker count in the matrix,
+// and asserts each parallel row sequence equals the serial one. Returns
+// the largest exchange batch count seen, so callers can check the merge
+// really saw multi-morsel streams.
+int64_t ExpectBatchMatrixIdentical(const std::string& name,
+                                   const std::string& sql,
+                                   OptimizerConfig config) {
+  SCOPED_TRACE(name + ": " + sql);
+  config.verify_orders = true;
+  OptimizerConfig serial_config = config;
+  serial_config.parallel_workers = 1;
+  QueryEngine serial(TpcdMultiMorselDb(), serial_config);
+  auto serial_run = serial.Run(sql);
+  EXPECT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+  if (!serial_run.ok()) return 0;
+  int64_t max_batches = 0;
+  for (int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1000},
+                             int64_t{1024}}) {
+    for (int workers : kWorkerMatrix) {
+      SCOPED_TRACE(StrFormat("batch_rows=%lld workers=%d",
+                             static_cast<long long>(batch_rows), workers));
+      OptimizerConfig parallel_config = config;
+      parallel_config.batch_rows = batch_rows;
+      parallel_config.parallel_workers = workers;
+      QueryEngine engine(TpcdMultiMorselDb(), parallel_config);
+      auto run = engine.Run(sql);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      if (!run.ok()) continue;
+      EXPECT_EQ(run.value().rows, serial_run.value().rows)
+          << "plan:\n" << run.value().plan_text;
+      max_batches = std::max(max_batches, run.value().metrics.exchange_batches);
+    }
+  }
+  return max_batches;
+}
+
+struct NamedQuery {
+  const char* name;
+  const char* sql;
+};
+
+const NamedQuery kTpcdQueries[] = {
+    {"q3", tpcd_queries::kQuery3},
+    {"pricing", tpcd_queries::kPricingSummary},
+    {"distinct_shipdates", tpcd_queries::kDistinctShipdates},
+    {"late_orders", tpcd_queries::kLateOrders},
+    {"region_revenue", tpcd_queries::kRegionRevenue},
+};
+
+TEST(ParallelDeterminism, MultiMorselBatchMatrix) {
+  for (const NamedQuery& q : kTpcdQueries) {
+    ExpectBatchMatrixIdentical(std::string("hash/") + q.name, q.sql,
+                               DefaultConfig());
+    ExpectBatchMatrixIdentical(std::string("db2/") + q.name, q.sql,
+                               Db2Config());
+  }
+}
+
+TEST(ParallelDeterminism, MultiMorselSortInChain) {
+  OptimizerConfig parallel_config = Db2Config();
+  parallel_config.parallel_workers = 4;
+  QueryEngine engine(TpcdMultiMorselDb(), parallel_config);
+  auto run = engine.Run(kSortInChainQuery);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::string& plan = run.value().plan_text;
+  const size_t exchange = plan.find("Exchange(merge");
+  ASSERT_NE(exchange, std::string::npos) << plan;
+  EXPECT_NE(plan.find("Sort", exchange), std::string::npos)
+      << "the Sort must run inside the exchange's chain:\n" << plan;
+  EXPECT_GT(ExpectBatchMatrixIdentical("sort-in-chain", kSortInChainQuery,
+                                       Db2Config()),
+            12);
+}
+
+// The merge ablation (parallel_merge_exchange off): no Sort joins a chain,
+// so every exchange merges on provenance alone and the planner re-sorts
+// above it ("exchange.resort"). The row sequence must still match serial
+// at every batch size and worker count.
+TEST(ParallelMergeAblation, MultiMorselUnionExchange) {
+  OptimizerConfig config = Db2Config();
+  config.parallel_merge_exchange = false;
+  ExpectBatchMatrixIdentical("union/sort-in-chain", kSortInChainQuery, config);
+  for (const NamedQuery& q : kTpcdQueries) {
+    ExpectBatchMatrixIdentical(std::string("union/") + q.name, q.sql, config);
+  }
+}
+
+// ---- Clustered index scans under morsels -------------------------------
+
+// A clustered table whose index key (k, d DESC) has duplicate keys, NULL k
+// values, and a descending column; 3000 rows (three morsels) inserted in
+// a scrambled order so the clustering sort is observable.
+Database* ClusteredDb() {
+  static Database* db = [] {
+    auto* d = new Database();
+    TableDef def;
+    def.name = "c";
+    def.columns = {{"k", DataType::kInt64},
+                   {"d", DataType::kInt64},
+                   {"v", DataType::kInt64}};
+    def.AddIndex("c_kd", {"k", "d"}, /*unique=*/false, /*clustered=*/true);
+    def.indexes.back().directions[1] = SortDirection::kDescending;
+    Table* t = d->CreateTable(std::move(def)).value();
+    for (int64_t i = 0; i < 3000; ++i) {
+      const int64_t x = (i * 7919) % 3000;  // a permutation of 0..2999
+      EXPECT_TRUE(t->AppendRow({x % 7 == 0 ? Value::Null() : Value::Int(x % 50),
+                                Value::Int((x / 50) % 3), Value::Int(x)})
+                      .ok());
+    }
+    EXPECT_TRUE(d->FinalizeAll().ok());
+    return d;
+  }();
+  return db;
+}
+
+// The premise of the clustered morsel rule: a full forward walk of a
+// clustered index visits rids 0..N-1 in order.
+void ExpectClusteredWalkIsRidOrder(const Table& table) {
+  for (size_t i = 0; i < table.def().indexes.size(); ++i) {
+    if (!table.def().indexes[i].clustered) continue;
+    SCOPED_TRACE(table.name() + "." + table.def().indexes[i].name);
+    int64_t expected = 0;
+    for (auto c = table.index(i)->SeekFirst(); c.Valid(); c.Next()) {
+      ASSERT_EQ(c.rid(), expected);
+      ++expected;
+    }
+    EXPECT_EQ(expected, table.row_count());
+  }
+}
+
+TEST(ClusteredMorsels, ForwardWalkIsRidOrder) {
+  ASSERT_TRUE(
+      TpcdMultiMorselDb()->GetTable("lineitem")->def().indexes[0].clustered);
+  for (const auto& [name, table] : TpcdMultiMorselDb()->tables()) {
+    ExpectClusteredWalkIsRidOrder(*table);
+  }
+  ExpectClusteredWalkIsRidOrder(*ClusteredDb()->GetTable("c"));
+}
+
+Predicate ColumnPredicate(int column, BinOp op, int64_t bound) {
+  return ClassifyPredicate(BoundExpr::Binary(
+      op, BoundExpr::Column({0, column}, DataType::kInt64, "c"),
+      BoundExpr::Literal(Value::Int(bound)), DataType::kInt64));
+}
+
+// Drives IndexScanOp's morsel branch directly with a private scheduler.
+// Only the full forward walk claims rid ranges without the shared rid
+// vector; predicate and reverse scans still materialize it. Either way the
+// scan emits the qualifying rows in index-walk order — for a clustered
+// index, ascending rid order (descending for a reverse walk) — with
+// provenance 0, 1, 2, ...
+TEST(ClusteredMorsels, OnlyFullForwardWalksSkipTheSharedRidVector) {
+  const Table& table = *ClusteredDb()->GetTable("c");
+  struct Case {
+    const char* name;
+    bool reverse;
+    std::vector<Predicate> preds;
+    bool shared_rids;
+  };
+  const Case cases[] = {
+      {"full forward", false, {}, false},
+      {"reverse", true, {}, true},
+      {"k = 3", false, {ColumnPredicate(0, BinOp::kEq, 3)}, true},
+      {"k > 40", false, {ColumnPredicate(0, BinOp::kGt, 40)}, true},
+      {"k < 10", false, {ColumnPredicate(0, BinOp::kLt, 10)}, true},
+      {"k = 3 and d > 0",
+       false,
+       {ColumnPredicate(0, BinOp::kEq, 3), ColumnPredicate(1, BinOp::kGt, 0)},
+       true},
+      {"k = 3 and d <= 1",
+       false,
+       {ColumnPredicate(0, BinOp::kEq, 3), ColumnPredicate(1, BinOp::kLe, 1)},
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Row> expected;
+    for (int64_t rid = 0; rid < table.row_count(); ++rid) {
+      const Row& row = table.row(rid);
+      bool keep = true;
+      for (const Predicate& p : c.preds) {
+        const Value& v = row[static_cast<size_t>(p.left_col.column)];
+        const int cmp = v.is_null() ? 0 : v.Compare(p.constant);
+        keep = keep && !v.is_null() &&
+               (p.cmp == BinOp::kEq   ? cmp == 0
+                : p.cmp == BinOp::kGt ? cmp > 0
+                : p.cmp == BinOp::kLt ? cmp < 0
+                                      : cmp <= 0);
+      }
+      if (keep) expected.push_back(row);
+    }
+    if (c.reverse) std::reverse(expected.begin(), expected.end());
+
+    RuntimeMetrics metrics;
+    MorselScheduler morsels;
+    ExecContext ctx(&metrics);
+    ctx.morsels = &morsels;
+    IndexScanOp scan(table, 0, 0, c.reverse, c.preds, ctx,
+                     /*required_columns=*/nullptr, /*morsel_driver=*/true,
+                     /*emit_provenance=*/true);
+    scan.Open();
+    std::vector<Row> rows;
+    Row row;
+    while (scan.Next(&row)) {
+      EXPECT_EQ(row.back().AsInt(), static_cast<int64_t>(rows.size()));
+      row.pop_back();  // provenance
+      rows.push_back(row);
+    }
+    scan.Close();
+    EXPECT_EQ(rows, expected);
+    EXPECT_EQ(metrics.rows_scanned, static_cast<int64_t>(expected.size()));
+    // EnsureRids runs its walk only if no scan materialized the vector.
+    bool walked_here = false;
+    morsels.EnsureRids([&](std::vector<int64_t>*) { walked_here = true; });
+    EXPECT_EQ(!walked_here, c.shared_rids);
+  }
+}
+
+// The same scans planned and run end to end: full, range and reverse
+// clustered IndexScans stay row-identical to serial at 2/4/8 workers.
+TEST(ClusteredMorsels, ClusteredScansRowIdentical) {
+  struct Query {
+    const char* sql;
+    const char* scan;  // expected IndexScan label fragment
+  };
+  const Query queries[] = {
+      {"select k, d, v from c order by k, d desc", "IndexScan(c.c_kd clustered)"},
+      {"select k, d, v from c order by k desc, d",
+       "IndexScan(c.c_kd reverse clustered)"},
+      {"select k, d, v from c where k = 3 order by d desc", "range[(c.k = 3)]"},
+      {"select k, d, v from c where k > 40 order by k, d desc",
+       "range[(c.k > 40)]"},
+      {"select k, d, v from c where k < 10 order by k, d desc",
+       "range[(c.k < 10)]"},
+      {"select k, d, v from c where k = 3 and d > 0 order by d desc",
+       "range[(c.k = 3) AND (c.d > 0)]"},
+  };
+  for (const Query& q : queries) {
+    OptimizerConfig config = Db2Config();
+    config.parallel_workers = 4;
+    QueryEngine engine(ClusteredDb(), config);
+    auto run = engine.Run(q.sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_NE(run.value().plan_text.find(q.scan), std::string::npos)
+        << run.value().plan_text;
+    EXPECT_FALSE(run.value().rows.empty()) << q.sql;
+    ExpectParallelIdentical(ClusteredDb(), "clustered", q.sql, Db2Config());
+  }
+}
+
 // ---- Edge cases: empty partitions, single morsel, tiny tables ----------
 
 TEST(ParallelDeterminism, EmptyResultAndSingleMorsel) {
@@ -282,6 +565,38 @@ TEST(ParallelPlanShape, ExchangeSelfTimeIsItsOwnTime) {
   EXPECT_NE(field("time"), "0.000ms") << line;
 }
 
+// EXPLAIN ANALYZE prints the consumer's blocking waits on worker queues as
+// wait= on each Exchange line. The waits happen inside the exchange's own
+// NextBatch calls, so wait never exceeds self.
+TEST(ParallelPlanShape, ExchangeWaitWithinSelf) {
+  for (const NamedQuery& q : kTpcdQueries) {
+    for (OptimizerConfig config : {DefaultConfig(), Db2Config()}) {
+      SCOPED_TRACE(q.name);
+      config.parallel_workers = 4;
+      QueryEngine engine(TpcdMultiMorselDb(), config);
+      auto run = engine.RunAnalyzed(q.sql);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const std::string& text = run.value().analyzed_plan_text;
+      int exchanges = 0;
+      for (size_t at = text.find("Exchange("); at != std::string::npos;
+           at = text.find("Exchange(", at + 1)) {
+        const std::string line = text.substr(at, text.find('\n', at) - at);
+        auto ms = [&line](const std::string& name) {
+          const size_t pos = line.find(" " + name + "=");
+          EXPECT_NE(pos, std::string::npos) << line;
+          return pos == std::string::npos
+                     ? -1.0
+                     : std::atof(line.c_str() + pos + name.size() + 2);
+        };
+        EXPECT_LE(ms("wait"), ms("self")) << line;
+        EXPECT_GE(ms("wait"), 0.0) << line;
+        ++exchanges;
+      }
+      EXPECT_GT(exchanges, 0) << text;
+    }
+  }
+}
+
 // ---- Merge ablation: union exchange + re-sort --------------------------
 
 // With parallel_merge_exchange off, a sorted chain parallelizes through
@@ -320,6 +635,52 @@ TEST(ParallelMergeAblation, UnionExchangeWithResort) {
     EXPECT_EQ(Canonicalize(run.value().rows),
               Canonicalize(serial_run.value().rows))
         << "plan:\n" << run.value().plan_text;
+  }
+}
+
+// The planner only builds merge exchanges; union mode (batches forwarded
+// in arrival order) is reachable through hand-built plans. Flipping every
+// exchange of a planned query to union must keep the row multiset at any
+// batch size, and at 4 workers.
+PlanRef WithUnionExchanges(const PlanRef& plan, int* flipped) {
+  auto clone = std::make_shared<PlanNode>(*plan);
+  if (clone->kind == OpKind::kExchange) {
+    clone->exchange_merge = false;
+    clone->sort_spec = OrderSpec();
+    ++*flipped;
+    return clone;  // worker chains hold no exchanges
+  }
+  for (PlanRef& child : clone->children) {
+    child = WithUnionExchanges(child, flipped);
+  }
+  return clone;
+}
+
+TEST(ParallelMergeAblation, UnionModeForwardsEveryRow) {
+  const char* sql =
+      "select l_orderkey, l_linenumber, l_quantity from lineitem "
+      "where l_shipdate > date('1995-01-01')";
+  QueryEngine serial(TpcdMultiMorselDb(), Db2Config());
+  auto serial_run = serial.Run(sql);
+  ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+  OptimizerConfig config = Db2Config();
+  config.parallel_workers = 4;
+  QueryEngine engine(TpcdMultiMorselDb(), config);
+  auto planned = engine.Explain(sql);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  int flipped = 0;
+  PlanRef plan = WithUnionExchanges(planned.value().plan, &flipped);
+  ASSERT_GT(flipped, 0) << planned.value().plan_text;
+  for (int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+    SCOPED_TRACE(StrFormat("batch_rows=%lld",
+                           static_cast<long long>(batch_rows)));
+    RuntimeMetrics metrics;
+    auto rows = ExecutePlan(plan, &metrics, nullptr, nullptr, nullptr,
+                            /*verify_orders=*/false, batch_rows);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(Canonicalize(rows.value()),
+              Canonicalize(serial_run.value().rows));
+    EXPECT_GT(metrics.exchange_batches, 0);
   }
 }
 

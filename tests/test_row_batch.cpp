@@ -107,6 +107,47 @@ TEST(RowBatch, ResetReusesShapeAndClearsRows) {
   EXPECT_FALSE(batch.IsNull(0, 0));
 }
 
+// The exchange's run move: a partial range appends column-wise after the
+// rows already there (NULL bits included, unlisted columns dropped); a
+// whole batch into an empty one swaps its column storage.
+TEST(RowBatch, MoveRangeFromAppendsOrSwapsSelectedColumns) {
+  RowBatch src;
+  src.Reset(3, 8);
+  for (int64_t i = 0; i < 5; ++i) {
+    src.AppendRow({Value::Int(100 + i), Value::Int(i),
+                   i % 2 == 0 ? Value::Null() : Value::Str("s")});
+  }
+  const std::vector<size_t> cols = {2, 0};  // drop column 1, reorder
+  RowBatch out;
+  out.Reset(2, 8);
+  out.AppendRow({Value::Str("head"), Value::Int(-1)});
+  out.MoveRangeFrom(&src, cols, 1, 4);
+  ASSERT_EQ(out.size(), 4);
+  EXPECT_EQ(out.At(1, 0).AsInt(), -1);
+  for (int64_t r = 1; r < 4; ++r) {
+    EXPECT_EQ(out.At(1, r).AsInt(), 100 + r);  // src rows 1..3
+    EXPECT_EQ(out.IsNull(0, r), r % 2 == 0);
+    EXPECT_EQ(out.At(0, r).is_null(), r % 2 == 0);
+  }
+
+  RowBatch whole;
+  whole.Reset(3, 8);
+  for (int64_t i = 0; i < 3; ++i) {
+    whole.AppendRow({Value::Int(i), Value::Int(7), Value::Null()});
+  }
+  RowBatch swapped;
+  swapped.Reset(2, 8);
+  swapped.MoveRangeFrom(&whole, cols, 0, 3);
+  ASSERT_EQ(swapped.size(), 3);
+  for (int64_t r = 0; r < 3; ++r) {
+    EXPECT_TRUE(swapped.IsNull(0, r));
+    EXPECT_EQ(swapped.At(1, r).AsInt(), r);
+  }
+  swapped.AppendRow({Value::Str("tail"), Value::Int(3)});  // still appendable
+  EXPECT_EQ(swapped.size(), 4);
+  EXPECT_FALSE(swapped.IsNull(0, 3));
+}
+
 // --- Normalized sort keys --------------------------------------------------
 
 int SignOf(int64_t c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
