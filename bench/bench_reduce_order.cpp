@@ -15,8 +15,8 @@ namespace {
 
 // A context with `fd_count` FDs over a 32-column table plus an equivalence
 // class and a constant binding.
-OrderContext MakeContext(int fd_count, bool transitive) {
-  OrderContext ctx;
+OrderFacts MakeContext(int fd_count, bool transitive) {
+  OrderFacts ctx;
   Rng rng(99);
   for (int i = 0; i < fd_count; ++i) {
     ColumnSet head{ColumnId(0, static_cast<int32_t>(rng.Uniform(0, 15)))};
@@ -42,7 +42,7 @@ OrderSpec MakeSpec(int width) {
 }
 
 void BM_ReduceOrder(benchmark::State& state) {
-  OrderContext ctx =
+  OrderFacts ctx =
       MakeContext(static_cast<int>(state.range(1)), /*transitive=*/false);
   OrderSpec spec = MakeSpec(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -54,7 +54,7 @@ BENCHMARK(BM_ReduceOrder)
     ->ArgNames({"width", "fds"});
 
 void BM_ReduceOrderTransitive(benchmark::State& state) {
-  OrderContext ctx =
+  OrderFacts ctx =
       MakeContext(static_cast<int>(state.range(1)), /*transitive=*/true);
   OrderSpec spec = MakeSpec(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -66,7 +66,7 @@ BENCHMARK(BM_ReduceOrderTransitive)
     ->ArgNames({"width", "fds"});
 
 void BM_TestOrder(benchmark::State& state) {
-  OrderContext ctx = MakeContext(16, false);
+  OrderFacts ctx = MakeContext(16, false);
   OrderSpec interesting = MakeSpec(static_cast<int>(state.range(0)));
   OrderSpec property = MakeSpec(static_cast<int>(state.range(0)) + 2);
   for (auto _ : state) {
@@ -76,7 +76,7 @@ void BM_TestOrder(benchmark::State& state) {
 BENCHMARK(BM_TestOrder)->Arg(2)->Arg(8)->Arg(16)->ArgName("width");
 
 void BM_CoverOrder(benchmark::State& state) {
-  OrderContext ctx = MakeContext(16, false);
+  OrderFacts ctx = MakeContext(16, false);
   OrderSpec spec = MakeSpec(static_cast<int>(state.range(0)));
   OrderSpec prefix = spec.Prefix(spec.size() / 2);
   for (auto _ : state) {
@@ -86,7 +86,7 @@ void BM_CoverOrder(benchmark::State& state) {
 BENCHMARK(BM_CoverOrder)->Arg(4)->Arg(16)->ArgName("width");
 
 void BM_HomogenizeOrder(benchmark::State& state) {
-  OrderContext ctx = MakeContext(16, false);
+  OrderFacts ctx = MakeContext(16, false);
   EquivalenceClasses future;
   for (int i = 0; i < 16; ++i) {
     future.AddEquivalence({0, i}, {1, i});
@@ -102,7 +102,7 @@ void BM_HomogenizeOrder(benchmark::State& state) {
 BENCHMARK(BM_HomogenizeOrder)->Arg(4)->Arg(16)->ArgName("width");
 
 void BM_GeneralOrderSatisfies(benchmark::State& state) {
-  OrderContext ctx = MakeContext(16, false);
+  OrderFacts ctx = MakeContext(16, false);
   std::vector<ColumnId> group;
   for (int i = 0; i < state.range(0); ++i) {
     group.emplace_back(0, static_cast<int32_t>(i));

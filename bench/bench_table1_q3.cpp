@@ -35,10 +35,13 @@
 // path, events recorded at plan time only). Exits nonzero above 2%.
 // kFull (per-operator stats) overhead is reported informationally.
 //
-// --plan-time instead measures planner wall time on Q3 (plan-only, no
-// execution): average milliseconds per optimization, plans generated and
-// retained, and the reduce-cache hit rate. --json=PATH additionally emits
-// the numbers as a JSON object (the check.sh --plan-bench gate reads it).
+// --plan-time instead measures planner wall time (plan-only, no execution):
+// on Q3, average milliseconds per optimization, plans generated and
+// retained, and the reduce-cache hit rate; on region revenue (a 6-way join,
+// the most expensive query to plan), the median planning time under the
+// DB2/CS and hash profiles with order optimization on and off, the on/off
+// ratio and plans generated. --json=PATH additionally emits the numbers as
+// a JSON object (the check.sh --plan-bench gate reads it).
 //
 // --batch-sweep instead sweeps the execution batch size (1, 256, 1024,
 // 4096) on Q3 and reports exec wall time per size plus the speedup vs
@@ -59,6 +62,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -290,9 +294,67 @@ int TraceOverhead(Database* db, int runs) {
   return opt_pct < 2.0 ? 0 : 1;
 }
 
-// Planning-time microbenchmark: optimize Q3 repeatedly without executing
-// it. This is the workload the reduce cache and memo refactor target, so
-// the numbers double as the regression baseline for check.sh --plan-bench.
+// Region revenue planning under one engine profile, with order optimization
+// on and off.
+struct RegionPlanTime {
+  const char* profile;
+  bool hash;
+  double on_ms = 0.0;
+  double off_ms = 0.0;
+  int64_t plans_on = 0;
+  int64_t plans_off = 0;
+};
+
+// Median planning time of region revenue per (profile, order optimization)
+// configuration. The configurations are interleaved within each iteration
+// so wall-clock drift on a busy host lands on all of them alike.
+bool TimeRegionPlanning(Database* db, int iters,
+                        std::vector<RegionPlanTime>* profiles) {
+  struct Config {
+    RegionPlanTime* out;
+    bool order_opt;
+    std::unique_ptr<QueryEngine> engine;
+    std::vector<double> ms;
+  };
+  std::vector<Config> configs;
+  configs.reserve(profiles->size() * 2);
+  for (RegionPlanTime& p : *profiles) {
+    for (bool order_opt : {true, false}) {
+      OptimizerConfig cfg;
+      cfg.enable_order_optimization = order_opt;
+      cfg.enable_hash_join = p.hash;
+      cfg.enable_hash_grouping = p.hash;
+      configs.push_back(
+          Config{&p, order_opt, std::make_unique<QueryEngine>(db, cfg), {}});
+    }
+  }
+  for (int i = -1; i < iters; ++i) {  // i == -1 warms up
+    for (Config& c : configs) {
+      auto start = std::chrono::steady_clock::now();
+      Result<QueryResult> r = c.engine->Explain(tpcd_queries::kRegionRevenue);
+      auto end = std::chrono::steady_clock::now();
+      if (!r.ok()) {
+        std::fprintf(stderr, "region plan failed: %s\n",
+                     r.status().ToString().c_str());
+        return false;
+      }
+      if (i < 0) continue;
+      c.ms.push_back(
+          std::chrono::duration<double, std::milli>(end - start).count());
+      (c.order_opt ? c.out->plans_on : c.out->plans_off) =
+          r.value().plans_generated;
+    }
+  }
+  for (Config& c : configs) {
+    (c.order_opt ? c.out->on_ms : c.out->off_ms) = Median(c.ms);
+  }
+  return true;
+}
+
+// Planning-time microbenchmark: optimize Q3, then region revenue,
+// repeatedly without executing them. This is the workload the reduce cache,
+// memo and order-context work target, so the numbers double as the
+// regression baseline for check.sh --plan-bench.
 int PlanTime(Database* db, int runs, const std::string& json_path) {
   OptimizerConfig cfg;
   cfg.enable_order_optimization = true;
@@ -342,6 +404,20 @@ int PlanTime(Database* db, int runs, const std::string& json_path) {
               static_cast<long long>(last.reduce_cache_misses));
   std::printf("reduce-cache hit rate: %.1f%%\n", hit_rate * 100.0);
 
+  const int region_iters = runs * 4;
+  std::vector<RegionPlanTime> region = {{"db2cs", false}, {"hash", true}};
+  if (!TimeRegionPlanning(db, region_iters, &region)) return 1;
+  std::printf("--- planning time on region revenue (median of %d) ---\n",
+              region_iters);
+  std::printf("%-8s %12s %12s %8s %10s %10s\n", "profile", "order on",
+              "order off", "ratio", "plans on", "plans off");
+  for (const RegionPlanTime& p : region) {
+    std::printf("%-8s %9.3f ms %9.3f ms %7.2fx %10lld %10lld\n", p.profile,
+                p.on_ms, p.off_ms, p.on_ms / p.off_ms,
+                static_cast<long long>(p.plans_on),
+                static_cast<long long>(p.plans_off));
+  }
+
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -357,12 +433,27 @@ int PlanTime(Database* db, int runs, const std::string& json_path) {
                  "  \"plans_retained\": %lld,\n"
                  "  \"reduce_cache_hits\": %lld,\n"
                  "  \"reduce_cache_misses\": %lld,\n"
-                 "  \"reduce_cache_hit_rate\": %.6f\n"
-                 "}\n",
+                 "  \"reduce_cache_hit_rate\": %.6f,\n"
+                 "  \"region\": {\n"
+                 "    \"iterations\": %d,\n",
                  iters, avg_ms, static_cast<long long>(last.plans_generated),
                  static_cast<long long>(last.plans_retained),
                  static_cast<long long>(last.reduce_cache_hits),
-                 static_cast<long long>(last.reduce_cache_misses), hit_rate);
+                 static_cast<long long>(last.reduce_cache_misses), hit_rate,
+                 region_iters);
+    for (size_t i = 0; i < region.size(); ++i) {
+      const RegionPlanTime& p = region[i];
+      std::fprintf(f,
+                   "    \"%s\": {\"order_on_ms\": %.6f, "
+                   "\"order_off_ms\": %.6f, \"on_off_ratio\": %.4f, "
+                   "\"plans_generated_on\": %lld, "
+                   "\"plans_generated_off\": %lld}%s\n",
+                   p.profile, p.on_ms, p.off_ms, p.on_ms / p.off_ms,
+                   static_cast<long long>(p.plans_on),
+                   static_cast<long long>(p.plans_off),
+                   i + 1 < region.size() ? "," : "");
+    }
+    std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -34,7 +34,7 @@ int main() {
   std::printf("== Reduce Order (4.1) ==\n");
   {
     // Applied predicates: a.x = 10 and a.y = b.y; FD: {a.z} is a key.
-    OrderContext ctx;
+    OrderFacts ctx;
     ctx.eq.AddConstant(ax, Value::Int(10));
     ctx.eq.AddEquivalence(ay, by);
     ctx.fds.AddKey(ColumnSet{az}, ColumnSet{ax, ay, az});
@@ -48,7 +48,7 @@ int main() {
 
   std::printf("\n== Test Order (4.2) ==\n");
   {
-    OrderContext ctx;
+    OrderFacts ctx;
     ctx.eq.AddConstant(ax, Value::Int(10));
     OrderSpec interesting{{ax}, {ay}};
     OrderSpec property{{ay}};
@@ -61,7 +61,7 @@ int main() {
 
   std::printf("\n== Cover Order (4.3) ==\n");
   {
-    OrderContext ctx;
+    OrderFacts ctx;
     auto cover = CoverOrder(OrderSpec{{az}}, OrderSpec{{az}, {ay}}, ctx);
     Show("cover of (a.z) and (a.z, a.y):",
          cover.has_value() ? *cover : OrderSpec());
@@ -72,7 +72,7 @@ int main() {
     // ORDER BY a.x, b.y over a join on a.x = b.x, pushed to table b.
     EquivalenceClasses future;
     future.AddEquivalence(ax, bx);
-    OrderContext ctx;
+    OrderFacts ctx;
     auto hom = HomogenizeOrder(OrderSpec{{ax}, {by}}, ColumnSet{bx, by},
                                future, ctx);
     Show("(a.x, b.y) homogenized to table b:",
@@ -81,7 +81,7 @@ int main() {
 
   std::printf("\n== General orders / degrees of freedom (7) ==\n");
   {
-    OrderContext ctx;
+    OrderFacts ctx;
     ctx.fds.Add(ColumnSet{ax}, ColumnSet{ay});  // {a.x} -> {a.y}
     GeneralOrderSpec group = GeneralOrderSpec::ForGrouping({ax, ay, az});
     OrderSpec candidate{{az, SortDirection::kDescending}, {ax}};

@@ -14,8 +14,10 @@
 #                                         olap_sort_serial workloads
 #        scripts/check.sh --plan-bench    planning-time gate only: builds the
 #                                         default preset, runs bench_table1_q3
-#                                         --plan-time into BENCH_plan.json and
-#                                         checks it against
+#                                         --plan-time (Q3, and region revenue
+#                                         under DB2/CS and hash, order
+#                                         optimization on and off) into
+#                                         BENCH_plan.json and checks it against
 #                                         scripts/plan_baseline.json
 #        scripts/check.sh --verify-orders runs the tier-1 suites under
 #                                         asan-ubsan with runtime order
@@ -84,13 +86,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Planning-time regression gate: Q3 plan-only benchmark vs the recorded
-# baseline (avg time within max_time_ratio, identical plan counts, reduce-
-# cache hit rate above min_hit_rate).
+# Planning-time regression gate: Q3 and region-revenue plan-only benchmark
+# vs the recorded baseline (times within max_time_ratio, identical plan
+# counts, reduce-cache hit rate above min_hit_rate).
 plan_bench_gate() {
   echo "==> plan bench gate [default]"
   ./build/bench/bench_table1_q3 --plan-time --json=BENCH_plan.json |
-    tail -n 7
+    tail -n 12
   if command -v python3 >/dev/null; then
     python3 - <<'EOF'
 import json, sys
@@ -99,11 +101,12 @@ base = json.load(open("scripts/plan_baseline.json"))
 cur = json.load(open("BENCH_plan.json"))
 
 failures = []
-limit = base["avg_plan_ms"] * base["max_time_ratio"]
+ratio = base["max_time_ratio"]
+limit = base["avg_plan_ms"] * ratio
 if cur["avg_plan_ms"] > limit:
     failures.append(
         f"avg_plan_ms {cur['avg_plan_ms']:.4f} exceeds "
-        f"{base['max_time_ratio']}x baseline ({limit:.4f} ms)")
+        f"{ratio}x baseline ({limit:.4f} ms)")
 for key in ("plans_generated", "plans_retained"):
     if cur[key] != base[key]:
         failures.append(f"{key} {cur[key]} != baseline {base[key]}")
@@ -111,14 +114,30 @@ if cur["reduce_cache_hit_rate"] <= base["min_hit_rate"]:
     failures.append(
         f"reduce_cache_hit_rate {cur['reduce_cache_hit_rate']:.3f} "
         f"not above {base['min_hit_rate']}")
+for profile, want in base["region"].items():
+    got = cur["region"][profile]
+    for key in ("plans_generated_on", "plans_generated_off"):
+        if got[key] != want[key]:
+            failures.append(
+                f"region {profile} {key} {got[key]} != baseline {want[key]}")
+    limit = want["order_on_ms"] * ratio
+    if got["order_on_ms"] > limit:
+        failures.append(
+            f"region {profile} order_on_ms {got['order_on_ms']:.4f} exceeds "
+            f"{ratio}x baseline ({limit:.4f} ms)")
 if failures:
     print("FAIL: plan bench gate:")
     for f in failures:
         print("  " + f)
     sys.exit(1)
-print(f"    avg {cur['avg_plan_ms']:.4f} ms (baseline "
+print(f"    Q3 avg {cur['avg_plan_ms']:.4f} ms (baseline "
       f"{base['avg_plan_ms']:.4f} ms), hit rate "
       f"{cur['reduce_cache_hit_rate']:.1%}")
+for profile, want in base["region"].items():
+    got = cur["region"][profile]
+    print(f"    region {profile} {got['order_on_ms']:.3f} ms (baseline "
+          f"{want['order_on_ms']:.3f} ms), order on/off "
+          f"{got['on_off_ratio']:.2f}x")
 EOF
   else
     echo "    (python3 not found; baseline comparison skipped)"

@@ -46,21 +46,11 @@ OrderCheckOp::OrderCheckOp(OperatorPtr child, const PlanNode& node,
   // group outputs) — try an equivalent visible column, and otherwise stop:
   // checking the resolvable prefix is checking a weaker true claim.
   for (const OrderElement& e : claimed_) {
-    int pos = eval.PositionOf(e.col);
-    ColumnId resolved = e.col;
-    if (pos < 0) {
-      for (const ColumnId& member : node.props.eq().ClassMembers(e.col)) {
-        int member_pos = eval.PositionOf(member);
-        if (member_pos >= 0) {
-          pos = member_pos;
-          resolved = member;
-          break;
-        }
-      }
-    }
-    if (pos < 0) break;
-    checked_.Append(OrderElement(resolved, e.dir));
-    positions_.push_back(pos);
+    std::optional<ColumnId> resolved = node.props.eq().VisibleMember(
+        e.col, [&](const ColumnId& m) { return eval.PositionOf(m) >= 0; });
+    if (!resolved.has_value()) break;
+    checked_.Append(OrderElement(*resolved, e.dir));
+    positions_.push_back(eval.PositionOf(*resolved));
     descending_.push_back(e.dir == SortDirection::kDescending);
   }
 

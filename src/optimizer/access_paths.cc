@@ -183,7 +183,7 @@ CandidateSet Planner::BaseAccessPaths(
       targets.Add(ColumnId(q.id, static_cast<int32_t>(c)));
     }
     for (const OrderSpec& want : sort_ahead) {
-      OrderSpec homog = HomogenizeOrderPrefix(want, targets, octx.eq, octx);
+      OrderSpec homog = HomogenizeOrderPrefix(want, targets, *octx.eq, octx);
       if (homog.empty()) continue;
       if (tracing() && homog != want) {
         trace_->Add("optimizer", "order.homogenize")
@@ -221,7 +221,7 @@ Result<CandidateSet> Planner::QuantifierAccessPaths(const QgmBox* box,
     for (const OrderSpec& want : sctx.sort_ahead) {
       OrderSpec homog =
           HomogenizeOrderPrefix(want, sctx.qcols[index],
-                                sctx.info->optimistic_ctx.eq,
+                                *sctx.info->optimistic_ctx.eq,
                                 sctx.info->optimistic_ctx);
       if (homog.empty() || OrderSatisfied(homog, *cheapest)) continue;
       if (tracing() && homog != want) {

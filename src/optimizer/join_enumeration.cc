@@ -186,7 +186,7 @@ class MergeJoinStrategy : public JoinStrategy {
       ColumnSet targets = s.ctx->MaskColumns(s.outer_mask);
       for (const OrderSpec& want : s.ctx->sort_ahead) {
         OrderSpec homog = HomogenizeOrderPrefix(
-            want, targets, s.ctx->info->optimistic_ctx.eq,
+            want, targets, *s.ctx->info->optimistic_ctx.eq,
             s.ctx->info->optimistic_ctx);
         if (homog.empty()) continue;
         std::optional<OrderSpec> covered =
@@ -492,7 +492,7 @@ void Planner::EnumerateJoins(SelectContext* sctx, Memo* memo) {
       ColumnSet targets = sctx->MaskColumns(mask);
       for (const OrderSpec& want : sctx->sort_ahead) {
         OrderSpec homog =
-            HomogenizeOrderPrefix(want, targets, sctx->info->optimistic_ctx.eq,
+            HomogenizeOrderPrefix(want, targets, *sctx->info->optimistic_ctx.eq,
                                   sctx->info->optimistic_ctx);
         if (homog.empty() || OrderSatisfied(homog, *cheapest)) continue;
         if (tracing() && homog != want) {

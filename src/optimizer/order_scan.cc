@@ -10,11 +10,11 @@ namespace ordopt {
 OrderScan::OrderScan(const Query& query, bool enable_order_optimization)
     : query_(query), enabled_(enable_order_optimization) {}
 
-const OrderContext& OrderScan::ContextOf(const QgmBox* box) {
+const OrderFacts& OrderScan::FactsOf(const QgmBox* box) {
   auto it = contexts_.find(box);
   if (it != contexts_.end()) return it->second;
 
-  OrderContext ctx;
+  OrderFacts ctx;
   if (box->kind == QgmBox::Kind::kUnion) {
     // Nothing survives a union: branch equivalences/FDs apply to branch
     // rows only, and outputs are fresh columns.
@@ -23,7 +23,7 @@ const OrderContext& OrderScan::ContextOf(const QgmBox* box) {
   if (box->kind == QgmBox::Kind::kGroupBy) {
     const QgmBox* child = box->quantifiers[0].input;
     ORDOPT_CHECK(child != nullptr);
-    ctx = ContextOf(child);
+    ctx = FactsOf(child);
     // {group columns} functionally determine every box output, and the
     // grouping columns are a key of the grouped stream.
     ColumnSet group_set;
@@ -35,7 +35,7 @@ const OrderContext& OrderScan::ContextOf(const QgmBox* box) {
         PlanProperties base = BaseTableProperties(*q.table, q.id);
         ctx.fds.MergeFrom(base.fds());
       } else {
-        const OrderContext& child = ContextOf(q.input);
+        const OrderFacts& child = FactsOf(q.input);
         ctx.fds.MergeFrom(child.fds);
         ctx.eq.MergeFrom(child.eq);
       }
@@ -59,7 +59,7 @@ const OrderContext& OrderScan::ContextOf(const QgmBox* box) {
         ctx.fds.MergeFrom(base.fds());
         null_side = base.columns;
       } else {
-        const OrderContext& child = ContextOf(q.input);
+        const OrderFacts& child = FactsOf(q.input);
         ctx.fds.MergeFrom(child.fds);
         null_side = q.input->OutputColumns();
       }
@@ -91,7 +91,7 @@ void OrderScan::AddInterestingOrder(BoxOrderInfo* info, const OrderSpec& spec,
 
 void OrderScan::Visit(const QgmBox* box, std::vector<OrderSpec> pushed) {
   BoxOrderInfo& info = info_[box];
-  const OrderContext& ctx = ContextOf(box);
+  OrderContext ctx = FactsOf(box).Context();
   info.optimistic_ctx = ctx;
 
   if (box->kind == QgmBox::Kind::kUnion) {
@@ -200,7 +200,7 @@ void OrderScan::Visit(const QgmBox* box, std::vector<OrderSpec> pushed) {
     if (enabled_) {
       ColumnSet targets = q.input->OutputColumns();
       for (const OrderSpec& spec : info.sort_ahead) {
-        OrderSpec prefix = HomogenizeOrderPrefix(spec, targets, ctx.eq, ctx);
+        OrderSpec prefix = HomogenizeOrderPrefix(spec, targets, *ctx.eq, ctx);
         if (prefix.empty()) continue;
         bool dup = false;
         for (const OrderSpec& existing : down) {

@@ -38,7 +38,8 @@ struct BoxOrderInfo {
 
   /// The optimistic reduction context (§5.1): equivalences/constants from
   /// *all* predicates at or below this box and FDs from every base-table
-  /// key below it, assuming everything will have been applied.
+  /// key below it, assuming everything will have been applied. Borrows the
+  /// OrderScan's per-box OrderFacts, so it lives as long as the scan.
   OrderContext optimistic_ctx;
 };
 
@@ -62,7 +63,7 @@ class OrderScan {
   const BoxOrderInfo& info(const QgmBox* box) const;
 
  private:
-  const OrderContext& ContextOf(const QgmBox* box);
+  const OrderFacts& FactsOf(const QgmBox* box);
   void Visit(const QgmBox* box, std::vector<OrderSpec> pushed);
   static void AddInterestingOrder(BoxOrderInfo* info, const OrderSpec& spec,
                                   const OrderContext& ctx);
@@ -70,7 +71,9 @@ class OrderScan {
   const Query& query_;
   bool enabled_;
   std::unordered_map<const QgmBox*, BoxOrderInfo> info_;
-  std::unordered_map<const QgmBox*, OrderContext> contexts_;
+  // Owner of every box's optimistic classes and FDs; node-based, so the
+  // optimistic_ctx views into it stay valid as boxes are added.
+  std::unordered_map<const QgmBox*, OrderFacts> contexts_;
 };
 
 }  // namespace ordopt

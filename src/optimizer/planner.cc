@@ -65,19 +65,11 @@ OrderSpec Planner::SortSpecFor(const OrderSpec& interesting,
   // projected away). Substitute a visible class member for the executor.
   OrderSpec visible;
   for (const OrderElement& e : reduced) {
-    if (input.props.columns.Contains(e.col)) {
-      visible.Append(e);
-      continue;
-    }
-    bool substituted = false;
-    for (const ColumnId& member : input.props.eq().ClassMembers(e.col)) {
-      if (input.props.columns.Contains(member)) {
-        visible.Append(OrderElement(member, e.dir));
-        substituted = true;
-        break;
-      }
-    }
-    if (!substituted) visible.Append(e);  // caller validates visibility
+    std::optional<ColumnId> member = input.props.eq().VisibleMember(
+        e.col,
+        [&](const ColumnId& m) { return input.props.columns.Contains(m); });
+    // An unsubstitutable column stays; the caller validates visibility.
+    visible.Append(OrderElement(member.value_or(e.col), e.dir));
   }
   return visible;
 }

@@ -1,126 +1,108 @@
 #include "orderopt/equivalence.h"
 
-#include <algorithm>
-
 namespace ordopt {
 
-ColumnId EquivalenceClasses::FindRoot(const ColumnId& col) {
-  auto it = parent_.find(col);
-  if (it == parent_.end()) {
-    parent_.emplace(col, col);
-    head_.emplace(col, col);
-    return col;
+size_t EquivalenceClasses::ClassIndex(const ColumnId& col) {
+  if (known_.Contains(col)) {
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      if (classes_[i].members.Contains(col)) return i;
+    }
   }
-  // Path compression (iterative).
-  ColumnId root = col;
-  while (parent_.at(root) != root) root = parent_.at(root);
-  ColumnId walk = col;
-  while (parent_.at(walk) != root) {
-    ColumnId next = parent_.at(walk);
-    parent_[walk] = root;
-    walk = next;
-  }
-  return root;
+  classes_.push_back(Class{ColumnSet{col}, std::nullopt});
+  known_.Add(col);
+  return classes_.size() - 1;
 }
 
-ColumnId EquivalenceClasses::FindRootConst(const ColumnId& col) const {
-  auto it = parent_.find(col);
-  if (it == parent_.end()) return col;
-  ColumnId root = col;
-  while (parent_.at(root) != root) root = parent_.at(root);
-  return root;
+void EquivalenceClasses::Absorb(size_t into, size_t from) {
+  Class& dst = classes_[into];
+  Class& src = classes_[from];
+  dst.members.UnionWith(src.members);
+  if (!dst.constant.has_value()) dst.constant = std::move(src.constant);
+  if (dst.constant.has_value()) constant_columns_.UnionWith(dst.members);
+  classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(from));
 }
 
 void EquivalenceClasses::AddEquivalence(const ColumnId& a, const ColumnId& b) {
-  ColumnId ra = FindRoot(a);
-  ColumnId rb = FindRoot(b);
-  if (ra == rb) return;
-  // Union by attaching rb under ra; keep the smallest member as head and a
-  // single constant binding.
-  parent_[rb] = ra;
-  ColumnId new_head = std::min(head_.at(ra), head_.at(rb));
-  head_[ra] = new_head;
-  head_.erase(rb);
-  auto cb = constant_.find(rb);
-  if (cb != constant_.end()) {
-    // If both sides had constants they must agree at runtime; keep ra's if
-    // present, else adopt rb's.
-    constant_.emplace(ra, cb->second);
-    constant_.erase(rb);
-  }
+  size_t ia = ClassIndex(a);
+  size_t ib = ClassIndex(b);
+  if (ia == ib) return;
+  Absorb(ia, ib);
 }
 
 void EquivalenceClasses::AddConstant(const ColumnId& col, const Value& value) {
-  ColumnId root = FindRoot(col);
-  constant_.emplace(root, value);
-}
-
-ColumnId EquivalenceClasses::Head(const ColumnId& col) const {
-  ColumnId root = FindRootConst(col);
-  auto it = head_.find(root);
-  return it == head_.end() ? col : it->second;
-}
-
-bool EquivalenceClasses::IsConstant(const ColumnId& col) const {
-  return constant_.find(FindRootConst(col)) != constant_.end();
+  Class& k = classes_[ClassIndex(col)];
+  if (k.constant.has_value()) return;
+  k.constant = value;
+  constant_columns_.UnionWith(k.members);
 }
 
 std::optional<Value> EquivalenceClasses::ConstantValue(
     const ColumnId& col) const {
-  auto it = constant_.find(FindRootConst(col));
-  if (it == constant_.end()) return std::nullopt;
-  return it->second;
+  const Class* k = Find(col);
+  return k == nullptr ? std::nullopt : k->constant;
 }
 
 bool EquivalenceClasses::AreEquivalent(const ColumnId& a,
                                        const ColumnId& b) const {
   if (a == b) return true;
-  if (parent_.find(a) == parent_.end() || parent_.find(b) == parent_.end()) {
-    return false;
-  }
-  return FindRootConst(a) == FindRootConst(b);
+  const ColumnSet* members = ClassOf(a);
+  return members != nullptr && members->Contains(b);
 }
 
 std::vector<ColumnId> EquivalenceClasses::ClassMembers(
     const ColumnId& col) const {
-  std::vector<ColumnId> out;
-  if (parent_.find(col) == parent_.end()) {
-    out.push_back(col);
-    return out;
-  }
-  ColumnId root = FindRootConst(col);
-  for (const auto& [c, _] : parent_) {
-    if (FindRootConst(c) == root) out.push_back(c);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  const ColumnSet* members = ClassOf(col);
+  if (members == nullptr) return {col};
+  return std::vector<ColumnId>(members->begin(), members->end());
 }
 
 std::vector<ColumnId> EquivalenceClasses::KnownColumns() const {
-  std::vector<ColumnId> out;
-  out.reserve(parent_.size());
-  for (const auto& [c, _] : parent_) out.push_back(c);
-  std::sort(out.begin(), out.end());
-  return out;
+  return std::vector<ColumnId>(known_.begin(), known_.end());
+}
+
+void EquivalenceClasses::MergeClass(const ColumnSet& members,
+                                    const std::optional<Value>* constant) {
+  if (!known_.Intersects(members)) {
+    // Disjoint from every class here — the common case at a join, whose
+    // sides cover different tables.
+    classes_.push_back(Class{members, std::nullopt});
+    known_.UnionWith(members);
+    if (constant != nullptr && constant->has_value()) {
+      classes_.back().constant = *constant;
+      constant_columns_.UnionWith(members);
+    }
+    return;
+  }
+  // Fold every class meeting `members` into the first one, then add the
+  // rest of `members` to it.
+  size_t into = classes_.size();
+  for (size_t i = 0; i < classes_.size();) {
+    if (!classes_[i].members.Intersects(members)) {
+      ++i;
+    } else if (into == classes_.size()) {
+      into = i++;
+    } else {
+      Absorb(into, i);  // erases i; `into` precedes it and stays put
+    }
+  }
+  Class& k = classes_[into];
+  k.members.UnionWith(members);
+  known_.UnionWith(members);
+  if (!k.constant.has_value() && constant != nullptr) k.constant = *constant;
+  if (k.constant.has_value()) constant_columns_.UnionWith(k.members);
 }
 
 void EquivalenceClasses::MergeFrom(const EquivalenceClasses& other) {
-  // Re-play other's classes: for each class, equate all members; re-play
-  // constants on heads.
-  for (const auto& [c, _] : other.parent_) {
-    ColumnId head = other.Head(c);
-    if (!(head == c)) AddEquivalence(head, c);
-    std::optional<Value> cv = other.ConstantValue(c);
-    if (cv.has_value()) AddConstant(c, *cv);
+  if (classes_.empty()) {
+    *this = other;
+    return;
   }
+  for (const Class& k : other.classes_) MergeClass(k.members, &k.constant);
 }
 
 void EquivalenceClasses::MergeEquivalencesFrom(
     const EquivalenceClasses& other) {
-  for (const auto& [c, _] : other.parent_) {
-    ColumnId head = other.Head(c);
-    if (!(head == c)) AddEquivalence(head, c);
-  }
+  for (const Class& k : other.classes_) MergeClass(k.members, nullptr);
 }
 
 }  // namespace ordopt

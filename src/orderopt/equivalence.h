@@ -2,7 +2,6 @@
 #define ORDOPT_ORDEROPT_EQUIVALENCE_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/column_id.h"
@@ -18,8 +17,12 @@ namespace ordopt {
 /// ("the equivalence class head is chosen from those columns made
 /// equivalent by predicates already applied to the stream").
 ///
-/// Implemented as a union-find with path compression; constants live on the
-/// root so that after merging {x,y} with x=10, y is constant-bound too.
+/// Kept as a flat vector of classes, each a ColumnSet bitset of its
+/// members, so the head is the bitset's first member, a class test is one
+/// word probe, and copying a stream's classes is one allocation. Constants
+/// live on the class, so after merging {x,y} with x=10, y is constant-bound
+/// too. Const members never mutate, so concurrent readers of a shared
+/// (e.g. plan-cached) instance are safe.
 class EquivalenceClasses {
  public:
   EquivalenceClasses() = default;
@@ -33,16 +36,51 @@ class EquivalenceClasses {
 
   /// Canonical representative of col's class (smallest member). A column
   /// never seen by Add* is its own head.
-  ColumnId Head(const ColumnId& col) const;
+  ColumnId Head(const ColumnId& col) const {
+    const ColumnSet* members = ClassOf(col);
+    return members == nullptr ? col : members->First();
+  }
 
   /// True when the column's class is bound to a constant.
-  bool IsConstant(const ColumnId& col) const;
+  bool IsConstant(const ColumnId& col) const {
+    return constant_columns_.Contains(col);
+  }
 
   /// The binding when IsConstant; nullopt otherwise.
   std::optional<Value> ConstantValue(const ColumnId& col) const;
 
   /// True if a and b are in the same class.
   bool AreEquivalent(const ColumnId& a, const ColumnId& b) const;
+
+  /// The members of col's class; nullptr when col is in no class (its class
+  /// is then {col}).
+  const ColumnSet* ClassOf(const ColumnId& col) const {
+    const Class* k = Find(col);
+    return k == nullptr ? nullptr : &k->members;
+  }
+
+  /// True when some member of col's class is in `set`, i.e. Head(col) is
+  /// among the heads of `set`'s columns.
+  bool ClassMeets(const ColumnId& col, const ColumnSet& set) const {
+    const ColumnSet* members = ClassOf(col);
+    return members == nullptr ? set.Contains(col) : members->Intersects(set);
+  }
+
+  /// The first member of col's class that satisfies `visible` — col itself
+  /// when visible, otherwise the smallest visible equivalent — or nullopt.
+  /// Walks the class bitset without allocating; used wherever an order
+  /// column must be re-expressed in columns a stream actually carries.
+  template <typename Visible>
+  std::optional<ColumnId> VisibleMember(const ColumnId& col,
+                                        Visible&& visible) const {
+    if (visible(col)) return col;
+    const ColumnSet* members = ClassOf(col);
+    if (members == nullptr) return std::nullopt;
+    for (const ColumnId& m : *members) {
+      if (visible(m)) return m;
+    }
+    return std::nullopt;
+  }
 
   /// All known members of col's class (including col itself, even if never
   /// added). Order is deterministic (sorted).
@@ -64,19 +102,31 @@ class EquivalenceClasses {
   void MergeEquivalencesFrom(const EquivalenceClasses& other);
 
  private:
-  // Returns the root of col's tree, inserting col if unseen.
-  ColumnId FindRoot(const ColumnId& col);
-  // Const lookup: root if col known, col itself otherwise.
-  ColumnId FindRootConst(const ColumnId& col) const;
+  struct Class {
+    ColumnSet members;
+    std::optional<Value> constant;
+  };
 
-  // parent_[c] == c for roots. Path compression happens only in the
-  // non-const FindRoot; const lookups never mutate, so concurrent readers
-  // of a shared (e.g. plan-cached) instance are safe.
-  std::unordered_map<ColumnId, ColumnId, ColumnIdHash> parent_;
-  // Root -> smallest member of the class.
-  std::unordered_map<ColumnId, ColumnId, ColumnIdHash> head_;
-  // Root -> bound constant.
-  std::unordered_map<ColumnId, Value, ColumnIdHash> constant_;
+  const Class* Find(const ColumnId& col) const {
+    if (!known_.Contains(col)) return nullptr;
+    for (const Class& k : classes_) {
+      if (k.members.Contains(col)) return &k;
+    }
+    return nullptr;
+  }
+  // Index of col's class, creating the singleton {col} when unseen.
+  size_t ClassIndex(const ColumnId& col);
+  // Folds class `from` into class `into` (from != into) and erases `from`.
+  // When both carry a constant they must agree at runtime; into's is kept.
+  void Absorb(size_t into, size_t from);
+  // Merges the class `members` (bound to `constant` when non-null) into
+  // this partition.
+  void MergeClass(const ColumnSet& members,
+                  const std::optional<Value>* constant);
+
+  std::vector<Class> classes_;
+  ColumnSet known_;             ///< union of all classes
+  ColumnSet constant_columns_;  ///< union of the constant-bound classes
 };
 
 }  // namespace ordopt

@@ -16,22 +16,6 @@ std::string SetToString(const ColumnSet& set, const ColumnNamer& namer) {
   return "{" + Join(parts, ", ") + "}";
 }
 
-// Maps every column of `set` to its equivalence-class head.
-ColumnSet MapToHeads(const ColumnSet& set, const EquivalenceClasses& eq) {
-  ColumnSet out;
-  for (const ColumnId& c : set) out.Add(eq.Head(c));
-  return out;
-}
-
-// Drops constant-bound columns (they are determined by {}).
-ColumnSet DropConstants(const ColumnSet& set, const EquivalenceClasses& eq) {
-  ColumnSet out;
-  for (const ColumnId& c : set) {
-    if (!eq.IsConstant(c)) out.Add(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string FunctionalDependency::ToString(const ColumnNamer& namer) const {
@@ -52,28 +36,41 @@ void FDSet::AddKey(const ColumnSet& key, const ColumnSet& all_columns) {
 
 bool FDSet::Determines(const ColumnSet& b, const ColumnId& c,
                        const EquivalenceClasses& eq) const {
-  ColumnId c_head = eq.Head(c);
-  if (eq.IsConstant(c_head)) return true;  // {} -> {c}
-  ColumnSet b_heads = MapToHeads(b, eq);
-  if (b_heads.Contains(c_head)) return true;  // trivial {c} -> {c}
+  // Everything is modulo equivalence: "Head(x) is among the heads of S" is
+  // ClassMeets(x, S), a word probe of x's class — no head sets are built.
+  if (eq.IsConstant(c)) return true;  // {} -> {c}
+  if (eq.ClassMeets(c, b)) return true;  // trivial {c} -> {c}
   for (const FunctionalDependency& fd : fds_) {
-    ColumnSet head = DropConstants(MapToHeads(fd.head, eq), eq);
-    if (!head.IsSubsetOf(b_heads)) continue;
-    ColumnSet tail = MapToHeads(fd.tail, eq);
-    if (tail.Contains(c_head)) return true;
+    if (!eq.ClassMeets(c, fd.tail)) continue;
+    bool head_in_b = true;
+    for (const ColumnId& h : fd.head) {
+      // Constant-bound head columns are determined by {} and drop out.
+      if (!eq.IsConstant(h) && !eq.ClassMeets(h, b)) {
+        head_in_b = false;
+        break;
+      }
+    }
+    if (head_in_b) return true;
   }
   return false;
 }
 
 ColumnSet FDSet::Closure(const ColumnSet& b,
                          const EquivalenceClasses& eq) const {
-  ColumnSet closure = MapToHeads(b, eq);
+  ColumnSet closure;
+  for (const ColumnId& c : b) closure.Add(eq.Head(c));
   bool changed = true;
   while (changed) {
     changed = false;
     for (const FunctionalDependency& fd : fds_) {
-      ColumnSet head = DropConstants(MapToHeads(fd.head, eq), eq);
-      if (!head.IsSubsetOf(closure)) continue;
+      bool fires = true;
+      for (const ColumnId& h : fd.head) {
+        if (!eq.IsConstant(h) && !closure.Contains(eq.Head(h))) {
+          fires = false;
+          break;
+        }
+      }
+      if (!fires) continue;
       for (const ColumnId& t : fd.tail) {
         ColumnId th = eq.Head(t);
         if (!closure.Contains(th)) {
@@ -88,9 +85,8 @@ ColumnSet FDSet::Closure(const ColumnSet& b,
 
 bool FDSet::DeterminesTransitive(const ColumnSet& b, const ColumnId& c,
                                  const EquivalenceClasses& eq) const {
-  ColumnId c_head = eq.Head(c);
-  if (eq.IsConstant(c_head)) return true;
-  return Closure(b, eq).Contains(c_head);
+  if (eq.IsConstant(c)) return true;
+  return Closure(b, eq).Contains(eq.Head(c));
 }
 
 void FDSet::MergeFrom(const FDSet& other) {

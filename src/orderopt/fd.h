@@ -11,7 +11,8 @@
 namespace ordopt {
 
 /// A functional dependency head -> tail (§4.1): any two records agreeing on
-/// every head column also agree on every tail column. Keys are stored as
+/// every head column also agree on every tail column. Head and tail are
+/// ColumnSet bitsets, so the membership tests below are word operations. Keys are stored as
 /// FDs whose tail is the full column list of their stream; `col = const`
 /// predicates are *not* stored here — they live in EquivalenceClasses and
 /// are treated as empty-headed FDs by the membership tests.

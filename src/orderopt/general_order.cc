@@ -45,8 +45,8 @@ ColumnSet EffectiveColumns(const GeneralOrderSpec::Group& group,
                            const OrderContext& ctx, PinMap* pins) {
   ColumnSet out;
   for (const GeneralOrderSpec::Element& e : group.elements) {
-    ColumnId head = ctx.eq.Head(e.col);
-    if (ctx.eq.IsConstant(head)) continue;
+    ColumnId head = ctx.eq->Head(e.col);
+    if (ctx.eq->IsConstant(head)) continue;
     out.Add(head);
     if (e.fixed_dir.has_value() && pins != nullptr) {
       pins->emplace(head, *e.fixed_dir);
@@ -120,7 +120,7 @@ std::optional<OrderSpec> GeneralOrderSpec::CoverConcrete(
   };
 
   for (const OrderElement& e : c) {
-    ColumnId head = ctx.eq.Head(e.col);
+    ColumnId head = ctx.eq->Head(e.col);
     bool placed = false;
     while (!placed) {
       if (remaining.Contains(head)) {

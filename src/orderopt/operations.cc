@@ -10,45 +10,36 @@ OrderSpec ReduceOrder(const OrderSpec& spec, const OrderContext& ctx) {
 
 OrderSpec ReduceOrder(const OrderSpec& spec, const OrderContext& ctx,
                       std::vector<ReduceStep>* steps) {
-  // Step 1 (Figure 2, line 1): rewrite every column as its equivalence-class
-  // head, keeping the requested direction.
-  std::vector<OrderElement> elems;
-  elems.reserve(spec.size());
-  for (const OrderElement& e : spec) {
-    elems.emplace_back(ctx.eq.Head(e.col), e.dir);
-  }
-
-  // Step 2 (lines 2-8): scan backwards; remove c_i when the columns that
-  // precede it functionally determine it. Scanning backwards means the
-  // preceding set B always reflects columns still present.
-  std::vector<bool> removed(elems.size(), false);
-  for (size_t i = elems.size(); i-- > 0;) {
-    ColumnSet preceding;
-    for (size_t j = 0; j < i; ++j) preceding.Add(elems[j].col);
-    if (ctx.Determines(preceding, elems[i].col)) removed[i] = true;
-  }
-
   if (steps != nullptr) {
     steps->clear();
-    steps->reserve(elems.size());
-    for (size_t i = 0; i < elems.size(); ++i) {
+    steps->reserve(spec.size());
+  }
+  // Figure 2: rewrite every column as its equivalence-class head, keeping
+  // the requested direction (line 1), and remove c_i when the columns that
+  // precede it functionally determine it (lines 2-8). The paper scans
+  // backwards so that B holds columns still present; B is every earlier
+  // head whether or not it was itself removed, so a forward scan growing B
+  // one column at a time decides exactly the same removals.
+  OrderSpec out;
+  ColumnSet preceding;
+  for (const OrderElement& e : spec) {
+    ColumnId head = ctx.eq->Head(e.col);
+    bool removed = ctx.Determines(preceding, head);
+    preceding.Add(head);
+    if (!removed) out.Append(OrderElement(head, e.dir));
+    if (steps != nullptr) {
       ReduceStep step;
-      step.original = spec.at(i).col;
-      step.column = elems[i].col;
-      if (removed[i]) {
+      step.original = e.col;
+      step.column = head;
+      if (removed) {
         step.action = ReduceStep::Action::kRemovedDetermined;
-      } else if (elems[i].col != spec.at(i).col) {
+      } else if (head != e.col) {
         step.action = ReduceStep::Action::kHeadSubstituted;
       } else {
         step.action = ReduceStep::Action::kKept;
       }
       steps->push_back(step);
     }
-  }
-
-  OrderSpec out;
-  for (size_t i = 0; i < elems.size(); ++i) {
-    if (!removed[i]) out.Append(elems[i]);
   }
   return out;
 }
@@ -78,14 +69,23 @@ namespace {
 std::optional<ColumnId> SubstituteColumn(const ColumnId& col,
                                          const ColumnSet& targets,
                                          const EquivalenceClasses& eq) {
-  if (targets.Contains(col)) return col;
-  for (const ColumnId& member : eq.ClassMembers(col)) {  // sorted
-    if (targets.Contains(member)) return member;
-  }
-  return std::nullopt;
+  return eq.VisibleMember(
+      col, [&](const ColumnId& m) { return targets.Contains(m); });
+}
+
+const EquivalenceClasses& NoClasses() {
+  static const EquivalenceClasses empty;
+  return empty;
+}
+
+const FDSet& NoFds() {
+  static const FDSet empty;
+  return empty;
 }
 
 }  // namespace
+
+OrderContext::OrderContext() : eq(&NoClasses()), fds(&NoFds()) {}
 
 std::optional<OrderSpec> HomogenizeOrder(
     const OrderSpec& spec, const ColumnSet& target_columns,

@@ -12,9 +12,21 @@ namespace ordopt {
 /// The data-property context an order specification is interpreted in: the
 /// equivalence classes and constant bindings from predicates applied to the
 /// stream, plus the stream's functional dependencies (§4.1).
+///
+/// A context *borrows* them: it points at the classes and FDs of the
+/// property bundle (PlanProperties::Context) or OrderFacts it came from and
+/// must not outlive that owner. Building one copies two pointers, so the
+/// planner's per-candidate Test/Reduce calls cost what the operations
+/// themselves cost. A default-constructed context is the empty one.
 struct OrderContext {
-  EquivalenceClasses eq;
-  FDSet fds;
+  OrderContext();
+  OrderContext(const EquivalenceClasses& classes, const FDSet& deps,
+               bool transitive = false, uint64_t identity = 0)
+      : eq(&classes), fds(&deps), transitive_fds(transitive),
+        epoch(identity) {}
+
+  const EquivalenceClasses* eq;
+  const FDSet* fds;
 
   /// When true, redundant-column tests use the transitive closure of the
   /// FDs instead of the paper's single-FD subset test. The paper's DB2
@@ -31,9 +43,25 @@ struct OrderContext {
   uint64_t epoch = 0;
 
   bool Determines(const ColumnSet& b, const ColumnId& c) const {
-    return transitive_fds ? fds.DeterminesTransitive(b, c, eq)
-                          : fds.Determines(b, c, eq);
+    return transitive_fds ? fds->DeterminesTransitive(b, c, *eq)
+                          : fds->Determines(b, c, *eq);
   }
+};
+
+/// Owned classes and FDs for contexts that no PlanProperties bundle holds:
+/// the order scan's optimistic per-box contexts, and tests. Converts to an
+/// OrderContext borrowing it, so it can be passed wherever a context is
+/// expected; the context must not outlive it.
+struct OrderFacts {
+  EquivalenceClasses eq;
+  FDSet fds;
+  bool transitive_fds = false;
+  uint64_t epoch = 0;
+
+  OrderContext Context() const {
+    return OrderContext(eq, fds, transitive_fds, epoch);
+  }
+  operator OrderContext() const { return Context(); }
 };
 
 /// What Reduce Order did to one element of the input specification; used

@@ -40,22 +40,51 @@ class ReduceCache {
   int64_t misses() const { return misses_; }
 
  private:
+  // The cached result for (ctx.epoch, ctx.transitive_fds, spec), computed
+  // on a miss. Requires ctx.epoch != 0. Entries are never erased, so the
+  // reference stays valid for the cache's lifetime.
+  const OrderSpec& Lookup(const OrderSpec& spec, const OrderContext& ctx);
+
   struct Key {
     uint64_t epoch;
     bool transitive;
     OrderSpec spec;
-
-    friend bool operator==(const Key&, const Key&) = default;
   };
+  // A lookup key that borrows the specification, so a probe builds no
+  // owning Key (heterogeneous lookup); hashing and equality see both kinds
+  // through it.
+  struct Probe {
+    uint64_t epoch;
+    bool transitive;
+    const OrderSpec* spec;
+  };
+  static Probe AsProbe(const Key& k) {
+    return Probe{k.epoch, k.transitive, &k.spec};
+  }
+  static Probe AsProbe(const Probe& p) { return p; }
+
   struct KeyHash {
-    size_t operator()(const Key& k) const {
-      size_t h = OrderSpecHash{}(k.spec);
-      h ^= k.epoch + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return h * 2 + (k.transitive ? 1 : 0);
+    using is_transparent = void;
+    template <typename K>
+    size_t operator()(const K& key) const {
+      Probe p = AsProbe(key);
+      size_t h = OrderSpecHash{}(*p.spec);
+      h ^= p.epoch + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      return h * 2 + (p.transitive ? 1 : 0);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      Probe x = AsProbe(a);
+      Probe y = AsProbe(b);
+      return x.epoch == y.epoch && x.transitive == y.transitive &&
+             *x.spec == *y.spec;
     }
   };
 
-  std::unordered_map<Key, OrderSpec, KeyHash> entries_;
+  std::unordered_map<Key, OrderSpec, KeyHash, KeyEq> entries_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

@@ -13,24 +13,16 @@ std::atomic<uint64_t> g_next_epoch{1};
 }  // namespace
 
 OrderContext PlanProperties::Context(bool transitive_fds) const {
-  uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+  uint64_t epoch = epoch_.load();
   if (epoch == 0) {
     // First stamp wins: concurrent callers racing on an unstamped bundle
     // CAS a fresh epoch in, and the losers adopt the winner's value so
     // every thread sees one identity for this content.
     uint64_t fresh = g_next_epoch.fetch_add(1, std::memory_order_relaxed);
-    if (epoch_.compare_exchange_strong(epoch, fresh,
-                                       std::memory_order_relaxed)) {
-      epoch = fresh;
-    }
+    if (epoch_.compare_exchange(epoch, fresh)) epoch = fresh;
     // On failure compare_exchange loaded the winner's epoch into `epoch`.
   }
-  OrderContext ctx;
-  ctx.eq = eq_;
-  ctx.fds = fds_;
-  ctx.transitive_fds = transitive_fds;
-  ctx.epoch = epoch;
-  return ctx;
+  return OrderContext(eq_, fds_, transitive_fds, epoch);
 }
 
 std::string PlanProperties::ToString(const ColumnNamer& namer) const {
@@ -205,19 +197,10 @@ PlanProperties ProjectProperties(const PlanProperties& input,
   // visible equivalent.
   OrderSpec truncated;
   for (const OrderElement& e : input.order) {
-    if (visible.Contains(e.col)) {
-      truncated.Append(e);
-      continue;
-    }
-    bool substituted = false;
-    for (const ColumnId& member : input.eq().ClassMembers(e.col)) {
-      if (visible.Contains(member)) {
-        truncated.Append(OrderElement(member, e.dir));
-        substituted = true;
-        break;
-      }
-    }
-    if (!substituted) break;
+    std::optional<ColumnId> member = input.eq().VisibleMember(
+        e.col, [&](const ColumnId& m) { return visible.Contains(m); });
+    if (!member.has_value()) break;
+    truncated.Append(OrderElement(*member, e.dir));
   }
   props.order = truncated;
   return props;

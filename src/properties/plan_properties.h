@@ -17,6 +17,30 @@
 
 namespace ordopt {
 
+/// A relaxed atomic epoch that copies by value, so a struct holding one keeps
+/// its implicit copy and move members. Copies load and store relaxed: they
+/// transfer an identity, not a happens-before edge.
+class RelaxedEpoch {
+ public:
+  RelaxedEpoch() = default;
+  RelaxedEpoch(const RelaxedEpoch& o) : value_(o.load()) {}
+  RelaxedEpoch& operator=(const RelaxedEpoch& o) {
+    store(o.load());
+    return *this;
+  }
+
+  uint64_t load() const { return value_.load(std::memory_order_relaxed); }
+  void store(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
+  /// On failure, loads the current value into `expected`.
+  bool compare_exchange(uint64_t& expected, uint64_t desired) {
+    return value_.compare_exchange_strong(expected, desired,
+                                          std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+};
+
 /// The unified property bundle of one candidate plan (§3, §5.2.1): the
 /// visible columns, the physical order, the equivalence classes and
 /// constants implied by applied predicates, the functional dependencies,
@@ -35,52 +59,6 @@ namespace ordopt {
 class PlanProperties {
  public:
   PlanProperties() = default;
-  // The epoch is an atomic (lazy stamping may race between threads reading
-  // a shared plan), which deletes the implicit copy/move members; copies
-  // transfer the stamped value — same content, same identity.
-  PlanProperties(const PlanProperties& o)
-      : columns(o.columns),
-        order(o.order),
-        keys(o.keys),
-        cardinality(o.cardinality),
-        cost(o.cost),
-        eq_(o.eq_),
-        fds_(o.fds_),
-        epoch_(o.epoch_.load(std::memory_order_relaxed)) {}
-  PlanProperties(PlanProperties&& o) noexcept
-      : columns(std::move(o.columns)),
-        order(std::move(o.order)),
-        keys(std::move(o.keys)),
-        cardinality(o.cardinality),
-        cost(o.cost),
-        eq_(std::move(o.eq_)),
-        fds_(std::move(o.fds_)),
-        epoch_(o.epoch_.load(std::memory_order_relaxed)) {}
-  PlanProperties& operator=(const PlanProperties& o) {
-    if (this == &o) return *this;
-    columns = o.columns;
-    order = o.order;
-    keys = o.keys;
-    cardinality = o.cardinality;
-    cost = o.cost;
-    eq_ = o.eq_;
-    fds_ = o.fds_;
-    epoch_.store(o.epoch_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
-  PlanProperties& operator=(PlanProperties&& o) noexcept {
-    columns = std::move(o.columns);
-    order = std::move(o.order);
-    keys = std::move(o.keys);
-    cardinality = o.cardinality;
-    cost = o.cost;
-    eq_ = std::move(o.eq_);
-    fds_ = std::move(o.fds_);
-    epoch_.store(o.epoch_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
 
   ColumnSet columns;
   OrderSpec order;  ///< physical order; originates from index or sort
@@ -95,17 +73,19 @@ class PlanProperties {
   /// context identity — call once and batch edits rather than interleaving
   /// with Context().
   EquivalenceClasses& mutable_eq() {
-    epoch_.store(0, std::memory_order_relaxed);
+    epoch_.store(0);
     return eq_;
   }
   FDSet& mutable_fds() {
-    epoch_.store(0, std::memory_order_relaxed);
+    epoch_.store(0);
     return fds_;
   }
 
   /// The reduction context for order operations over this stream, carrying
   /// the epoch that keys the ReduceCache. Lazily assigns a fresh epoch when
-  /// the current content has none yet.
+  /// the current content has none yet. The context borrows this bundle's
+  /// classes and FDs: it must not outlive the bundle, and the bundle must
+  /// not be mutated while it is in use.
   OrderContext Context(bool transitive_fds = false) const;
 
   /// One-record streams satisfy every order (§5.2.1).
@@ -119,8 +99,9 @@ class PlanProperties {
   /// Context identity of the current (eq_, fds_) content; 0 = unstamped.
   /// Mutable: stamping happens inside const Context(). Atomic with a CAS
   /// stamp so concurrent Context() calls on a shared (e.g. plan-cached)
-  /// property bundle agree on one epoch without a data race.
-  mutable std::atomic<uint64_t> epoch_{0};
+  /// property bundle agree on one epoch without a data race; copies carry
+  /// the stamped value (same content, same identity).
+  mutable RelaxedEpoch epoch_;
 };
 
 /// Properties of a base-table access with instance id `table_id`: columns,

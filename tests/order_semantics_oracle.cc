@@ -19,7 +19,7 @@ bool TupleConsistent(const std::vector<ColumnId>& columns,
                      const std::vector<int64_t>& tuple,
                      const OrderContext& ctx) {
   for (size_t i = 0; i < columns.size(); ++i) {
-    std::optional<Value> constant = ctx.eq.ConstantValue(columns[i]);
+    std::optional<Value> constant = ctx.eq->ConstantValue(columns[i]);
     if (constant.has_value()) {
       if (constant->type() != DataType::kInt64 ||
           constant->AsInt() != tuple[i]) {
@@ -27,7 +27,7 @@ bool TupleConsistent(const std::vector<ColumnId>& columns,
       }
     }
     for (size_t j = i + 1; j < columns.size(); ++j) {
-      if (ctx.eq.AreEquivalent(columns[i], columns[j]) &&
+      if (ctx.eq->AreEquivalent(columns[i], columns[j]) &&
           tuple[i] != tuple[j]) {
         return false;
       }
@@ -43,7 +43,7 @@ bool TupleConsistent(const std::vector<ColumnId>& columns,
 bool PairSatisfiesFds(const std::vector<ColumnId>& columns,
                       const std::vector<int64_t>& a,
                       const std::vector<int64_t>& b, const OrderContext& ctx) {
-  for (const FunctionalDependency& fd : ctx.fds.fds()) {
+  for (const FunctionalDependency& fd : ctx.fds->fds()) {
     bool heads_agree = true;
     bool heads_observable = true;
     for (const ColumnId& h : fd.head) {
@@ -217,9 +217,8 @@ std::vector<std::string> VerifyOperationSemantics(
   // hold, ordered-by-homogenization implies ordered-by-original. The
   // domain is rebuilt under the future context — homogenization's whole
   // point is substituting through equivalences not yet applied.
-  OrderContext future = ctx;
+  OrderFacts future{*ctx.eq, *ctx.fds, ctx.transitive_fds};
   future.eq.MergeEquivalencesFrom(substitution_eq);
-  future.epoch = 0;
   SemanticsDomain future_domain =
       BuildSemanticsDomain(columns, future, value_count);
   for (const OrderSpec& spec : specs) {

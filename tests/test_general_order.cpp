@@ -19,7 +19,7 @@ TEST(GeneralOrder, AnyPermutationSatisfiesGrouping) {
   // §7: GROUP BY x, y, z is satisfied by (x,y,z), (y,z,x), ... in any
   // direction mix — sixteen concrete orders, one general order.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay, az});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax}, {ay}, {az}}, ctx));
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ay}, {az}, {ax}}, ctx));
   EXPECT_TRUE(g.Satisfies(
@@ -33,7 +33,7 @@ TEST(GeneralOrder, AllPermutationsAndDirectionsExhaustively) {
   // direction mix. Check the full 3! x 2^3 = 48 concrete orders of a
   // three-column grouping.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay, az});
-  OrderContext ctx;
+  OrderFacts ctx;
   ColumnId cols[3] = {ax, ay, az};
   int perms[6][3] = {{0, 1, 2}, {0, 2, 1}, {1, 0, 2},
                      {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
@@ -54,7 +54,7 @@ TEST(GeneralOrder, AllPermutationsAndDirectionsExhaustively) {
 
 TEST(GeneralOrder, MissingColumnNotSatisfied) {
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay, az});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(g.Satisfies(OrderSpec{{ax}, {ay}}, ctx));
   EXPECT_FALSE(g.Satisfies(OrderSpec(), ctx));
 }
@@ -62,21 +62,21 @@ TEST(GeneralOrder, MissingColumnNotSatisfied) {
 TEST(GeneralOrder, ForeignColumnInsidePrefixBreaksGrouping) {
   // (x, w, y, z): w splits groups of {x, y, z} apart.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay, az});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(g.Satisfies(OrderSpec{{ax}, {aw}, {ay}, {az}}, ctx));
 }
 
 TEST(GeneralOrder, ForeignColumnDeterminedByGroupIsHarmless) {
   // With {x} -> {w}, order (x, w, y, z) keeps {x,y,z} groups contiguous.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay, az});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{aw});
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax}, {aw}, {ay}, {az}}, ctx));
 }
 
 TEST(GeneralOrder, ConstantGroupColumnNotNeeded) {
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddConstant(ax, Value::Int(1));
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ay}}, ctx));
 }
@@ -86,14 +86,14 @@ TEST(GeneralOrder, FdDeterminedGroupColumnNotNeeded) {
   // grouping on l_orderkey, o_orderdate, o_shippriority satisfied by an
   // o_orderkey sort).
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{ay});
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax}}, ctx));
 }
 
 TEST(GeneralOrder, EquivalentColumnSubstitutes) {
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({bx});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddEquivalence(ax, bx);
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax}}, ctx));
 }
@@ -103,7 +103,7 @@ TEST(GeneralOrder, SequencedGroupsMustComeInOrder) {
   g.AppendGroup({{GeneralOrderSpec::Element(ax)}});
   g.AppendGroup({{GeneralOrderSpec::Element(ay),
                   GeneralOrderSpec::Element(az)}});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax}, {az}, {ay}}, ctx));
   EXPECT_FALSE(g.Satisfies(OrderSpec{{ay}, {ax}, {az}}, ctx));
 }
@@ -112,14 +112,14 @@ TEST(GeneralOrder, PinnedDirectionEnforced) {
   GeneralOrderSpec g;
   g.AppendGroup(
       {{GeneralOrderSpec::Element(ax, SortDirection::kDescending)}});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_TRUE(g.Satisfies(OrderSpec{{ax, SortDirection::kDescending}}, ctx));
   EXPECT_FALSE(g.Satisfies(OrderSpec{{ax, SortDirection::kAscending}}, ctx));
 }
 
 TEST(GeneralOrder, DefaultSortSpecSatisfiesItself) {
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({az, ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{ay});
   OrderSpec sort = g.DefaultSortSpec(ctx);
   EXPECT_TRUE(g.Satisfies(sort, ctx));
@@ -130,7 +130,7 @@ TEST(GeneralOrder, DefaultSortSpecSatisfiesItself) {
 TEST(GeneralOrderCover, GroupByWithOrderByPrefix) {
   // GROUP BY x, y + ORDER BY y: one sort (y, x) serves both.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   auto cover = g.CoverConcrete(OrderSpec{{ay}}, ctx);
   ASSERT_TRUE(cover.has_value());
   EXPECT_EQ(*cover, (OrderSpec{{ay}, {ax}}));
@@ -139,7 +139,7 @@ TEST(GeneralOrderCover, GroupByWithOrderByPrefix) {
 
 TEST(GeneralOrderCover, OrderByDescWorks) {
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   auto cover =
       g.CoverConcrete(OrderSpec{{ay, SortDirection::kDescending}}, ctx);
   ASSERT_TRUE(cover.has_value());
@@ -154,7 +154,7 @@ TEST(GeneralOrderCover, AggregateLeadingOrderByCannotBeCovered) {
   // by can serve both.
   const ColumnId rev(9, 0);
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(
       g.CoverConcrete(OrderSpec{{rev, SortDirection::kDescending}, {ax}}, ctx)
           .has_value());
@@ -164,7 +164,7 @@ TEST(GeneralOrderCover, TrailingOrderByColumnsAppended) {
   // GROUP BY x + ORDER BY x, w: sort (x, w) serves both (w refines within
   // groups).
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax});
-  OrderContext ctx;
+  OrderFacts ctx;
   auto cover = g.CoverConcrete(OrderSpec{{ax}, {aw}}, ctx);
   ASSERT_TRUE(cover.has_value());
   EXPECT_EQ(*cover, (OrderSpec{{ax}, {aw}}));
@@ -174,14 +174,14 @@ TEST(GeneralOrderCover, InterleavedForeignColumnFails) {
   // GROUP BY x, y + ORDER BY x, w, y: w is needed before the group is
   // exhausted -> impossible.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(g.CoverConcrete(OrderSpec{{ax}, {aw}, {ay}}, ctx).has_value());
 }
 
 TEST(GeneralOrderCover, DeterminedOrderByColumnSkipped) {
   // GROUP BY x, y + ORDER BY x, w where {x} -> {w}: w is redundant after x.
   GeneralOrderSpec g = GeneralOrderSpec::ForGrouping({ax, ay});
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{aw});
   auto cover = g.CoverConcrete(OrderSpec{{ax}, {aw}}, ctx);
   ASSERT_TRUE(cover.has_value());
@@ -205,7 +205,7 @@ TEST_P(GeneralOrderProperty, SatisfiesImpliesContiguousGroups) {
   int n = static_cast<int>(rng.Uniform(10, 60));
   std::vector<std::vector<int64_t>> rows(static_cast<size_t>(n),
                                          std::vector<int64_t>(kCols));
-  OrderContext ctx;
+  OrderFacts ctx;
   bool fd = rng.Chance(0.5);
   for (auto& row : rows) {
     for (int c = 0; c < kCols; ++c) {

@@ -21,7 +21,7 @@ TEST(TestOrder, NaiveFailureFixedByConstant) {
   // with x = 10 applied, I reduces to (y) and is satisfied.
   OrderSpec interesting{{ax}, {ay}};
   OrderSpec property{{ay}};
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(TestOrder(interesting, property, ctx));
   ctx.eq.AddConstant(ax, Value::Int(10));
   EXPECT_TRUE(TestOrder(interesting, property, ctx));
@@ -31,7 +31,7 @@ TEST(TestOrder, EquivalenceExample) {
   // §4.1: I = (x, z), OP = (y, z) with x = y applied: satisfied.
   OrderSpec interesting{{ax}, {az}};
   OrderSpec property{{ay}, {az}};
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(TestOrder(interesting, property, ctx));
   ctx.eq.AddEquivalence(ax, ay);
   EXPECT_TRUE(TestOrder(interesting, property, ctx));
@@ -41,14 +41,14 @@ TEST(TestOrder, KeyExample) {
   // §4.1: I = (x, y), OP = (x, z) with x a key: both reduce to (x).
   OrderSpec interesting{{ax}, {ay}};
   OrderSpec property{{ax}, {az}};
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(TestOrder(interesting, property, ctx));
   ctx.fds.AddKey(ColumnSet{ax}, ColumnSet{ax, ay, az});
   EXPECT_TRUE(TestOrder(interesting, property, ctx));
 }
 
 TEST(TestOrder, EmptyInterestingOrderAlwaysSatisfied) {
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_TRUE(TestOrder(OrderSpec(), OrderSpec(), ctx));
   EXPECT_TRUE(TestOrder(OrderSpec(), OrderSpec{{ax}}, ctx));
 }
@@ -56,14 +56,14 @@ TEST(TestOrder, EmptyInterestingOrderAlwaysSatisfied) {
 TEST(TestOrder, DirectionMismatchNotSatisfied) {
   OrderSpec interesting{{ax, SortDirection::kDescending}};
   OrderSpec property{{ax, SortDirection::kAscending}};
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(TestOrder(interesting, property, ctx));
   EXPECT_TRUE(TestOrder(interesting,
                         OrderSpec{{ax, SortDirection::kDescending}}, ctx));
 }
 
 TEST(TestOrder, PrefixSemantics) {
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_TRUE(TestOrder(OrderSpec{{ax}}, OrderSpec{{ax}, {ay}}, ctx));
   EXPECT_FALSE(TestOrder(OrderSpec{{ax}, {ay}}, OrderSpec{{ax}}, ctx));
   EXPECT_FALSE(TestOrder(OrderSpec{{ay}}, OrderSpec{{ax}, {ay}}, ctx));
@@ -75,7 +75,7 @@ TEST(TestOrder, PrefixSemantics) {
 
 TEST(CoverOrder, SimplePrefixCover) {
   // §4.3: cover of (z) and (z, y) is (z, y).
-  OrderContext ctx;
+  OrderFacts ctx;
   auto cover = CoverOrder(OrderSpec{{az}}, OrderSpec{{az}, {ay}}, ctx);
   ASSERT_TRUE(cover.has_value());
   EXPECT_EQ(*cover, (OrderSpec{{az}, {ay}}));
@@ -83,7 +83,7 @@ TEST(CoverOrder, SimplePrefixCover) {
 
 TEST(CoverOrder, NoCoverWithoutReduction) {
   // §4.3: no cover for (y, z) and (x, y, z)...
-  OrderContext ctx;
+  OrderFacts ctx;
   EXPECT_FALSE(
       CoverOrder(OrderSpec{{ay}, {az}}, OrderSpec{{ax}, {ay}, {az}}, ctx)
           .has_value());
@@ -92,7 +92,7 @@ TEST(CoverOrder, NoCoverWithoutReduction) {
 TEST(CoverOrder, CoverEnabledByConstantReduction) {
   // ...but with x = 10 applied, they reduce to (y, z) and (y, z): cover
   // (y, z).
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddConstant(ax, Value::Int(10));
   auto cover =
       CoverOrder(OrderSpec{{ay}, {az}}, OrderSpec{{ax}, {ay}, {az}}, ctx);
@@ -101,7 +101,7 @@ TEST(CoverOrder, CoverEnabledByConstantReduction) {
 }
 
 TEST(CoverOrder, OrderOfArgumentsIrrelevant) {
-  OrderContext ctx;
+  OrderFacts ctx;
   auto c1 = CoverOrder(OrderSpec{{az}, {ay}}, OrderSpec{{az}}, ctx);
   auto c2 = CoverOrder(OrderSpec{{az}}, OrderSpec{{az}, {ay}}, ctx);
   ASSERT_TRUE(c1.has_value());
@@ -111,7 +111,7 @@ TEST(CoverOrder, OrderOfArgumentsIrrelevant) {
 
 TEST(CoverOrder, CoverSatisfiesBothInputs) {
   // Contract: any order property satisfying the cover satisfies both.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddConstant(ax, Value::Int(1));
   OrderSpec i1{{ay}};
   OrderSpec i2{{ax}, {ay}, {az}};
@@ -130,7 +130,7 @@ TEST(HomogenizeOrder, PaperJoinExample) {
   // table b's columns yields (b.x, b.y).
   EquivalenceClasses future;
   future.AddEquivalence(ax, bx);
-  OrderContext ctx;  // nothing applied yet on the base stream
+  OrderFacts ctx;  // nothing applied yet on the base stream
   ColumnSet b_cols{bx, by};
   auto hom = HomogenizeOrder(OrderSpec{{ax}, {by}}, b_cols, future, ctx);
   ASSERT_TRUE(hom.has_value());
@@ -141,7 +141,7 @@ TEST(HomogenizeOrder, FailsWhenColumnUnavailable) {
   // §4.4: (a.x, b.y) cannot be homogenized to table a (b.y unavailable).
   EquivalenceClasses future;
   future.AddEquivalence(ax, bx);
-  OrderContext ctx;
+  OrderFacts ctx;
   ColumnSet a_cols{ax, ay};
   EXPECT_FALSE(
       HomogenizeOrder(OrderSpec{{ax}, {by}}, a_cols, future, ctx).has_value());
@@ -152,7 +152,7 @@ TEST(HomogenizeOrder, KeyFdEnablesFullPushdown) {
   // reduces to (a.x), which homogenizes to table a.
   EquivalenceClasses future;
   future.AddEquivalence(ax, bx);
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{by});
   ColumnSet a_cols{ax, ay};
   auto hom = HomogenizeOrder(OrderSpec{{ax}, {by}}, a_cols, future, ctx);
@@ -165,7 +165,7 @@ TEST(HomogenizeOrder, PrefixVariantReturnsLargestPrefix) {
   // is pushed.
   EquivalenceClasses future;
   future.AddEquivalence(ax, bx);
-  OrderContext ctx;
+  OrderFacts ctx;
   ColumnSet a_cols{ax, ay};
   OrderSpec prefix =
       HomogenizeOrderPrefix(OrderSpec{{bx}, {by}, {ay}}, a_cols, future, ctx);
@@ -177,7 +177,7 @@ TEST(HomogenizeOrder, UsesFutureEquivalences) {
   // reduction (ctx) must not.
   EquivalenceClasses future;
   future.AddEquivalence(ay, by);
-  OrderContext ctx;  // a.y = b.y not applied
+  OrderFacts ctx;  // a.y = b.y not applied
   ColumnSet b_cols{bx, by};
   auto hom = HomogenizeOrder(OrderSpec{{ay}}, b_cols, future, ctx);
   ASSERT_TRUE(hom.has_value());
@@ -186,7 +186,7 @@ TEST(HomogenizeOrder, UsesFutureEquivalences) {
 
 TEST(HomogenizeOrder, TargetColumnKeptWhenAlreadyInTargets) {
   EquivalenceClasses future;
-  OrderContext ctx;
+  OrderFacts ctx;
   ColumnSet targets{ax, ay};
   auto hom = HomogenizeOrder(OrderSpec{{ax}, {ay}}, targets, future, ctx);
   ASSERT_TRUE(hom.has_value());
@@ -263,7 +263,7 @@ TEST(HomogenizeOrder, OuterJoinNullSupplyingSideDoesNotSubstitute) {
 TEST(HomogenizeOrder, DirectionSurvivesSubstitution) {
   EquivalenceClasses future;
   future.AddEquivalence(ax, bx);
-  OrderContext ctx;
+  OrderFacts ctx;
   ColumnSet b_cols{bx, by};
   auto hom = HomogenizeOrder(OrderSpec{{ax, SortDirection::kDescending}},
                              b_cols, future, ctx);

@@ -160,7 +160,7 @@ TEST_F(OrderScanTest, EquivalenceHomogenizationAcrossJoin) {
   ASSERT_GE(info.sort_ahead.size(), 1u);
   // The optimistic context knows a.x = b.x: TestOrder accepts a b.x order
   // for the (a.x) interesting order.
-  OrderSpec b_order{{info.optimistic_ctx.eq.ClassMembers(
+  OrderSpec b_order{{info.optimistic_ctx.eq->ClassMembers(
       info.sort_ahead[0].at(0).col)[1]}};
   EXPECT_TRUE(TestOrder(info.sort_ahead[0], b_order, info.optimistic_ctx));
 }

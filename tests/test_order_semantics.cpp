@@ -18,7 +18,7 @@ ColumnId Col(int i) { return ColumnId(0, i); }
 
 struct RandomScenario {
   std::vector<ColumnId> columns;
-  OrderContext ctx;
+  OrderFacts ctx;
   std::vector<OrderSpec> specs;
   ColumnSet targets;
   EquivalenceClasses substitution_eq;
@@ -101,7 +101,7 @@ TEST(OrderSemanticsOracle, RandomContextsSatisfyContracts) {
 // (a=b), constant (e=1), and an FD ({a} -> {c}).
 TEST(OrderSemanticsOracle, CanonicalExampleContext) {
   std::vector<ColumnId> columns = {Col(0), Col(1), Col(2), Col(3), Col(4)};
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddEquivalence(Col(0), Col(1));
   ctx.eq.AddConstant(Col(4), Value::Int(1));
   ctx.fds.Add(ColumnSet{Col(0)}, ColumnSet{Col(2)});
@@ -123,7 +123,7 @@ TEST(OrderSemanticsOracle, CanonicalExampleContext) {
 // two-column domain differently; implication and equivalence checks both
 // have to produce counterexamples, or the random sweep proves nothing.
 TEST(OrderSemanticsOracle, CheckersHaveTeeth) {
-  OrderContext empty_ctx;
+  OrderFacts empty_ctx;
   SemanticsDomain domain = BuildSemanticsDomain({Col(0), Col(1)}, empty_ctx,
                                                 /*value_count=*/2);
   ASSERT_EQ(domain.tuples.size(), 4u);
@@ -143,7 +143,7 @@ TEST(OrderSemanticsOracle, CheckersHaveTeeth) {
 
   // Domain construction honors the context: with a=b only the diagonal
   // tuples survive, and an FD {a}->{b} thins pairs the same way.
-  OrderContext eq_ctx;
+  OrderFacts eq_ctx;
   eq_ctx.eq.AddEquivalence(Col(0), Col(1));
   SemanticsDomain eq_domain = BuildSemanticsDomain({Col(0), Col(1)}, eq_ctx,
                                                    2);

@@ -11,8 +11,8 @@ namespace {
 
 // A context where y is equivalent to x (head x), k is constant, and
 // {x} -> {z}: reduce((y, k, z)) = (x).
-OrderContext MakeContext(uint64_t epoch) {
-  OrderContext ctx;
+OrderFacts MakeContext(uint64_t epoch) {
+  OrderFacts ctx;
   ctx.eq.AddEquivalence({0, 0}, {0, 1});          // x = y
   ctx.eq.AddConstant({0, 3}, Value::Int(5));      // k = 5
   ctx.fds.Add(ColumnSet{{0, 0}}, ColumnSet{{0, 2}});  // {x} -> {z}
@@ -24,7 +24,7 @@ const OrderSpec kYKZ{{ColumnId(0, 1)}, {ColumnId(0, 3)}, {ColumnId(0, 2)}};
 
 TEST(ReduceCache, MatchesUncachedReduction) {
   ReduceCache cache;
-  OrderContext ctx = MakeContext(7);
+  OrderFacts ctx = MakeContext(7);
   OrderSpec expected = ReduceOrder(kYKZ, ctx);
   EXPECT_EQ(cache.Reduce(kYKZ, ctx), expected);
   // Second call returns the identical memoized spec.
@@ -35,7 +35,7 @@ TEST(ReduceCache, MatchesUncachedReduction) {
 
 TEST(ReduceCache, EpochZeroBypasses) {
   ReduceCache cache;
-  OrderContext ctx = MakeContext(0);
+  OrderFacts ctx = MakeContext(0);
   OrderSpec expected = ReduceOrder(kYKZ, ctx);
   EXPECT_EQ(cache.Reduce(kYKZ, ctx), expected);
   EXPECT_EQ(cache.Reduce(kYKZ, ctx), expected);
@@ -45,10 +45,10 @@ TEST(ReduceCache, EpochZeroBypasses) {
 
 TEST(ReduceCache, DistinctEpochsDoNotCollide) {
   ReduceCache cache;
-  OrderContext rich = MakeContext(1);
+  OrderFacts rich = MakeContext(1);
   // Same epoch-keyed cache, different context content under a different
   // epoch: the empty context reduces nothing.
-  OrderContext empty;
+  OrderFacts empty;
   empty.epoch = 2;
   EXPECT_EQ(cache.Reduce(kYKZ, rich).size(), 1u);
   EXPECT_EQ(cache.Reduce(kYKZ, empty), kYKZ);
@@ -59,11 +59,11 @@ TEST(ReduceCache, DistinctEpochsDoNotCollide) {
 TEST(ReduceCache, TransitiveFlagIsPartOfTheKey) {
   ReduceCache cache;
   // {x} -> {y}, {y} -> {z}: (x, z) reduces to (x) only transitively.
-  OrderContext simple;
+  OrderFacts simple;
   simple.fds.Add(ColumnSet{{0, 0}}, ColumnSet{{0, 1}});
   simple.fds.Add(ColumnSet{{0, 1}}, ColumnSet{{0, 2}});
   simple.epoch = 9;
-  OrderContext transitive = simple;
+  OrderFacts transitive = simple;
   transitive.transitive_fds = true;
 
   OrderSpec xz{{ColumnId(0, 0)}, {ColumnId(0, 2)}};
@@ -74,7 +74,7 @@ TEST(ReduceCache, TransitiveFlagIsPartOfTheKey) {
 
 TEST(ReduceCache, TestMatchesTestOrder) {
   ReduceCache cache;
-  OrderContext ctx = MakeContext(3);
+  OrderFacts ctx = MakeContext(3);
   OrderSpec property{{ColumnId(0, 0)}, {ColumnId(0, 4)}};
   // Every combination must agree with the uncached TestOrder.
   for (const OrderSpec& interesting :
@@ -87,7 +87,7 @@ TEST(ReduceCache, TestMatchesTestOrder) {
 
 TEST(ReduceCache, TestSharesReductionsWithReduce) {
   ReduceCache cache;
-  OrderContext ctx = MakeContext(4);
+  OrderFacts ctx = MakeContext(4);
   OrderSpec property{{ColumnId(0, 0)}};
   // Test reduces both specs (2 misses)...
   EXPECT_TRUE(cache.Test(kYKZ, property, ctx));

@@ -18,7 +18,7 @@ const ColumnId cx(2, 0);
 
 TEST(ReduceOrder, ConstantColumnRemoved) {
   // §4.1: I = (x, y) with x = 10 applied reduces to (y).
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddConstant(ax, Value::Int(10));
   OrderSpec spec{{ax}, {ay}};
   OrderSpec reduced = ReduceOrder(spec, ctx);
@@ -28,14 +28,14 @@ TEST(ReduceOrder, ConstantColumnRemoved) {
 TEST(ReduceOrder, ConstantOnlyOrderReducesToEmpty) {
   // §4.1: with x = 10 applied, I = (x) reduces to the empty order, which
   // any stream satisfies.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddConstant(ax, Value::Int(10));
   EXPECT_TRUE(ReduceOrder(OrderSpec{{ax}}, ctx).empty());
 }
 
 TEST(ReduceOrder, EquivalenceRewritesToClassHead) {
   // §4.1: x = y applied lets OP = (y, z) be rewritten as (x, z).
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddEquivalence(ax, bx);  // head is ax (smaller id)
   OrderSpec op{{bx}, {az}};
   OrderSpec reduced = ReduceOrder(op, ctx);
@@ -44,7 +44,7 @@ TEST(ReduceOrder, EquivalenceRewritesToClassHead) {
 
 TEST(ReduceOrder, KeyMakesSuffixRedundant) {
   // §4.1: with z a key, I = (z, y) reduces to (z).
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.AddKey(ColumnSet{ax}, ColumnSet{ax, ay, az});
   EXPECT_EQ(ReduceOrder(OrderSpec{{ax}, {ay}}, ctx), (OrderSpec{{ax}}));
   EXPECT_EQ(ReduceOrder(OrderSpec{{ax}, {az}, {ay}}, ctx),
@@ -52,20 +52,20 @@ TEST(ReduceOrder, KeyMakesSuffixRedundant) {
 }
 
 TEST(ReduceOrder, DuplicateColumnRemoved) {
-  OrderContext ctx;
+  OrderFacts ctx;
   OrderSpec spec{{ax}, {ay}, {ax}};
   EXPECT_EQ(ReduceOrder(spec, ctx), (OrderSpec{{ax}, {ay}}));
 }
 
 TEST(ReduceOrder, DuplicateViaEquivalence) {
   // (a.x, b.x) with a.x = b.x applied is really one column.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddEquivalence(ax, bx);
   EXPECT_EQ(ReduceOrder(OrderSpec{{ax}, {bx}}, ctx), (OrderSpec{{ax}}));
 }
 
 TEST(ReduceOrder, DirectionPreserved) {
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.eq.AddEquivalence(ax, bx);
   OrderSpec spec{{bx, SortDirection::kDescending}, {ay}};
   OrderSpec reduced = ReduceOrder(spec, ctx);
@@ -77,7 +77,7 @@ TEST(ReduceOrder, DirectionPreserved) {
 TEST(ReduceOrder, FdChainNotFollowedInSimpleMode) {
   // Simple mode uses the paper's single-FD subset test: {a}->{b}, {b}->{c}
   // does NOT remove c after (a), but transitive mode does.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax}, ColumnSet{ay});
   ctx.fds.Add(ColumnSet{ay}, ColumnSet{az});
   OrderSpec spec{{ax}, {az}};
@@ -89,7 +89,7 @@ TEST(ReduceOrder, FdChainNotFollowedInSimpleMode) {
 TEST(ReduceOrder, BackwardScanUsesFullPrecedingSet) {
   // (x, y, z) with {x,y}->{z}: z removed even though neither x nor y alone
   // determines it.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax, ay}, ColumnSet{az});
   EXPECT_EQ(ReduceOrder(OrderSpec{{ax}, {ay}, {az}}, ctx),
             (OrderSpec{{ax}, {ay}}));
@@ -97,7 +97,7 @@ TEST(ReduceOrder, BackwardScanUsesFullPrecedingSet) {
 
 TEST(ReduceOrder, ConstantHeadColumnsInFdAreFree) {
   // FD {x, y} -> {z} with y bound to a constant behaves like {x} -> {z}.
-  OrderContext ctx;
+  OrderFacts ctx;
   ctx.fds.Add(ColumnSet{ax, ay}, ColumnSet{az});
   ctx.eq.AddConstant(ay, Value::Int(7));
   EXPECT_EQ(ReduceOrder(OrderSpec{{ax}, {az}}, ctx), (OrderSpec{{ax}}));
@@ -106,7 +106,7 @@ TEST(ReduceOrder, ConstantHeadColumnsInFdAreFree) {
 // ---------------------------------------------------------------------------
 // Property test: reduction preserves sort semantics. We generate random
 // rows that *actually satisfy* a set of constraints (constants, column
-// equalities, functional dependencies), derive the OrderContext from those
+// equalities, functional dependencies), derive the OrderFacts from those
 // constraints, and verify that sorting by the reduced specification yields
 // a stream ordered according to the original specification — the
 // correctness claim of §4.1's proof.
@@ -114,7 +114,7 @@ TEST(ReduceOrder, ConstantHeadColumnsInFdAreFree) {
 
 struct RandomInstance {
   std::vector<std::vector<int64_t>> rows;  // 6 columns
-  OrderContext ctx;
+  OrderFacts ctx;
   std::vector<ColumnId> cols;
 };
 
