@@ -23,11 +23,11 @@ class VectorSource : public Operator {
   }
   void OpenImpl() override { pos_ = 0; }
   bool NextBatchImpl(RowBatch* out) override {
-    return FillBatch(out, [this](Row* row) {
-      if (pos_ >= rows_->size()) return false;
-      *row = (*rows_)[pos_++];
-      return true;
-    });
+    out->Reset(layout_.size(), BatchCapacity());
+    while (!out->full() && pos_ < rows_->size()) {
+      out->AppendRow((*rows_)[pos_++]);
+    }
+    return !out->empty();
   }
 
  private:
@@ -73,9 +73,9 @@ int main() {
     SortOp sort(std::make_unique<VectorSource>(layout, &rows), spec, &m);
     auto start = std::chrono::steady_clock::now();
     sort.Open();
-    Row row;
+    RowBatch batch;
     int64_t produced = 0;
-    while (sort.Next(&row)) ++produced;
+    while (sort.NextBatch(&batch)) produced += batch.size();
     sort.Close();
     auto end = std::chrono::steady_clock::now();
     double wall_ms =

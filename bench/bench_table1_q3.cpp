@@ -45,8 +45,8 @@
 //
 // --batch-sweep instead sweeps the execution batch size (1, 256, 1024,
 // 4096) on Q3 and reports exec wall time per size plus the speedup vs
-// batch size 1 — the row-at-a-time shim driven through the identical code
-// path. Row streams must be identical across sizes. --json=PATH emits the
+// batch size 1 (single-row batches through the same code path). Row
+// streams must be identical across sizes. --json=PATH emits the
 // numbers (the check.sh --batch gate reads it and enforces >= 1.5x at
 // batch size 1024).
 //
@@ -460,22 +460,20 @@ int PlanTime(Database* db, int runs, const std::string& json_path) {
   return 0;
 }
 
-// Batch-size sweep: exec wall time per batch size, speedup vs the size-1
-// row shim. Iterations are paired (every size measured back-to-back inside
-// each iteration, medians compared across iterations) so CPU-frequency
-// drift cancels instead of accumulating into one size's column.
-// Modes measured by the sweep: the legacy row-at-a-time shape
-// (OptimizerConfig::row_shim_exec — the pre-vectorization engine, kept as
-// the honest baseline) followed by the columnar path at each batch size.
+// Batch-size sweep: exec wall time per batch size, speedup vs batch_rows=1
+// (single-row batches through the same, only, execution path). Iterations
+// are paired (every size measured back-to-back inside each iteration,
+// medians compared across iterations) so CPU-frequency drift cancels
+// instead of accumulating into one size's column. Every size's rows must
+// be identical to batch_rows=1's.
 int BatchSweep(Database* db, int runs, const std::string& json_path) {
-  constexpr int64_t kSizes[] = {1, 256, 1024, 4096};
+  constexpr int64_t kSizes[] = {1, 256, 1024, 4096};  // [0] = the reference
   constexpr int kNumSizes = 4;
-  constexpr int kNumModes = kNumSizes + 1;  // [0] = row shim baseline
   constexpr int kIterations = 7;
 
   std::vector<Row> baseline_rows;
   bool rows_identical = true;
-  std::vector<double> per_mode_medians[kNumModes];
+  std::vector<double> per_size_medians[kNumSizes];
   // Warm-up: first touch of the tables and the allocator.
   {
     OptimizerConfig cfg;
@@ -485,55 +483,51 @@ int BatchSweep(Database* db, int runs, const std::string& json_path) {
     if (!engine.Run(tpcd_queries::kQuery3).ok()) return 1;
   }
   for (int it = 0; it < kIterations; ++it) {
-    for (int m = 0; m < kNumModes; ++m) {
+    for (int m = 0; m < kNumSizes; ++m) {
       OptimizerConfig cfg;
       cfg.enable_order_optimization = true;
       cfg.enable_hash_join = false;
       cfg.enable_hash_grouping = false;
-      if (m == 0) {
-        cfg.row_shim_exec = true;
-      } else {
-        cfg.batch_rows = kSizes[m - 1];
-      }
+      cfg.batch_rows = kSizes[m];
       QueryEngine engine(db, cfg);
       std::vector<double> samples;
       for (int i = 0; i < runs; ++i) {
         Result<QueryResult> r = engine.Run(tpcd_queries::kQuery3);
         if (!r.ok()) {
-          std::fprintf(stderr, "Q3 failed in sweep mode %d: %s\n", m,
+          std::fprintf(stderr, "Q3 failed at batch_rows=%lld: %s\n",
+                       static_cast<long long>(kSizes[m]),
                        r.status().ToString().c_str());
           return 1;
         }
         samples.push_back(r.value().elapsed_seconds);
-        if (it == 0 && i == 0) {
-          if (m == 0) {
+        if (i == 0) {
+          if (it == 0 && m == 0) {
             baseline_rows = std::move(r.value().rows);
           } else if (r.value().rows != baseline_rows) {
             rows_identical = false;
           }
         }
       }
-      per_mode_medians[m].push_back(Median(samples));
+      per_size_medians[m].push_back(Median(samples));
     }
   }
 
-  double exec_us[kNumModes];
-  for (int m = 0; m < kNumModes; ++m) {
-    exec_us[m] = Median(per_mode_medians[m]) * 1e6;
+  double exec_us[kNumSizes];
+  for (int m = 0; m < kNumSizes; ++m) {
+    exec_us[m] = Median(per_size_medians[m]) * 1e6;
   }
 
   std::printf("--- batch-size sweep on Q3 (exec wall, %d runs x%d paired "
               "iterations) ---\n",
               runs, kIterations);
-  std::printf("%-12s %14s %20s\n", "mode", "exec (us)",
-              "speedup vs row shim");
-  std::printf("%-12s %14.1f %19s\n", "row shim", exec_us[0], "1.00x");
+  std::printf("%-12s %14s %22s\n", "batch_rows", "exec (us)",
+              "speedup vs batch 1");
   for (int s = 0; s < kNumSizes; ++s) {
-    std::printf("%-12lld %14.1f %19.2fx\n",
-                static_cast<long long>(kSizes[s]), exec_us[s + 1],
-                exec_us[0] / exec_us[s + 1]);
+    std::printf("%-12lld %14.1f %21.2fx\n",
+                static_cast<long long>(kSizes[s]), exec_us[s],
+                exec_us[0] / exec_us[s]);
   }
-  std::printf("\nrow streams identical across all modes: %s\n",
+  std::printf("\nrow streams identical across all batch sizes: %s\n",
               rows_identical ? "YES" : "NO  <-- FAIL");
 
   if (!json_path.empty()) {
@@ -548,16 +542,14 @@ int BatchSweep(Database* db, int runs, const std::string& json_path) {
                  "  \"runs\": %d,\n"
                  "  \"iterations\": %d,\n"
                  "  \"rows_identical\": %s,\n"
-                 "  \"row_shim\": {\"exec_us\": %.1f},\n"
                  "  \"sizes\": [\n",
-                 runs, kIterations, rows_identical ? "true" : "false",
-                 exec_us[0]);
+                 runs, kIterations, rows_identical ? "true" : "false");
     for (int s = 0; s < kNumSizes; ++s) {
       std::fprintf(f,
                    "    {\"batch_rows\": %lld, \"exec_us\": %.1f, "
-                   "\"speedup_vs_row_shim\": %.4f}%s\n",
-                   static_cast<long long>(kSizes[s]), exec_us[s + 1],
-                   exec_us[0] / exec_us[s + 1], s + 1 < kNumSizes ? "," : "");
+                   "\"speedup_vs_batch1\": %.4f}%s\n",
+                   static_cast<long long>(kSizes[s]), exec_us[s],
+                   exec_us[0] / exec_us[s], s + 1 < kNumSizes ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -44,16 +44,16 @@
 #                                         under faults) and fails on any
 #                                         broken invariant
 #        scripts/check.sh --batch         vectorization gate: runs the
-#                                         batch-vs-row differential suites
+#                                         batch differential suites
 #                                         (RowBatch kernels, operator
 #                                         semantics, the fuzz identity
 #                                         matrix) under BOTH asan-ubsan and
 #                                         ThreadSanitizer, then runs the Q3
 #                                         batch-size sweep into
 #                                         BENCH_batch.json and enforces that
-#                                         every mode is row-identical to the
-#                                         row-at-a-time shim and that batch
-#                                         1024 beats the shim by >= 1.5x
+#                                         every batch size is row-identical
+#                                         to batch_rows=1 and that batch
+#                                         1024 beats batch 1 by >= 1.5x
 #        scripts/check.sh --parallel      morsel-parallel gate: runs the
 #                                         parallel-determinism battery
 #                                         (row-sequence identity vs serial
@@ -226,14 +226,15 @@ if [ "${1:-}" = "--chaos" ]; then
   exit 0
 fi
 
-# Vectorization gate: the suites that pin batch execution to the row-at-a-
-# time semantics — RowBatch/selection-vector/normalized-key kernels, the
-# operator suite (which runs every operator through both the batch path and
-# the row-compat shim), and the fuzz identity matrix — under address/UB
-# sanitizers AND ThreadSanitizer (batches flow through the concurrent
-# service workers too). Finishes with the Q3 batch-size sweep: every batch
-# size must produce a row stream identical to the legacy row-shim execution,
-# and batch 1024 (the default) must beat the shim by >= 1.5x exec time.
+# Vectorization gate: the suites that pin batch execution to reference
+# semantics — RowBatch/selection-vector/normalized-key kernels, the operator
+# suite (every operator at batch sizes 1, 3 and 1024 against brute-force
+# references), and the fuzz identity matrix — under address/UB sanitizers
+# AND ThreadSanitizer (batches flow through the concurrent service workers
+# too). Finishes with the Q3 batch-size sweep: every batch size must
+# produce a row stream identical to batch_rows=1 (single-row batches through
+# the same path), and batch 1024 (the default) must beat batch 1 by >= 1.5x
+# exec time.
 # Wall clock on a shared box is noisy and noise can only push the ratio
 # down, so one passing attempt out of three proves the true speedup.
 if [ "${1:-}" = "--batch" ]; then
@@ -265,23 +266,22 @@ report = json.load(open("BENCH_batch.json"))
 
 failures = []
 if not report["rows_identical"]:
-    failures.append("batch modes are not row-identical to the row shim")
+    failures.append("batch sizes are not row-identical to batch_rows=1")
 by_size = {s["batch_rows"]: s for s in report["sizes"]}
 if 1024 not in by_size:
     failures.append("sweep is missing the default batch size 1024")
 else:
-    speedup = by_size[1024]["speedup_vs_row_shim"]
+    speedup = by_size[1024]["speedup_vs_batch1"]
     if speedup < 1.5:
         failures.append(
-            f"batch 1024 speedup {speedup:.2f}x vs row shim is below 1.5x")
+            f"batch 1024 speedup {speedup:.2f}x vs batch 1 is below 1.5x")
 
 if failures:
     for f in failures:
         print("    " + f)
     sys.exit(1)
-row_us = report["row_shim"]["exec_us"]
-print(f"    row shim {row_us:.0f} us; " + ", ".join(
-    f"{s['batch_rows']}: {s['speedup_vs_row_shim']:.2f}x"
+print("    speedup vs batch 1: " + ", ".join(
+    f"{s['batch_rows']}: {s['speedup_vs_batch1']:.2f}x"
     for s in report["sizes"]))
 EOF
     then
@@ -295,7 +295,7 @@ EOF
     exit 1
   fi
   echo "OK: batch differential suites clean under asan-ubsan and tsan;"
-  echo "    all batch sizes row-identical to the shim; BENCH_batch.json"
+  echo "    all batch sizes row-identical to batch 1; BENCH_batch.json"
   echo "    written"
   exit 0
 fi

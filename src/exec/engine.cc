@@ -130,7 +130,7 @@ Result<std::vector<Row>> QueryEngine::ExecutePhase(
   Result<std::vector<Row>> rows =
       ExecutePlan(result->plan, &result->metrics, guard, &spill_config,
                   profile, EffectiveVerifyOrders(config_), config_.batch_rows,
-                  config_.row_shim_exec, config_.parallel_workers);
+                  /*row_shim=*/false, config_.parallel_workers);
   auto end = std::chrono::steady_clock::now();
   result->elapsed_seconds = std::chrono::duration<double>(end - start).count();
   // Keep consumed-vs-limit visible even when the query failed: a

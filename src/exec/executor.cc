@@ -51,12 +51,11 @@ ColumnSet NodeOwnColumns(const PlanNode& plan, bool verify_orders) {
 }
 
 /// Whether a SortGroupBy aggregates in its child sort (DESIGN.md §14,
-/// "In-sort aggregation"). Not over an exchange, not in the row shim, and
-/// not with a DISTINCT aggregate, whose value sets every resident group
-/// would hold at once.
-bool AggregatesInSort(const PlanNode& plan, const ExecContext& ctx) {
-  if (plan.kind != OpKind::kSortGroupBy || ctx.row_shim ||
-      plan.group_columns.empty() || plan.children[0]->kind != OpKind::kSort) {
+/// "In-sort aggregation"). Not over an exchange and not with a DISTINCT
+/// aggregate, whose value sets every resident group would hold at once.
+bool AggregatesInSort(const PlanNode& plan) {
+  if (plan.kind != OpKind::kSortGroupBy || plan.group_columns.empty() ||
+      plan.children[0]->kind != OpKind::kSort) {
     return false;
   }
   for (const AggregateSpec& a : plan.aggregates) {
@@ -198,7 +197,7 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
       auto* group_by = new StreamGroupByOp(
           std::move(children[0]), plan->group_columns, plan->aggregates, ctx);
       built = OperatorPtr(group_by);
-      if (AggregatesInSort(*plan, ctx)) {
+      if (AggregatesInSort(*plan)) {
         group_by->AggregateInSort(
             static_cast<SortOp*>(unwrapped_children[0]));
       }
@@ -294,6 +293,10 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
                                      std::vector<OperatorProfile>* profile,
                                      bool verify_orders, int64_t batch_rows,
                                      bool row_shim, int parallel_workers) {
+  if (row_shim) {
+    return Status::InvalidArgument(
+        "row-at-a-time execution was removed; row_shim must be false");
+  }
   // An unlimited local guard keeps the error channel available (poison,
   // fault injection) even for callers that configured no limits.
   QueryGuard local_guard;
@@ -310,8 +313,6 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
   ExecContext ctx(metrics, guard, spill.get());
   ctx.verify_orders = verify_orders;
   ctx.batch_rows = batch_rows > 0 ? batch_rows : 1;
-  ctx.row_shim = row_shim;
-  if (row_shim) ctx.batch_rows = 1;
   ctx.parallel_workers = parallel_workers > 1 ? parallel_workers : 1;
   std::vector<std::pair<const PlanNode*, Operator*>> registry;
   if (profile != nullptr) {

@@ -43,16 +43,15 @@ struct OperatorProfile {
 /// `spill_config` is non-null a SpillManager scoped to this execution lets
 /// sorts exceed the row budget by spilling runs to disk; a null config
 /// keeps every sort in memory. When `profile` is non-null the run collects
-/// per-operator stats (EXPLAIN ANALYZE): every Open()/Next() is timed and
+/// per-operator stats (EXPLAIN ANALYZE): every Open()/NextBatch() is timed and
 /// the profiles — one per plan node, post-order — are appended on the way
 /// out, whether or not execution succeeded. With `verify_orders` set, every
 /// operator whose plan node claims a non-empty order or key property runs
 /// under an OrderCheckOp (see exec/order_check.h) and a violated claim
 /// fails the query with kInternal. `batch_rows` sets the execution batch
 /// size (ExecContext::batch_rows); 1 degenerates to single-row batches
-/// through the same columnar code path. `row_shim` selects the legacy
-/// row-at-a-time execution shape instead (ExecContext::row_shim; implies
-/// batch_rows = 1). `parallel_workers` (ExecContext::parallel_workers)
+/// through the same code path. `row_shim` must be false: true returns
+/// InvalidArgument. `parallel_workers` (ExecContext::parallel_workers)
 /// enables parallel sort-run generation in serial operators and sizes
 /// nothing else — exchange worker counts are baked into the plan.
 Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
@@ -63,6 +62,7 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
                                          nullptr,
                                      bool verify_orders = false,
                                      int64_t batch_rows = kDefaultBatchRows,
+                                     // Slot kept for positional callers.
                                      bool row_shim = false,
                                      int parallel_workers = 1);
 

@@ -87,43 +87,6 @@ Value EvalBinary(BinOp op, const Value& l, const Value& r) {
   return Value::Null();
 }
 
-Value ExprEvaluator::Eval(const BoundExpr& expr, const Row& row) const {
-  switch (expr.kind()) {
-    case BoundExpr::Kind::kLiteral:
-      return expr.literal();
-    case BoundExpr::Kind::kColumn: {
-      int pos = PositionOf(expr.column());
-      if (pos < 0) {
-        if (guard_ != nullptr) {
-          guard_->Poison(Status::Internal(
-              StrFormat("column %s not in row layout",
-                        DefaultColumnName(expr.column()).c_str())));
-          return Value::Null();
-        }
-        ORDOPT_CHECK_MSG(false, "column %s not in row layout",
-                         DefaultColumnName(expr.column()).c_str());
-      }
-      return row[static_cast<size_t>(pos)];
-    }
-    case BoundExpr::Kind::kBinary: {
-      Value l = Eval(expr.left(), row);
-      Value r = Eval(expr.right(), row);
-      return EvalBinary(expr.op(), l, r);
-    }
-    case BoundExpr::Kind::kIsNull: {
-      bool is_null = Eval(expr.is_null_child(), row).is_null();
-      return Value::Int(is_null != expr.is_null_negated() ? 1 : 0);
-    }
-  }
-  return Value::Null();
-}
-
-bool ExprEvaluator::EvalPredicate(const Predicate& pred,
-                                  const Row& row) const {
-  Value v = Eval(pred.expr, row);
-  return !v.is_null() && v.Compare(Value::Int(0)) != 0;
-}
-
 Value ExprEvaluator::EvalAt(const BoundExpr& expr, const RowBatch& batch,
                             int64_t row) const {
   switch (expr.kind()) {

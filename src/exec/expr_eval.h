@@ -30,13 +30,6 @@ class ExprEvaluator {
   /// Position of `col` in the layout; -1 when absent.
   int PositionOf(const ColumnId& col) const;
 
-  /// Evaluates a scalar expression against `row`.
-  Value Eval(const BoundExpr& expr, const Row& row) const;
-
-  /// Evaluates a predicate: true iff the expression is non-NULL and
-  /// non-zero.
-  bool EvalPredicate(const Predicate& pred, const Row& row) const;
-
   /// Evaluates `expr` for row `row` of `batch` without materializing a Row.
   Value EvalAt(const BoundExpr& expr, const RowBatch& batch,
                int64_t row) const;
@@ -45,8 +38,7 @@ class ExprEvaluator {
   /// rows for which `pred` is satisfied (non-NULL, non-zero). The classified
   /// col-vs-const and col-vs-col shapes take a branch-light fast path over
   /// the column vector + null bitmap; kGeneric falls back to EvalAt. A NULL
-  /// comparison result never survives, matching the row path's two-valued
-  /// folding.
+  /// comparison result never survives (two-valued folding).
   void FilterBatch(const Predicate& pred, const RowBatch& batch,
                    SelectionVector* sel) const;
 

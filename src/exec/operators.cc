@@ -46,23 +46,70 @@ std::vector<int> PositionsOf(const std::vector<ColumnId>& cols,
   return out;
 }
 
-// True when any join key column of `row` (at `positions`) is NULL; such a
-// row matches nothing.
-bool KeyHasNull(const Row& row, const std::vector<int>& positions) {
+// True when any column of row `row` of `batch` at `positions` is NULL.
+bool AnyNull(const RowBatch& batch, int64_t row,
+             const std::vector<int>& positions) {
   for (int p : positions) {
-    if (row[static_cast<size_t>(p)].is_null()) return true;
+    if (batch.IsNull(static_cast<size_t>(p), row)) return true;
   }
   return false;
 }
 
-// Replaces `key` with the join key of `row` at `positions`; false when a
-// key column is NULL.
-bool ExtractKey(const Row& row, const std::vector<int>& positions,
-                std::vector<Value>* key) {
-  if (KeyHasNull(row, positions)) return false;
-  key->clear();
-  for (int p : positions) key->push_back(row[static_cast<size_t>(p)]);
+// Whether row `row` of `batch` at `positions` equals `key` under
+// Value::Compare.
+bool KeyEquals(const RowBatch& batch, int64_t row,
+               const std::vector<int>& positions,
+               const std::vector<Value>& key) {
+  for (size_t i = 0; i < positions.size(); ++i) {
+    if (batch.At(static_cast<size_t>(positions[i]), row).Compare(key[i]) !=
+        0) {
+      return false;
+    }
+  }
   return true;
+}
+
+// Pulls `child`'s next non-empty batch into `batch`; false at end of stream.
+bool PullBatch(Operator* child, RowBatch* batch) {
+  while (child->NextBatch(batch)) {
+    if (!batch->empty()) return true;
+  }
+  return false;
+}
+
+// Resolves `spec` against `layout` into positions and directions; poisons
+// the query (naming the operator, `what`) on a missing column.
+bool ResolveSpec(const OrderSpec& spec, const std::vector<ColumnId>& layout,
+                 const ExecContext& ctx, const char* what,
+                 std::vector<int>* positions, std::vector<bool>* descending) {
+  positions->clear();
+  descending->clear();
+  ExprEvaluator eval(layout);
+  for (const OrderElement& e : spec) {
+    const int p = eval.PositionOf(e.col);
+    if (p < 0) {
+      ctx.Poison(Status::Internal(
+          StrFormat("%s column %s missing from layout", what,
+                    DefaultColumnName(e.col).c_str())));
+      return false;
+    }
+    positions->push_back(p);
+    descending->push_back(e.dir == SortDirection::kDescending);
+  }
+  return true;
+}
+
+// Strict-weak row ordering under resolved sort positions and directions;
+// counts one comparison per column compared.
+bool RowLess(const Row& a, const Row& b, const std::vector<int>& positions,
+             const std::vector<bool>& descending, int64_t* comparisons) {
+  for (size_t i = 0; i < positions.size(); ++i) {
+    ++*comparisons;
+    const int c = a[static_cast<size_t>(positions[i])].Compare(
+        b[static_cast<size_t>(positions[i])]);
+    if (c != 0) return descending[i] ? c > 0 : c < 0;
+  }
+  return false;
 }
 
 // The values of row `row` of `batch` at `positions` (a grouping key).
@@ -450,23 +497,6 @@ void FilterOp::OpenImpl() {
 }
 
 bool FilterOp::NextBatchImpl(RowBatch* out) {
-  if (ctx_.row_shim) {
-    // Legacy row-at-a-time shape: pull materialized rows through the
-    // child's compat shim and evaluate each predicate row-wise.
-    return FillBatch(out, [this](Row* row) {
-      while (ctx_.GuardOk() && child_->Next(row)) {
-        bool pass = true;
-        for (const Predicate& p : predicates_) {
-          if (!eval_->EvalPredicate(p, *row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) return true;
-      }
-      return false;
-    });
-  }
   while (ctx_.GuardOk() && child_->NextBatch(&input_)) {
     const int64_t n = input_.size();
     sel_.resize(static_cast<size_t>(n));
@@ -501,32 +531,8 @@ SortOp::SortOp(OperatorPtr child, OrderSpec spec, ExecContext ctx)
   layout_ = child_->layout();
 }
 
-bool SortOp::ResolveComparator() {
-  positions_.clear();
-  descending_.clear();
-  ExprEvaluator eval(layout_);
-  for (const OrderElement& e : spec_) {
-    int p = eval.PositionOf(e.col);
-    if (p < 0) {
-      ctx_.Poison(Status::Internal(
-          StrFormat("sort column %s missing from layout",
-                    DefaultColumnName(e.col).c_str())));
-      return false;
-    }
-    positions_.push_back(p);
-    descending_.push_back(e.dir == SortDirection::kDescending);
-  }
-  return true;
-}
-
-bool SortOp::RowLess(const Row& a, const Row& b) const {
-  for (size_t i = 0; i < positions_.size(); ++i) {
-    ++ctx_.metrics->comparisons;
-    int c = a[static_cast<size_t>(positions_[i])].Compare(
-        b[static_cast<size_t>(positions_[i])]);
-    if (c != 0) return descending_[i] ? c > 0 : c < 0;
-  }
-  return false;
+bool SortOp::HeadLess(const Row& a, const Row& b) const {
+  return RowLess(a, b, positions_, descending_, &ctx_.metrics->comparisons);
 }
 
 void SortOp::SortBuffer() {
@@ -641,56 +647,42 @@ void SortOp::OpenImpl() {
   head_valid_.clear();
   pos_ = 0;
   merging_ = false;
-  if (!ResolveComparator()) return;
+  if (!ResolveSpec(spec_, layout_, ctx_, "sort", &positions_, &descending_)) {
+    return;
+  }
   const int64_t budget =
       ctx_.spill != nullptr ? ctx_.spill->config().sort_memory_rows : 0;
   // Parallel run generation (§5.2): with workers available, a full buffer
   // is sorted and spilled on a job thread while this thread keeps pulling
-  // input — run formation overlaps input production. The row shim keeps
-  // the historical strictly-serial shape (it is the baseline).
-  const bool async_runs = ctx_.parallel_workers > 1 && !ctx_.row_shim;
+  // input — run formation overlaps input production.
+  const bool async_runs = ctx_.parallel_workers > 1;
   int64_t total_rows = 0;
   Row row;
-  if (ctx_.row_shim) {
-    // Legacy row-at-a-time collection through the child's compat shim.
-    while (child_->Next(&row)) {
-      if (!buffer_.Add(row)) return;  // buffer limit tripped: wind down
-      rows_.push_back(std::move(row));
-      ++total_rows;
-      if (budget > 0 && static_cast<int64_t>(rows_.size()) >= budget) {
-        if (!SpillCurrentRun()) {
+  RowBatch batch;
+  while (child_->NextBatch(&batch)) {
+    const int64_t n = batch.size();
+    for (int64_t i = 0; i < n; ++i) {
+      bool absorbed = false;
+      if (absorber_ != nullptr && !absorber_->Absorb(batch, i, &absorbed)) {
+        JoinAllJobs();  // buffer limit tripped: wind down
+        return;
+      }
+      if (!absorbed) {
+        batch.TakeRowInto(i, &row);
+        if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
+          JoinAllJobs();
+          return;
+        }
+        rows_.push_back(std::move(row));
+        ++total_rows;
+      }
+      // Resident groups share the budget: each holds one row's worth.
+      const int64_t room =
+          budget - (absorber_ != nullptr ? absorber_->resident_groups() : 0);
+      if (budget > 0 && static_cast<int64_t>(rows_.size()) >= room) {
+        if (!(async_runs ? SpillRunAsync() : SpillCurrentRun())) {
           Abandon();
           return;
-        }
-      }
-    }
-  } else {
-    RowBatch batch;
-    while (child_->NextBatch(&batch)) {
-      const int64_t n = batch.size();
-      for (int64_t i = 0; i < n; ++i) {
-        bool absorbed = false;
-        if (absorber_ != nullptr && !absorber_->Absorb(batch, i, &absorbed)) {
-          JoinAllJobs();  // buffer limit tripped: wind down
-          return;
-        }
-        if (!absorbed) {
-          batch.TakeRowInto(i, &row);
-          if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
-            JoinAllJobs();
-            return;
-          }
-          rows_.push_back(std::move(row));
-          ++total_rows;
-        }
-        // Resident groups share the budget: each holds one row's worth.
-        const int64_t room =
-            budget - (absorber_ != nullptr ? absorber_->resident_groups() : 0);
-        if (budget > 0 && static_cast<int64_t>(rows_.size()) >= room) {
-          if (!(async_runs ? SpillRunAsync() : SpillCurrentRun())) {
-            Abandon();
-            return;
-          }
         }
       }
     }
@@ -724,10 +716,11 @@ void SortOp::OpenImpl() {
 }
 
 bool SortOp::NextBatchImpl(RowBatch* out) {
-  if (merging_) {
-    return FillBatch(out, [this](Row* row) { return MergeNext(row); });
-  }
   out->Reset(layout_.size(), BatchCapacity());
+  if (merging_) {
+    MergeInto(out);
+    return !out->empty();
+  }
   while (!out->full() && pos_ < rows_.size()) {
     out->AppendRow(std::move(rows_[pos_]));
     ++pos_;
@@ -735,35 +728,37 @@ bool SortOp::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-bool SortOp::MergeNext(Row* out) {
-  if (!ctx_.GuardOk()) return false;
-  // Smallest run head wins; among equal heads the lowest run index (the
-  // earliest rows in input order) wins, and the in-memory tail — the
-  // newest rows — only wins strictly, which together preserve stability.
-  int best = -1;
-  for (size_t i = 0; i < heads_.size(); ++i) {
-    if (!head_valid_[i]) continue;
-    if (best < 0 || RowLess(heads_[i], heads_[static_cast<size_t>(best)])) {
-      best = static_cast<int>(i);
+void SortOp::MergeInto(RowBatch* out) {
+  while (!out->full() && ctx_.GuardOk()) {
+    // Smallest run head wins; among equal heads the lowest run index (the
+    // earliest rows in input order) wins, and the in-memory tail — the
+    // newest rows — only wins strictly, which together preserve stability.
+    int best = -1;
+    for (size_t i = 0; i < heads_.size(); ++i) {
+      if (!head_valid_[i]) continue;
+      if (best < 0 ||
+          HeadLess(heads_[i], heads_[static_cast<size_t>(best)])) {
+        best = static_cast<int>(i);
+      }
     }
+    if (pos_ < rows_.size() &&
+        (best < 0 ||
+         HeadLess(rows_[pos_], heads_[static_cast<size_t>(best)]))) {
+      out->AppendRow(std::move(rows_[pos_++]));
+      continue;
+    }
+    if (best < 0) return;  // runs and tail both drained
+    const size_t b = static_cast<size_t>(best);
+    out->AppendRow(std::move(heads_[b]));
+    bool eof = false;
+    Status st = ctx_.spill->ReadNext(runs_[b].get(), &heads_[b], &eof);
+    if (!st.ok()) {
+      ctx_.Poison(std::move(st));
+      Abandon();
+      return;
+    }
+    head_valid_[b] = !eof;
   }
-  if (pos_ < rows_.size() &&
-      (best < 0 || RowLess(rows_[pos_], heads_[static_cast<size_t>(best)]))) {
-    *out = std::move(rows_[pos_++]);
-    return true;
-  }
-  if (best < 0) return false;  // runs and tail both drained
-  size_t b = static_cast<size_t>(best);
-  *out = std::move(heads_[b]);
-  bool eof = false;
-  Status st = ctx_.spill->ReadNext(runs_[b].get(), &heads_[b], &eof);
-  if (!st.ok()) {
-    ctx_.Poison(std::move(st));
-    Abandon();
-    return false;
-  }
-  head_valid_[b] = !eof;
-  return true;
 }
 
 void SortOp::Close() {
@@ -787,29 +782,77 @@ JoinOp::JoinOp(OperatorPtr outer, OperatorPtr inner,
     : Operator(ctx), outer_(std::move(outer)), inner_(std::move(inner)),
       kind_(kind), buffer_(ctx.guard, &stats_) {
   layout_ = outer_->layout();
-  for (const ColumnId& c : inner_->layout()) layout_.push_back(c);
   std::vector<ColumnId> ocols, icols;
   for (const auto& [o, i] : pairs) {
     ocols.push_back(o);
     icols.push_back(i);
   }
   outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
+  if (inner_ == nullptr) return;
+  for (const ColumnId& c : inner_->layout()) {
+    inner_ordinals_.push_back(static_cast<int32_t>(inner_ordinals_.size()));
+    layout_.push_back(c);
+  }
   inner_positions_ = PositionsOf(icols, inner_->layout(), ctx_);
-}
-
-bool JoinOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
 }
 
 void JoinOp::Close() {
   outer_->Close();
-  inner_->Close();
+  if (inner_ != nullptr) inner_->Close();
   buffer_.Release();
+  match_outer_.clear();
+  match_inner_.clear();
 }
 
-void JoinOp::PadUnmatched(Row outer_row, Row* out) const {
-  *out = std::move(outer_row);
-  out->resize(layout_.size(), Value::Null());
+void JoinOp::ResetOuter() {
+  outer_batch_.Reset(outer_->layout().size(), 1);
+  outer_pos_ = -1;
+}
+
+bool JoinOp::AdvanceOuter(RowBatch* out) {
+  if (++outer_pos_ < outer_batch_.size()) return true;
+  // The gathered rows reference the current outer batch: emit them before
+  // it is replaced.
+  EmitGathered(out);
+  outer_pos_ = 0;
+  if (PullBatch(outer_.get(), &outer_batch_)) return true;
+  // A producer may leave its last batch behind at end of stream.
+  ResetOuter();
+  return false;
+}
+
+bool JoinOp::OuterKeyHasNull() const {
+  return AnyNull(outer_batch_, outer_pos_, outer_positions_);
+}
+
+void JoinOp::EmitGathered(RowBatch* out) {
+  const size_t n = match_inner_.size();
+  if (n == 0) return;
+  const size_t outer_width = outer_->layout().size();
+  for (size_t c = 0; c < outer_width; ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t pos = match_outer_[i];
+      const bool last_use =
+          i + 1 < n ? match_outer_[i + 1] != pos : pos < outer_pos_;
+      if (last_use) {
+        out->AppendColumnValue(c, std::move(*outer_batch_.MutableAt(c, pos)));
+      } else {
+        out->AppendColumnValue(c, outer_batch_.At(c, pos));
+      }
+    }
+  }
+  for (size_t c = outer_width; c < layout_.size(); ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      const Row* inner = match_inner_[i];
+      out->AppendColumnValue(
+          c, inner != nullptr ? (*inner)[static_cast<size_t>(
+                                    inner_ordinals_[c - outer_width])]
+                              : Value::Null());
+    }
+  }
+  out->SetRowCount(out->size() + static_cast<int64_t>(n));
+  match_outer_.clear();
+  match_inner_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -824,36 +867,35 @@ MergeJoinOp::MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
 void MergeJoinOp::OpenImpl() {
   outer_->Open();
   inner_->Open();
-  outer_valid_ = outer_->Next(&outer_row_);
-  inner_valid_ = inner_->Next(&inner_row_);
+  ResetOuter();
+  outer_valid_ = AdvanceOuter(nullptr);
+  inner_batch_.Reset(inner_->layout().size(), 1);
+  inner_pos_ = 0;
+  AdvanceInner();
   group_valid_ = false;
   group_pos_ = 0;
 }
 
-int MergeJoinOp::CompareKeys(const Row& outer_row,
-                             const Row& inner_row) const {
+int MergeJoinOp::CompareKeys() const {
   for (size_t i = 0; i < outer_positions_.size(); ++i) {
     ++ctx_.metrics->comparisons;
-    int c = outer_row[static_cast<size_t>(outer_positions_[i])].Compare(
-        inner_row[static_cast<size_t>(inner_positions_[i])]);
+    const int c =
+        outer_batch_.At(static_cast<size_t>(outer_positions_[i]), outer_pos_)
+            .Compare(inner_batch_.At(static_cast<size_t>(inner_positions_[i]),
+                                     inner_pos_));
     if (c != 0) return c;
   }
   return 0;
 }
 
-bool MergeJoinOp::OuterKeyEqualsGroup(const Row& outer_row) const {
-  for (size_t i = 0; i < outer_positions_.size(); ++i) {
-    if (outer_row[static_cast<size_t>(outer_positions_[i])].Compare(
-            group_key_[i]) != 0) {
-      return false;
-    }
-  }
-  return true;
+bool MergeJoinOp::InnerKeyHasNull() const {
+  return AnyNull(inner_batch_, inner_pos_, inner_positions_);
 }
 
-bool MergeJoinOp::FetchOuter() {
-  outer_valid_ = outer_->Next(&outer_row_);
-  return outer_valid_;
+void MergeJoinOp::AdvanceInner() {
+  if (++inner_pos_ < inner_batch_.size()) return;
+  inner_pos_ = 0;
+  inner_valid_ = PullBatch(inner_.get(), &inner_batch_);
 }
 
 void MergeJoinOp::LoadInnerGroup() {
@@ -861,68 +903,62 @@ void MergeJoinOp::LoadInnerGroup() {
   buffer_.Release();
   group_key_.clear();
   for (int p : inner_positions_) {
-    group_key_.push_back(inner_row_[static_cast<size_t>(p)]);
+    group_key_.push_back(inner_batch_.At(static_cast<size_t>(p), inner_pos_));
   }
-  while (inner_valid_) {
-    bool same = true;
-    for (size_t i = 0; i < inner_positions_.size(); ++i) {
-      if (inner_row_[static_cast<size_t>(inner_positions_[i])].Compare(
-              group_key_[i]) != 0) {
-        same = false;
-        break;
-      }
-    }
-    if (!same) break;
-    if (!buffer_.Add(inner_row_)) {
+  while (inner_valid_ &&
+         KeyEquals(inner_batch_, inner_pos_, inner_positions_, group_key_)) {
+    // Each inner row is read once, so its values move into the group.
+    Row row = inner_batch_.TakeRow(inner_pos_);
+    if (!buffer_.Add(row)) {
       inner_valid_ = false;  // buffer limit tripped: wind down
       break;
     }
-    group_.push_back(inner_row_);
-    inner_valid_ = inner_->Next(&inner_row_);
+    group_.push_back(std::move(row));
+    AdvanceInner();
   }
   group_valid_ = true;
   group_pos_ = 0;
 }
 
-bool MergeJoinOp::ProduceRow(Row* out) {
-  while (outer_valid_) {
-    if (group_valid_ && OuterKeyEqualsGroup(outer_row_)) {
+bool MergeJoinOp::NextBatchImpl(RowBatch* out) {
+  out->Reset(layout_.size(), BatchCapacity());
+  const int64_t cap = out->capacity();
+  while (outer_valid_ && Pending(*out) < cap && ctx_.GuardOk()) {
+    if (group_valid_ &&
+        KeyEquals(outer_batch_, outer_pos_, outer_positions_, group_key_)) {
       if (group_pos_ < group_.size()) {
-        *out = outer_row_;
-        const Row& inner = group_[group_pos_++];
-        out->insert(out->end(), inner.begin(), inner.end());
-        return true;
+        Gather(&group_[group_pos_++]);
+        continue;
       }
       group_pos_ = 0;
-      FetchOuter();
+      outer_valid_ = AdvanceOuter(out);
       continue;
     }
     // Outer rows with NULL join keys match nothing.
-    if (!KeyHasNull(outer_row_, outer_positions_)) {
+    if (!OuterKeyHasNull()) {
       // Advance inner past smaller (or NULL) keys.
-      while (inner_valid_ &&
-             (KeyHasNull(inner_row_, inner_positions_) ||
-              CompareKeys(outer_row_, inner_row_) > 0)) {
-        inner_valid_ = inner_->Next(&inner_row_);
+      while (inner_valid_ && (InnerKeyHasNull() || CompareKeys() > 0)) {
+        AdvanceInner();
       }
       // Inner exhausted: no later outer row can match either (a
       // still-loaded group's key is below the current outer's), so an
       // inner join ends here and a left join pads the rest.
-      if (!inner_valid_ && kind_ == JoinKind::kInner) return false;
-      if (inner_valid_ && CompareKeys(outer_row_, inner_row_) == 0) {
+      if (!inner_valid_ && kind_ == JoinKind::kInner) {
+        outer_valid_ = false;
+        break;
+      }
+      if (inner_valid_ && CompareKeys() == 0) {
+        EmitGathered(out);  // the gathered rows may point into group_
         LoadInnerGroup();
         continue;
       }
     }
     // Inner key > outer key, or no inner left: the outer row is unmatched.
-    if (kind_ == JoinKind::kLeft) {
-      PadUnmatched(std::move(outer_row_), out);
-      FetchOuter();
-      return true;
-    }
-    FetchOuter();
+    if (kind_ == JoinKind::kLeft) Gather(nullptr);
+    outer_valid_ = AdvanceOuter(out);
   }
-  return false;
+  EmitGathered(out);
+  return !out->empty();
 }
 
 void MergeJoinOp::Close() {
@@ -939,65 +975,23 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table& table,
                              std::vector<std::pair<ColumnId, ColumnId>> pairs,
                              ExecContext ctx,
                              const ColumnSet* required_columns)
-    : Operator(ctx),
-      outer_(std::move(outer)),
+    : JoinOp(std::move(outer), nullptr, pairs, JoinKind::kInner, ctx),
       table_(table),
       index_ordinal_(index_ordinal),
-      pairs_(std::move(pairs)),
       pages_(ctx.metrics, kRowsPerPage) {
-  layout_ = outer_->layout();
   for (const ColumnId& c :
        TableLayout(table, table_id, required_columns, &inner_ordinals_)) {
     layout_.push_back(c);
   }
-  std::vector<ColumnId> ocols;
-  for (const auto& [o, i] : pairs_) ocols.push_back(o);
-  outer_positions_ = PositionsOf(ocols, outer_->layout(), ctx_);
 }
 
 void IndexNLJoinOp::OpenImpl() {
   outer_->Open();
   probing_ = false;
-  outer_batch_.Reset(outer_->layout().size(), 1);
-  outer_pos_ = -1;  // Probe pre-increments
+  ResetOuter();
 }
 
-IndexNLJoinOp::ProbeResult IndexNLJoinOp::Probe() {
-  const BTreeIndex* index =
-      table_.index(static_cast<size_t>(index_ordinal_));
-  if (index == nullptr) {
-    ctx_.Poison(Status::Internal("index join probe into unbuilt index on "
-                                 "table '" + table_.name() + "'"));
-    return ProbeResult::kEnd;
-  }
-  while (true) {
-    ++outer_pos_;
-    if (outer_pos_ >= outer_batch_.size()) return ProbeResult::kNeedBatch;
-    if (ctx_.InjectFault("storage.btree.read")) return ProbeResult::kEnd;
-    probe_key_.clear();
-    bool has_null = false;
-    for (int p : outer_positions_) {
-      const size_t c = static_cast<size_t>(p);
-      if (outer_batch_.IsNull(c, outer_pos_)) {
-        has_null = true;
-        break;
-      }
-      probe_key_.push_back(outer_batch_.At(c, outer_pos_));
-    }
-    if (has_null) continue;
-    ++ctx_.metrics->index_probes;
-    cursor_ = index->SeekAtLeast(probe_key_);
-    if (cursor_.Valid() && index->CompareKeys(cursor_.key(), probe_key_) == 0) {
-      probing_ = true;
-      return ProbeResult::kMatch;
-    }
-  }
-}
-
-// Legacy row-shim variants: outer rows are materialized one at a time
-// through the compat shim and each output row is built as a Row — the
-// engine's pre-vectorization shape, kept as the sweep baseline.
-bool IndexNLJoinOp::RowProbe() {
+bool IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
   const BTreeIndex* index =
       table_.index(static_cast<size_t>(index_ordinal_));
   if (index == nullptr) {
@@ -1005,126 +999,40 @@ bool IndexNLJoinOp::RowProbe() {
                                  "table '" + table_.name() + "'"));
     return false;
   }
-  while (outer_->Next(&row_outer_)) {
-    if (ctx_.InjectFault("storage.btree.read")) return false;
-    probe_key_.clear();
-    bool has_null = false;
-    for (int p : outer_positions_) {
-      const Value& v = row_outer_[static_cast<size_t>(p)];
-      if (v.is_null()) has_null = true;
-      probe_key_.push_back(v);
-    }
-    if (has_null) continue;
-    ++ctx_.metrics->index_probes;
-    cursor_ = index->SeekAtLeast(probe_key_);
-    if (cursor_.Valid() && index->CompareKeys(cursor_.key(), probe_key_) == 0) {
-      probing_ = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool IndexNLJoinOp::RowProduce(Row* out) {
-  const BTreeIndex* index =
-      table_.index(static_cast<size_t>(index_ordinal_));
-  while (true) {
-    if (!probing_) {
-      if (!RowProbe()) return false;
-    }
-    if (cursor_.Valid() &&
-        index->CompareKeys(cursor_.key(), probe_key_) == 0) {
-      int64_t rid = cursor_.rid();
-      cursor_.Next();
-      pages_.Access(rid);
-      ++ctx_.metrics->rows_scanned;
-      if (!ctx_.OnRowScanned()) return false;
-      *out = row_outer_;
-      const Row& inner = table_.row(rid);
-      for (int32_t ord : inner_ordinals_) {
-        out->push_back(inner[static_cast<size_t>(ord)]);
-      }
-      return true;
-    }
-    probing_ = false;
-  }
-}
-
-bool IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
-  if (ctx_.row_shim) {
-    return FillBatch(out, [this](Row* row) { return RowProduce(row); });
-  }
-  const BTreeIndex* index =
-      table_.index(static_cast<size_t>(index_ordinal_));
   out->Reset(layout_.size(), BatchCapacity());
-  const size_t outer_width = outer_->layout().size();
   const int64_t cap = out->capacity();
-
-  // Gather phase: collect (outer row, inner rid) match pairs. The pairs
-  // only ever reference the *current* outer batch — when the outer batch
-  // is exhausted mid-build, the gathered rows are materialized and the
-  // batch goes out short (consumers must not assume fullness).
-  match_outer_.clear();
-  match_rid_.clear();
-  while (static_cast<int64_t>(match_rid_.size()) < cap) {
-    if (!ctx_.GuardOk()) break;
+  while (Pending(*out) < cap && ctx_.GuardOk()) {
     if (!probing_) {
-      ProbeResult r = Probe();
-      if (r == ProbeResult::kEnd) break;
-      if (r == ProbeResult::kNeedBatch) {
-        if (!match_rid_.empty()) break;  // flush rows of the old batch first
-        if (!outer_->NextBatch(&outer_batch_)) break;
-        outer_pos_ = -1;
-        continue;
+      // Emit what this outer batch matched before pulling the next one.
+      if (outer_pos_ + 1 >= outer_batch_.size() && Pending(*out) > 0) break;
+      if (!AdvanceOuter(out)) break;
+      if (ctx_.InjectFault("storage.btree.read")) break;
+      if (OuterKeyHasNull()) continue;
+      probe_key_.clear();
+      for (int p : outer_positions_) {
+        probe_key_.push_back(
+            outer_batch_.At(static_cast<size_t>(p), outer_pos_));
       }
+      ++ctx_.metrics->index_probes;
+      cursor_ = index->SeekAtLeast(probe_key_);
+      probing_ = cursor_.Valid() &&
+                 index->CompareKeys(cursor_.key(), probe_key_) == 0;
+      continue;
     }
-    // Invariant while probing_: the cursor sits on an entry matching
-    // probe_key_. Advancing it tells us up front whether this is the last
-    // match for the current outer row.
+    // The cursor sits on a match; advancing it tells whether it is the
+    // outer row's last.
     const int64_t rid = cursor_.rid();
     cursor_.Next();
-    const bool last_match =
-        !(cursor_.Valid() &&
-          index->CompareKeys(cursor_.key(), probe_key_) == 0);
+    probing_ = cursor_.Valid() &&
+               index->CompareKeys(cursor_.key(), probe_key_) == 0;
     pages_.Access(rid);
     ++ctx_.metrics->rows_scanned;
-    probing_ = !last_match;
     if (!ctx_.OnRowScanned()) break;
-    match_outer_.push_back(static_cast<int32_t>(outer_pos_));
-    match_rid_.push_back(rid);
+    Gather(&table_.row(rid));
   }
-
-  // Materialize phase, column at a time: sequential writes into each
-  // output column instead of striding across the full output width per
-  // row. Outer values are copied per match (one outer row fans out to
-  // every matching inner row) except at each outer row's last gathered
-  // use, where they are moved — the slot is never read again (probe_key_
-  // holds its own copies of the key, and probing_ tells us whether the
-  // final gathered row still has matches pending in the next batch).
-  const size_t n = match_rid_.size();
-  for (size_t c = 0; c < outer_width; ++c) {
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t pos = match_outer_[i];
-      const bool last_use =
-          (i + 1 < n) ? (match_outer_[i + 1] != pos) : !probing_;
-      if (last_use) {
-        out->AppendColumnValue(c, std::move(*outer_batch_.MutableAt(c, pos)));
-      } else {
-        out->AppendColumnValue(c, outer_batch_.At(c, pos));
-      }
-    }
-  }
-  for (size_t c = 0; c < inner_ordinals_.size(); ++c) {
-    const size_t ord = static_cast<size_t>(inner_ordinals_[c]);
-    for (size_t i = 0; i < n; ++i) {
-      out->AppendColumnValue(outer_width + c, table_.row(match_rid_[i])[ord]);
-    }
-  }
-  out->SetRowCount(static_cast<int64_t>(n));
+  EmitGathered(out);
   return !out->empty();
 }
-
-void IndexNLJoinOp::Close() { outer_->Close(); }
 
 // ---------------------------------------------------------------------------
 // NaiveNLJoinOp
@@ -1145,36 +1053,67 @@ void NaiveNLJoinOp::OpenImpl() {
   outer_valid_ = false;
   matched_current_ = false;
   inner_pos_ = 0;
+  survivors_.clear();
+  survivor_pos_ = 0;
+  RowBatch batch;
   Row row;
-  while (inner_->Next(&row)) {
-    if (!buffer_.Add(row)) return;
-    inner_rows_.push_back(std::move(row));
+  while (inner_->NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      batch.TakeRowInto(i, &row);
+      if (!buffer_.Add(row)) return;
+      inner_rows_.push_back(std::move(row));
+    }
   }
-  outer_valid_ = outer_->Next(&outer_row_);
+  ResetOuter();
+  outer_valid_ = AdvanceOuter(nullptr);
 }
 
-bool NaiveNLJoinOp::ProduceRow(Row* out) {
-  while (outer_valid_) {
-    while (inner_pos_ < inner_rows_.size()) {
-      *out = outer_row_;
-      const Row& inner = inner_rows_[inner_pos_++];
-      out->insert(out->end(), inner.begin(), inner.end());
-      if (std::all_of(on_predicates_.begin(), on_predicates_.end(),
-                      [&](const Predicate& p) {
-                        return eval_->EvalPredicate(p, *out);
-                      })) {
-        matched_current_ = true;
-        return true;
-      }
+void NaiveNLJoinOp::EvaluateCandidates(RowBatch* out) {
+  const size_t end = std::min(
+      inner_rows_.size(), inner_pos_ + static_cast<size_t>(BatchCapacity()));
+  survivors_.clear();
+  survivor_pos_ = 0;
+  if (on_predicates_.empty()) {
+    for (size_t i = inner_pos_; i < end; ++i) survivors_.push_back(i);
+  } else {
+    // The candidates go through the emit step into a scratch batch, so
+    // the predicates run batch-at-a-time; the gathered output rows must be
+    // emitted first.
+    EmitGathered(out);
+    for (size_t i = inner_pos_; i < end; ++i) Gather(&inner_rows_[i]);
+    candidates_.Reset(layout_.size(), static_cast<int64_t>(end - inner_pos_));
+    EmitGathered(&candidates_);
+    sel_.resize(end - inner_pos_);
+    std::iota(sel_.begin(), sel_.end(), 0);
+    for (const Predicate& p : on_predicates_) {
+      if (sel_.empty()) break;
+      eval_->FilterBatch(p, candidates_, &sel_);
     }
-    const bool pad = kind_ == JoinKind::kLeft && !matched_current_;
-    if (pad) PadUnmatched(std::move(outer_row_), out);
-    outer_valid_ = outer_->Next(&outer_row_);
+    for (int32_t i : sel_) survivors_.push_back(inner_pos_ + i);
+  }
+  if (!survivors_.empty()) matched_current_ = true;
+  inner_pos_ = end;
+}
+
+bool NaiveNLJoinOp::NextBatchImpl(RowBatch* out) {
+  out->Reset(layout_.size(), BatchCapacity());
+  const int64_t cap = out->capacity();
+  while (outer_valid_ && Pending(*out) < cap && ctx_.GuardOk()) {
+    if (survivor_pos_ < survivors_.size()) {
+      Gather(&inner_rows_[survivors_[survivor_pos_++]]);
+      continue;
+    }
+    if (inner_pos_ < inner_rows_.size()) {
+      EvaluateCandidates(out);
+      continue;
+    }
+    if (kind_ == JoinKind::kLeft && !matched_current_) Gather(nullptr);
+    outer_valid_ = AdvanceOuter(out);
     matched_current_ = false;
     inner_pos_ = 0;
-    if (pad) return true;
   }
-  return false;
+  EmitGathered(out);
+  return !out->empty();
 }
 
 void NaiveNLJoinOp::Close() {
@@ -1186,23 +1125,6 @@ void NaiveNLJoinOp::Close() {
 // HashJoinOp
 // ---------------------------------------------------------------------------
 
-size_t HashJoinOp::KeyHash::operator()(const std::vector<Value>& key) const {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool HashJoinOp::KeyEq::operator()(const std::vector<Value>& a,
-                                   const std::vector<Value>& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
-}
-
 HashJoinOp::HashJoinOp(OperatorPtr outer, OperatorPtr inner,
                        std::vector<std::pair<ColumnId, ColumnId>> pairs,
                        JoinKind kind, ExecContext ctx)
@@ -1211,48 +1133,73 @@ HashJoinOp::HashJoinOp(OperatorPtr outer, OperatorPtr inner,
 void HashJoinOp::OpenImpl() {
   outer_->Open();
   inner_->Open();
-  hash_table_.clear();
+  table_.Clear();
+  rows_.clear();
   buffer_.Release();
-  Row row;
-  std::vector<Value> key;
-  while (inner_->Next(&row)) {
-    if (!ExtractKey(row, inner_positions_, &key)) continue;
-    if (!buffer_.Add(row)) break;  // buffer limit tripped: wind down
-    hash_table_[std::move(key)].push_back(std::move(row));
+  // Build: each non-NULL-keyed inner row joins its key's group; the rows
+  // are then laid out group by group, each group in inner order.
+  std::vector<Row> built;
+  std::vector<int64_t> group_of;
+  RowBatch batch;
+  bool inserted = false;
+  bool tripped = false;
+  while (!tripped && inner_->NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      if (AnyNull(batch, i, inner_positions_)) continue;
+      const int64_t group =
+          table_.FindOrInsert(batch, i, inner_positions_, &inserted);
+      Row row = batch.TakeRow(i);
+      if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
+        tripped = true;
+        break;
+      }
+      built.push_back(std::move(row));
+      group_of.push_back(group);
+    }
   }
-  matches_ = nullptr;
-  match_pos_ = 0;
+  starts_.assign(static_cast<size_t>(table_.size()) + 1, 0);
+  for (int64_t g : group_of) ++starts_[static_cast<size_t>(g) + 1];
+  std::partial_sum(starts_.begin(), starts_.end(), starts_.begin());
+  rows_.resize(built.size());
+  std::vector<size_t> next(starts_.begin(), starts_.end() - 1);
+  for (size_t i = 0; i < built.size(); ++i) {
+    rows_[next[static_cast<size_t>(group_of[i])]++] = std::move(built[i]);
+  }
+  ResetOuter();
+  match_pos_ = match_end_ = 0;
 }
 
-bool HashJoinOp::ProduceRow(Row* out) {
-  if (!ctx_.GuardOk()) return false;
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = outer_row_;
-      const Row& inner = (*matches_)[match_pos_++];
-      out->insert(out->end(), inner.begin(), inner.end());
-      return true;
+bool HashJoinOp::NextBatchImpl(RowBatch* out) {
+  out->Reset(layout_.size(), BatchCapacity());
+  const int64_t cap = out->capacity();
+  while (Pending(*out) < cap && ctx_.GuardOk()) {
+    if (match_pos_ < match_end_) {
+      Gather(&rows_[match_pos_++]);
+      continue;
     }
-    matches_ = nullptr;
-    if (!outer_->Next(&outer_row_)) return false;
-    if (ExtractKey(outer_row_, outer_positions_, &probe_key_)) {
-      auto it = hash_table_.find(probe_key_);
-      if (it != hash_table_.end()) {
-        matches_ = &it->second;
-        match_pos_ = 0;
-        continue;
+    if (!AdvanceOuter(out)) break;
+    if (!OuterKeyHasNull()) {
+      bool inserted = false;
+      const int64_t group = table_.FindOrInsert(
+          outer_batch_, outer_pos_, outer_positions_, &inserted,
+          /*may_insert=*/false);
+      if (group >= 0) {
+        match_pos_ = starts_[static_cast<size_t>(group)];
+        match_end_ = starts_[static_cast<size_t>(group) + 1];
+        if (match_pos_ < match_end_) continue;
       }
     }
-    if (kind_ == JoinKind::kLeft) {
-      PadUnmatched(std::move(outer_row_), out);
-      return true;
-    }
+    if (kind_ == JoinKind::kLeft) Gather(nullptr);
   }
+  EmitGathered(out);
+  return !out->empty();
 }
 
 void HashJoinOp::Close() {
   JoinOp::Close();
-  hash_table_.clear();
+  table_.Clear();
+  rows_.clear();
+  starts_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -1477,44 +1424,54 @@ void HashGroupByOp::Close() {
 
 StreamDistinctOp::StreamDistinctOp(OperatorPtr child,
                                    ColumnSet distinct_columns, ExecContext ctx)
-    : Operator(ctx), child_(std::move(child)),
-      distinct_columns_(std::move(distinct_columns)) {
+    : Operator(ctx), child_(std::move(child)) {
   layout_ = child_->layout();
-  std::vector<ColumnId> cols(distinct_columns_.begin(),
-                             distinct_columns_.end());
+  std::vector<ColumnId> cols(distinct_columns.begin(), distinct_columns.end());
   positions_ = PositionsOf(cols, layout_, ctx_);
+  columns_.resize(layout_.size());
+  std::iota(columns_.begin(), columns_.end(), size_t{0});
 }
 
 void StreamDistinctOp::OpenImpl() {
   child_->Open();
   has_last_ = false;
+  input_.Reset(layout_.size(), 1);
+  pos_ = 0;
+  sel_.clear();
+}
+
+void StreamDistinctOp::MovePassed(RowBatch* out) {
+  for (size_t i = 0; i < sel_.size();) {
+    size_t j = i + 1;
+    while (j < sel_.size() && sel_[j] == sel_[j - 1] + 1) ++j;
+    out->MoveRangeFrom(&input_, columns_, sel_[i], sel_[j - 1] + 1);
+    i = j;
+  }
+  sel_.clear();
 }
 
 bool StreamDistinctOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool StreamDistinctOp::ProduceRow(Row* out) {
-  Row row;
-  while (child_->Next(&row)) {
-    std::vector<Value> key;
-    for (int p : positions_) key.push_back(row[static_cast<size_t>(p)]);
-    if (has_last_) {
-      bool same = true;
-      for (size_t i = 0; i < key.size(); ++i) {
-        if (key[i].Compare(last_key_[i]) != 0) {
-          same = false;
-          break;
-        }
+  out->Reset(layout_.size(), BatchCapacity());
+  int64_t passed = 0;
+  while (passed < out->capacity() && ctx_.GuardOk()) {
+    if (pos_ == input_.size()) {
+      MovePassed(out);
+      pos_ = 0;
+      if (!child_->NextBatch(&input_)) {
+        input_.Reset(layout_.size(), 1);
+        break;
       }
-      if (same) continue;
+      continue;
     }
-    last_key_ = std::move(key);
+    const int64_t row = pos_++;
+    if (has_last_ && KeyEquals(input_, row, positions_, last_key_)) continue;
+    last_key_ = KeyAt(input_, row, positions_);
     has_last_ = true;
-    *out = std::move(row);
-    return true;
+    sel_.push_back(static_cast<int32_t>(row));
+    ++passed;
   }
-  return false;
+  MovePassed(out);
+  return !out->empty();
 }
 
 void StreamDistinctOp::Close() { child_->Close(); }
@@ -1593,41 +1550,55 @@ MergeUnionOp::MergeUnionOp(std::vector<OperatorPtr> children,
 }
 
 void MergeUnionOp::OpenImpl() {
-  heads_.assign(children_.size(), Row());
-  valid_.assign(children_.size(), false);
+  heads_.assign(children_.size(), Head());
   for (size_t i = 0; i < children_.size(); ++i) {
     children_[i]->Open();
-    valid_[i] = children_[i]->Next(&heads_[i]);
+    heads_[i].batch.Reset(layout_.size(), 1);
+    Refill(i);
   }
 }
 
-int MergeUnionOp::CompareRows(const Row& a, const Row& b) const {
-  for (size_t i = 0; i < a.size(); ++i) {
+void MergeUnionOp::Refill(size_t i) {
+  Head& h = heads_[i];
+  h.pos = 0;
+  h.valid = PullBatch(children_[i].get(), &h.batch);
+}
+
+int MergeUnionOp::CompareHeads(size_t a, size_t b) const {
+  const Head& x = heads_[a];
+  const Head& y = heads_[b];
+  for (size_t c = 0; c < layout_.size(); ++c) {
     ++ctx_.metrics->comparisons;
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
+    int cmp = x.batch.At(c, x.pos).Compare(y.batch.At(c, y.pos));
+    if (cmp != 0) return cmp;
   }
   return 0;
 }
 
 bool MergeUnionOp::NextBatchImpl(RowBatch* out) {
-  return FillBatch(out, [this](Row* row) { return ProduceRow(row); });
-}
-
-bool MergeUnionOp::ProduceRow(Row* out) {
-  int best = -1;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    if (!valid_[i]) continue;
-    if (best < 0 ||
-        CompareRows(heads_[i], heads_[static_cast<size_t>(best)]) < 0) {
-      best = static_cast<int>(i);
+  out->Reset(layout_.size(), BatchCapacity());
+  int64_t n = 0;
+  while (n < out->capacity() && ctx_.GuardOk()) {
+    // The smallest head wins; ties go to the lowest child.
+    int best = -1;
+    for (size_t i = 0; i < heads_.size(); ++i) {
+      if (!heads_[i].valid) continue;
+      if (best < 0 || CompareHeads(i, static_cast<size_t>(best)) < 0) {
+        best = static_cast<int>(i);
+      }
     }
+    if (best < 0) break;
+    const size_t b = static_cast<size_t>(best);
+    Head& h = heads_[b];
+    // The head row is read once more, here, so its values move out.
+    for (size_t c = 0; c < layout_.size(); ++c) {
+      out->AppendColumnValue(c, std::move(*h.batch.MutableAt(c, h.pos)));
+    }
+    ++n;
+    if (++h.pos == h.batch.size()) Refill(b);
   }
-  if (best < 0) return false;
-  size_t b = static_cast<size_t>(best);
-  *out = std::move(heads_[b]);
-  valid_[b] = children_[b]->Next(&heads_[b]);
-  return true;
+  out->SetRowCount(n);
+  return n > 0;
 }
 
 void MergeUnionOp::Close() {
@@ -1657,55 +1628,43 @@ void TopNOp::OpenImpl() {
 
   std::vector<int> positions;
   std::vector<bool> descending;
-  ExprEvaluator eval(layout_);
-  for (const OrderElement& e : spec_) {
-    int p = eval.PositionOf(e.col);
-    if (p < 0) {
-      ctx_.Poison(Status::Internal(
-          StrFormat("top-n column %s missing from layout",
-                    DefaultColumnName(e.col).c_str())));
-      return;
-    }
-    positions.push_back(p);
-    descending.push_back(e.dir == SortDirection::kDescending);
+  if (!ResolveSpec(spec_, layout_, ctx_, "top-n", &positions, &descending)) {
+    return;
   }
   int64_t* cmp_counter = &ctx_.metrics->comparisons;
-  auto less = [&positions, &descending, cmp_counter](const Row& a,
-                                                     const Row& b) {
-    for (size_t i = 0; i < positions.size(); ++i) {
-      ++*cmp_counter;
-      int c = a[static_cast<size_t>(positions[i])].Compare(
-          b[static_cast<size_t>(positions[i])]);
-      if (c != 0) return descending[i] ? c > 0 : c < 0;
-    }
-    return false;
+  auto less = [&](const Row& a, const Row& b) {
+    return RowLess(a, b, positions, descending, cmp_counter);
   };
 
   // Max-heap of the current best `limit_` rows (heap top = worst kept).
   Row row;
-  size_t cap = static_cast<size_t>(limit_);
-  while (child_->Next(&row)) {
-    if (rows_.size() < cap) {
-      if (!buffer_.Add(row)) {
-        rows_.clear();
-        buffer_.Release();
-        return;
+  RowBatch batch;
+  const size_t cap = static_cast<size_t>(limit_);
+  while (child_->NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      batch.TakeRowInto(i, &row);
+      if (rows_.size() < cap) {
+        if (!buffer_.Add(row)) {
+          rows_.clear();
+          buffer_.Release();
+          return;
+        }
+        rows_.push_back(std::move(row));
+        std::push_heap(rows_.begin(), rows_.end(), less);
+        continue;
       }
-      rows_.push_back(std::move(row));
-      std::push_heap(rows_.begin(), rows_.end(), less);
-      continue;
-    }
-    if (less(row, rows_.front())) {
-      std::pop_heap(rows_.begin(), rows_.end(), less);
-      // Same row count, different payload: re-price the slot so string
-      // growth across evictions can't drift away from the byte guardrail.
-      if (!buffer_.Update(rows_.back(), row)) {
-        rows_.clear();
-        buffer_.Release();
-        return;
+      if (less(row, rows_.front())) {
+        std::pop_heap(rows_.begin(), rows_.end(), less);
+        // Same row count, different payload: re-price the slot so string
+        // growth across evictions can't drift away from the byte guardrail.
+        if (!buffer_.Update(rows_.back(), row)) {
+          rows_.clear();
+          buffer_.Release();
+          return;
+        }
+        rows_.back() = std::move(row);
+        std::push_heap(rows_.begin(), rows_.end(), less);
       }
-      rows_.back() = std::move(row);
-      std::push_heap(rows_.begin(), rows_.end(), less);
     }
   }
   std::sort_heap(rows_.begin(), rows_.end(), less);

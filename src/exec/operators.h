@@ -4,8 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/expr_eval.h"
@@ -21,7 +19,8 @@ namespace ordopt {
 
 /// Volcano-style iterator over column-oriented batches. Each operator
 /// declares its row layout (the ColumnId at each position) so parents can
-/// bind expressions by identity.
+/// bind expressions by identity. Every operator reads its children and
+/// writes its output through NextBatch; there is no row-at-a-time path.
 ///
 /// Open()/NextBatch() are non-virtual wrappers around the
 /// OpenImpl()/NextBatchImpl() hooks subclasses implement. When
@@ -33,10 +32,6 @@ namespace ordopt {
 /// children. When stats collection is off the wrappers cost one branch.
 /// At batch granularity next_calls counts NextBatch invocations and
 /// rows_out accumulates emitted batch sizes.
-///
-/// Next(Row*) survives as a row-compat shim draining an internal batch
-/// cursor, so row-at-a-time consumers (operators whose inner logic is
-/// per-row, tests, the oracles) work unchanged against batch producers.
 class Operator {
  public:
   Operator() = default;
@@ -44,8 +39,6 @@ class Operator {
   virtual ~Operator() = default;
 
   void Open() {
-    shim_pos_ = 0;
-    shim_batch_.Reset(0, 1);
     if (!ctx_.collect_op_stats) {
       OpenImpl();
       return;
@@ -72,24 +65,6 @@ class Operator {
     return produced;
   }
 
-  /// Row-compat shim: drains an internal batch cursor one row at a time,
-  /// pulling a fresh batch (through the timed NextBatch wrapper, so stats
-  /// accrue there) whenever the cursor is exhausted. Each row is consumed
-  /// exactly once, so its values are moved out rather than copied.
-  bool Next(Row* out) {
-    while (true) {
-      if (shim_pos_ < shim_batch_.size()) {
-        shim_batch_.TakeRowInto(shim_pos_++, out);
-        return true;
-      }
-      shim_pos_ = 0;
-      if (!NextBatch(&shim_batch_)) {
-        shim_batch_.Reset(0, 1);
-        return false;
-      }
-    }
-  }
-
   virtual void Close() {}
 
   const std::vector<ColumnId>& layout() const { return layout_; }
@@ -109,24 +84,6 @@ class Operator {
   /// clamped to at least 1).
   int64_t BatchCapacity() const {
     return ctx_.batch_rows > 0 ? ctx_.batch_rows : 1;
-  }
-
-  /// Adapter for operators whose inner logic is still row-at-a-time:
-  /// fills `out` by repeatedly invoking `produce_row` (the old per-row
-  /// NextImpl body) until the batch is full or the producer ends. The
-  /// producer must tolerate calls after end-of-stream, as all Volcano
-  /// NextImpl bodies here do.
-  template <typename Fn>
-  bool FillBatch(RowBatch* out, Fn&& produce_row) {
-    out->Reset(layout_.size(), BatchCapacity());
-    Row row;
-    while (!out->full()) {
-      if (!ctx_.GuardOk()) break;
-      if (!produce_row(&row)) break;
-      out->AppendRow(std::move(row));
-      row.clear();
-    }
-    return !out->empty();
   }
 
   /// Steady-clock nanoseconds since `start`.
@@ -165,11 +122,6 @@ class Operator {
     ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DELTA_COUNTER)
 #undef ORDOPT_DELTA_COUNTER
   }
-
-
-  // Row-compat shim state (see Next(Row*)).
-  RowBatch shim_batch_;
-  int64_t shim_pos_ = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
@@ -279,7 +231,7 @@ class StreamGroupByOp;
 /// ORDER BY via bounded-memory external-merge sort. Rows are buffered up
 /// to the spill budget (SpillConfig::sort_memory_rows); each full buffer
 /// is stable-sorted and written as a run file through the context's
-/// SpillManager, and Next() k-way merges the runs with the in-memory
+/// SpillManager, and NextBatch k-way merges the runs with the in-memory
 /// tail. Ties resolve to the earliest run in input order (the tail last),
 /// so the merge is exactly as stable as the in-memory sort. Without a
 /// SpillManager — or with the budget disabled — this degenerates to the
@@ -302,21 +254,17 @@ class SortOp : public Operator {
   void set_absorber(StreamGroupByOp* absorber) { absorber_ = absorber; }
 
  private:
-  /// Resolves the OrderSpec against the child layout into
-  /// positions_/descending_; poisons and returns false on a missing
-  /// column.
-  bool ResolveComparator();
   /// Strict-weak ordering under the spec; counts comparisons. Used by the
   /// k-way merge over run heads; the buffer sort itself goes through
   /// normalized keys (see SortBuffer).
-  bool RowLess(const Row& a, const Row& b) const;
+  bool HeadLess(const Row& a, const Row& b) const;
   /// Stable-sorts rows_ under the spec: encodes each row's sort key into a
   /// memcmp-comparable normalized byte string (Graefe), sorts an index
   /// vector with a branch-light memcmp comparator, then permutes rows_.
   void SortBuffer();
-  /// One merge step of the spilled-run k-way merge (the per-row inner
-  /// logic behind NextBatchImpl when merging_).
-  bool MergeNext(Row* out);
+  /// Fills `out` from the spilled-run k-way merge (NextBatchImpl when
+  /// merging_).
+  void MergeInto(RowBatch* out);
   /// Stable-sorts the current buffer and writes it out as one run;
   /// poisons and returns false on spill failure.
   bool SpillCurrentRun();
@@ -373,33 +321,61 @@ class SortOp : public Operator {
 /// kind (kMergeLeftJoin, kHashLeftJoin, kNaiveLeftJoin are kLeft).
 enum class JoinKind { kInner, kLeft };
 
-/// Shared shape of the joins that read both inputs as streams (merge,
-/// hash, nested loop): outer columns then inner columns, the equality key
-/// positions on either side, one buffer account for whatever the algorithm
-/// holds of the inner, and the left-join padding step. Subclasses produce
-/// one row at a time; NULL join keys never match.
+/// Shared shape of the binary joins: outer columns then inner columns, the
+/// equality key positions on either side, one buffer account for whatever
+/// the algorithm holds of the inner, the outer batch cursor, and one emit
+/// step. Subclasses gather output rows as (outer row of the current outer
+/// batch, held inner row or the LEFT pad) pairs, and EmitGathered writes
+/// them column at a time — outer columns, then the inner row's emitted
+/// columns or NULLs. The stream joins (merge, hash, nested loop) read the
+/// inner from an operator; the index join reads base-table rows. NULL join
+/// keys never match.
 class JoinOp : public Operator {
  public:
-  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  protected:
+  /// With a null `inner` (the index join) the subclass appends the inner
+  /// columns to layout_ and fills inner_ordinals_ itself.
   JoinOp(OperatorPtr outer, OperatorPtr inner,
          const std::vector<std::pair<ColumnId, ColumnId>>& pairs,
          JoinKind kind, ExecContext ctx);
 
-  virtual bool ProduceRow(Row* out) = 0;
-  /// The padding step: `out` becomes `outer_row` followed by inner-width
-  /// NULLs. Takes the outer row by value so callers that are done with
-  /// it can move it in.
-  void PadUnmatched(Row outer_row, Row* out) const;
+  /// Resets the outer cursor to before the first outer row.
+  void ResetOuter();
+  /// Moves the outer cursor to the next outer row, emitting the gathered
+  /// rows into `out` first when that needs a new outer batch. False at
+  /// the end of the outer stream.
+  bool AdvanceOuter(RowBatch* out);
+  bool OuterKeyHasNull() const;
+  /// Queues output row outer_pos_ + `inner` (null: the LEFT NULL pad).
+  void Gather(const Row* inner) {
+    match_outer_.push_back(outer_pos_);
+    match_inner_.push_back(inner);
+  }
+  /// Rows `out` will hold once the gathered rows are emitted.
+  int64_t Pending(const RowBatch& out) const {
+    return out.size() + static_cast<int64_t>(match_inner_.size());
+  }
+  /// The emit step: appends the gathered rows to `out` column at a time
+  /// and clears them. Outer values are copied per row, except at an outer
+  /// row's last use once the cursor has passed it, where they are moved.
+  void EmitGathered(RowBatch* out);
 
   OperatorPtr outer_;
-  OperatorPtr inner_;
+  OperatorPtr inner_;  ///< null for the index join
   JoinKind kind_;
   std::vector<int> outer_positions_;
   std::vector<int> inner_positions_;
+  /// Ordinal in a held inner row of each emitted inner column.
+  std::vector<int32_t> inner_ordinals_;
   BufferAccount buffer_;
+  RowBatch outer_batch_;    ///< current outer batch
+  int64_t outer_pos_ = -1;  ///< cursor into outer_batch_
+
+ private:
+  std::vector<int64_t> match_outer_;
+  std::vector<const Row*> match_inner_;
 };
 
 /// Merge join of two streams sorted on the join keys (ascending). Handles
@@ -410,18 +386,20 @@ class MergeJoinOp : public JoinOp {
               std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
               ExecContext ctx);
   void OpenImpl() override;
+  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out) override;
-  int CompareKeys(const Row& outer_row, const Row& inner_row) const;
-  bool OuterKeyEqualsGroup(const Row& outer_row) const;
-  bool FetchOuter();
+  /// Compares the outer row's key with the inner row's; counts
+  /// comparisons.
+  int CompareKeys() const;
+  bool InnerKeyHasNull() const;
+  void AdvanceInner();
   void LoadInnerGroup();
 
-  Row outer_row_;
   bool outer_valid_ = false;
-  Row inner_row_;
+  RowBatch inner_batch_;  ///< current inner batch
+  int64_t inner_pos_ = 0;
   bool inner_valid_ = false;
   std::vector<Row> group_;  ///< buffered inner rows with equal key
   std::vector<Value> group_key_;
@@ -433,8 +411,9 @@ class MergeJoinOp : public JoinOp {
 /// the matched key prefix and emit concatenated matches. When the outer
 /// stream is sorted on the probe key, page accesses arrive in order and the
 /// tracker records them as (mostly) sequential — the paper's ordered
-/// nested-loop join.
-class IndexNLJoinOp : public Operator {
+/// nested-loop join. A batch ends early where an outer batch does, so the
+/// next outer batch is pulled only when a row of it is needed.
+class IndexNLJoinOp : public JoinOp {
  public:
   /// `required_columns`, when given, prunes the inner-table half of the
   /// output layout to the columns ancestors reference; probing reads the
@@ -445,44 +424,20 @@ class IndexNLJoinOp : public Operator {
                 ExecContext ctx, const ColumnSet* required_columns = nullptr);
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
 
  private:
-  /// Outcome of advancing the probe cursor within the current outer batch.
-  enum class ProbeResult {
-    kMatch,      ///< cursor positioned on a matching index entry
-    kNeedBatch,  ///< current outer batch consumed; caller pulls the next
-    kEnd,        ///< stream over (fault injected or guard poisoned)
-  };
-  ProbeResult Probe();     // advances within outer_batch_ and seeks
-  bool RowProbe();         // legacy row-shim variant of Probe
-  bool RowProduce(Row* out);  // legacy row-shim per-row production
-
-  OperatorPtr outer_;
   const Table& table_;
   int index_ordinal_;
-  std::vector<std::pair<ColumnId, ColumnId>> pairs_;
-  std::vector<int> outer_positions_;
-  /// Inner-table column ordinals emitted after the outer columns (all of
-  /// them without pruning).
-  std::vector<int32_t> inner_ordinals_;
   PageTracker pages_;
-
-  RowBatch outer_batch_;       ///< current outer batch, consumed in place
-  int64_t outer_pos_ = -1;     ///< cursor into outer_batch_
-  Row row_outer_;              ///< current outer row (row-shim mode only)
   IndexKey probe_key_;
   BTreeIndex::Cursor cursor_;
-  bool probing_ = false;
-  /// Gathered (outer row, inner rid) match pairs for the batch being
-  /// built; materialized column-at-a-time after the gather phase.
-  std::vector<int32_t> match_outer_;
-  std::vector<int64_t> match_rid_;
+  bool probing_ = false;  ///< the cursor sits on a match of probe_key_
 };
 
 /// Naive nested-loop join: the inner is materialized once and rescanned
-/// per outer row; a pair matches when it passes every ON predicate
-/// (evaluated over the concatenated row). With no predicates this is the
+/// per outer row; a pair matches when it passes every ON predicate. The
+/// candidate pairs of one outer row are evaluated a batch at a time over a
+/// scratch batch of concatenated rows. With no predicates this is the
 /// cartesian product. Preserves outer order.
 class NaiveNLJoinOp : public JoinOp {
  public:
@@ -490,47 +445,48 @@ class NaiveNLJoinOp : public JoinOp {
                 std::vector<Predicate> on_predicates, JoinKind kind,
                 ExecContext ctx = ExecContext());
   void OpenImpl() override;
+  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out) override;
+  /// Evaluates the next chunk of the current outer row's candidates into
+  /// survivors_.
+  void EvaluateCandidates(RowBatch* out);
 
   std::vector<Predicate> on_predicates_;
   std::unique_ptr<ExprEvaluator> eval_;
   std::vector<Row> inner_rows_;
-  Row outer_row_;
   bool outer_valid_ = false;
   bool matched_current_ = false;
-  size_t inner_pos_ = 0;
+  size_t inner_pos_ = 0;  ///< next candidate of the current outer row
+  std::vector<size_t> survivors_;  ///< matching inner rows, in inner order
+  size_t survivor_pos_ = 0;
+  RowBatch candidates_;  ///< scratch: concatenated candidate rows
+  SelectionVector sel_;
 };
 
-/// Hash join: builds on the inner, probes with the outer (outer order NOT
-/// preserved by contract, although probing happens in outer order).
+/// Hash join on the grouping kernel: the inner's rows are grouped by their
+/// key's GroupTable group (NULL keys are skipped, as GroupTable puts all
+/// NULLs in one group), and each outer row probes with the same encoding.
+/// Outer order is NOT preserved by contract, although probing happens in
+/// outer order. Shares GroupTable's key-encoding caveat (sort_key.h).
 class HashJoinOp : public JoinOp {
  public:
   HashJoinOp(OperatorPtr outer, OperatorPtr inner,
              std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
              ExecContext ctx = ExecContext());
   void OpenImpl() override;
+  bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out) override;
-
-  struct KeyHash {
-    size_t operator()(const std::vector<Value>& key) const;
-  };
-  struct KeyEq {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const;
-  };
-
-  std::unordered_map<std::vector<Value>, std::vector<Row>, KeyHash, KeyEq>
-      hash_table_;
-  Row outer_row_;
-  std::vector<Value> probe_key_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  GroupTable table_;
+  /// The inner rows, grouped: group g's rows are
+  /// rows_[starts_[g], starts_[g + 1]), in inner order.
+  std::vector<Row> rows_;
+  std::vector<size_t> starts_;
+  size_t match_pos_ = 0;  ///< the current outer row's matches left:
+  size_t match_end_ = 0;  ///< rows_[match_pos_, match_end_)
 };
 
 /// Shared shape of the grouping operators, both on the grouping kernel:
@@ -664,7 +620,10 @@ class HashGroupByOp : public GroupByOp {
 };
 
 /// Duplicate elimination on a column subset for inputs where duplicates are
-/// adjacent (sorted or grouped); preserves order.
+/// adjacent (sorted or grouped); preserves order. Each input row's key is
+/// compared with the last passed row's, which may sit in an earlier batch;
+/// the passing rows move into the output a contiguous run at a time, and
+/// output batches fill to capacity before they are emitted.
 class StreamDistinctOp : public Operator {
  public:
   StreamDistinctOp(OperatorPtr child, ColumnSet distinct_columns,
@@ -674,13 +633,17 @@ class StreamDistinctOp : public Operator {
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out);
+  /// Moves the passing rows of input_ (sel_) into `out`.
+  void MovePassed(RowBatch* out);
 
   OperatorPtr child_;
-  ColumnSet distinct_columns_;
   std::vector<int> positions_;
-  std::vector<Value> last_key_;
+  std::vector<size_t> columns_;  ///< every column, for MoveRangeFrom
+  std::vector<Value> last_key_;  ///< key of the last row passed through
   bool has_last_ = false;
+  RowBatch input_;       ///< scratch batch pulled from the child
+  int64_t pos_ = 0;      ///< next unread row of input_
+  SelectionVector sel_;  ///< passing rows of input_ not yet moved
 };
 
 /// Hash-based duplicate elimination on the grouping kernel's GroupTable
@@ -730,12 +693,20 @@ class MergeUnionOp : public Operator {
   void Close() override;
 
  private:
-  bool ProduceRow(Row* out);
-  int CompareRows(const Row& a, const Row& b) const;
+  /// One child stream: its current batch and the head row's position.
+  struct Head {
+    RowBatch batch;
+    int64_t pos = 0;
+    bool valid = false;
+  };
+  /// Pulls child `i`'s next non-empty batch.
+  void Refill(size_t i);
+  /// Compares the head rows of children `a` and `b` column by column;
+  /// counts comparisons.
+  int CompareHeads(size_t a, size_t b) const;
 
   std::vector<OperatorPtr> children_;
-  std::vector<Row> heads_;
-  std::vector<bool> valid_;
+  std::vector<Head> heads_;
 };
 
 /// Bounded-heap Top-N: keeps only the `limit` smallest rows under the

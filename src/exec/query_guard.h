@@ -109,7 +109,7 @@ class SharedMemoryBudget {
 /// Runtime safety net for one query execution: enforces QueryLimits,
 /// carries a cooperative cancellation flag (safe to set from another
 /// thread), and serves as the executor's error channel — operators whose
-/// Next() cannot return Status poison the guard instead, and ExecutePlan
+/// NextBatch() cannot return Status poison the guard instead, and ExecutePlan
 /// surfaces the poisoned Status to the caller.
 ///
 /// The first violation wins: the guard latches a non-OK Status, every
@@ -383,7 +383,7 @@ struct ExecContext {
   /// sort purely in memory.
   SpillManager* spill = nullptr;
   /// True under EXPLAIN ANALYZE / full tracing: every operator times its
-  /// Open()/Next() calls and accumulates OperatorStats. Off by default so
+  /// Open()/NextBatch() calls and accumulates OperatorStats. Off by default so
   /// the execution hot path pays a single predictable branch.
   bool collect_op_stats = false;
   /// When non-null, BuildOperatorTree appends (plan node, operator) pairs
@@ -400,14 +400,6 @@ struct ExecContext {
   /// single-row batches through the same columnar code path. <= 0 is
   /// clamped to 1.
   int64_t batch_rows = kDefaultBatchRows;
-  /// Legacy row-at-a-time execution: operators with columnar kernels
-  /// (filter, sort input, index join) instead pull their children through
-  /// the Next(Row*) compat shim and evaluate row-wise, materializing a Row
-  /// at every operator boundary — the engine's pre-vectorization shape.
-  /// Forces batch_rows to 1. This is the honest baseline of the batch-size
-  /// sweep ("speedup vs the row shim") and of the batch-vs-row
-  /// differential suite.
-  bool row_shim = false;
   /// Intra-query worker count from OptimizerConfig::parallel_workers.
   /// Serial operators above an exchange (and serial plans) use it for
   /// parallel sort-run generation; inside an exchange worker it is 1 so

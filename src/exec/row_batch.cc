@@ -24,15 +24,6 @@ void RowBatch::Reset(size_t num_columns, int64_t capacity) {
   }
 }
 
-void RowBatch::Clear() {
-  rows_ = 0;
-  const size_t words = NullWordsFor(capacity_);
-  for (ColumnData& col : cols_) {
-    col.values.clear();
-    col.nulls.assign(words, 0);
-  }
-}
-
 void RowBatch::SetNullBit(size_t col, int64_t row, bool is_null) {
   auto& words = cols_[col].nulls;
   const size_t word = static_cast<size_t>(row) >> 6;
@@ -60,26 +51,6 @@ void RowBatch::AppendRow(Row&& row) {
   ++rows_;
 }
 
-void RowBatch::AppendProjectedRow(const Row& src,
-                                  const std::vector<int32_t>& ordinals) {
-  assert(ordinals.size() == cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const Value& v = src[static_cast<size_t>(ordinals[c])];
-    SetNullBit(c, rows_, v.is_null());
-    cols_[c].values.push_back(v);
-  }
-  ++rows_;
-}
-
-void RowBatch::AppendRowFrom(const RowBatch& src, int64_t src_row) {
-  assert(src.num_columns() == cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    SetNullBit(c, rows_, src.IsNull(c, src_row));
-    cols_[c].values.push_back(src.At(c, src_row));
-  }
-  ++rows_;
-}
-
 void RowBatch::SetRowCount(int64_t rows) {
 #ifndef NDEBUG
   for (const ColumnData& col : cols_) {
@@ -87,13 +58,6 @@ void RowBatch::SetRowCount(int64_t rows) {
   }
 #endif
   rows_ = rows;
-}
-
-void RowBatch::AssignFiltered(const RowBatch& src, const SelectionVector& sel) {
-  Reset(src.num_columns(), src.capacity());
-  for (int32_t idx : sel) {
-    AppendRowFrom(src, idx);
-  }
 }
 
 void RowBatch::Compact(const SelectionVector& sel) {
@@ -166,20 +130,6 @@ void RowBatch::MoveRangeFrom(RowBatch* src,
     }
   }
   rows_ += end - begin;
-}
-
-Row RowBatch::MaterializeRow(int64_t row) const {
-  Row out;
-  MaterializeRowInto(row, &out);
-  return out;
-}
-
-void RowBatch::MaterializeRowInto(int64_t row, Row* out) const {
-  out->clear();
-  out->reserve(cols_.size());
-  for (const ColumnData& col : cols_) {
-    out->push_back(col.values[static_cast<size_t>(row)]);
-  }
 }
 
 Row RowBatch::TakeRow(int64_t row) {

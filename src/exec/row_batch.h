@@ -45,9 +45,6 @@ class RowBatch {
   /// settles into zero-allocation steady state.
   void Reset(size_t num_columns, int64_t capacity);
 
-  /// Drops all rows but keeps the column count and capacity.
-  void Clear();
-
   size_t num_columns() const { return cols_.size(); }
   int64_t size() const { return rows_; }
   int64_t capacity() const { return capacity_; }
@@ -70,23 +67,17 @@ class RowBatch {
            1u;
   }
 
-  /// Appends one row (row-major entry point used by the compat shims and by
-  /// operators whose inner logic is still row-at-a-time).
+  /// Appends one row (row-major entry point for operators that hold rows:
+  /// the sort's buffer and run merge, Top-N's heap).
   void AppendRow(const Row& row);
   void AppendRow(Row&& row);
 
-  /// Copies row `src_row` of `src` into this batch. Widths must match.
-  void AppendRowFrom(const RowBatch& src, int64_t src_row);
-
-  /// Appends the cells of `src` selected by `ordinals`, one per column of
-  /// this batch (column-pruned scans and index lookups emit through this).
-  void AppendProjectedRow(const Row& src, const std::vector<int32_t>& ordinals);
-
   /// Columnar fill: appends `v` to column `col` without touching the row
-  /// count. Producers that build column-by-column (ProjectOp, the index
-  /// join's emit loop) append the same number of values to every column
-  /// and then call SetRowCount. Inline: this is the hottest call in the
-  /// executor (~once per value crossing an operator boundary).
+  /// count. Producers that build column-by-column (scans, ProjectOp, the
+  /// joins' emit steps) append the same number of values to every column
+  /// and then call SetRowCount with the new total. Inline: this is the
+  /// hottest call in the executor (~once per value crossing an operator
+  /// boundary).
   void AppendColumnValue(size_t col, Value v) {
     ColumnData& column = cols_[col];
     // Appends stay within the Reset capacity (producers respect full()),
@@ -103,10 +94,6 @@ class RowBatch {
   /// Declares the row count after columnar fills. Every column must hold
   /// exactly `rows` values.
   void SetRowCount(int64_t rows);
-
-  /// Replaces this batch's contents with the selected rows of `src`.
-  /// Indices in `sel` must be ascending and in-range.
-  void AssignFiltered(const RowBatch& src, const SelectionVector& sel);
 
   /// Compacts this batch in place to the selected rows: survivors are
   /// moved down within each column and the null bitmap is rebuilt, so no
@@ -125,17 +112,12 @@ class RowBatch {
   void MoveRangeFrom(RowBatch* src, const std::vector<size_t>& src_cols,
                      int64_t begin, int64_t end);
 
-  /// Materializes row `row` as an owned Row (used by the row-compat shim and
-  /// the executor's result collection).
-  Row MaterializeRow(int64_t row) const;
-  void MaterializeRowInto(int64_t row, Row* out) const;
-
   /// Moves row `row`'s values out into an owned Row. The moved-from slots
   /// become valid-but-unspecified and the null bitmap no longer reflects
-  /// them, so this is only for consumers that drain a batch exactly once in
-  /// row order and never re-read it (the row-compat shim, sort input
-  /// collection, the executor's result loop). The batch must be Reset
-  /// before it is filled again, which every producer does.
+  /// them, so this is only for consumers that read each row once and never
+  /// again (buffering operators' input, the executor's result loop). The
+  /// batch must be Reset before it is filled again, which every producer
+  /// does.
   Row TakeRow(int64_t row);
   void TakeRowInto(int64_t row, Row* out);
 

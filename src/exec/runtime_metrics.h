@@ -111,15 +111,15 @@ struct RuntimeMetrics {
 
 /// Per-operator runtime statistics, collected when a query runs under
 /// EXPLAIN ANALYZE (ExecContext::collect_op_stats). The metrics-delta
-/// counters are *inclusive* of the operator's children: the Open()/Next()
+/// counters are *inclusive* of the operator's children: the Open()/NextBatch()
 /// wrappers accumulate the query-level RuntimeMetrics delta across each
 /// whole call, which contains the nested child pulls. Stats therefore roll
 /// up parent -> child, and an operator's self cost is derivable as its
 /// value minus the sum over its children.
 struct OperatorStats {
   int64_t open_ns = 0;     ///< wall time inside Open() (blocking work)
-  int64_t next_ns = 0;     ///< wall time across all Next() calls
-  int64_t next_calls = 0;  ///< Next() invocations (incl. the final false)
+  int64_t next_ns = 0;     ///< wall time across all NextBatch() calls
+  int64_t next_calls = 0;  ///< NextBatch() invocations (incl. the final false)
   int64_t rows_out = 0;    ///< rows this operator produced
   /// RuntimeMetrics deltas attributed to this subtree (inclusive).
   ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DECLARE_COUNTER)

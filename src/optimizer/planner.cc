@@ -184,10 +184,9 @@ Result<PlanRef> Planner::BuildPlan() {
   best = FinishRootCandidate(std::move(best));
   // Morsel-parallel post-pass on the chosen plan only. EnumerateAllPlans
   // stays serial: the oracle compares plan alternatives, not schedulers.
-  // Row-shim execution has no batch path for exchanges, and degraded mode
-  // must not multiply the per-query memory footprint by the worker count.
-  if (config_.parallel_workers > 1 && !config_.row_shim_exec &&
-      !config_.degraded_mode) {
+  // Degraded mode must not multiply the per-query memory footprint by the
+  // worker count.
+  if (config_.parallel_workers > 1 && !config_.degraded_mode) {
     best = Parallelize(std::move(best));
   }
   if (tracing()) {

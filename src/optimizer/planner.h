@@ -78,12 +78,6 @@ struct OptimizerConfig {
   /// single-row batches through the same columnar code path. <= 0 is
   /// clamped to 1.
   int64_t batch_rows = kDefaultBatchRows;
-  /// Legacy row-at-a-time execution (ExecContext::row_shim): operators
-  /// with columnar kernels pull children through the Next(Row*) shim and
-  /// evaluate row-wise, materializing a Row at every operator boundary.
-  /// Implies batch_rows = 1. The baseline of the batch-size sweep and the
-  /// batch-vs-row differential suite; never the default.
-  bool row_shim_exec = false;
   /// Set by the QueryService when it admits a query in degraded mode
   /// (shared-memory-budget occupancy over the high-water mark): the
   /// service has already reduced cost_params.sort_memory_rows so sorts

@@ -21,6 +21,48 @@
 
 namespace ordopt {
 
+/// Row-at-a-time expression evaluation for the reference evaluator: columns
+/// bind through a layout, and a predicate holds iff its value is non-NULL
+/// and non-zero (SQL three-valued logic folded to two, as in WHERE).
+class RowEvaluator {
+ public:
+  explicit RowEvaluator(std::vector<ColumnId> layout)
+      : layout_(std::move(layout)) {}
+
+  int PositionOf(const ColumnId& col) const {
+    auto it = std::find(layout_.begin(), layout_.end(), col);
+    return it == layout_.end() ? -1 : static_cast<int>(it - layout_.begin());
+  }
+
+  Value Eval(const BoundExpr& expr, const Row& row) const {
+    switch (expr.kind()) {
+      case BoundExpr::Kind::kLiteral:
+        return expr.literal();
+      case BoundExpr::Kind::kColumn: {
+        const int pos = PositionOf(expr.column());
+        ORDOPT_CHECK(pos >= 0);
+        return row[static_cast<size_t>(pos)];
+      }
+      case BoundExpr::Kind::kBinary:
+        return EvalBinary(expr.op(), Eval(expr.left(), row),
+                          Eval(expr.right(), row));
+      case BoundExpr::Kind::kIsNull: {
+        const bool is_null = Eval(expr.is_null_child(), row).is_null();
+        return Value::Int(is_null != expr.is_null_negated() ? 1 : 0);
+      }
+    }
+    return Value::Null();
+  }
+
+  bool EvalPredicate(const Predicate& pred, const Row& row) const {
+    const Value v = Eval(pred.expr, row);
+    return !v.is_null() && v.Compare(Value::Int(0)) != 0;
+  }
+
+ private:
+  std::vector<ColumnId> layout_;
+};
+
 /// Builds a small three-table database with keys and indexes exercising
 /// every access path: dept(dno key, dname, budget), emp(eno key, dno,
 /// salary, age), task(tno, eno, hours) with duplicates and NULLs.
@@ -161,7 +203,7 @@ class ReferenceEvaluator {
       joined.layout = acc.layout;
       joined.layout.insert(joined.layout.end(), inner.layout.begin(),
                            inner.layout.end());
-      ExprEvaluator on_eval(joined.layout);
+      RowEvaluator on_eval(joined.layout);
       for (const Row& l : acc.rows) {
         bool matched = false;
         for (const Row& r : inner.rows) {
@@ -190,7 +232,7 @@ class ReferenceEvaluator {
       acc = std::move(joined);
     }
     // Apply every predicate.
-    ExprEvaluator eval(acc.layout);
+    RowEvaluator eval(acc.layout);
     std::vector<Row> kept;
     for (const Row& row : acc.rows) {
       bool pass = true;
@@ -229,7 +271,7 @@ class ReferenceEvaluator {
 
   Relation EvaluateGroupBy(const QgmBox* box) {
     Relation input = EvaluateBox(box->quantifiers[0].input);
-    ExprEvaluator eval(input.layout);
+    RowEvaluator eval(input.layout);
 
     Relation out;
     for (const ColumnId& c : box->group_columns) out.layout.push_back(c);

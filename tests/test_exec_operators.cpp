@@ -17,21 +17,20 @@
 namespace ordopt {
 namespace {
 
+// Emits fixed rows in batches of the context's batch_rows, so tests can
+// pick the batch size a stream is produced at (and share a guard).
 class RowSource : public Operator {
  public:
   RowSource(std::vector<ColumnId> layout, std::vector<Row> rows,
             ExecContext ctx = ExecContext())
-      : Operator(ctx) {
+      : Operator(ctx), rows_(std::move(rows)) {
     layout_ = std::move(layout);
-    rows_ = std::move(rows);
   }
   void OpenImpl() override { pos_ = 0; }
   bool NextBatchImpl(RowBatch* out) override {
-    return FillBatch(out, [this](Row* row) {
-      if (pos_ >= rows_.size()) return false;
-      *row = rows_[pos_++];
-      return true;
-    });
+    out->Reset(layout_.size(), BatchCapacity());
+    while (!out->full() && pos_ < rows_.size()) out->AppendRow(rows_[pos_++]);
+    return !out->empty();
   }
 
  private:
@@ -42,8 +41,12 @@ class RowSource : public Operator {
 std::vector<Row> Drain(Operator* op) {
   op->Open();
   std::vector<Row> out;
-  Row row;
-  while (op->Next(&row)) out.push_back(row);
+  RowBatch batch;
+  while (op->NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      out.push_back(batch.TakeRow(i));
+    }
+  }
   op->Close();
   return out;
 }
@@ -957,6 +960,17 @@ TEST(ExecAggregationDifferential, HashDistinctKeepsFirstRowInInputOrder) {
             });
         if (!seen) expected.push_back(row);
       }
+      // Stream distinct reads the input stably sorted on the key, so each
+      // key's first row in sorted order is its first row in input order.
+      std::vector<Row> sorted = input;
+      SortByKey(&sorted, width);
+      std::vector<Row> stream_expected;
+      for (const Row& row : sorted) {
+        if (stream_expected.empty() ||
+            CompareKeys(stream_expected.back(), row, width) != 0) {
+          stream_expected.push_back(row);
+        }
+      }
       ColumnSet columns{layout[kK1]};
       if (width == 2) columns = ColumnSet{layout[kK1], layout[kK2]};
       for (int64_t batch : {1, 3, 1024}) {
@@ -968,8 +982,58 @@ TEST(ExecAggregationDifferential, HashDistinctKeepsFirstRowInInputOrder) {
         HashDistinctOp distinct(
             std::make_unique<RowSource>(layout, input, ctx), columns, ctx);
         ExpectSameRows(Drain(&distinct), expected);
+        StreamDistinctOp stream(
+            std::make_unique<RowSource>(layout, sorted, ctx), columns, ctx);
+        ExpectSameRows(Drain(&stream), stream_expected);
         EXPECT_EQ(m.comparisons, 0);
       }
+    }
+  }
+}
+
+// Merge-union differential: 1-4 seeded children, each sorted ascending on
+// all columns (some empty), with NULLs and int 3 vs double 3.0 ties, at
+// several batch sizes. The reference is a stable sort of the concatenated
+// children: equal rows keep child order, so ties go to the lower child.
+TEST(ExecUnionDifferential, MergeUnionMatchesStableMerge) {
+  const std::vector<ColumnId> layout = {{0, 0}, {0, 1}};
+  const std::vector<ColumnId> out_layout = {{9, 0}, {9, 1}};
+  auto less = [](const Row& a, const Row& b) {
+    return CompareKeys(a, b, a.size()) < 0;
+  };
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    std::vector<std::vector<Row>> children(
+        static_cast<size_t>(rng.Uniform(1, 4)));
+    std::vector<Row> expected;
+    for (std::vector<Row>& child : children) {
+      const int64_t n = rng.Chance(0.25) ? 0 : rng.Uniform(1, 20);
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t k = rng.Uniform(0, 3);
+        Value num = rng.Chance(0.5) ? Value::Int(k)
+                                    : Value::Double(static_cast<double>(k));
+        Value str = Value::Str(
+            std::string(1, static_cast<char>('a' + rng.Uniform(0, 1))));
+        child.push_back({rng.Chance(0.15) ? Value::Null() : num,
+                         rng.Chance(0.15) ? Value::Null() : str});
+      }
+      std::stable_sort(child.begin(), child.end(), less);
+      expected.insert(expected.end(), child.begin(), child.end());
+    }
+    std::stable_sort(expected.begin(), expected.end(), less);
+    for (int64_t batch : {1, 3, 1024}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                        << " children=" << children.size()
+                                        << " batch=" << batch);
+      RuntimeMetrics m;
+      ExecContext ctx(&m);
+      ctx.batch_rows = batch;
+      std::vector<OperatorPtr> kids;
+      for (const std::vector<Row>& child : children) {
+        kids.push_back(std::make_unique<RowSource>(layout, child, ctx));
+      }
+      MergeUnionOp merge(std::move(kids), out_layout, ctx);
+      ExpectSameRows(Drain(&merge), expected);
     }
   }
 }
@@ -1135,29 +1199,6 @@ TEST(ExecFilterProject, EvaluateExpressions) {
 
 // --- Order verification at batch granularity -------------------------------
 
-// RowSource with a caller-controlled ExecContext, so tests can pick the
-// batch size the stream is produced at and share a guard with the checker.
-class BatchedSource : public Operator {
- public:
-  BatchedSource(std::vector<ColumnId> layout, std::vector<Row> rows,
-                ExecContext ctx)
-      : Operator(ctx), rows_(std::move(rows)) {
-    layout_ = std::move(layout);
-  }
-  void OpenImpl() override { pos_ = 0; }
-  bool NextBatchImpl(RowBatch* out) override {
-    return FillBatch(out, [this](Row* row) {
-      if (pos_ >= rows_.size()) return false;
-      *row = rows_[pos_++];
-      return true;
-    });
-  }
-
- private:
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
-};
-
 PlanNode SortClaimNode(OrderSpec spec) {
   PlanNode node;
   node.kind = OpKind::kSort;
@@ -1184,7 +1225,7 @@ TEST(OrderCheckBatches, DescDuplicateRunsAcrossBatchBoundaries) {
   ctx.batch_rows = 3;
   PlanNode node = SortClaimNode(
       OrderSpec{{ColumnId(0, 0), SortDirection::kDescending}});
-  OrderCheckOp check(std::make_unique<BatchedSource>(layout, rows, ctx), node,
+  OrderCheckOp check(std::make_unique<RowSource>(layout, rows, ctx), node,
                      ctx);
   guard.Arm();
   std::vector<Row> out = Drain(&check);
@@ -1202,7 +1243,7 @@ TEST(OrderCheckBatches, AscDuplicatesWithLeadingNulls) {
   ExecContext ctx(&m, &guard, nullptr);
   ctx.batch_rows = 3;
   PlanNode node = SortClaimNode(OrderSpec{{ColumnId(0, 0)}});
-  OrderCheckOp check(std::make_unique<BatchedSource>(layout, rows, ctx), node,
+  OrderCheckOp check(std::make_unique<RowSource>(layout, rows, ctx), node,
                      ctx);
   guard.Arm();
   EXPECT_EQ(Drain(&check).size(), rows.size());
@@ -1220,7 +1261,7 @@ TEST(OrderCheckBatches, ViolationExactlyAtBatchBoundary) {
   ExecContext ctx(&m, &guard, nullptr);
   ctx.batch_rows = 3;
   PlanNode node = SortClaimNode(OrderSpec{{ColumnId(0, 0)}});
-  OrderCheckOp check(std::make_unique<BatchedSource>(layout, rows, ctx), node,
+  OrderCheckOp check(std::make_unique<RowSource>(layout, rows, ctx), node,
                      ctx);
   guard.Arm();
   Drain(&check);
@@ -1242,7 +1283,7 @@ TEST(OrderCheckBatches, DescViolationWithinBatch) {
   ctx.batch_rows = 1024;  // one batch: all pairs are within-batch
   PlanNode node = SortClaimNode(
       OrderSpec{{ColumnId(0, 0), SortDirection::kDescending}});
-  OrderCheckOp check(std::make_unique<BatchedSource>(layout, rows, ctx), node,
+  OrderCheckOp check(std::make_unique<RowSource>(layout, rows, ctx), node,
                      ctx);
   guard.Arm();
   Drain(&check);

@@ -8,6 +8,15 @@
 namespace ordopt {
 namespace {
 
+// A one-row batch holding `row`.
+RowBatch OneRow(const Row& row) {
+  RowBatch batch;
+  batch.Reset(row.size(), 1);
+  for (size_t c = 0; c < row.size(); ++c) batch.AppendColumnValue(c, row[c]);
+  batch.SetRowCount(1);
+  return batch;
+}
+
 TEST(EvalBinary, IntegerArithmetic) {
   EXPECT_EQ(EvalBinary(BinOp::kAdd, Value::Int(2), Value::Int(3)).AsInt(), 5);
   EXPECT_EQ(EvalBinary(BinOp::kSub, Value::Int(2), Value::Int(3)).AsInt(),
@@ -62,8 +71,8 @@ TEST(ExprEvaluator, BindsColumnsByIdentity) {
   BoundExpr e = BoundExpr::Binary(
       BinOp::kMul, BoundExpr::Column({0, 0}, DataType::kInt64, "a"),
       BoundExpr::Column({3, 1}, DataType::kInt64, "b"), DataType::kInt64);
-  Row row = {Value::Int(4), Value::Int(6)};
-  EXPECT_EQ(eval.Eval(e, row).AsInt(), 24);
+  EXPECT_EQ(eval.EvalAt(e, OneRow({Value::Int(4), Value::Int(6)}), 0).AsInt(),
+            24);
 }
 
 TEST(ExprEvaluator, PredicateNullIsFalse) {
@@ -73,10 +82,12 @@ TEST(ExprEvaluator, PredicateNullIsFalse) {
       BinOp::kGt, BoundExpr::Column({0, 0}, DataType::kInt64, "x"),
       BoundExpr::Literal(Value::Int(5)), DataType::kInt64);
   Predicate pred = ClassifyPredicate(std::move(cmp));
-  Row null_row = {Value::Null()};
-  EXPECT_FALSE(eval.EvalPredicate(pred, null_row));
-  Row yes = {Value::Int(9)};
-  EXPECT_TRUE(eval.EvalPredicate(pred, yes));
+  SelectionVector sel = {0};
+  eval.FilterBatch(pred, OneRow({Value::Null()}), &sel);
+  EXPECT_TRUE(sel.empty());
+  sel = {0};
+  eval.FilterBatch(pred, OneRow({Value::Int(9)}), &sel);
+  EXPECT_EQ(sel, SelectionVector{0});
 }
 
 TEST(ExprEvaluator, LiteralAndNested) {
@@ -86,8 +97,7 @@ TEST(ExprEvaluator, LiteralAndNested) {
       BoundExpr::Binary(BinOp::kMul, BoundExpr::Literal(Value::Int(3)),
                         BoundExpr::Literal(Value::Int(4)), DataType::kInt64),
       BoundExpr::Literal(Value::Int(2)), DataType::kInt64);
-  Row empty;
-  EXPECT_EQ(eval.Eval(e, empty).AsInt(), 10);
+  EXPECT_EQ(eval.EvalAt(e, OneRow({}), 0).AsInt(), 10);
 }
 
 }  // namespace

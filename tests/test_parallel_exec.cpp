@@ -442,11 +442,14 @@ TEST(ClusteredMorsels, OnlyFullForwardWalksSkipTheSharedRidVector) {
                      /*emit_provenance=*/true);
     scan.Open();
     std::vector<Row> rows;
-    Row row;
-    while (scan.Next(&row)) {
-      EXPECT_EQ(row.back().AsInt(), static_cast<int64_t>(rows.size()));
-      row.pop_back();  // provenance
-      rows.push_back(row);
+    RowBatch batch;
+    while (scan.NextBatch(&batch)) {
+      for (int64_t i = 0; i < batch.size(); ++i) {
+        Row row = batch.TakeRow(i);
+        EXPECT_EQ(row.back().AsInt(), static_cast<int64_t>(rows.size()));
+        row.pop_back();  // provenance
+        rows.push_back(std::move(row));
+      }
     }
     scan.Close();
     EXPECT_EQ(rows, expected);

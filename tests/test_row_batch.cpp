@@ -1,9 +1,8 @@
 // Tests for the vectorized execution layer: RowBatch invariants, the
 // normalized sort-key encoding (memcmp order must reproduce Value::Compare
 // per type class, including directions and NULLs), batch expression
-// evaluation edge cases, and the batch-vs-row differential over golden
-// queries (batch size 1 is the row-at-a-time shim; every size must produce
-// an identical row stream).
+// evaluation edge cases, and the batch-size differential over golden
+// queries (every size, 1 included, must produce an identical row stream).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "exec/engine.h"
+#include "exec/executor.h"
 #include "exec/expr_eval.h"
 #include "exec/row_batch.h"
 #include "exec/sort_key.h"
@@ -66,23 +66,7 @@ TEST(RowBatch, TruncateClearsDroppedNullBits) {
   EXPECT_EQ(batch.At(0, 1).AsInt(), 2);
 }
 
-TEST(RowBatch, AssignFilteredKeepsValuesAndBitmap) {
-  RowBatch src;
-  src.Reset(2, 4);
-  src.AppendRow(MixedRow(0, "a", false));
-  src.AppendRow(MixedRow(1, "", true));
-  src.AppendRow(MixedRow(2, "c", false));
-  src.AppendRow(MixedRow(3, "", true));
-  RowBatch dst;
-  dst.AssignFiltered(src, SelectionVector{1, 2});
-  ASSERT_EQ(dst.size(), 2);
-  EXPECT_TRUE(dst.IsNull(1, 0));
-  EXPECT_FALSE(dst.IsNull(1, 1));
-  EXPECT_EQ(dst.At(0, 0).AsInt(), 1);
-  EXPECT_EQ(dst.At(1, 1).AsString(), "c");
-}
-
-TEST(RowBatch, ColumnarFillAndMaterializeRoundTrip) {
+TEST(RowBatch, ColumnarFillAndTakeRowRoundTrip) {
   RowBatch batch;
   batch.Reset(2, 2);
   batch.AppendColumnValue(0, Value::Int(10));
@@ -91,7 +75,7 @@ TEST(RowBatch, ColumnarFillAndMaterializeRoundTrip) {
   batch.AppendColumnValue(1, Value::Str("q"));
   batch.SetRowCount(2);
   EXPECT_TRUE(batch.IsNull(0, 1));
-  Row row = batch.MaterializeRow(1);
+  Row row = batch.TakeRow(1);
   ASSERT_EQ(row.size(), 2u);
   EXPECT_TRUE(row[0].is_null());
   EXPECT_EQ(row[1].AsString(), "q");
@@ -346,7 +330,7 @@ TEST(BatchExprEval, ColVsColSkipsNullSides) {
   EXPECT_EQ(sel, (SelectionVector{0, 3}));
 }
 
-TEST(BatchExprEval, GenericPredicateMatchesRowPath) {
+TEST(BatchExprEval, GenericPredicateFoldsNullToFalse) {
   const std::vector<ColumnId> layout = {{0, 0}, {0, 1}};
   ExprEvaluator eval(layout);
   RowBatch batch;
@@ -366,13 +350,8 @@ TEST(BatchExprEval, GenericPredicateMatchesRowPath) {
   Predicate pred = ClassifyPredicate(std::move(e));
   SelectionVector sel = DenseSel(batch.size());
   eval.FilterBatch(pred, batch, &sel);
-  SelectionVector expected;
-  for (int64_t r = 0; r < batch.size(); ++r) {
-    if (eval.EvalPredicate(pred, batch.MaterializeRow(r))) {
-      expected.push_back(static_cast<int32_t>(r));
-    }
-  }
-  EXPECT_EQ(sel, expected);
+  // 6 > 6 fails, a NULL operand makes the sum NULL, 5 > 6 fails.
+  EXPECT_EQ(sel, (SelectionVector{4}));
 }
 
 TEST(BatchExprEval, EvalColumnPropagatesNullsIntoBitmap) {
@@ -397,10 +376,9 @@ TEST(BatchExprEval, EvalColumnPropagatesNullsIntoBitmap) {
 
 // --- Batch-vs-row differential over golden queries -------------------------
 
-// Every batch size must produce an identical row stream (values AND order),
-// as must the legacy row-at-a-time execution shape (row_shim_exec — the
-// sweep baseline). verify_orders keeps the order checker active at every
-// batch granularity.
+// Every batch size must produce an identical row stream (values AND order);
+// batch size 1 is the row-at-a-time reference. verify_orders keeps the order
+// checker active at every batch granularity.
 TEST(BatchVsRow, GoldenQueriesRowIdenticalAcrossBatchSizes) {
   Database db;
   BuildToyDatabase(&db);
@@ -419,23 +397,21 @@ TEST(BatchVsRow, GoldenQueriesRowIdenticalAcrossBatchSizes) {
       "select salary from emp union select budget from dept "
       "order by salary desc",
   };
-  // Index 4 runs the legacy row-shim execution mode instead of a batch size.
-  const int64_t kBatchSizes[] = {1024, 1, 3, 7, 1};
+  const int64_t kBatchSizes[] = {1024, 1, 3, 7};
   for (const char* sql : kQueries) {
     SCOPED_TRACE(sql);
     std::vector<Row> baseline;
     int64_t baseline_spill_runs = 0;
-    for (size_t i = 0; i < 5; ++i) {
+    for (size_t i = 0; i < 4; ++i) {
       OptimizerConfig config;
       config.batch_rows = kBatchSizes[i];
-      config.row_shim_exec = (i == 4);
       config.verify_orders = true;
       // A tiny sort budget makes every sort a genuine external merge, so
       // the differential also pins spill behavior per batch size.
       config.cost_params.sort_memory_rows = 5;
       QueryEngine engine(&db, config);
       auto run = engine.Run(sql);
-      const char* mode = (i == 4) ? "row shim" : "batch";
+      const char* mode = "batch";
       ASSERT_TRUE(run.ok()) << mode << "=" << kBatchSizes[i] << ": "
                             << run.status().ToString();
       if (i == 0) {
@@ -448,6 +424,31 @@ TEST(BatchVsRow, GoldenQueriesRowIdenticalAcrossBatchSizes) {
         EXPECT_EQ(run.value().metrics.spill_runs, baseline_spill_runs)
             << mode << "=" << kBatchSizes[i] << " changed spill behavior";
       }
+    }
+  }
+}
+
+// ExecutePlan keeps its row_shim parameter slot for positional callers, but
+// the row-at-a-time mode is gone: asking for it fails instead of silently
+// running the batch path.
+TEST(BatchVsRow, RowShimArgumentIsRejected) {
+  Database db;
+  BuildToyDatabase(&db);
+  QueryEngine engine(&db);
+  auto planned = engine.Explain("select eno from emp order by eno");
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  for (bool row_shim : {true, false}) {
+    RuntimeMetrics metrics;
+    auto rows = ExecutePlan(planned.value().plan, &metrics, nullptr, nullptr,
+                            nullptr, /*verify_orders=*/false, kDefaultBatchRows,
+                            row_shim);
+    if (row_shim) {
+      ASSERT_FALSE(rows.ok());
+      EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(metrics.rows_produced, 0);
+    } else {
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows.value().size(), 200u);
     }
   }
 }
