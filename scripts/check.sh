@@ -11,7 +11,9 @@
 #                                         its self-tests, and a 2 s
 #                                         correctness smoke run of the
 #                                         service_mixed, olap_hash_par4 and
-#                                         olap_sort_serial workloads
+#                                         olap_sort_serial workloads,
+#                                         then the source size from
+#                                         scripts/src_lines.sh
 #        scripts/check.sh --plan-bench    planning-time gate only: builds the
 #                                         default preset, runs bench_table1_q3
 #                                         --plan-time (Q3, and region revenue
@@ -588,3 +590,7 @@ echo "    under runtime order verification; no spill files leaked; trace"
 echo "    export valid and within overhead budget; planning time within"
 echo "    the recorded baseline; the TPC-D suite benchmark builds, its"
 echo "    self-tests pass, and its smoke runs match the reference results."
+
+# Source size, by the rule every size figure in CHANGES.md uses.
+echo "==> source size (non-blank, non-comment .cc/.h lines)"
+scripts/src_lines.sh

@@ -129,8 +129,7 @@ Result<std::vector<Row>> QueryEngine::ExecutePhase(
   auto start = std::chrono::steady_clock::now();
   Result<std::vector<Row>> rows =
       ExecutePlan(result->plan, &result->metrics, guard, &spill_config,
-                  profile, EffectiveVerifyOrders(config_), config_.batch_rows,
-                  /*row_shim=*/false, config_.parallel_workers);
+                  profile, EffectiveVerifyOrders(config_), config_.batch_rows);
   auto end = std::chrono::steady_clock::now();
   result->elapsed_seconds = std::chrono::duration<double>(end - start).count();
   // Keep consumed-vs-limit visible even when the query failed: a

@@ -292,7 +292,8 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
                                      const SpillConfig* spill_config,
                                      std::vector<OperatorProfile>* profile,
                                      bool verify_orders, int64_t batch_rows,
-                                     bool row_shim, int parallel_workers) {
+                                     bool row_shim,
+                                     int /*parallel_workers*/) {
   if (row_shim) {
     return Status::InvalidArgument(
         "row-at-a-time execution was removed; row_shim must be false");
@@ -313,7 +314,6 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
   ExecContext ctx(metrics, guard, spill.get());
   ctx.verify_orders = verify_orders;
   ctx.batch_rows = batch_rows > 0 ? batch_rows : 1;
-  ctx.parallel_workers = parallel_workers > 1 ? parallel_workers : 1;
   std::vector<std::pair<const PlanNode*, Operator*>> registry;
   if (profile != nullptr) {
     ctx.collect_op_stats = true;

@@ -51,9 +51,9 @@ struct OperatorProfile {
 /// fails the query with kInternal. `batch_rows` sets the execution batch
 /// size (ExecContext::batch_rows); 1 degenerates to single-row batches
 /// through the same code path. `row_shim` must be false: true returns
-/// InvalidArgument. `parallel_workers` (ExecContext::parallel_workers)
-/// enables parallel sort-run generation in serial operators and sizes
-/// nothing else — exchange worker counts are baked into the plan.
+/// InvalidArgument. `parallel_workers` is ignored: exchange worker counts
+/// are baked into the plan. Both slots are kept only for positional
+/// callers.
 Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
                                      RuntimeMetrics* metrics,
                                      QueryGuard* guard = nullptr,
@@ -62,7 +62,7 @@ Result<std::vector<Row>> ExecutePlan(const PlanRef& plan,
                                          nullptr,
                                      bool verify_orders = false,
                                      int64_t batch_rows = kDefaultBatchRows,
-                                     // Slot kept for positional callers.
+                                     // Slots kept for positional callers.
                                      bool row_shim = false,
                                      int parallel_workers = 1);
 

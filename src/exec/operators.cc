@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <ctime>
 #include <numeric>
 
 #include "exec/sort_key.h"
@@ -15,14 +14,6 @@
 namespace ordopt {
 
 namespace {
-
-// CPU time consumed by the calling thread, for parallel-run-generation job
-// accounting (RuntimeMetrics::worker_busy_ns_*).
-int64_t ThreadCpuNs() {
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-}
 
 // Positions of `cols` within `layout`. A miss is a planner bug: with a
 // guard the query degrades to Status::Internal (the poisoned tree is
@@ -553,72 +544,7 @@ bool SortOp::SpillCurrentRun() {
   return true;
 }
 
-bool SortOp::SpillRunAsync() {
-  // Bound in-flight jobs by the worker knob; join oldest-first so the
-  // collection thread blocks on the run most likely to have finished.
-  while (jobs_.size() - jobs_joined_ >=
-         static_cast<size_t>(ctx_.parallel_workers)) {
-    JoinOneJob();
-    if (!ctx_.GuardOk()) return false;
-  }
-  auto job = std::make_unique<RunJob>();
-  job->rows = std::move(rows_);
-  rows_.clear();
-  job->metrics = std::make_unique<RuntimeMetrics>();
-  job->spill = std::make_unique<SpillManager>(ctx_.spill->config(),
-                                              job->metrics.get());
-  // Reserve the run's slot now: runs_ keeps input order regardless of job
-  // completion order, so merge tie-breaking (lowest run index wins) stays
-  // identical to the serial spill order.
-  job->slot = runs_.size();
-  runs_.push_back(nullptr);
-  // The job takes over the buffered rows' guard charge; it is released at
-  // join, once the run is on disk and the rows are freed.
-  job->charged_rows = buffer_.rows();
-  job->charged_bytes = buffer_.bytes();
-  buffer_.ForgetCharge();
-  RunJob* j = job.get();
-  j->thread = std::thread([this, j] {
-    const int64_t start_ns = ThreadCpuNs();
-    SortRowsNormalized(&j->rows, positions_, descending_,
-                       &j->metrics->comparisons);
-    Result<std::unique_ptr<SpillRun>> run = j->spill->WriteRun(j->rows);
-    if (run.ok()) {
-      j->run = std::move(run).value_unsafe();
-    } else {
-      j->status = run.status();
-    }
-    j->rows.clear();
-    j->metrics->worker_busy_ns_max = ThreadCpuNs() - start_ns;
-    j->metrics->worker_busy_ns_total = j->metrics->worker_busy_ns_max;
-  });
-  jobs_.push_back(std::move(job));
-  return ctx_.GuardOk();
-}
-
-void SortOp::JoinOneJob() {
-  RunJob* job = jobs_[jobs_joined_].get();
-  if (job->thread.joinable()) job->thread.join();
-  ++jobs_joined_;
-  if (ctx_.metrics != nullptr) ctx_.metrics->MergeFrom(*job->metrics);
-  if (ctx_.guard != nullptr) {
-    ctx_.guard->OnBufferReleased(job->charged_rows, job->charged_bytes);
-  }
-  if (!job->status.ok()) {
-    ctx_.Poison(job->status);
-    return;
-  }
-  runs_[job->slot] = std::move(job->run);
-}
-
-void SortOp::JoinAllJobs() {
-  while (jobs_joined_ < jobs_.size()) JoinOneJob();
-  jobs_.clear();
-  jobs_joined_ = 0;
-}
-
 void SortOp::Abandon() {
-  JoinAllJobs();
   rows_.clear();
   buffer_.Release();
   heads_.clear();
@@ -629,8 +555,6 @@ void SortOp::Abandon() {
 
 void SortOp::ReleaseRuns() {
   for (std::unique_ptr<SpillRun>& run : runs_) {
-    // A failed/abandoned parallel job can leave its placeholder empty.
-    if (run == nullptr) continue;
     // runs_ is only ever non-empty under an engine-provided SpillManager.
     Status st = ctx_.spill->ReleaseRun(std::move(run));
     if (!st.ok()) ctx_.Poison(std::move(st));
@@ -652,10 +576,6 @@ void SortOp::OpenImpl() {
   }
   const int64_t budget =
       ctx_.spill != nullptr ? ctx_.spill->config().sort_memory_rows : 0;
-  // Parallel run generation (§5.2): with workers available, a full buffer
-  // is sorted and spilled on a job thread while this thread keeps pulling
-  // input — run formation overlaps input production.
-  const bool async_runs = ctx_.parallel_workers > 1;
   int64_t total_rows = 0;
   Row row;
   RowBatch batch;
@@ -664,15 +584,11 @@ void SortOp::OpenImpl() {
     for (int64_t i = 0; i < n; ++i) {
       bool absorbed = false;
       if (absorber_ != nullptr && !absorber_->Absorb(batch, i, &absorbed)) {
-        JoinAllJobs();  // buffer limit tripped: wind down
-        return;
+        return;  // buffer limit tripped: wind down
       }
       if (!absorbed) {
         batch.TakeRowInto(i, &row);
-        if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
-          JoinAllJobs();
-          return;
-        }
+        if (!buffer_.Add(row)) return;  // buffer limit tripped: wind down
         rows_.push_back(std::move(row));
         ++total_rows;
       }
@@ -680,14 +596,13 @@ void SortOp::OpenImpl() {
       const int64_t room =
           budget - (absorber_ != nullptr ? absorber_->resident_groups() : 0);
       if (budget > 0 && static_cast<int64_t>(rows_.size()) >= room) {
-        if (!(async_runs ? SpillRunAsync() : SpillCurrentRun())) {
+        if (!SpillCurrentRun()) {
           Abandon();
           return;
         }
       }
     }
   }
-  JoinAllJobs();  // every reserved runs_ slot is installed past this point
   if (!ctx_.GuardOk()) {
     Abandon();
     return;
@@ -763,7 +678,6 @@ void SortOp::MergeInto(RowBatch* out) {
 
 void SortOp::Close() {
   child_->Close();
-  JoinAllJobs();
   rows_.clear();
   heads_.clear();
   head_valid_.clear();
@@ -815,10 +729,7 @@ bool JoinOp::AdvanceOuter(RowBatch* out) {
   // it is replaced.
   EmitGathered(out);
   outer_pos_ = 0;
-  if (PullBatch(outer_.get(), &outer_batch_)) return true;
-  // A producer may leave its last batch behind at end of stream.
-  ResetOuter();
-  return false;
+  return PullBatch(outer_.get(), &outer_batch_);
 }
 
 bool JoinOp::OuterKeyHasNull() const {

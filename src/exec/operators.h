@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "exec/expr_eval.h"
@@ -50,14 +49,15 @@ class Operator {
     AccumulateDelta(before);
   }
 
-  /// Produces the next batch of rows; false at end of stream (the batch is
-  /// left empty). Producers Reset `out` to their own width, so a scratch
-  /// batch can be reused across calls and across operators.
+  /// Produces the next batch of rows; false at end of stream, with the
+  /// batch left empty (enforced here, so NextBatchImpl may return false
+  /// over a stale batch). Producers Reset `out` to their own width, so a
+  /// scratch batch can be reused across calls and across operators.
   bool NextBatch(RowBatch* out) {
-    if (!ctx_.collect_op_stats) return NextBatchImpl(out);
+    if (!ctx_.collect_op_stats) return NextBatchImpl(out) || EndOfStream(out);
     MetricsSnapshot before = Snapshot();
     auto start = std::chrono::steady_clock::now();
-    bool produced = NextBatchImpl(out);
+    bool produced = NextBatchImpl(out) || EndOfStream(out);
     stats_.next_ns += ElapsedNs(start);
     AccumulateDelta(before);
     ++stats_.next_calls;
@@ -104,6 +104,12 @@ class Operator {
   struct MetricsSnapshot {
     ORDOPT_OPERATOR_DELTA_COUNTERS(ORDOPT_DECLARE_COUNTER)
   };
+
+  /// Empties `out` at end of stream; always false.
+  static bool EndOfStream(RowBatch* out) {
+    out->Truncate(0);
+    return false;
+  }
 
   MetricsSnapshot Snapshot() const {
     MetricsSnapshot s;
@@ -268,35 +274,10 @@ class SortOp : public Operator {
   /// Stable-sorts the current buffer and writes it out as one run;
   /// poisons and returns false on spill failure.
   bool SpillCurrentRun();
-  /// Parallel run generation (ExecContext::parallel_workers > 1): hands the
-  /// current buffer to a worker thread that sorts and spills it through a
-  /// private SpillManager while this thread keeps collecting input — §5.2's
-  /// overlap of run formation with input production. The job's run lands in
-  /// its reserved runs_ slot at join, keeping run order (and thus merge
-  /// tie-breaking) identical to the serial spill order. Bounded: at most
-  /// parallel_workers jobs in flight, then the oldest is joined.
-  bool SpillRunAsync();
-  /// Joins the oldest unjoined job, installs its run, merges its metrics,
-  /// releases its buffer charge; poisons on job failure.
-  void JoinOneJob();
-  void JoinAllJobs();
   /// Winds the operator down after a mid-sort failure: drops buffered
-  /// rows and removes every run file.
+  /// rows and releases every run.
   void Abandon();
   void ReleaseRuns();
-
-  /// One in-flight asynchronous run-formation job.
-  struct RunJob {
-    std::thread thread;
-    std::vector<Row> rows;
-    std::unique_ptr<RuntimeMetrics> metrics;  ///< private to the job thread
-    std::unique_ptr<SpillManager> spill;
-    std::unique_ptr<SpillRun> run;
-    Status status;
-    size_t slot = 0;  ///< reserved index in runs_
-    int64_t charged_rows = 0;
-    int64_t charged_bytes = 0;
-  };
 
   OperatorPtr child_;
   OrderSpec spec_;
@@ -307,8 +288,6 @@ class SortOp : public Operator {
   std::vector<Row> rows_;  ///< in-memory rows (the merge's final run)
   size_t pos_ = 0;
   std::vector<std::unique_ptr<SpillRun>> runs_;  ///< spilled, input order
-  std::vector<std::unique_ptr<RunJob>> jobs_;    ///< in-flight, oldest first
-  size_t jobs_joined_ = 0;
   std::vector<Row> heads_;       ///< current head row per run
   std::vector<bool> head_valid_;
   bool merging_ = false;

@@ -27,7 +27,7 @@ int64_t ThreadCpuNs() {
 
 ExchangeOp::ExchangeOp(const PlanNode& node, ExecContext ctx,
                        const ColumnSet* required_columns)
-    : Operator(ctx), node_(node), merge_(node.exchange_merge) {
+    : Operator(ctx) {
   const int worker_count = std::max(node.exchange_workers, 1);
   const PlanRef& chain = node.children[0];
   for (int i = 0; i < worker_count; ++i) {
@@ -45,7 +45,6 @@ ExchangeOp::ExchangeOp(const PlanNode& node, ExecContext ctx,
     wctx.op_registry = ctx.op_registry != nullptr ? &w->registry : nullptr;
     wctx.verify_orders = ctx.verify_orders;
     wctx.batch_rows = ctx.batch_rows;
-    wctx.parallel_workers = 1;  // parallelism never nests
     wctx.morsels = &morsels_;
     Result<OperatorPtr> built =
         BuildWorkerOperatorTree(chain, wctx, required_columns);
@@ -76,19 +75,17 @@ ExchangeOp::ExchangeOp(const PlanNode& node, ExecContext ctx,
     emit_cols_.push_back(i);
     layout_.push_back(child_layout[i]);
   }
-  if (merge_) {
-    ExprEvaluator eval(child_layout);
-    for (const OrderElement& e : node.sort_spec) {
-      int p = eval.PositionOf(e.col);
-      if (p < 0) {
-        ctx_.Poison(Status::Internal(
-            StrFormat("exchange merge column %s missing from worker layout",
-                      DefaultColumnName(e.col).c_str())));
-        return;
-      }
-      key_positions_.push_back(p);
-      key_descending_.push_back(e.dir == SortDirection::kDescending);
+  ExprEvaluator eval(child_layout);
+  for (const OrderElement& e : node.sort_spec) {
+    int p = eval.PositionOf(e.col);
+    if (p < 0) {
+      ctx_.Poison(Status::Internal(
+          StrFormat("exchange merge column %s missing from worker layout",
+                    DefaultColumnName(e.col).c_str())));
+      return;
     }
+    key_positions_.push_back(p);
+    key_descending_.push_back(e.dir == SortDirection::kDescending);
   }
   streams_.resize(workers_.size());
 }
@@ -114,7 +111,6 @@ void ExchangeOp::OpenImpl() {
   heads_.resize(workers_.size());
   head_valid_.assign(workers_.size(), false);
   cursor_.assign(workers_.size(), 0);
-  next_stream_ = 0;
   started_ = true;
   // Workers open, drain, and close their trees entirely on their own
   // threads; blocking work (a chain Sort's input collection) overlaps
@@ -134,17 +130,15 @@ void ExchangeOp::WorkerMain(size_t index) {
     if (batch.empty()) continue;  // consumers rely on non-empty items
     Item item;
     swap(item.batch, batch);
-    if (merge_) {
-      // Encode the merge keys worker-side: the consuming thread's k-way
-      // comparator is then a plain memcmp into this arena.
-      const int64_t n = item.batch.size();
-      item.offsets.reserve(static_cast<size_t>(n) + 1);
-      item.offsets.push_back(0);
-      for (int64_t r = 0; r < n; ++r) {
-        AppendNormalizedKey(item.batch, r, key_positions_, key_descending_,
-                            &item.keys);
-        item.offsets.push_back(item.keys.size());
-      }
+    // Encode the merge keys worker-side: the consuming thread's k-way
+    // comparator is then a plain memcmp into this arena.
+    const int64_t n = item.batch.size();
+    item.offsets.reserve(static_cast<size_t>(n) + 1);
+    item.offsets.push_back(0);
+    for (int64_t r = 0; r < n; ++r) {
+      AppendNormalizedKey(item.batch, r, key_positions_, key_descending_,
+                          &item.keys);
+      item.offsets.push_back(item.keys.size());
     }
     std::unique_lock<std::mutex> lock(mu_);
     consumed_cv_.wait(lock, [&] {
@@ -190,116 +184,85 @@ bool ExchangeOp::NextBatchImpl(RowBatch* out) {
   if (ctx_.InjectFault("exec.exchange.merge")) return false;
   if (!ctx_.GuardOk()) return false;
 
-  if (merge_) {
-    // Run-at-a-time k-way merge (worker counts are single-digit). A linear
-    // scan of the stream heads finds the smallest normalized key (the
-    // winner) and the runner-up. The winner's rows that sort before the
-    // runner-up's head form a run no other stream can interleave; a binary
-    // search over the winner's sorted head batch finds its end, and the run
-    // moves as one column range. Planner-built merge keys end in the
-    // provenance column, which belongs to exactly one stream, so
-    // cross-stream ties cannot happen; if a hand-built plan produces one
-    // anyway, the lower stream index wins — still deterministic. In a
-    // sortless chain a worker batch is usually one run; a run that is a
-    // whole head batch is handed over by swap, so when it does not fit it
-    // starts the next output batch instead of being split.
-    const int64_t cap = out->capacity();
-    while (out->size() < cap && ctx_.GuardOk()) {
-      int best = -1;
-      int second = -1;
-      std::string_view best_key;
-      std::string_view second_key;
-      for (size_t i = 0; i < streams_.size(); ++i) {
-        if (!head_valid_[i] && !LoadHead(i)) continue;
-        const std::string_view key = heads_[i].Key(cursor_[i]);
-        if (best >= 0) {
-          ++ctx_.metrics->comparisons;
-          if (!(key < best_key)) {
-            if (second >= 0) {
-              ++ctx_.metrics->comparisons;
-              if (!(key < second_key)) continue;
-            }
-            second = static_cast<int>(i);
-            second_key = key;
-            continue;
+  // Run-at-a-time k-way merge (worker counts are single-digit). A linear
+  // scan of the stream heads finds the smallest normalized key (the
+  // winner) and the runner-up. The winner's rows that sort before the
+  // runner-up's head form a run no other stream can interleave; a binary
+  // search over the winner's sorted head batch finds its end, and the run
+  // moves as one column range. Planner-built merge keys end in the
+  // provenance column, which belongs to exactly one stream, so
+  // cross-stream ties cannot happen; if a hand-built plan produces one
+  // anyway, the lower stream index wins — still deterministic. In a
+  // sortless chain a worker batch is usually one run; a run that is a
+  // whole head batch is handed over by swap, so when it does not fit it
+  // starts the next output batch instead of being split.
+  const int64_t cap = out->capacity();
+  while (out->size() < cap && ctx_.GuardOk()) {
+    int best = -1;
+    int second = -1;
+    std::string_view best_key;
+    std::string_view second_key;
+    for (size_t i = 0; i < streams_.size(); ++i) {
+      if (!head_valid_[i] && !LoadHead(i)) continue;
+      const std::string_view key = heads_[i].Key(cursor_[i]);
+      if (best >= 0) {
+        ++ctx_.metrics->comparisons;
+        if (!(key < best_key)) {
+          if (second >= 0) {
+            ++ctx_.metrics->comparisons;
+            if (!(key < second_key)) continue;
           }
-          second = best;
-          second_key = best_key;
+          second = static_cast<int>(i);
+          second_key = key;
+          continue;
         }
-        best = static_cast<int>(i);
-        best_key = key;
+        second = best;
+        second_key = best_key;
       }
-      if (best < 0) break;  // every stream drained
-      const size_t b = static_cast<size_t>(best);
-      Item& head = heads_[b];
-      const int64_t begin = cursor_[b];
-      const int64_t size = head.batch.size();
-      int64_t end = size;
-      if (second >= 0) {
-        // Row r precedes the runner-up's head when its key is smaller, or
-        // equal with the winner on the lower stream index.
-        const bool ties_to_winner = best < second;
-        auto precedes = [&](int64_t r) {
-          ++ctx_.metrics->comparisons;
-          const int c = head.Key(r).compare(second_key);
-          return c < 0 || (c == 0 && ties_to_winner);
-        };
-        if (size - begin > 1 && !precedes(size - 1)) {
-          // Row `begin` precedes, row size-1 does not: bisect between.
-          int64_t lo = begin + 1;
-          int64_t hi = size - 1;
-          while (lo < hi) {
-            const int64_t mid = lo + (hi - lo) / 2;
-            if (precedes(mid)) {
-              lo = mid + 1;
-            } else {
-              hi = mid;
-            }
+      best = static_cast<int>(i);
+      best_key = key;
+    }
+    if (best < 0) break;  // every stream drained
+    const size_t b = static_cast<size_t>(best);
+    Item& head = heads_[b];
+    const int64_t begin = cursor_[b];
+    const int64_t size = head.batch.size();
+    int64_t end = size;
+    if (second >= 0) {
+      // Row r precedes the runner-up's head when its key is smaller, or
+      // equal with the winner on the lower stream index.
+      const bool ties_to_winner = best < second;
+      auto precedes = [&](int64_t r) {
+        ++ctx_.metrics->comparisons;
+        const int c = head.Key(r).compare(second_key);
+        return c < 0 || (c == 0 && ties_to_winner);
+      };
+      if (size - begin > 1 && !precedes(size - 1)) {
+        // Row `begin` precedes, row size-1 does not: bisect between.
+        int64_t lo = begin + 1;
+        int64_t hi = size - 1;
+        while (lo < hi) {
+          const int64_t mid = lo + (hi - lo) / 2;
+          if (precedes(mid)) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
           }
-          end = lo;
         }
+        end = lo;
       }
-      const int64_t room = cap - out->size();
-      if (end - begin > room) {
-        // A whole head batch is swapped in next call rather than split.
-        if (begin == 0 && end == size && !out->empty()) break;
-        end = begin + room;
-      }
-      out->MoveRangeFrom(&head.batch, emit_cols_, begin, end);
-      cursor_[b] = end;
-      if (end >= size) head_valid_[b] = false;
     }
-    return !out->empty();
-  }
-
-  // Union mode: forward the next available batch from any stream, round-
-  // robin so one fast worker cannot starve the others' queues.
-  Item item;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      bool all_done = true;
-      for (size_t k = 0; k < streams_.size(); ++k) {
-        const size_t i = (next_stream_ + k) % streams_.size();
-        if (!streams_[i].queue.empty()) {
-          item = std::move(streams_[i].queue.front());
-          streams_[i].queue.pop_front();
-          next_stream_ = (i + 1) % streams_.size();
-          break;
-        }
-        if (!streams_[i].done) all_done = false;
-      }
-      if (!item.batch.empty() || all_done || closed_) break;
-      const auto start = std::chrono::steady_clock::now();
-      produced_cv_.wait(lock);
-      ctx_.metrics->exchange_wait_ns += ElapsedNs(start);
+    const int64_t room = cap - out->size();
+    if (end - begin > room) {
+      // A whole head batch is swapped in next call rather than split.
+      if (begin == 0 && end == size && !out->empty()) break;
+      end = begin + room;
     }
+    out->MoveRangeFrom(&head.batch, emit_cols_, begin, end);
+    cursor_[b] = end;
+    if (end >= size) head_valid_[b] = false;
   }
-  if (item.batch.empty()) return false;
-  consumed_cv_.notify_all();
-  ++ctx_.metrics->exchange_batches;
-  out->MoveRangeFrom(&item.batch, emit_cols_, 0, item.batch.size());
-  return true;
+  return !out->empty();
 }
 
 void ExchangeOp::JoinWorkers() {

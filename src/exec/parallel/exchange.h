@@ -22,18 +22,16 @@ namespace ordopt {
 /// from a shared MorselScheduler, and recombines their batch streams on the
 /// consuming thread.
 ///
-/// Two recombination modes, selected by the plan node's `exchange_merge`:
-///  - merge: k-way merge of the per-worker streams on the node's
-///    `sort_spec` (the chain's sort key extended with — or consisting only
-///    of — the hidden provenance column). Because each provenance value
-///    belongs to exactly one worker, key ties never span streams and the
-///    merged output reproduces the *serial* row sequence exactly; the
-///    chain's order property crosses the exchange intact. The merge moves
-///    runs, not rows: see NextBatchImpl.
-///  - union: batches forwarded in arrival order (no order claim). Kept as
-///    the contrast case for tests and the re-sort-above ablation.
-/// Both modes strip the provenance column while moving rows out
-/// (RowBatch::MoveRangeFrom), handing whole worker batches over by swap.
+/// Recombination is a k-way merge of the per-worker streams on the plan
+/// node's `sort_spec` (the chain's sort key extended with — or consisting
+/// only of — the hidden provenance column). Because each provenance value
+/// belongs to exactly one worker, key ties never span streams and the
+/// merged output reproduces the *serial* row sequence exactly; the chain's
+/// order property crosses the exchange intact. The merge moves runs, not
+/// rows (see NextBatchImpl), and strips the provenance column while moving
+/// them out (RowBatch::MoveRangeFrom), handing whole worker batches over by
+/// swap. This is the engine's only form of intra-query parallelism, and
+/// the only place rows cross threads.
 ///
 /// Isolation: every worker runs with a private RuntimeMetrics and a
 /// private SpillManager (run files are process-uniquely named), against
@@ -63,7 +61,7 @@ class ExchangeOp : public Operator {
   void Close() override;
 
  private:
-  /// One queued batch plus (merge mode) its rows' normalized merge keys,
+  /// One queued batch plus its rows' normalized merge keys,
   /// encoded worker-side so the consuming thread's comparator is a plain
   /// memcmp into the arena.
   struct Item {
@@ -98,13 +96,11 @@ class ExchangeOp : public Operator {
   void WorkerMain(size_t index);
   /// Loads the next item of stream `index` into heads_[index], blocking on
   /// an empty queue; false when the stream is done (or the exchange
-  /// closed). Merge mode only.
+  /// closed).
   bool LoadHead(size_t index);
   void JoinWorkers();
   void MergeWorkerAccounting();
 
-  const PlanNode& node_;
-  bool merge_ = false;
   MorselScheduler morsels_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -123,12 +119,10 @@ class ExchangeOp : public Operator {
   bool started_ = false;
   bool accounted_ = false;
 
-  // Merge-mode consumer state (consuming thread only).
+  // Merge consumer state (consuming thread only).
   std::vector<Item> heads_;
   std::vector<bool> head_valid_;
   std::vector<int64_t> cursor_;
-  // Union-mode round-robin start position.
-  size_t next_stream_ = 0;
 };
 
 }  // namespace ordopt

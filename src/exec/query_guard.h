@@ -339,18 +339,6 @@ class BufferAccount {
     bytes_ = 0;
   }
 
-  /// Rows/bytes currently charged (used when a sort hands a full buffer to
-  /// a parallel run-generation job: the charge is transferred to the job
-  /// and released when the job's run hits disk).
-  int64_t rows() const { return rows_; }
-  int64_t bytes() const { return bytes_; }
-  /// Drops the account's bookkeeping WITHOUT releasing the guard charge —
-  /// the caller took ownership of the charge (see rows()/bytes()).
-  void ForgetCharge() {
-    rows_ = 0;
-    bytes_ = 0;
-  }
-
  private:
   QueryGuard* guard_ = nullptr;
   OperatorStats* stats_ = nullptr;
@@ -400,11 +388,6 @@ struct ExecContext {
   /// single-row batches through the same columnar code path. <= 0 is
   /// clamped to 1.
   int64_t batch_rows = kDefaultBatchRows;
-  /// Intra-query worker count from OptimizerConfig::parallel_workers.
-  /// Serial operators above an exchange (and serial plans) use it for
-  /// parallel sort-run generation; inside an exchange worker it is 1 so
-  /// parallelism never nests.
-  int parallel_workers = 1;
   /// Morsel dispatcher of the enclosing ExchangeOp; non-null only inside a
   /// worker's operator tree. The chain's driving scan pulls rid/ordinal
   /// ranges from it instead of scanning its full range.

@@ -148,16 +148,12 @@ std::string ResolveSpillTempDir(const std::string& configured) {
   return "/tmp";
 }
 
-SpillRun::~SpillRun() { CloseAndRemove(); }
+SpillRun::~SpillRun() { Close(); }
 
-void SpillRun::CloseAndRemove() {
+void SpillRun::Close() {
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
-  }
-  if (!path_.empty()) {
-    std::remove(path_.c_str());  // best effort; ReleaseRun is the
-    path_.clear();               // accounted path
   }
 }
 
@@ -168,7 +164,7 @@ SpillManager::SpillManager(SpillConfig config, RuntimeMetrics* metrics)
 
 Status SpillManager::TryWriteRun(const std::vector<Row>& rows,
                                  SpillRun* run) {
-  run->CloseAndRemove();  // drop the partial file of a failed attempt
+  run->Close();  // drop the partial file of a failed attempt
   std::string path = StrFormat(
       "%s/ordopt-spill-%lld-%lld.run", temp_dir_.c_str(),
       static_cast<long long>(::getpid()),
@@ -179,8 +175,14 @@ Status SpillManager::TryWriteRun(const std::vector<Row>& rows,
     return Status::IoError(StrFormat("cannot create spill run %s: %s",
                                      path.c_str(), std::strerror(errno)));
   }
-  // From here the run owns the file: every failure path below goes
-  // through CloseAndRemove, so a half-written run never survives.
+  // Unlinked at once: the handle is the run's only reference, so no exit
+  // path — a killed process included — leaves the file behind.
+  if (std::remove(path.c_str()) != 0) {
+    Status st = Status::IoError(StrFormat("cannot unlink spill run %s: %s",
+                                          path.c_str(), std::strerror(errno)));
+    std::fclose(f);
+    return st;
+  }
   run->path_ = std::move(path);
   run->file_ = f;
   int64_t bytes = 0;
@@ -192,7 +194,7 @@ Status SpillManager::TryWriteRun(const std::vector<Row>& rows,
     if (std::fwrite(buf.data(), 1, buf.size(), f) != buf.size()) {
       Status st = Status::IoError(StrFormat("spill run write failed: %s",
                                             std::strerror(errno)));
-      run->CloseAndRemove();
+      run->Close();
       return st;
     }
     bytes += static_cast<int64_t>(buf.size());
@@ -201,7 +203,7 @@ Status SpillManager::TryWriteRun(const std::vector<Row>& rows,
   if (std::fflush(f) != 0) {
     Status st = Status::IoError(StrFormat("spill run flush failed: %s",
                                           std::strerror(errno)));
-    run->CloseAndRemove();
+    run->Close();
     return st;
   }
   std::rewind(f);
@@ -219,10 +221,7 @@ Result<std::unique_ptr<SpillRun>> SpillManager::WriteRun(
                         ORDOPT_FAULT_POINT("exec.sort.spill.write");
                         return TryWriteRun(rows, r);
                       });
-  if (!st.ok()) {
-    run->CloseAndRemove();
-    return st;
-  }
+  if (!st.ok()) return st;  // `run`'s destructor closes a partial file
   metrics_->spill_runs += 1;
   metrics_->spill_rows += run->rows();
   metrics_->spill_bytes += run->bytes();
@@ -264,31 +263,15 @@ Status SpillManager::ReadNext(SpillRun* run, Row* out, bool* eof) {
 }
 
 Status SpillManager::ReleaseRun(std::unique_ptr<SpillRun> run) {
-  if (run == nullptr || (run->file_ == nullptr && run->path_.empty())) {
-    return Status::OK();
-  }
+  if (run == nullptr || run->file_ == nullptr) return Status::OK();
+  // Whatever the retry loop concludes, `run`'s destructor closes the
+  // handle: the injected-fault and exhausted-retry paths still free it.
   SpillRun* r = run.get();
-  Status st =
-      RetryIo(config_.retry, &metrics_->spill_retries, [r]() -> Status {
-        ORDOPT_FAULT_POINT("exec.spill.cleanup");
-        if (r->file_ != nullptr) {
-          std::fclose(r->file_);
-          r->file_ = nullptr;
-        }
-        errno = 0;
-        if (!r->path_.empty() && std::remove(r->path_.c_str()) != 0 &&
-            errno != ENOENT) {
-          return Status::IoError(StrFormat("cannot remove spill run %s: %s",
-                                           r->path_.c_str(),
-                                           std::strerror(errno)));
-        }
-        r->path_.clear();
-        return Status::OK();
-      });
-  // Whatever the retry loop concluded, nothing may survive on disk: the
-  // injected-fault and exhausted-retry paths still unlink here.
-  r->CloseAndRemove();
-  return st;
+  return RetryIo(config_.retry, &metrics_->spill_retries, [r]() -> Status {
+    ORDOPT_FAULT_POINT("exec.spill.cleanup");
+    r->Close();
+    return Status::OK();
+  });
 }
 
 }  // namespace ordopt

@@ -37,10 +37,12 @@ struct SpillConfig {
 /// and sandboxed CI can override it), else the system temp directory.
 std::string ResolveSpillTempDir(const std::string& configured);
 
-/// One sorted run on disk. RAII: the destructor closes and unlinks the
-/// file unconditionally, so no exit path — poisoned query, injected
-/// fault, tripped guardrail — can leak a temp file. SpillManager performs
-/// all I/O; this object only owns the handle and the name.
+/// One sorted run on disk. The file is unlinked as soon as it is created
+/// and lives on only through the open handle, so the kernel frees its
+/// bytes when the handle closes — however the process ends, a killed one
+/// included. The destructor closes the handle. SpillManager performs all
+/// I/O; this object only owns the handle and the name (kept for error
+/// messages).
 class SpillRun {
  public:
   SpillRun(const SpillRun&) = delete;
@@ -54,8 +56,8 @@ class SpillRun {
  private:
   friend class SpillManager;
   SpillRun() = default;
-  /// Closes the handle and removes the file; idempotent.
-  void CloseAndRemove();
+  /// Closes the handle, freeing the file's bytes; idempotent.
+  void Close();
 
   std::string path_;
   std::FILE* file_ = nullptr;
@@ -82,7 +84,7 @@ class SpillManager {
   const std::string& temp_dir() const { return temp_dir_; }
 
   /// Writes `rows` (already sorted) as one run file, open for reading on
-  /// return. A failed attempt removes the partial file and is retried
+  /// return. A failed attempt closes the partial file and is retried
   /// while transient; a permanent failure (or exhausted retries) returns
   /// the error with nothing left on disk.
   Result<std::unique_ptr<SpillRun>> WriteRun(const std::vector<Row>& rows);
@@ -92,14 +94,14 @@ class SpillManager {
   /// transient.
   Status ReadNext(SpillRun* run, Row* out, bool* eof);
 
-  /// Closes and removes the run's file now (the accounted cleanup path —
-  /// probes exec.spill.cleanup). The RAII destructor remains as the
+  /// Closes the run's handle now (the accounted cleanup path — probes
+  /// exec.spill.cleanup). The RAII destructor remains as the
   /// unconditional backstop for paths that cannot report a Status.
   Status ReleaseRun(std::unique_ptr<SpillRun> run);
 
  private:
-  /// One write attempt: creates the file, writes every row, seals it for
-  /// reading. Removes the partial file on failure.
+  /// One write attempt: creates and unlinks the file, writes every row,
+  /// rewinds it for reading. Closes the partial file on failure.
   Status TryWriteRun(const std::vector<Row>& rows, SpillRun* run);
 
   SpillConfig config_;

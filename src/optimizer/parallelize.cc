@@ -16,26 +16,19 @@ bool IsLeafScan(OpKind kind) {
 /// Chain-interior operators: single-child operators a morsel worker can run
 /// over its partition with the partition's serial semantics intact. Filter
 /// is trivially partitionable; IndexNLJoin probes a read-only base table per
-/// outer row, so partitioning the outer stream partitions the join; Sort
-/// joins the chain only when the order-preserving merge exchange is enabled
-/// — workers then sort their partitions and the exchange merges the sorted
-/// streams (parallel run formation, §5.2's sorts become the parallel work).
-bool ChainInterior(OpKind kind, bool allow_sort) {
-  switch (kind) {
-    case OpKind::kFilter:
-    case OpKind::kIndexNLJoin:
-      return true;
-    case OpKind::kSort:
-      return allow_sort;
-    default:
-      return false;
-  }
+/// outer row, so partitioning the outer stream partitions the join; in a
+/// Sort the workers sort their partitions and the exchange merges the sorted
+/// streams — parallel run formation, with the sorted order carried through
+/// the exchange instead of re-established above it (§4.2 Test Order).
+bool ChainInterior(OpKind kind) {
+  return kind == OpKind::kFilter || kind == OpKind::kIndexNLJoin ||
+         kind == OpKind::kSort;
 }
 
 /// True when `node` heads a parallelizable chain: a linear path of
 /// chain-interior operators ending in a base-table leaf scan.
-bool IsChain(const PlanNode* node, bool allow_sort) {
-  while (ChainInterior(node->kind, allow_sort)) {
+bool IsChain(const PlanNode* node) {
+  while (ChainInterior(node->kind)) {
     node = node->children[0].get();
   }
   return IsLeafScan(node->kind);
@@ -57,8 +50,8 @@ OrderElement ProvenanceElement() {
 /// order). `merge_spec` receives the topmost Sort's extended spec — the
 /// order the chain's output stream actually has, hence the exchange's merge
 /// key; it stays untouched for sortless chains.
-PlanRef CloneChainForWorkers(const PlanNode* node, bool allow_sort,
-                             bool* saw_sort, OrderSpec* merge_spec) {
+PlanRef CloneChainForWorkers(const PlanNode* node, bool* saw_sort,
+                             OrderSpec* merge_spec) {
   auto clone = std::make_shared<PlanNode>(*node);
   if (IsLeafScan(node->kind)) {
     clone->morsel_driver = true;
@@ -74,38 +67,36 @@ PlanRef CloneChainForWorkers(const PlanNode* node, bool allow_sort,
       *merge_spec = std::move(extended);
     }
   }
-  clone->children = {CloneChainForWorkers(node->children[0].get(), allow_sort,
-                                          saw_sort, merge_spec)};
+  clone->children = {
+      CloneChainForWorkers(node->children[0].get(), saw_sort, merge_spec)};
   return clone;
 }
 
 }  // namespace
 
 PlanRef Planner::Parallelize(PlanRef plan) const {
-  const bool allow_sort = config_.parallel_merge_exchange;
-  const int workers =
-      std::clamp(config_.parallel_workers, 1, 64);
+  const int workers = std::clamp(config_.parallel_workers, 1, 64);
   if (workers <= 1) return plan;
 
   // A maximal chain: `plan` heads one, and the caller (recursing only into
   // non-chain nodes) guarantees no eligible parent extends it upward.
-  if (IsChain(plan.get(), allow_sort)) {
+  if (IsChain(plan.get())) {
     bool saw_sort = false;
     OrderSpec merge_spec;
     PlanRef worker_chain =
-        CloneChainForWorkers(plan.get(), allow_sort, &saw_sort, &merge_spec);
+        CloneChainForWorkers(plan.get(), &saw_sort, &merge_spec);
     auto exchange = std::make_shared<PlanNode>();
     exchange->kind = OpKind::kExchange;
     exchange->exchange_workers = workers;
-    // Always the order-preserving merge variant: a sortless chain's worker
-    // streams are provenance-monotone (morsels are claimed in ascending
-    // ranges), so merging on provenance alone resequences them into the
-    // serial emission order, keeping parallel execution deterministic and
-    // byte-identical to serial for every consumer above the exchange.
-    exchange->exchange_merge = true;
+    // A sortless chain's worker streams are provenance-monotone (morsels
+    // are claimed in ascending ranges), so merging on provenance alone
+    // resequences them into the serial emission order, keeping parallel
+    // execution deterministic and byte-identical to serial for every
+    // consumer above the exchange — hence every property of the chain,
+    // its order included, holds above the exchange too.
     exchange->sort_spec =
         saw_sort ? merge_spec : OrderSpec({ProvenanceElement()});
-    exchange->props = ExchangeProperties(plan->props, /*merge=*/true);
+    exchange->props = plan->props;
     exchange->children = {std::move(worker_chain)};
     // The new decision site: the chain's order claim crosses the exchange
     // without a serial re-sort — the §4.2 sort-avoidance argument applied
@@ -115,15 +106,6 @@ PlanRef Planner::Parallelize(PlanRef plan) const {
                         /*avoided=*/true, nullptr);
     }
     return exchange;
-  }
-
-  // Re-sort-above ablation: with the merge exchange disabled, a Sort whose
-  // input chain is parallelized stays serial above the exchange — record
-  // the placement the merge variant would have avoided.
-  if (!allow_sort && plan->kind == OpKind::kSort &&
-      IsChain(plan->children[0].get(), /*allow_sort=*/false)) {
-    TraceSortDecision("exchange.resort", plan->sort_spec,
-                      *plan->children[0], /*avoided=*/false, &plan->sort_spec);
   }
 
   // Not a chain head: recurse into children, sharing untouched subtrees.

@@ -151,12 +151,8 @@ std::string NodeLabel(const PlanNode& node_ref, const ColumnNamer& namer) {
               StrFormat(" limit %lld", static_cast<long long>(node->limit));
       break;
     case OpKind::kExchange:
-      *out += StrFormat("(%s, %d workers)",
-                        node->exchange_merge ? "merge" : "union",
-                        node->exchange_workers);
-      if (node->exchange_merge && !node->sort_spec.empty()) {
-        *out += " on" + node->sort_spec.ToString(namer);
-      }
+      *out += StrFormat("(merge, %d workers) on", node->exchange_workers) +
+              node->sort_spec.ToString(namer);
       break;
   }
   return label;

@@ -34,7 +34,7 @@ enum class OpKind {
   kMergeUnion, ///< order-preserving merge of sorted branch streams
   kTopN,       ///< bounded-heap sort: ORDER BY + LIMIT in one operator
   kExchange,   ///< morsel-parallel workers each run the child subtree;
-               ///< merge variant losslessly recombines ordered streams
+               ///< their ordered streams merge back losslessly
 };
 
 const char* OpKindName(OpKind kind);
@@ -95,12 +95,9 @@ struct PlanNode {
   int64_t limit = -1;
 
   // -- parallel (Parallelize post-pass; see optimizer/parallelize.cc) --------
-  /// kExchange: worker count and whether the exchange is the
-  /// order-preserving merge variant (merging per-worker streams on
-  /// `sort_spec`, which always ends in the hidden provenance column) or the
-  /// unordered union variant (sort_spec empty, no order claim).
+  /// kExchange: worker count. The exchange merges the per-worker streams on
+  /// `sort_spec`, which always ends in the hidden provenance column.
   int exchange_workers = 0;
-  bool exchange_merge = false;
   /// Scans: true when this scan is the chain's morsel driver inside an
   /// exchange worker — it pulls rid/ordinal ranges from the shared
   /// MorselScheduler instead of scanning its full range.

@@ -100,15 +100,6 @@ struct OptimizerConfig {
   /// chosen plan in an Exchange operator whose workers split the leaf scan
   /// into morsels. Clamped to [1, 64].
   int parallel_workers = 1;
-  /// When true (default), a chain that contains a Sort is parallelized
-  /// through the *order-preserving merge* exchange: workers sort their
-  /// partitions and the exchange merges the sorted streams, so the Sort's
-  /// order claim survives the exchange and no serial re-sort is needed
-  /// (sort.avoided at site exchange.merge). When false, Sorts are excluded
-  /// from chains and a serial Sort is re-placed above the unordered
-  /// exchange (sort.placed at site exchange.resort) — the ablation that
-  /// shows what order-propagation through exchanges buys.
-  bool parallel_merge_exchange = true;
   /// Testing-only seam for the plan-space oracle's mutation check: when
   /// non-null, replaces the planner's order-satisfaction test (Test Order /
   /// naive prefix) everywhere it drives decisions — candidate domination,

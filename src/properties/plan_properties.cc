@@ -182,12 +182,6 @@ PlanProperties DistinctProperties(const PlanProperties& input,
   return props;
 }
 
-PlanProperties ExchangeProperties(const PlanProperties& input, bool merge) {
-  PlanProperties props = input;
-  if (!merge) props.order = OrderSpec();
-  return props;
-}
-
 PlanProperties ProjectProperties(const PlanProperties& input,
                                  const ColumnSet& visible) {
   PlanProperties props = input;

@@ -155,15 +155,6 @@ PlanProperties DistinctProperties(const PlanProperties& input,
                                   const ColumnSet& distinct_columns,
                                   bool preserves_order, double cardinality);
 
-/// Properties of an exchange over morsel-parallel workers each running a
-/// copy of the child subtree. The merge variant recombines the per-worker
-/// streams into the serial row sequence, so every property of the input —
-/// including the physical order — survives; the unordered union variant
-/// interleaves worker batches arbitrarily and must drop the order claim
-/// (everything row-content-derived — columns, keys, eq/FDs, cardinality —
-/// still holds of the union).
-PlanProperties ExchangeProperties(const PlanProperties& input, bool merge);
-
 /// Properties after projecting to `visible`: keys project (§5.2.1), and the
 /// order property is truncated at the first column that is no longer
 /// visible (and cannot be substituted via an equivalence class).

@@ -341,10 +341,13 @@ void QueryService::RunTicket(WorkerState* state, const TicketRef& ticket) {
     // reserved; only the guard resets (a cancel request survives).
     ticket->guard_.ResetForRetry();
     bool requeued = false;
+    // Read under the lock: once requeued, another worker may take the
+    // ticket and count its next attempt.
+    int attempts = 0;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (!stopping_) {
-        ++ticket->attempts_;
+        attempts = ++ticket->attempts_;
         queue_.push_back(ticket);
         requeued = true;
       }
@@ -354,7 +357,7 @@ void QueryService::RunTicket(WorkerState* state, const TicketRef& ticket) {
       // Deterministic backoff, served by this worker *after* handing the
       // retry off so a healthy queue keeps draining.
       queue_cv_.notify_one();
-      SleepForBackoff(resilience_.retry_policy(), ticket->attempts_);
+      SleepForBackoff(resilience_.retry_policy(), attempts);
       return;
     }
     // Shutting down: no re-admission, the transient error stands.

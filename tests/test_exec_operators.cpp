@@ -1197,6 +1197,109 @@ TEST(ExecFilterProject, EvaluateExpressions) {
   EXPECT_EQ(rows[0][0].AsInt(), 6);
 }
 
+// --- End-of-stream contract ------------------------------------------------
+
+// Drains `op` through one reused batch, then pulls once more: each false
+// return of NextBatch must leave the batch empty, whatever rows the last
+// true return put there, on both the stats-off and stats-on paths.
+void ExpectEmptyAtEndOfStream(Operator* op) {
+  op->Open();
+  RowBatch batch;
+  int64_t rows = 0;
+  while (op->NextBatch(&batch)) rows += batch.size();
+  EXPECT_GT(rows, 0);
+  EXPECT_TRUE(batch.empty()) << batch.size() << " stale rows at end of stream";
+  EXPECT_FALSE(op->NextBatch(&batch));
+  EXPECT_TRUE(batch.empty()) << batch.size() << " stale rows after the end";
+  op->Close();
+}
+
+TEST(ExecEndOfStream, EveryOperatorLeavesTheBatchEmpty) {
+  auto t = MakeTable(10, true);
+  const std::vector<ColumnId> lo = {{0, 0}, {0, 1}};
+  const std::vector<ColumnId> li = {{1, 0}, {1, 1}};
+  const std::vector<Row> sorted = {R({1, 9}), R({1, 9}), R({2, 9}),
+                                   R({2, 8}), R({3, 8})};
+  const std::vector<std::pair<ColumnId, ColumnId>> pairs = {
+      {ColumnId(0, 0), ColumnId(1, 0)}};
+  const OrderSpec by_key{{ColumnId(0, 0)}};
+  const std::vector<AggregateSpec> sum = {
+      MakeAgg(AggFunc::kSum, {0, 1}, {5, 0})};
+  OutputColumn oc;
+  oc.expr = BoundExpr::Column({0, 1}, DataType::kInt64, "v");
+  oc.name = "v";
+  oc.id = ColumnId(7, 0);
+
+  for (bool stats : {false, true}) {
+    RuntimeMetrics m;
+    ExecContext ctx(&m);
+    ctx.batch_rows = 2;  // several batches, so a stale one is possible
+    ctx.collect_op_stats = stats;
+    auto src = [&](const std::vector<ColumnId>& layout) {
+      return std::make_unique<RowSource>(layout, sorted, ctx);
+    };
+    auto two = [&]() {
+      std::vector<OperatorPtr> kids;
+      kids.push_back(src(lo));
+      kids.push_back(src(lo));
+      return kids;
+    };
+    std::vector<std::pair<const char*, OperatorPtr>> ops;
+    ops.emplace_back("TableScan", std::make_unique<TableScanOp>(*t, 0, ctx));
+    ops.emplace_back("IndexScan", std::make_unique<IndexScanOp>(
+                                      *t, 0, 0, false,
+                                      std::vector<Predicate>{}, ctx));
+    ops.emplace_back("Filter", std::make_unique<FilterOp>(
+                                   src(lo),
+                                   std::vector<Predicate>{
+                                       MakeRangePred({0, 0}, BinOp::kLt, 3)},
+                                   ctx));
+    ops.emplace_back("Sort", std::make_unique<SortOp>(src(lo), by_key, ctx));
+    ops.emplace_back("MergeJoin",
+                     std::make_unique<MergeJoinOp>(src(lo), src(li), pairs,
+                                                   JoinKind::kInner, ctx));
+    ops.emplace_back("HashJoin",
+                     std::make_unique<HashJoinOp>(src(lo), src(li), pairs,
+                                                  JoinKind::kLeft, ctx));
+    ops.emplace_back("NestedLoopJoin",
+                     std::make_unique<NaiveNLJoinOp>(
+                         src(lo), src(li), std::vector<Predicate>{},
+                         JoinKind::kInner, ctx));
+    ops.emplace_back("IndexNLJoin",
+                     std::make_unique<IndexNLJoinOp>(
+                         src(lo), *t, 1, 0,
+                         std::vector<std::pair<ColumnId, ColumnId>>{
+                             {ColumnId(0, 0), ColumnId(1, 0)}},
+                         ctx));
+    ops.emplace_back("StreamGroupBy",
+                     std::make_unique<StreamGroupByOp>(
+                         src(lo), std::vector<ColumnId>{{0, 0}}, sum, ctx));
+    ops.emplace_back("HashGroupBy",
+                     std::make_unique<HashGroupByOp>(
+                         src(lo), std::vector<ColumnId>{{0, 0}}, sum, ctx));
+    ops.emplace_back("StreamDistinct",
+                     std::make_unique<StreamDistinctOp>(
+                         src(lo), ColumnSet{{0, 0}, {0, 1}}, ctx));
+    ops.emplace_back("HashDistinct",
+                     std::make_unique<HashDistinctOp>(
+                         src(lo), ColumnSet{{0, 0}, {0, 1}}, ctx));
+    ops.emplace_back("UnionAll",
+                     std::make_unique<UnionAllOp>(two(), lo, ctx));
+    ops.emplace_back("MergeUnion",
+                     std::make_unique<MergeUnionOp>(two(), lo, ctx));
+    ops.emplace_back("TopN",
+                     std::make_unique<TopNOp>(src(lo), by_key, 3, ctx));
+    ops.emplace_back("Limit", std::make_unique<LimitOp>(src(lo), 3, ctx));
+    ops.emplace_back("Project", std::make_unique<ProjectOp>(
+                                    src(lo), std::vector<OutputColumn>{oc},
+                                    ctx));
+    for (auto& [name, op] : ops) {
+      SCOPED_TRACE(std::string(name) + (stats ? " with stats" : ""));
+      ExpectEmptyAtEndOfStream(op.get());
+    }
+  }
+}
+
 // --- Order verification at batch granularity -------------------------------
 
 PlanNode SortClaimNode(OrderSpec spec) {

@@ -32,7 +32,6 @@
 
 #include "common/fault_injection.h"
 #include "exec/engine.h"
-#include "exec/executor.h"
 #include "exec/operators.h"
 #include "exec/parallel/morsel.h"
 #include "exec/query_guard.h"
@@ -314,19 +313,6 @@ TEST(ParallelDeterminism, MultiMorselSortInChain) {
             12);
 }
 
-// The merge ablation (parallel_merge_exchange off): no Sort joins a chain,
-// so every exchange merges on provenance alone and the planner re-sorts
-// above it ("exchange.resort"). The row sequence must still match serial
-// at every batch size and worker count.
-TEST(ParallelMergeAblation, MultiMorselUnionExchange) {
-  OptimizerConfig config = Db2Config();
-  config.parallel_merge_exchange = false;
-  ExpectBatchMatrixIdentical("union/sort-in-chain", kSortInChainQuery, config);
-  for (const NamedQuery& q : kTpcdQueries) {
-    ExpectBatchMatrixIdentical(std::string("union/") + q.name, q.sql, config);
-  }
-}
-
 // ---- Clustered index scans under morsels -------------------------------
 
 // A clustered table whose index key (k, d DESC) has duplicate keys, NULL k
@@ -600,91 +586,47 @@ TEST(ParallelPlanShape, ExchangeWaitWithinSelf) {
   }
 }
 
-// ---- Merge ablation: union exchange + re-sort --------------------------
+// ---- A serial Sort that spills above an exchange ------------------------
 
-// With parallel_merge_exchange off, a sorted chain parallelizes through
-// the *unordered* union exchange and the planner re-sorts above it
-// ("exchange.resort"). The multiset must still match; with a unique sort
-// key the re-sort fully determines the order, so the sequence must too.
-TEST(ParallelMergeAblation, UnionExchangeWithResort) {
-  OptimizerConfig config;
-  config.parallel_workers = 4;
-  config.parallel_merge_exchange = false;
+// A Sort over a hash join cannot join a chain, so it runs serially above
+// the exchange that parallelizes the join's probe side. Under a small row
+// budget it spills through the query's own SpillManager: the rows must
+// match serial, the shared budget must drain to zero, and no run file may
+// be left behind.
+TEST(ParallelSpill, SerialSortSpillsAboveExchange) {
+  std::string dir = ::testing::TempDir() + "ordopt-parallel-serial-spill";
+  std::filesystem::create_directories(dir);
+  ScopedTmpdirEnv env(dir);
+
+  OptimizerConfig config = DefaultConfig();
+  config.cost_params.sort_memory_rows = 64;
   config.verify_orders = true;
-
-  // b.x is unique: re-sorted output is deterministic, compare sequences.
-  {
-    const char* sql = "select x, y from b order by x";
-    QueryEngine serial(ExampleDb(), OptimizerConfig());
-    auto serial_run = serial.Run(sql);
-    ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-    QueryEngine engine(ExampleDb(), config);
-    auto run = engine.Run(sql);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run.value().rows, serial_run.value().rows)
-        << "plan:\n" << run.value().plan_text;
-  }
-  // a.x is not unique: tie order within the re-sort depends on worker
-  // arrival, so only the multiset is pinned (verify_orders still checks
-  // the claimed order property holds).
-  {
-    const char* sql = "select x, y from a order by x";
-    QueryEngine serial(ExampleDb(), OptimizerConfig());
-    auto serial_run = serial.Run(sql);
-    ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-    QueryEngine engine(ExampleDb(), config);
-    auto run = engine.Run(sql);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(Canonicalize(run.value().rows),
-              Canonicalize(serial_run.value().rows))
-        << "plan:\n" << run.value().plan_text;
-  }
-}
-
-// The planner only builds merge exchanges; union mode (batches forwarded
-// in arrival order) is reachable through hand-built plans. Flipping every
-// exchange of a planned query to union must keep the row multiset at any
-// batch size, and at 4 workers.
-PlanRef WithUnionExchanges(const PlanRef& plan, int* flipped) {
-  auto clone = std::make_shared<PlanNode>(*plan);
-  if (clone->kind == OpKind::kExchange) {
-    clone->exchange_merge = false;
-    clone->sort_spec = OrderSpec();
-    ++*flipped;
-    return clone;  // worker chains hold no exchanges
-  }
-  for (PlanRef& child : clone->children) {
-    child = WithUnionExchanges(child, flipped);
-  }
-  return clone;
-}
-
-TEST(ParallelMergeAblation, UnionModeForwardsEveryRow) {
   const char* sql =
-      "select l_orderkey, l_linenumber, l_quantity from lineitem "
-      "where l_shipdate > date('1995-01-01')";
-  QueryEngine serial(TpcdMultiMorselDb(), Db2Config());
+      "select l_orderkey, l_linenumber, o_orderdate from orders, lineitem "
+      "where o_orderkey = l_orderkey and l_shipdate > date('1995-01-01') "
+      "order by o_orderdate, l_orderkey, l_linenumber";
+  QueryEngine serial(TpcdMultiMorselDb(), config);
   auto serial_run = serial.Run(sql);
   ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-  OptimizerConfig config = Db2Config();
+
   config.parallel_workers = 4;
+  SharedMemoryBudget budget(64 << 20);
+  QueryGuard guard;
+  guard.set_shared_budget(&budget);
   QueryEngine engine(TpcdMultiMorselDb(), config);
-  auto planned = engine.Explain(sql);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  int flipped = 0;
-  PlanRef plan = WithUnionExchanges(planned.value().plan, &flipped);
-  ASSERT_GT(flipped, 0) << planned.value().plan_text;
-  for (int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-    SCOPED_TRACE(StrFormat("batch_rows=%lld",
-                           static_cast<long long>(batch_rows)));
-    RuntimeMetrics metrics;
-    auto rows = ExecutePlan(plan, &metrics, nullptr, nullptr, nullptr,
-                            /*verify_orders=*/false, batch_rows);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(Canonicalize(rows.value()),
-              Canonicalize(serial_run.value().rows));
-    EXPECT_GT(metrics.exchange_batches, 0);
-  }
+  auto run = engine.Run(sql, &guard);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::string& plan = run.value().plan_text;
+  const size_t sort = plan.find("Sort");
+  ASSERT_NE(sort, std::string::npos) << plan;
+  EXPECT_NE(plan.find("HashJoin", sort), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Exchange(merge", sort), std::string::npos) << plan;
+  EXPECT_EQ(plan.rfind("Exchange", sort), std::string::npos)
+      << "the Sort must run above every exchange:\n" << plan;
+  EXPECT_EQ(run.value().rows, serial_run.value().rows) << plan;
+  EXPECT_GT(run.value().metrics.spill_runs, 0) << plan;
+  EXPECT_EQ(budget.used_bytes(), 0);
+  EXPECT_EQ(SpillFilesIn(dir), 0);
 }
 
 // ---- Fault injection: one worker's failure cancels the query -----------

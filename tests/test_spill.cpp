@@ -176,7 +176,8 @@ TEST(SpillManagerTest, WriteReadReleaseRoundTrip) {
   SpillRun* r = run.value().get();
   EXPECT_EQ(r->rows(), 3);
   EXPECT_GT(r->bytes(), 0);
-  EXPECT_TRUE(std::filesystem::exists(r->path()));
+  // The run is unlinked on creation: readable through its handle only.
+  EXPECT_EQ(SpillFilesIn(mgr.temp_dir()), 0);
   EXPECT_EQ(metrics.spill_runs, 1);
   EXPECT_EQ(metrics.spill_rows, 3);
   EXPECT_EQ(metrics.spill_bytes, r->bytes());
@@ -211,8 +212,14 @@ TEST(SpillManagerTest, DestructorRemovesFile) {
         mgr.WriteRun({{Value::Int(1)}});
     ASSERT_TRUE(run.ok());
     path = run.value()->path();
-    EXPECT_TRUE(std::filesystem::exists(path));
-    // Dropped without ReleaseRun: the RAII backstop must still unlink.
+    // Still readable, yet no directory entry: a process killed here
+    // leaves nothing behind.
+    Row out;
+    bool eof = true;
+    ASSERT_TRUE(mgr.ReadNext(run.value().get(), &out, &eof).ok());
+    EXPECT_FALSE(eof);
+    EXPECT_EQ(SpillFilesIn(mgr.temp_dir()), 0);
+    // Dropped without ReleaseRun: the RAII backstop closes the handle.
   }
   EXPECT_FALSE(std::filesystem::exists(path));
 }
