@@ -90,17 +90,19 @@ cd "$(dirname "$0")/.."
 
 # Planning-time regression gate: Q3 and region-revenue plan-only benchmark
 # vs the recorded baseline (times within max_time_ratio, identical plan
-# counts, reduce-cache hit rate above min_hit_rate).
+# counts, reduce-cache hit rate above min_hit_rate). $1 is the JSON output
+# path: --plan-bench records the committed BENCH_plan.json, the default run
+# writes under build/ so it leaves the tree clean.
 plan_bench_gate() {
+  local out="$1"
   echo "==> plan bench gate [default]"
-  ./build/bench/bench_table1_q3 --plan-time --json=BENCH_plan.json |
-    tail -n 12
+  ./build/bench/bench_table1_q3 --plan-time --json="$out" | tail -n 12
   if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
+    python3 - "$out" <<'EOF'
 import json, sys
 
 base = json.load(open("scripts/plan_baseline.json"))
-cur = json.load(open("BENCH_plan.json"))
+cur = json.load(open(sys.argv[1]))
 
 failures = []
 ratio = base["max_time_ratio"]
@@ -150,7 +152,7 @@ if [ "${1:-}" = "--plan-bench" ]; then
   JOBS="${2:-$(nproc)}"
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS"
-  plan_bench_gate
+  plan_bench_gate BENCH_plan.json
   exit 0
 fi
 
@@ -551,7 +553,7 @@ if [ "$TRACE_GATE_OK" -ne 1 ]; then
   exit 1
 fi
 
-plan_bench_gate
+plan_bench_gate build/BENCH_plan.json
 
 # The TPC-D suite benchmark (tpcdbench/) builds src/ through a CMake
 # package of its own, which the builds above never compile. Build it and

@@ -117,25 +117,85 @@ std::string ServiceSummaryLine(const QueryResult& result) {
 
 }  // namespace
 
-Result<std::vector<Row>> QueryEngine::ExecutePhase(
-    QueryResult* result, QueryGuard* guard,
-    std::vector<OperatorProfile>* profile) {
-  // Sorts spill under the same row budget the cost model priced; the
-  // manager lives inside ExecutePlan, scoped to this query.
-  SpillConfig spill_config;
-  spill_config.sort_memory_rows = config_.cost_params.sort_memory_rows;
-  spill_config.temp_dir = config_.spill_temp_dir;
-  spill_config.retry = config_.spill_retry;
-  auto start = std::chrono::steady_clock::now();
-  Result<std::vector<Row>> rows =
-      ExecutePlan(result->plan, &result->metrics, guard, &spill_config,
-                  profile, EffectiveVerifyOrders(config_), config_.batch_rows);
-  auto end = std::chrono::steady_clock::now();
-  result->elapsed_seconds = std::chrono::duration<double>(end - start).count();
-  // Keep consumed-vs-limit visible even when the query failed: a
-  // Result<QueryResult> error drops the metrics it carried.
-  SnapshotMetrics(result->metrics);
-  return rows;
+std::shared_ptr<TraceCollector> QueryEngine::StartTrace(int64_t query_id,
+                                                        bool analyze) const {
+  // The configured level, raised to kFull when EXPLAIN ANALYZE or a trace
+  // export path asks for per-operator stats; with everything off the hot
+  // path allocates no collector.
+  TraceLevel level = config_.trace_level;
+  if (analyze || !EffectiveTracePath(config_).empty()) {
+    level = TraceLevel::kFull;
+  }
+  if (level == TraceLevel::kOff) return nullptr;
+  auto trace = std::make_shared<TraceCollector>(level);
+  trace->set_query_id(query_id);
+  return trace;
+}
+
+Result<QueryResult> QueryEngine::Finish(QueryResult result, bool execute,
+                                        QueryGuard* guard, bool analyze) {
+  TraceCollector* trace = result.trace.get();
+  if (trace != nullptr && config_.degraded_mode) {
+    // Degraded-mode admissions are a service-level decision; the event
+    // makes them visible in the per-query trace export.
+    trace->Add("service", "degraded")
+        .SetInt("sort_memory_rows", config_.cost_params.sort_memory_rows);
+  }
+
+  if (execute) {
+    // Queries run under the engine's configured limits unless the caller
+    // supplied a guard of their own. Sorts spill under the same row budget
+    // the cost model priced; the manager lives inside ExecutePlan, scoped
+    // to this query.
+    QueryGuard config_guard(config_.limits);
+    if (guard == nullptr) guard = &config_guard;
+    const bool collect = trace != nullptr && trace->collect_exec();
+    SpillConfig spill_config;
+    spill_config.sort_memory_rows = config_.cost_params.sort_memory_rows;
+    spill_config.temp_dir = config_.spill_temp_dir;
+    spill_config.retry = config_.spill_retry;
+    auto start = std::chrono::steady_clock::now();
+    Result<std::vector<Row>> rows = ExecutePlan(
+        result.plan, &result.metrics, guard, &spill_config,
+        collect ? &result.op_profile : nullptr,
+        EffectiveVerifyOrders(config_), config_.batch_rows);
+    result.elapsed_seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+    // Keep consumed-vs-limit visible, and record the series, even when the
+    // query failed: a Result<QueryResult> error drops the metrics it
+    // carried.
+    SnapshotMetrics(result.metrics);
+    if (config_.metrics != nullptr) {
+      RecordEngineMetrics(config_.metrics, result);
+    }
+    ORDOPT_RETURN_NOT_OK(rows.status());
+    result.rows = std::move(rows).value();
+
+    if (collect) EmitExecEvents(trace, result, result.namer);
+    if (analyze) {
+      // A cached run's trace holds no optimizer events, so it renders no
+      // decisions block.
+      result.analyzed_plan_text =
+          RenderAnalyzedPlan(result.plan, result.op_profile, result.namer) +
+          ServiceSummaryLine(result);
+      std::string decisions = RenderDecisions(*trace);
+      if (!decisions.empty()) {
+        result.analyzed_plan_text += "decisions:\n" + decisions;
+      }
+    }
+  }
+
+  // Export only after the query itself succeeded: a failed query reports
+  // its own error, and WriteJsonLines never leaves a partial file.
+  if (trace != nullptr) {
+    const std::string trace_path = EffectiveTracePath(config_);
+    if (!trace_path.empty()) {
+      ORDOPT_RETURN_NOT_OK(
+          trace->WriteJsonLines(trace_path, config_.spill_retry));
+    }
+  }
+  return result;
 }
 
 Result<QueryResult> QueryEngine::Prepare(const std::string& sql, bool execute,
@@ -147,18 +207,7 @@ Result<QueryResult> QueryEngine::Prepare(const std::string& sql, bool execute,
                           BindQuery(*stmt, *db_));
   MergeDerivedTables(query.get());
 
-  // Effective observability for this query: the configured level, raised
-  // to kFull when EXPLAIN ANALYZE or a trace export path asks for
-  // per-operator stats.
-  std::string trace_path = EffectiveTracePath(config_);
-  TraceLevel trace_level = config_.trace_level;
-  if (analyze || !trace_path.empty()) trace_level = TraceLevel::kFull;
-  std::shared_ptr<TraceCollector> trace;
-  if (trace_level != TraceLevel::kOff) {
-    trace = std::make_shared<TraceCollector>(trace_level);
-    trace->set_query_id(query_id);
-  }
-
+  std::shared_ptr<TraceCollector> trace = StartTrace(query_id, analyze);
   Planner planner(*query, config_, trace.get());
   ORDOPT_ASSIGN_OR_RETURN(PlanRef plan, planner.BuildPlan());
 
@@ -195,54 +244,7 @@ Result<QueryResult> QueryEngine::Prepare(const std::string& sql, bool execute,
       return it != names->end() ? it->second : DefaultColumnName(id);
     };
   }
-  if (trace != nullptr && config_.degraded_mode) {
-    // Degraded-mode admissions are a service-level decision; the event
-    // makes them visible in the per-query trace export.
-    trace->Add("service", "degraded")
-        .SetInt("sort_memory_rows", config_.cost_params.sort_memory_rows);
-  }
-
-  if (execute) {
-    // Queries run under the engine's configured limits unless the caller
-    // supplied a guard of their own.
-    QueryGuard config_guard(config_.limits);
-    if (guard == nullptr) guard = &config_guard;
-    std::vector<OperatorProfile>* profile =
-        (trace != nullptr && trace->collect_exec()) ? &result.op_profile
-                                                    : nullptr;
-    Result<std::vector<Row>> rows = ExecutePhase(&result, guard, profile);
-    // Record before the error return so a failed query's consumption
-    // still lands in the series (ExecutePhase fills metrics regardless).
-    if (config_.metrics != nullptr) {
-      RecordEngineMetrics(config_.metrics, result);
-    }
-    ORDOPT_RETURN_NOT_OK(rows.status());
-    result.rows = std::move(rows).value();
-
-    if (trace != nullptr && trace->collect_exec()) {
-      EmitExecEvents(trace.get(), result, result.namer);
-    }
-
-    if (analyze) {
-      result.analyzed_plan_text =
-          RenderAnalyzedPlan(plan, result.op_profile, result.namer);
-      result.analyzed_plan_text += ServiceSummaryLine(result);
-      if (trace != nullptr) {
-        std::string decisions = RenderDecisions(*trace);
-        if (!decisions.empty()) {
-          result.analyzed_plan_text += "decisions:\n" + decisions;
-        }
-      }
-    }
-  }
-
-  // Export only after the query itself succeeded: a failed query reports
-  // its own error, and WriteJsonLines never leaves a partial file.
-  if (trace != nullptr && !trace_path.empty()) {
-    ORDOPT_RETURN_NOT_OK(
-        trace->WriteJsonLines(trace_path, config_.spill_retry));
-  }
-  return result;
+  return Finish(std::move(result), execute, guard, analyze);
 }
 
 Result<QueryResult> QueryEngine::Explain(const std::string& sql) {
@@ -279,9 +281,8 @@ Result<QueryResult> QueryEngine::PreparedImpl(const PreparedPlan& prepared,
   if (prepared.plan == nullptr) {
     return Status::InvalidArgument("RunPrepared: prepared plan is null");
   }
-  const int64_t query_id = ResolveQueryId(guard);
   QueryResult result;
-  result.query_id = query_id;
+  result.query_id = ResolveQueryId(guard);
   result.plan = prepared.plan;
   result.plan_text = prepared.plan_text;
   result.qgm_text = prepared.qgm_text;
@@ -289,53 +290,15 @@ Result<QueryResult> QueryEngine::PreparedImpl(const PreparedPlan& prepared,
   result.namer = prepared.namer;
   result.planned_from_cache = true;
   result.degraded = config_.degraded_mode;
-
-  // Cached-execution observability mirrors Prepare: a configured level or
-  // export path (or EXPLAIN ANALYZE) traces this run; with everything off
-  // the hot path allocates no collector. There are no optimizer events to
-  // record — the plan.cached event says why.
-  std::string trace_path = EffectiveTracePath(config_);
-  TraceLevel trace_level = config_.trace_level;
-  if (analyze || !trace_path.empty()) trace_level = TraceLevel::kFull;
-  std::shared_ptr<TraceCollector> trace;
-  if (trace_level != TraceLevel::kOff) {
-    trace = std::make_shared<TraceCollector>(trace_level);
-    trace->set_query_id(query_id);
-    TraceEvent& e = trace->Add("service", "plan.cached");
+  // There are no optimizer events to record: the plan.cached event says
+  // why.
+  result.trace = StartTrace(result.query_id, analyze);
+  if (result.trace != nullptr) {
+    TraceEvent& e = result.trace->Add("service", "plan.cached");
     e.SetBool("planned_from_cache", true);
     if (config_.degraded_mode) e.SetBool("degraded", true);
-    result.trace = trace;
-    if (config_.degraded_mode) {
-      trace->Add("service", "degraded")
-          .SetInt("sort_memory_rows", config_.cost_params.sort_memory_rows);
-    }
   }
-
-  QueryGuard config_guard(config_.limits);
-  if (guard == nullptr) guard = &config_guard;
-  std::vector<OperatorProfile>* profile =
-      (trace != nullptr && trace->collect_exec()) ? &result.op_profile
-                                                  : nullptr;
-  Result<std::vector<Row>> rows = ExecutePhase(&result, guard, profile);
-  if (config_.metrics != nullptr) {
-    RecordEngineMetrics(config_.metrics, result);
-  }
-  ORDOPT_RETURN_NOT_OK(rows.status());
-  result.rows = std::move(rows).value();
-
-  if (trace != nullptr && trace->collect_exec()) {
-    EmitExecEvents(trace.get(), result, result.namer);
-  }
-  if (analyze) {
-    result.analyzed_plan_text =
-        RenderAnalyzedPlan(result.plan, result.op_profile, result.namer);
-    result.analyzed_plan_text += ServiceSummaryLine(result);
-  }
-  if (trace != nullptr && !trace_path.empty()) {
-    ORDOPT_RETURN_NOT_OK(
-        trace->WriteJsonLines(trace_path, config_.spill_retry));
-  }
-  return result;
+  return Finish(std::move(result), /*execute=*/true, guard, analyze);
 }
 
 }  // namespace ordopt

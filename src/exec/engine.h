@@ -181,12 +181,18 @@ class QueryEngine {
   Result<QueryResult> PreparedImpl(const PreparedPlan& prepared,
                                    QueryGuard* guard, bool analyze);
 
-  /// Shared execute phase of Prepare and RunPrepared: runs result->plan
-  /// under the guard/spill/verify-orders environment and fills rows,
-  /// metrics, and timing.
-  Result<std::vector<Row>> ExecutePhase(QueryResult* result,
-                                        QueryGuard* guard,
-                                        std::vector<OperatorProfile>* profile);
+  /// The query's trace collector at the configured level, raised to kFull
+  /// for EXPLAIN ANALYZE or a trace export path; null when tracing is off.
+  std::shared_ptr<TraceCollector> StartTrace(int64_t query_id,
+                                             bool analyze) const;
+
+  /// The tail shared by planned and cached runs: the degraded event, then,
+  /// when `execute`, the run of result.plan under `guard` (else the
+  /// configured limits) with spilling and order verification, the engine
+  /// series, the exec trace events and the EXPLAIN ANALYZE text; last the
+  /// trace export.
+  Result<QueryResult> Finish(QueryResult result, bool execute,
+                             QueryGuard* guard, bool analyze);
 
   void SnapshotMetrics(const RuntimeMetrics& metrics) {
     std::lock_guard<std::mutex> lock(last_metrics_mu_);

@@ -134,17 +134,13 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
   OperatorPtr built;
   switch (plan->kind) {
     case OpKind::kTableScan:
-      built = OperatorPtr(new TableScanOp(*plan->table, plan->table_id, ctx,
-                                          prune, plan->morsel_driver,
-                                          plan->emit_provenance));
-      break;
     case OpKind::kIndexScan:
-      built = OperatorPtr(new IndexScanOp(*plan->table, plan->table_id,
-                                          plan->index_ordinal,
-                                          plan->reverse_scan,
-                                          plan->range_predicates, ctx, prune,
-                                          plan->morsel_driver,
-                                          plan->emit_provenance));
+      built = OperatorPtr(new ScanOp(
+          *plan->table, plan->table_id,
+          plan->kind == OpKind::kIndexScan ? plan->index_ordinal
+                                           : ScanOp::kHeap,
+          plan->reverse_scan, plan->range_predicates, ctx, prune,
+          plan->morsel_driver, plan->emit_provenance));
       break;
     case OpKind::kExchange:
       // Handled by the early return above; unreachable here.
@@ -269,15 +265,11 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
 
 }  // namespace
 
-Result<OperatorPtr> BuildOperatorTree(const PlanRef& plan, ExecContext ctx) {
-  // The root requires every output column; pruning starts below the first
-  // projection or aggregation, where the useful column set narrows.
-  return BuildTree(plan, ctx, RequiredColumns{});
-}
-
-Result<OperatorPtr> BuildWorkerOperatorTree(const PlanRef& plan,
-                                            ExecContext ctx,
-                                            const ColumnSet* required) {
+Result<OperatorPtr> BuildOperatorTree(const PlanRef& plan, ExecContext ctx,
+                                     const ColumnSet* required) {
+  // Without a requirement the root surfaces every output column; pruning
+  // starts below the first projection or aggregation, where the useful
+  // column set narrows.
   RequiredColumns req;
   if (required != nullptr) {
     req.all = false;

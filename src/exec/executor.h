@@ -16,16 +16,13 @@ namespace ordopt {
 /// Instantiates the Volcano operator tree for a physical plan. The metrics
 /// and guard in `ctx` must outlive the returned operator. A plan whose
 /// construction poisons the guard (planner bug surfaced at build time)
-/// returns the poisoned Status instead of an operator.
-Result<OperatorPtr> BuildOperatorTree(const PlanRef& plan, ExecContext ctx);
-
-/// Variant used by ExchangeOp for its worker subtrees: seeds the build with
-/// the column requirement computed at the exchange node (null = all
-/// columns), so worker scans prune exactly as a serial build of the same
-/// chain would.
-Result<OperatorPtr> BuildWorkerOperatorTree(const PlanRef& plan,
-                                            ExecContext ctx,
-                                            const ColumnSet* required);
+/// returns the poisoned Status instead of an operator. `required` seeds
+/// build-time column pruning with the columns the caller needs of the
+/// root's output (null = all): ExchangeOp passes the requirement computed
+/// at the exchange node, so worker scans prune exactly as a serial build of
+/// the same chain would.
+Result<OperatorPtr> BuildOperatorTree(const PlanRef& plan, ExecContext ctx,
+                                      const ColumnSet* required = nullptr);
 
 /// One operator's runtime stats paired with the plan node it executed.
 /// ExecutePlan emits profiles in the same post-order BuildOperatorTree

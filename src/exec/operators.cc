@@ -129,119 +129,16 @@ std::vector<ColumnId> TableLayout(const Table& table, int table_id,
   return layout;
 }
 
-// Stable normalized-key sort of `rows` (Graefe): encode each row's sort key
-// once into a contiguous arena of memcmp-comparable bytes, sort an index
-// vector with a branch-light comparator, then gather rows into the new
-// order. The index tie-break reproduces std::stable_sort's stability. Free
-// function so SortOp's parallel run-generation jobs can run it on their own
-// threads against a job-private comparison counter.
-void SortRowsNormalized(std::vector<Row>* rows,
-                        const std::vector<int>& positions,
-                        const std::vector<bool>& descending,
-                        int64_t* cmp_counter) {
-  const size_t n = rows->size();
-  if (n < 2) return;
-  std::string arena;
-  std::vector<size_t> offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    AppendNormalizedKey((*rows)[i], positions, descending, &arena);
-    offsets[i + 1] = arena.size();
-  }
-  std::vector<uint32_t> idx(n);
-  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-  const char* data = arena.data();
-  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    ++*cmp_counter;
-    const size_t alen = offsets[a + 1] - offsets[a];
-    const size_t blen = offsets[b + 1] - offsets[b];
-    const int c = std::memcmp(data + offsets[a], data + offsets[b],
-                              alen < blen ? alen : blen);
-    if (c != 0) return c < 0;
-    // Column encodings are self-delimiting, so equal-prefix keys of
-    // different length cannot happen; the check is belt-and-braces.
-    if (alen != blen) return alen < blen;
-    return a < b;
-  });
-  std::vector<Row> sorted;
-  sorted.reserve(n);
-  for (uint32_t i : idx) sorted.push_back(std::move((*rows)[i]));
-  *rows = std::move(sorted);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// TableScanOp
+// ScanOp
 // ---------------------------------------------------------------------------
 
-TableScanOp::TableScanOp(const Table& table, int table_id, ExecContext ctx,
-                         const ColumnSet* required_columns, bool morsel_driver,
-                         bool emit_provenance)
-    : Operator(ctx),
-      table_(table),
-      pages_(ctx.metrics, kRowsPerPage),
-      morsel_driver_(morsel_driver && ctx.morsels != nullptr),
-      emit_provenance_(emit_provenance) {
-  layout_ = TableLayout(table, table_id, required_columns, &src_ordinals_);
-  if (emit_provenance_) layout_.push_back(ProvenanceColumnId());
-}
-
-void TableScanOp::OpenImpl() {
-  rid_ = 0;
-  // Morsel mode starts with an empty range so the first NextBatch claims.
-  limit_ = morsel_driver_ ? 0 : table_.row_count();
-}
-
-bool TableScanOp::NextBatchImpl(RowBatch* out) {
-  out->Reset(layout_.size(), BatchCapacity());
-  if (morsel_driver_ && rid_ >= limit_) {
-    if (ctx_.InjectFault("exec.parallel.morsel")) return false;
-    if (!ctx_.GuardOk()) return false;
-    if (!ctx_.morsels->ClaimRange(table_.row_count(), &rid_, &limit_)) {
-      return false;
-    }
-  }
-  // Account pages and the guard for the rid range first, then fill column
-  // at a time: sequential writes into each output column instead of
-  // striding across the full row width per row. Batches never cross a
-  // morsel boundary (the loop stops at limit_), so every emitted batch is
-  // a contiguous, ascending rid range.
-  const int64_t start = rid_;
-  const int64_t cap = out->capacity();
-  int64_t n = 0;
-  while (n < cap && rid_ < limit_) {
-    pages_.Access(rid_);
-    ++ctx_.metrics->rows_scanned;
-    if (!ctx_.OnRowScanned()) break;  // tripped row: counted, not emitted
-    ++rid_;
-    ++n;
-  }
-  const size_t width = src_ordinals_.size();
-  for (size_t c = 0; c < width; ++c) {
-    const size_t ord = static_cast<size_t>(src_ordinals_[c]);
-    for (int64_t i = 0; i < n; ++i) {
-      out->AppendColumnValue(c, table_.row(start + i)[ord]);
-    }
-  }
-  if (emit_provenance_) {
-    // The provenance of a heap-scan row is its rid: the ordinal at which
-    // the serial scan would have emitted it.
-    for (int64_t i = 0; i < n; ++i) {
-      out->AppendColumnValue(width, Value::Int(start + i));
-    }
-  }
-  out->SetRowCount(n);
-  return !out->empty();
-}
-
-// ---------------------------------------------------------------------------
-// IndexScanOp
-// ---------------------------------------------------------------------------
-
-IndexScanOp::IndexScanOp(const Table& table, int table_id, int index_ordinal,
-                         bool reverse, std::vector<Predicate> range_predicates,
-                         ExecContext ctx, const ColumnSet* required_columns,
-                         bool morsel_driver, bool emit_provenance)
+ScanOp::ScanOp(const Table& table, int table_id, int index_ordinal,
+               bool reverse, std::vector<Predicate> range_predicates,
+               ExecContext ctx, const ColumnSet* required_columns,
+               bool morsel_driver, bool emit_provenance)
     : Operator(ctx),
       table_(table),
       index_ordinal_(index_ordinal),
@@ -249,7 +146,8 @@ IndexScanOp::IndexScanOp(const Table& table, int table_id, int index_ordinal,
       range_predicates_(std::move(range_predicates)),
       pages_(ctx.metrics, kRowsPerPage),
       morsel_driver_(morsel_driver && ctx.morsels != nullptr),
-      emit_provenance_(emit_provenance) {
+      emit_provenance_(emit_provenance),
+      identity_(index_ordinal == kHeap) {
   layout_ = TableLayout(table, table_id, required_columns, &src_ordinals_);
   if (emit_provenance_) layout_.push_back(ProvenanceColumnId());
   if (reverse_ && !range_predicates_.empty()) {
@@ -258,22 +156,25 @@ IndexScanOp::IndexScanOp(const Table& table, int table_id, int index_ordinal,
   }
 }
 
-void IndexScanOp::OpenImpl() {
-  done_ = true;
-  ordinal_ = 0;
+void ScanOp::OpenImpl() {
   pos_ = 0;
   limit_ = 0;
   rids_ = nullptr;
-  if (!ctx_.GuardOk()) return;
-  if (ctx_.InjectFault("storage.btree.read")) return;
+  done_ = index_ordinal_ != kHeap && !OpenIndex();
+  // Morsel mode starts with an empty range so the first NextBatch claims.
+  if (identity_ && !morsel_driver_) limit_ = table_.row_count();
+}
+
+bool ScanOp::OpenIndex() {
+  if (!ctx_.GuardOk()) return false;
+  if (ctx_.InjectFault("storage.btree.read")) return false;
   const BTreeIndex* index =
       table_.index(static_cast<size_t>(index_ordinal_));
   if (index == nullptr) {
     ctx_.Poison(Status::Internal("index scan over unbuilt index on table '" +
                                  table_.name() + "'"));
-    return;
+    return false;
   }
-  done_ = false;
   eq_prefix_.clear();
   cmp_position_ = -1;
 
@@ -292,15 +193,13 @@ void IndexScanOp::OpenImpl() {
     }
     if (key_pos < 0) {
       ctx_.Poison(Status::Internal("range predicate off the index key"));
-      done_ = true;
-      return;
+      return false;
     }
     if (p.kind == Predicate::Kind::kColEqConst) {
       if (key_pos != static_cast<int>(eq_prefix_.size())) {
         ctx_.Poison(Status::Internal(
             "index range predicates do not form an equality prefix"));
-        done_ = true;
-        return;
+        return false;
       }
       eq_prefix_.push_back(p.constant);
     } else {
@@ -310,10 +209,11 @@ void IndexScanOp::OpenImpl() {
     }
   }
 
-  clustered_walk_ = def.clustered && !reverse_ && range_predicates_.empty();
+  identity_ = def.clustered && !reverse_ && range_predicates_.empty();
+  if (identity_) return true;
   if (reverse_) {
     cursor_ = index->SeekLast();
-    return;
+    return true;
   }
   // Seek to the first qualifying entry in index order. A comparison's
   // qualifying entries are contiguous after the equality prefix, but where
@@ -345,9 +245,10 @@ void IndexScanOp::OpenImpl() {
   } else {
     cursor_ = index->SeekFirst();
   }
+  return true;
 }
 
-bool IndexScanOp::EntryQualifies() const {
+bool ScanOp::EntryQualifies() const {
   const IndexKey& key = cursor_.key();
   for (size_t i = 0; i < eq_prefix_.size(); ++i) {
     if (key[i].Compare(eq_prefix_[i]) != 0) return false;
@@ -372,87 +273,65 @@ bool IndexScanOp::EntryQualifies() const {
   return true;
 }
 
-void IndexScanOp::CollectRids(std::vector<int64_t>* rids) {
-  while (!done_ && cursor_.Valid()) {
-    if (!EntryQualifies()) {
+bool ScanOp::CursorNext(int64_t* rid) {
+  // The seek skipped below-bound entries, so a mismatched equality prefix
+  // or a violated upper bound means no later entry qualifies either.
+  if (!cursor_.Valid() || !EntryQualifies()) return false;
+  *rid = cursor_.rid();
+  if (reverse_) {
+    cursor_.Prev();
+  } else {
+    cursor_.Next();
+  }
+  return true;
+}
+
+bool ScanOp::ClaimMorsel() {
+  if (ctx_.InjectFault("exec.parallel.morsel")) return false;
+  if (!ctx_.GuardOk()) return false;
+  if (!identity_ && rids_ == nullptr) {
+    // The walk accounts nothing: pages, rows_scanned and the guard are
+    // charged as each worker materializes its claimed rows.
+    rids_ = &ctx_.morsels->EnsureRids([this](std::vector<int64_t>* rids) {
+      int64_t rid = 0;
+      while (CursorNext(&rid)) rids->push_back(rid);
+    });
+  }
+  const int64_t total = identity_ ? table_.row_count()
+                                  : static_cast<int64_t>(rids_->size());
+  return ctx_.morsels->ClaimRange(total, &pos_, &limit_);
+}
+
+bool ScanOp::NextBatchImpl(RowBatch* out) {
+  out->Reset(layout_.size(), BatchCapacity());
+  if (done_) return false;
+  if (morsel_driver_ && pos_ >= limit_ && !ClaimMorsel()) return false;
+  // Gather the batch's rids, charging pages and the guard per row, then
+  // fill column at a time: sequential writes into each output column
+  // instead of striding across the full row width per row. A serial
+  // non-identity walk reads its cursor; every other scan reads positions
+  // [pos_, limit_) of its domain.
+  const bool from_cursor = !identity_ && !morsel_driver_;
+  const int64_t cap = out->capacity();
+  const int64_t first = pos_;
+  scratch_rids_.clear();
+  while (static_cast<int64_t>(scratch_rids_.size()) < cap) {
+    int64_t rid = pos_;
+    if (from_cursor) {
+      if (!CursorNext(&rid)) break;
+    } else {
+      if (pos_ >= limit_) break;
+      if (rids_ != nullptr) rid = (*rids_)[static_cast<size_t>(pos_)];
+    }
+    pages_.Access(rid);
+    ++ctx_.metrics->rows_scanned;
+    if (!ctx_.OnRowScanned()) {  // tripped row: counted, not emitted
       done_ = true;
       break;
     }
-    rids->push_back(cursor_.rid());
-    if (reverse_) {
-      cursor_.Prev();
-    } else {
-      cursor_.Next();
-    }
+    scratch_rids_.push_back(rid);
+    ++pos_;
   }
-}
-
-bool IndexScanOp::NextBatchImpl(RowBatch* out) {
-  out->Reset(layout_.size(), BatchCapacity());
-  const int64_t cap = out->capacity();
-  scratch_rids_.clear();
-  int64_t first_ordinal = 0;
-  if (morsel_driver_) {
-    // Workers claim position ranges of the index walk, so a row's
-    // provenance ordinal is simply its walk position, and every worker's
-    // stream stays ascending in it. A full forward walk of the clustered
-    // index visits rids 0..N-1 in order (BuildIndexes stable-sorts the heap
-    // by its key and the B-tree breaks key ties by rid), so position is
-    // rid and workers claim rid ranges directly. Any other walk's
-    // qualifying rids are materialized once into the exchange's shared
-    // vector (the first worker to get here walks its own cursor; the rest
-    // reuse).
-    if (pos_ >= limit_) {
-      if (ctx_.InjectFault("exec.parallel.morsel")) return false;
-      if (!ctx_.GuardOk()) return false;
-      if (rids_ == nullptr && !clustered_walk_) {
-        rids_ = &ctx_.morsels->EnsureRids(
-            [this](std::vector<int64_t>* rids) { CollectRids(rids); });
-      }
-      const int64_t total = clustered_walk_
-                                ? table_.row_count()
-                                : static_cast<int64_t>(rids_->size());
-      if (!ctx_.morsels->ClaimRange(total, &pos_, &limit_)) return false;
-    }
-    first_ordinal = pos_;
-    while (static_cast<int64_t>(scratch_rids_.size()) < cap &&
-           pos_ < limit_) {
-      const int64_t rid =
-          clustered_walk_ ? pos_ : (*rids_)[static_cast<size_t>(pos_)];
-      pages_.Access(rid);
-      ++ctx_.metrics->rows_scanned;
-      if (!ctx_.OnRowScanned()) break;  // tripped row: counted, not emitted
-      scratch_rids_.push_back(rid);
-      ++pos_;
-    }
-  } else {
-    first_ordinal = ordinal_;
-    while (static_cast<int64_t>(scratch_rids_.size()) < cap && !done_ &&
-           cursor_.Valid()) {
-      if (!EntryQualifies()) {
-        // Keys are monotone: an equality-prefix mismatch or a violated
-        // upper bound means no further entry qualifies; a violated lower
-        // bound cannot happen (the seek skipped below-bound entries).
-        done_ = true;
-        break;
-      }
-      const int64_t rid = cursor_.rid();
-      if (reverse_) {
-        cursor_.Prev();
-      } else {
-        cursor_.Next();
-      }
-      pages_.Access(rid);
-      ++ctx_.metrics->rows_scanned;
-      if (!ctx_.OnRowScanned()) {
-        done_ = true;
-        break;
-      }
-      scratch_rids_.push_back(rid);
-      ++ordinal_;
-    }
-  }
-  // Materialize the gathered rids column at a time (cf. TableScanOp).
   const int64_t n = static_cast<int64_t>(scratch_rids_.size());
   const size_t width = src_ordinals_.size();
   for (size_t c = 0; c < width; ++c) {
@@ -464,11 +343,11 @@ bool IndexScanOp::NextBatchImpl(RowBatch* out) {
   }
   if (emit_provenance_) {
     for (int64_t i = 0; i < n; ++i) {
-      out->AppendColumnValue(width, Value::Int(first_ordinal + i));
+      out->AppendColumnValue(width, Value::Int(first + i));
     }
   }
   out->SetRowCount(n);
-  return !out->empty();
+  return n > 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -527,8 +406,35 @@ bool SortOp::HeadLess(const Row& a, const Row& b) const {
 }
 
 void SortOp::SortBuffer() {
-  SortRowsNormalized(&rows_, positions_, descending_,
-                     &ctx_.metrics->comparisons);
+  // The index tie-break reproduces std::stable_sort's stability.
+  const size_t n = rows_.size();
+  if (n < 2) return;
+  std::string arena;
+  std::vector<size_t> offsets(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    AppendNormalizedKey(rows_[i], positions_, descending_, &arena);
+    offsets[i + 1] = arena.size();
+  }
+  std::vector<uint32_t> idx(n);
+  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
+  const char* data = arena.data();
+  int64_t* comparisons = &ctx_.metrics->comparisons;
+  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
+    ++*comparisons;
+    const size_t alen = offsets[a + 1] - offsets[a];
+    const size_t blen = offsets[b + 1] - offsets[b];
+    const int c = std::memcmp(data + offsets[a], data + offsets[b],
+                              alen < blen ? alen : blen);
+    if (c != 0) return c < 0;
+    // Column encodings are self-delimiting, so equal-prefix keys of
+    // different length cannot happen; the check is belt-and-braces.
+    if (alen != blen) return alen < blen;
+    return a < b;
+  });
+  std::vector<Row> sorted;
+  sorted.reserve(n);
+  for (uint32_t i : idx) sorted.push_back(std::move(rows_[i]));
+  rows_ = std::move(sorted);
 }
 
 bool SortOp::SpillCurrentRun() {

@@ -132,67 +132,56 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Heap scan over a base table (sequential pages). When `required_columns`
-/// is given, the scan emits only the table columns in that set (build-time
-/// column pruning): pages and guard accounting still cover every row, but
-/// unreferenced cells are never copied out of the heap.
+/// Base-table scan: a heap scan (`index_ordinal` kHeap, sequential pages)
+/// or an ordered index scan, optionally range-bounded by equality
+/// constants on a key prefix plus at most one comparison on the next key
+/// column, and optionally reversed (full scans only). When
+/// `required_columns` is given, the scan emits only the table columns in
+/// that set (build-time column pruning): pages and guard accounting still
+/// cover every row, but unreferenced cells are never copied out.
 ///
-/// Inside an exchange worker (`morsel_driver` with a MorselScheduler in the
-/// context) the scan claims rid ranges from the shared scheduler instead of
-/// walking [0, row_count); batches never cross a morsel boundary. With
-/// `emit_provenance` the scan appends the hidden provenance column — the
-/// rid, i.e. the serial emission ordinal — after the pruned table columns.
-class TableScanOp : public Operator {
+/// A heap scan and a forward, predicate-free walk of the clustered index
+/// read the identity domain: rids 0..N-1 in order (BuildIndexes
+/// stable-sorts the heap by the clustered key and the B-tree breaks key
+/// ties by rid), so neither touches the B-tree. Serially the scan takes
+/// the whole domain as one range; inside an exchange worker
+/// (`morsel_driver` with a MorselScheduler in the context) it claims rid
+/// ranges from the shared scheduler. Every other index walk streams from
+/// its cursor serially, and in morsel mode materializes its qualifying
+/// rids once into the scheduler's shared vector (the first worker walks,
+/// the rest reuse) and claims position ranges of it. Batches never cross a
+/// morsel boundary. With `emit_provenance` the scan appends the hidden
+/// provenance column, the walk position (the serial emission ordinal),
+/// after the pruned table columns.
+class ScanOp : public Operator {
  public:
-  TableScanOp(const Table& table, int table_id, ExecContext ctx,
-              const ColumnSet* required_columns = nullptr,
-              bool morsel_driver = false, bool emit_provenance = false);
+  static constexpr int kHeap = -1;  ///< `index_ordinal` of a heap scan
+
+  ScanOp(const Table& table, int table_id, int index_ordinal, bool reverse,
+         std::vector<Predicate> range_predicates, ExecContext ctx,
+         const ColumnSet* required_columns = nullptr,
+         bool morsel_driver = false, bool emit_provenance = false);
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
 
  private:
-  const Table& table_;
-  PageTracker pages_;
-  /// Table-column ordinal backing each emitted column (identity without
-  /// pruning).
-  std::vector<int32_t> src_ordinals_;
-  bool morsel_driver_ = false;
-  bool emit_provenance_ = false;
-  int64_t rid_ = 0;
-  int64_t limit_ = 0;  ///< end of the current morsel (serial: row_count)
-};
-
-/// Ordered index scan, optionally range-bounded by equality constants on a
-/// key prefix plus at most one comparison on the next key column, and
-/// optionally reversed (yields the reversed order, full scans only).
-///
-/// Inside an exchange worker (`morsel_driver`) the qualifying rids are
-/// materialized once in index-walk order into the MorselScheduler's shared
-/// vector (first worker walks, the rest reuse), and workers claim position
-/// ranges of that vector — row materialization is what parallelizes, and
-/// the provenance ordinal (the walk position) is the position claimed.
-class IndexScanOp : public Operator {
- public:
-  IndexScanOp(const Table& table, int table_id, int index_ordinal,
-              bool reverse, std::vector<Predicate> range_predicates,
-              ExecContext ctx, const ColumnSet* required_columns = nullptr,
-              bool morsel_driver = false, bool emit_provenance = false);
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-
- private:
+  /// Index-scan Open: decomposes the range predicates and, unless the walk
+  /// is the identity domain, seeks the cursor; false after poisoning.
+  bool OpenIndex();
   bool EntryQualifies() const;
-  /// Walks the cursor to completion, appending each qualifying rid. The
-  /// walk accounts nothing: pages, rows_scanned, and the guard are charged
-  /// by whichever path materializes the rows.
-  void CollectRids(std::vector<int64_t>* rids);
+  /// The cursor's next qualifying rid; false once the walk ends (keys are
+  /// monotone, so the first non-qualifying entry ends it).
+  bool CursorNext(int64_t* rid);
+  /// Morsel mode: claims the next position range of the scan domain.
+  bool ClaimMorsel();
 
   const Table& table_;
   int index_ordinal_;
   bool reverse_;
   std::vector<Predicate> range_predicates_;
   PageTracker pages_;
-  /// Table-column ordinal backing each emitted column (see TableScanOp).
+  /// Table-column ordinal backing each emitted column (identity without
+  /// pruning).
   std::vector<int32_t> src_ordinals_;
   BTreeIndex::Cursor cursor_;
   // Range bounds in index-key positions.
@@ -200,18 +189,18 @@ class IndexScanOp : public Operator {
   int cmp_position_ = -1;
   BinOp cmp_op_ = BinOp::kEq;
   Value cmp_bound_;
-  bool done_ = false;
   bool morsel_driver_ = false;
   bool emit_provenance_ = false;
-  /// Forward, predicate-free walk of the clustered index: walk position
-  /// equals rid, so morsel mode needs no shared rid vector.
-  bool clustered_walk_ = false;
-  int64_t ordinal_ = 0;  ///< serial mode: walk ordinal of the next row
-  /// Morsel mode: shared qualifying rids (null for a clustered walk) plus
-  /// the claimed [pos_, limit_).
-  const std::vector<int64_t>* rids_ = nullptr;
+  /// The walk is rids 0..N-1: a heap scan or a full forward clustered walk.
+  bool identity_ = false;
+  /// Set when Open failed or a row tripped the guard: the stream is over.
+  bool done_ = false;
+  /// Walk position of the next row, and the end of the current range (a
+  /// morsel, or [0, row_count) for a serial identity scan).
   int64_t pos_ = 0;
   int64_t limit_ = 0;
+  /// Morsel mode, non-identity walks: the shared qualifying rids.
+  const std::vector<int64_t>* rids_ = nullptr;
   std::vector<int64_t> scratch_rids_;  ///< rids gathered for one batch
 };
 

@@ -47,7 +47,7 @@ ExchangeOp::ExchangeOp(const PlanNode& node, ExecContext ctx,
     wctx.batch_rows = ctx.batch_rows;
     wctx.morsels = &morsels_;
     Result<OperatorPtr> built =
-        BuildWorkerOperatorTree(chain, wctx, required_columns);
+        BuildOperatorTree(chain, wctx, required_columns);
     if (!built.ok()) {
       ctx_.Poison(built.status());
       workers_.clear();

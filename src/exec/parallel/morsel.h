@@ -11,8 +11,9 @@ namespace ordopt {
 
 /// Work distribution for one exchange's worker set (morsel-driven
 /// parallelism): the chain's driving scan claims fixed-size ranges of its
-/// scan domain — rid ranges for a heap scan, positions in the shared
-/// qualifying-rid vector for an index scan — with a single atomic
+/// scan domain — rid ranges for a heap or full forward clustered scan,
+/// positions in the shared qualifying-rid vector for any other index
+/// walk — with a single atomic
 /// fetch-add, so fast workers naturally steal more morsels than slow ones
 /// without any per-worker partition assignment.
 ///
@@ -44,13 +45,15 @@ class MorselScheduler {
 
   int64_t morsel_rows() const { return morsel_rows_; }
 
-  /// Index-scan domain: the qualifying rids in index-walk order, shared by
-  /// every worker. The first caller materializes them through `walk` (a
-  /// serial cursor walk over its own IndexScanOp state); later callers —
-  /// and the first caller's own morsel loop — read the shared vector, so
-  /// the walk happens exactly once per exchange and row materialization is
-  /// what parallelizes. The returned reference is stable for the
-  /// scheduler's lifetime.
+  /// Domain of a non-identity index walk (reverse, range-bounded or
+  /// non-clustered; heap and full forward clustered scans claim rid ranges
+  /// directly): the qualifying rids in index-walk order, shared by every
+  /// worker. The first caller materializes them through `walk` (a cursor
+  /// walk over its own ScanOp state); later callers — and the first
+  /// caller's own morsel loop — read the shared vector, so the walk
+  /// happens exactly once per exchange and row materialization is what
+  /// parallelizes. The returned reference is stable for the scheduler's
+  /// lifetime.
   const std::vector<int64_t>& EnsureRids(
       const std::function<void(std::vector<int64_t>*)>& walk) {
     std::lock_guard<std::mutex> lock(rids_mu_);

@@ -75,7 +75,7 @@ std::unique_ptr<Table> MakeTable(int rows, bool clustered_index) {
 TEST(ExecScan, TableScanCountsPages) {
   auto t = MakeTable(200, true);
   RuntimeMetrics m;
-  TableScanOp scan(*t, 0, &m);
+  ScanOp scan(*t, 0, ScanOp::kHeap, /*reverse=*/false, {}, &m);
   std::vector<Row> rows = Drain(&scan);
   EXPECT_EQ(rows.size(), 200u);
   EXPECT_EQ(m.rows_scanned, 200);
@@ -86,13 +86,13 @@ TEST(ExecScan, TableScanCountsPages) {
 TEST(ExecScan, IndexScanOrderedAndReverse) {
   auto t = MakeTable(100, false);
   RuntimeMetrics m;
-  IndexScanOp fwd(*t, 0, 0, /*reverse=*/false, {}, &m);
+  ScanOp fwd(*t, 0, 0, /*reverse=*/false, {}, &m);
   std::vector<Row> rows = Drain(&fwd);
   ASSERT_EQ(rows.size(), 100u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0].AsInt(), static_cast<int64_t>(i));
   }
-  IndexScanOp rev(*t, 0, 0, /*reverse=*/true, {}, &m);
+  ScanOp rev(*t, 0, 0, /*reverse=*/true, {}, &m);
   rows = Drain(&rev);
   ASSERT_EQ(rows.size(), 100u);
   EXPECT_EQ(rows[0][0].AsInt(), 99);
@@ -110,26 +110,26 @@ TEST(ExecScan, IndexRangeScans) {
   auto t = MakeTable(100, true);
   RuntimeMetrics m;
   {
-    IndexScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kGt, 89)},
+    ScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kGt, 89)},
                    &m);
     std::vector<Row> rows = Drain(&op);
     ASSERT_EQ(rows.size(), 10u);
     EXPECT_EQ(rows[0][0].AsInt(), 90);
   }
   {
-    IndexScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kGe, 90)},
+    ScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kGe, 90)},
                    &m);
     EXPECT_EQ(Drain(&op).size(), 10u);
   }
   {
-    IndexScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kLt, 10)},
+    ScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kLt, 10)},
                    &m);
     std::vector<Row> rows = Drain(&op);
     ASSERT_EQ(rows.size(), 10u);
     EXPECT_EQ(rows.back()[0].AsInt(), 9);
   }
   {
-    IndexScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kEq, 42)},
+    ScanOp op(*t, 0, 0, false, {MakeRangePred({0, 0}, BinOp::kEq, 42)},
                    &m);
     std::vector<Row> rows = Drain(&op);
     ASSERT_EQ(rows.size(), 1u);
@@ -156,7 +156,7 @@ TEST(ExecScan, IndexRangeScansHonorNullsAndDescColumns) {
   ASSERT_TRUE(t.BuildIndexes().ok());
   RuntimeMetrics m;
   auto scan = [&](std::vector<Predicate> preds) {
-    IndexScanOp op(t, 0, 0, false, std::move(preds), &m);
+    ScanOp op(t, 0, 0, false, std::move(preds), &m);
     return Drain(&op);
   };
   auto count = [&](auto keep) {
@@ -1245,10 +1245,15 @@ TEST(ExecEndOfStream, EveryOperatorLeavesTheBatchEmpty) {
       return kids;
     };
     std::vector<std::pair<const char*, OperatorPtr>> ops;
-    ops.emplace_back("TableScan", std::make_unique<TableScanOp>(*t, 0, ctx));
-    ops.emplace_back("IndexScan", std::make_unique<IndexScanOp>(
+    ops.emplace_back("TableScan", std::make_unique<ScanOp>(
+                                      *t, 0, ScanOp::kHeap, false,
+                                      std::vector<Predicate>{}, ctx));
+    ops.emplace_back("IndexScan", std::make_unique<ScanOp>(
                                       *t, 0, 0, false,
                                       std::vector<Predicate>{}, ctx));
+    ops.emplace_back("ReverseIndexScan", std::make_unique<ScanOp>(
+                                             *t, 0, 0, true,
+                                             std::vector<Predicate>{}, ctx));
     ops.emplace_back("Filter", std::make_unique<FilterOp>(
                                    src(lo),
                                    std::vector<Predicate>{

@@ -371,12 +371,35 @@ Predicate ColumnPredicate(int column, BinOp op, int64_t bound) {
       BoundExpr::Literal(Value::Int(bound)), DataType::kInt64));
 }
 
-// Drives IndexScanOp's morsel branch directly with a private scheduler.
-// Only the full forward walk claims rid ranges without the shared rid
-// vector; predicate and reverse scans still materialize it. Either way the
-// scan emits the qualifying rows in index-walk order — for a clustered
-// index, ascending rid order (descending for a reverse walk) — with
-// provenance 0, 1, 2, ...
+// Drains `scan`; with `provenance`, checks that the trailing provenance
+// column reads 0, 1, 2, ... and strips it.
+std::vector<Row> DrainScan(ScanOp* scan, bool provenance) {
+  scan->Open();
+  std::vector<Row> rows;
+  RowBatch batch;
+  while (scan->NextBatch(&batch)) {
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      Row row = batch.TakeRow(i);
+      if (provenance) {
+        EXPECT_EQ(row.back().AsInt(), static_cast<int64_t>(rows.size()));
+        row.pop_back();
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  scan->Close();
+  return rows;
+}
+
+// Drives ScanOp's index walks directly, in morsel mode with a private
+// scheduler and serially (no scheduler) at batch 1 and 3, with and
+// without column pruning. In morsel mode only the full forward walk claims
+// rid ranges without the shared rid vector; predicate and reverse scans
+// still materialize it. Either way the scan emits the qualifying rows in
+// index-walk order — for a clustered index, ascending rid order
+// (descending for a reverse walk) — with provenance 0, 1, 2, ... Serially,
+// the full forward walk reads exactly what the heap scan of the table
+// reads: the same rows, rows_scanned and seq/random pages.
 TEST(ClusteredMorsels, OnlyFullForwardWalksSkipTheSharedRidVector) {
   const Table& table = *ClusteredDb()->GetTable("c");
   struct Case {
@@ -400,6 +423,7 @@ TEST(ClusteredMorsels, OnlyFullForwardWalksSkipTheSharedRidVector) {
        {ColumnPredicate(0, BinOp::kEq, 3), ColumnPredicate(1, BinOp::kLe, 1)},
        true},
   };
+  const ColumnSet kv{{0, 0}, {0, 2}};  // the pruned scans emit k and v
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::vector<Row> expected;
@@ -423,27 +447,42 @@ TEST(ClusteredMorsels, OnlyFullForwardWalksSkipTheSharedRidVector) {
     MorselScheduler morsels;
     ExecContext ctx(&metrics);
     ctx.morsels = &morsels;
-    IndexScanOp scan(table, 0, 0, c.reverse, c.preds, ctx,
-                     /*required_columns=*/nullptr, /*morsel_driver=*/true,
-                     /*emit_provenance=*/true);
-    scan.Open();
-    std::vector<Row> rows;
-    RowBatch batch;
-    while (scan.NextBatch(&batch)) {
-      for (int64_t i = 0; i < batch.size(); ++i) {
-        Row row = batch.TakeRow(i);
-        EXPECT_EQ(row.back().AsInt(), static_cast<int64_t>(rows.size()));
-        row.pop_back();  // provenance
-        rows.push_back(std::move(row));
-      }
-    }
-    scan.Close();
-    EXPECT_EQ(rows, expected);
+    ScanOp scan(table, 0, 0, c.reverse, c.preds, ctx,
+                /*required_columns=*/nullptr, /*morsel_driver=*/true,
+                /*emit_provenance=*/true);
+    EXPECT_EQ(DrainScan(&scan, /*provenance=*/true), expected);
     EXPECT_EQ(metrics.rows_scanned, static_cast<int64_t>(expected.size()));
     // EnsureRids runs its walk only if no scan materialized the vector.
     bool walked_here = false;
     morsels.EnsureRids([&](std::vector<int64_t>*) { walked_here = true; });
     EXPECT_EQ(!walked_here, c.shared_rids);
+
+    for (int64_t batch_rows : {1, 3}) {
+      for (bool prune : {false, true}) {
+        SCOPED_TRACE("serial, batch_rows=" + std::to_string(batch_rows) +
+                     (prune ? ", pruned" : ""));
+        std::vector<Row> want = expected;
+        if (prune) {
+          for (Row& row : want) row = {row[0], row[2]};
+        }
+        const ColumnSet* required = prune ? &kv : nullptr;
+        RuntimeMetrics m;
+        ExecContext sctx(&m);
+        sctx.batch_rows = batch_rows;
+        ScanOp serial(table, 0, 0, c.reverse, c.preds, sctx, required);
+        EXPECT_EQ(DrainScan(&serial, /*provenance=*/false), want);
+        EXPECT_EQ(m.rows_scanned, static_cast<int64_t>(expected.size()));
+        if (c.shared_rids) continue;
+        RuntimeMetrics hm;
+        ExecContext hctx(&hm);
+        hctx.batch_rows = batch_rows;
+        ScanOp heap(table, 0, ScanOp::kHeap, false, {}, hctx, required);
+        EXPECT_EQ(DrainScan(&heap, /*provenance=*/false), want);
+        EXPECT_EQ(hm.rows_scanned, m.rows_scanned);
+        EXPECT_EQ(hm.seq_pages, m.seq_pages);
+        EXPECT_EQ(hm.random_pages, m.random_pages);
+      }
+    }
   }
 }
 
