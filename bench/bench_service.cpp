@@ -1,7 +1,9 @@
 // Concurrent-service throughput/latency benchmark: N client sessions
 // issue a mixed TPC-D workload against one QueryService and we report
 // queries/sec, p50/p99 end-to-end latency, and the plan-cache hit rate
-// at 1, 8, and 64 sessions. Custom main (not google-benchmark): the
+// at 1, 8, and 64 sessions, then a literal sweep (Q3 at 8 order dates from
+// 4 sessions, every result checked against a fresh plan of its text).
+// Custom main (not google-benchmark): the
 // measurement unit is a whole closed-loop client fleet, and the output is
 // the JSON consumed by scripts/check.sh --service (BENCH_service.json).
 //
@@ -162,6 +164,66 @@ RepeatedQ3 RunRepeatedQ3(Database* db, int runs) {
   return result;
 }
 
+// The literal sweep: TPC-D Q3 at kDates distinct dates, issued by kSessions
+// sessions. The cache holds one generic plan for the template, so only the
+// first request plans; every result must equal a fresh plan's rows.
+struct LiteralSweep {
+  static constexpr int kSessions = 4;
+  static constexpr int kDates = 8;
+  static constexpr int kRounds = 2;
+  int64_t queries = 0;
+  double cache_hit_rate = 0.0;
+  int64_t custom_plans = 0;
+  int64_t mismatches = 0;
+};
+
+LiteralSweep RunLiteralSweep(Database* db) {
+  // Q3's date literal, moved 4 days at a time.
+  const std::string canonical = "'1995-03-15'";
+  int64_t base_day = 0;
+  ParseDate("1995-03-01", &base_day);
+  std::vector<std::string> texts;
+  std::vector<std::vector<Row>> expected;
+  QueryEngine reference(db);
+  for (int d = 0; d < LiteralSweep::kDates; ++d) {
+    std::string sql = tpcd_queries::kQuery3;
+    const std::string date = "'" + FormatDate(base_day + 4 * d) + "'";
+    for (size_t pos = sql.find(canonical); pos != std::string::npos;
+         pos = sql.find(canonical, pos + date.size())) {
+      sql.replace(pos, canonical.size(), date);
+    }
+    Result<QueryResult> fresh = reference.Run(sql);
+    expected.push_back(fresh.ok() ? fresh.value().rows : std::vector<Row>());
+    texts.push_back(std::move(sql));
+  }
+
+  ServiceConfig config;
+  config.workers = 4;
+  config.plan_cache_capacity = 64;
+  QueryService service(db, config);
+  std::atomic<int64_t> queries{0};
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int s = 0; s < LiteralSweep::kSessions; ++s) {
+    clients.emplace_back([&, s] {
+      const int64_t session = service.OpenSession();
+      for (int q = 0; q < LiteralSweep::kDates * LiteralSweep::kRounds; ++q) {
+        const size_t d = static_cast<size_t>((s + q) % LiteralSweep::kDates);
+        Result<QueryResult> r = service.Execute(session, texts[d]);
+        queries.fetch_add(1);
+        if (!r.ok() || r.value().rows != expected[d]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  LiteralSweep sweep;
+  sweep.queries = queries.load();
+  sweep.cache_hit_rate = service.plan_cache_hit_rate();
+  sweep.custom_plans = service.plan_cache_stats().custom_plans;
+  sweep.mismatches = mismatches.load();
+  return sweep;
+}
+
 int WriteOut(const char* out_path, const std::string& json) {
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -271,6 +333,8 @@ int Main(int argc, char** argv) {
   }
   std::fprintf(stderr, "bench_service: repeated Q3...\n");
   RepeatedQ3 q3 = RunRepeatedQ3(&db, /*runs=*/20);
+  std::fprintf(stderr, "bench_service: literal sweep...\n");
+  LiteralSweep sweep = RunLiteralSweep(&db);
 
   std::string json = "{\n  \"benchmark\": \"service\",\n  \"workload\": "
                      "\"tpcd-mixed-5\",\n  \"workers\": 4,\n  \"points\": [\n";
@@ -286,8 +350,17 @@ int Main(int argc, char** argv) {
   }
   json += StrFormat(
       "  ],\n  \"repeated_q3\": {\"runs\": %d, \"planning_skipped\": %d, "
-      "\"cache_hit_rate\": %.3f}\n}\n",
+      "\"cache_hit_rate\": %.3f},\n",
       q3.runs, q3.planning_skipped, q3.cache_hit_rate);
+  json += StrFormat(
+      "  \"literal_sweep\": {\"template\": \"q3\", \"sessions\": %d, "
+      "\"distinct_dates\": %d, \"queries\": %lld, "
+      "\"cache_hit_rate\": %.3f, \"custom_plans\": %lld, "
+      "\"mismatches\": %lld}\n}\n",
+      LiteralSweep::kSessions, LiteralSweep::kDates,
+      static_cast<long long>(sweep.queries), sweep.cache_hit_rate,
+      static_cast<long long>(sweep.custom_plans),
+      static_cast<long long>(sweep.mismatches));
   return WriteOut(out_path, json);
 }
 

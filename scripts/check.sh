@@ -29,11 +29,16 @@
 #                                         vs an unverified run
 #        scripts/check.sh --service       concurrency gate: runs the
 #                                         concurrent suites (query service,
-#                                         plan cache, thread-safety
-#                                         regressions) under BOTH asan-ubsan
-#                                         and ThreadSanitizer, then emits
+#                                         plan cache, generic plans,
+#                                         thread-safety regressions) under
+#                                         BOTH asan-ubsan and
+#                                         ThreadSanitizer, then emits
 #                                         BENCH_service.json (qps, p50/p99,
-#                                         cache hit rate at 1/8/64 sessions)
+#                                         cache hit rate at 1/8/64 sessions,
+#                                         and the Q3 literal sweep), failing
+#                                         when the sweep's hit rate is below
+#                                         0.9 or a sweep result differs from
+#                                         a fresh plan's
 #        scripts/check.sh --chaos         resilience gate: runs the chaos
 #                                         harness (seeded fault schedules
 #                                         against 8/64-session fleets, plus
@@ -186,14 +191,14 @@ fi
 # the service load benchmark (1/8/64 sessions) into BENCH_service.json.
 if [ "${1:-}" = "--service" ]; then
   JOBS="${2:-$(nproc)}"
-  CONCURRENT_SUITES="test_service|test_plan_cache|test_concurrency|test_fault_injection"
+  CONCURRENT_SUITES="test_service|test_plan_cache|test_generic_plan|test_concurrency|test_fault_injection"
   for preset in asan-ubsan tsan; do
     echo "==> configure [$preset]"
     cmake --preset "$preset" >/dev/null
     echo "==> build [$preset]"
     cmake --build --preset "$preset" -j "$JOBS" \
-      --target test_service test_plan_cache test_concurrency \
-               test_fault_injection
+      --target test_service test_plan_cache test_generic_plan \
+               test_concurrency test_fault_injection
     echo "==> concurrent suites [$preset]"
     ctest --preset "$preset" -R "$CONCURRENT_SUITES"
   done
@@ -201,8 +206,25 @@ if [ "${1:-}" = "--service" ]; then
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS" --target bench_service
   ./build/bench/bench_service BENCH_service.json
+  # Generic plans: one template at many literal values must plan once and
+  # return a fresh plan's rows every time.
+  python3 - <<'EOF'
+import json, sys
+
+sweep = json.load(open("BENCH_service.json"))["literal_sweep"]
+failures = []
+if sweep["cache_hit_rate"] < 0.9:
+    failures.append(f"literal sweep hit rate {sweep['cache_hit_rate']:.3f} "
+                    "below 0.9")
+if sweep["mismatches"] != 0:
+    failures.append(f"{sweep['mismatches']} literal sweep result(s) differ "
+                    "from a fresh plan's")
+for f in failures:
+    print("FAIL:", f)
+sys.exit(1 if failures else 0)
+EOF
   echo "OK: concurrent suites clean under asan-ubsan and tsan;"
-  echo "    BENCH_service.json written"
+  echo "    BENCH_service.json written, literal sweep gate passed"
   exit 0
 fi
 

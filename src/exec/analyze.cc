@@ -7,13 +7,13 @@
 
 namespace ordopt {
 
-namespace {
-
-double QError(double est, int64_t act) {
-  double e = est + 1.0;
-  double a = static_cast<double>(act) + 1.0;
+double QError(double est_rows, int64_t act_rows) {
+  double e = est_rows + 1.0;
+  double a = static_cast<double>(act_rows) + 1.0;
   return std::max(e / a, a / e);
 }
+
+namespace {
 
 std::string FormatMs(int64_t ns) {
   return StrFormat("%.3fms", static_cast<double>(ns) / 1e6);

@@ -19,6 +19,10 @@ std::string RenderAnalyzedPlan(const PlanRef& plan,
                                const std::vector<OperatorProfile>& profiles,
                                const ColumnNamer& namer = nullptr);
 
+/// Cardinality q-error of one operator: max((est+1)/(act+1), (act+1)/(est+1)),
+/// 1 for a perfect estimate.
+double QError(double est_rows, int64_t act_rows);
+
 /// One row of the estimate-quality summary.
 struct EstActualRow {
   std::string label;    ///< operator label (NodeLabel)

@@ -1,12 +1,16 @@
 #include "exec/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "exec/analyze.h"
+#include "optimizer/cost_model.h"
 #include "parser/parser.h"
 #include "qgm/rewrite.h"
 
@@ -53,6 +57,17 @@ void RecordEngineMetrics(MetricsRegistry* registry, const QueryResult& result) {
       ->Record(m.rows_buffered_peak);
   registry->GetHistogram("engine.buffered_bytes_peak")
       ->Record(m.bytes_buffered_peak);
+  // Estimate quality per operator, whenever per-operator stats were
+  // collected (a cached plan's estimates are those of its planning
+  // literals, so a stale generic estimate shows up here). Rounded to the
+  // nearest integer: 1 means within 1.5x.
+  if (!result.op_profile.empty()) {
+    Histogram* q_error = registry->GetHistogram("exec.q_error");
+    for (const OperatorProfile& p : result.op_profile) {
+      q_error->Record(std::llround(
+          QError(p.node->props.cardinality, p.stats.rows_out)));
+    }
+  }
 }
 
 /// Effective runtime order verification: the config switch, with the
@@ -99,14 +114,19 @@ void EmitExecEvents(TraceCollector* trace, const QueryResult& result,
   m.SetBool("degraded", result.degraded);
 }
 
-/// The EXPLAIN ANALYZE service summary line: where the plan came from, the
+/// The EXPLAIN ANALYZE service summary line: where the plan came from (and,
+/// for a cached plan, that its estimates are those of planning time), the
 /// query's correlation id (joins this output to the trace export and the
 /// metrics series), and whether the run executed in degraded mode (retry
 /// attempts are stamped by the QueryService after completion — the engine
 /// cannot know them).
 std::string ServiceSummaryLine(const QueryResult& result) {
   std::string line = "service: source=";
-  line += result.planned_from_cache ? "plan-cache" : "planner";
+  // A cached plan's est= figures were made at its planning literals, which
+  // need not be the literals this run bound.
+  line += result.planned_from_cache
+              ? "plan-cache estimates=planning-literals"
+              : "planner";
   if (result.query_id != 0) {
     line += StrFormat(" query_id=%lld", static_cast<long long>(result.query_id));
   }
@@ -115,7 +135,110 @@ std::string ServiceSummaryLine(const QueryResult& result) {
   return line;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// A request parsed, bound and rewritten: its literal values by slot and
+/// its QGM.
+struct BoundRequest {
+  std::vector<Value> slot_values;
+  std::unique_ptr<Query> query;
+};
+
+Result<BoundRequest> BindRequest(const std::string& sql, const Database& db) {
+  ORDOPT_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
+  ORDOPT_ASSIGN_OR_RETURN(std::unique_ptr<Query> query, BindQuery(*stmt, db));
+  MergeDerivedTables(query.get());
+  return BoundRequest{std::move(stmt->slot_values), std::move(query)};
+}
+
+/// Fills the fields that name the request and its plan (result->plan):
+/// column names, plan and QGM text, and a self-contained namer (the bound
+/// column-name map is copied behind a shared_ptr so the renderer outlives
+/// the Query).
+void DescribeRequest(const Query& query, QueryResult* result) {
+  for (const OutputColumn& oc : query.root->outputs) {
+    result->column_names.push_back(oc.name);
+  }
+  result->plan_text = result->plan->ToString(query.namer());
+  result->qgm_text = query.ToString();
+  auto names =
+      std::make_shared<std::unordered_map<ColumnId, std::string, ColumnIdHash>>(
+          query.column_names);
+  result->namer = [names](const ColumnId& id) -> std::string {
+    auto it = names->find(id);
+    return it != names->end() ? it->second : DefaultColumnName(id);
+  };
+}
+
+/// Literal equality as the binder sees it (BoundExpr::Equals): same type,
+/// same value.
+bool SameLiteral(const Value& a, const Value& b) {
+  return a.type() == b.type() && a == b;
+}
+
 }  // namespace
+
+std::string GenericPlanMismatch(const PreparedPlan& prepared,
+                                const std::vector<Value>& slot_values,
+                                const Query& query, const CostModel& cost) {
+  const std::vector<Value>& planned = prepared.slot_values;
+  if (planned.size() != slot_values.size()) {
+    return StrFormat("%zu slots, planned with %zu", slot_values.size(),
+                     planned.size());
+  }
+  for (size_t i = 0; i < slot_values.size(); ++i) {
+    if (slot_values[i].type() != planned[i].type()) {
+      return StrFormat("slot %zu is %s, planned as %s", i,
+                       DataTypeName(slot_values[i].type()),
+                       DataTypeName(planned[i].type()));
+    }
+  }
+  for (size_t i = 0; i < slot_values.size(); ++i) {
+    for (size_t j = i + 1; j < slot_values.size(); ++j) {
+      const bool now = SameLiteral(slot_values[i], slot_values[j]);
+      if (now != SameLiteral(planned[i], planned[j])) {
+        return StrFormat("slots %zu and %zu are %s, planned %s", i, j,
+                         now ? "equal" : "distinct",
+                         now ? "distinct" : "equal");
+      }
+    }
+  }
+  auto moved = [&](const Predicate& p) -> std::string {
+    if ((p.kind != Predicate::Kind::kColEqConst &&
+         p.kind != Predicate::Kind::kColCmpConst) ||
+        p.constant_slot < 0) {
+      return "";
+    }
+    Predicate at_plan = p;
+    at_plan.constant = planned[static_cast<size_t>(p.constant_slot)];
+    // Floored so a zero estimate still compares as a finite ratio.
+    const double kFloor = 1e-9;
+    const double now = std::max(cost.Selectivity(p, query), kFloor);
+    const double then = std::max(cost.Selectivity(at_plan, query), kFloor);
+    if (std::max(now / then, then / now) <= kCustomPlanSelectivityFactor) {
+      return "";
+    }
+    return StrFormat("selectivity of %s is %.3g, planned %.3g",
+                     p.ToString().c_str(), now, then);
+  };
+  for (const auto& box : query.boxes) {
+    for (const Predicate& p : box->predicates) {
+      std::string why = moved(p);
+      if (!why.empty()) return why;
+    }
+    for (const OuterJoinStep& step : box->outer_joins) {
+      for (const Predicate& p : step.on_predicates) {
+        std::string why = moved(p);
+        if (!why.empty()) return why;
+      }
+    }
+  }
+  return "";
+}
 
 std::shared_ptr<TraceCollector> QueryEngine::StartTrace(int64_t query_id,
                                                         bool analyze) const {
@@ -134,6 +257,7 @@ std::shared_ptr<TraceCollector> QueryEngine::StartTrace(int64_t query_id,
 
 Result<QueryResult> QueryEngine::Finish(QueryResult result, bool execute,
                                         QueryGuard* guard, bool analyze) {
+  result.degraded = config_.degraded_mode;
   TraceCollector* trace = result.trace.get();
   if (trace != nullptr && config_.degraded_mode) {
     // Degraded-mode admissions are a service-level decision; the event
@@ -198,52 +322,34 @@ Result<QueryResult> QueryEngine::Finish(QueryResult result, bool execute,
   return result;
 }
 
-Result<QueryResult> QueryEngine::Prepare(const std::string& sql, bool execute,
-                                         QueryGuard* guard, bool analyze) {
-  const int64_t query_id = ResolveQueryId(guard);
-  auto plan_start = std::chrono::steady_clock::now();
-  ORDOPT_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
-  ORDOPT_ASSIGN_OR_RETURN(std::unique_ptr<Query> query,
-                          BindQuery(*stmt, *db_));
-  MergeDerivedTables(query.get());
-
-  std::shared_ptr<TraceCollector> trace = StartTrace(query_id, analyze);
-  Planner planner(*query, config_, trace.get());
+Status QueryEngine::Optimize(const Query& query,
+                             std::chrono::steady_clock::time_point start,
+                             QueryResult* result) const {
+  Planner planner(query, config_, result->trace.get());
   ORDOPT_ASSIGN_OR_RETURN(PlanRef plan, planner.BuildPlan());
-
-  QueryResult result;
-  result.query_id = query_id;
-  result.plan_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - plan_start)
-                            .count();
-  result.plan = plan;
-  result.plan_text = plan->ToString(query->namer());
-  result.qgm_text = query->ToString();
-  result.plans_generated = planner.plans_generated();
-  result.plans_retained = planner.plans_retained();
-  result.reduce_cache_hits = planner.reduce_cache_hits();
-  result.reduce_cache_misses = planner.reduce_cache_misses();
+  result->plan_seconds = SecondsSince(start);
+  result->plan = plan;
+  result->plans_generated = planner.plans_generated();
+  result->plans_retained = planner.plans_retained();
+  result->reduce_cache_hits = planner.reduce_cache_hits();
+  result->reduce_cache_misses = planner.reduce_cache_misses();
   // Mirrored into the runtime metrics so ToJson/ToString (and therefore the
   // trace export's exec.metrics event) carry the planner's cache behavior.
-  result.metrics.reduce_cache_hits = planner.reduce_cache_hits();
-  result.metrics.reduce_cache_misses = planner.reduce_cache_misses();
-  result.trace = trace;
-  result.degraded = config_.degraded_mode;
-  for (const OutputColumn& oc : query->root->outputs) {
-    result.column_names.push_back(oc.name);
-  }
-  // Self-contained namer: the bound column-name map is copied behind a
-  // shared_ptr so the renderer outlives the Query (cached plans re-render
-  // EXPLAIN ANALYZE long after planning).
-  {
-    auto names = std::make_shared<
-        std::unordered_map<ColumnId, std::string, ColumnIdHash>>(
-        query->column_names);
-    result.namer = [names](const ColumnId& id) -> std::string {
-      auto it = names->find(id);
-      return it != names->end() ? it->second : DefaultColumnName(id);
-    };
-  }
+  result->metrics.reduce_cache_hits = planner.reduce_cache_hits();
+  result->metrics.reduce_cache_misses = planner.reduce_cache_misses();
+  return Status::OK();
+}
+
+Result<QueryResult> QueryEngine::Prepare(const std::string& sql, bool execute,
+                                         QueryGuard* guard, bool analyze) {
+  QueryResult result;
+  result.query_id = ResolveQueryId(guard);
+  const auto start = std::chrono::steady_clock::now();
+  ORDOPT_ASSIGN_OR_RETURN(BoundRequest request, BindRequest(sql, *db_));
+  result.trace = StartTrace(result.query_id, analyze);
+  result.slot_values = std::move(request.slot_values);
+  ORDOPT_RETURN_NOT_OK(Optimize(*request.query, start, &result));
+  DescribeRequest(*request.query, &result);
   return Finish(std::move(result), execute, guard, analyze);
 }
 
@@ -266,16 +372,18 @@ Result<QueryResult> QueryEngine::RunAnalyzed(const std::string& sql) {
 }
 
 Result<QueryResult> QueryEngine::RunPrepared(const PreparedPlan& prepared,
+                                             const std::string& sql,
                                              QueryGuard* guard) {
-  return PreparedImpl(prepared, guard, /*analyze=*/false);
+  return PreparedImpl(prepared, sql, guard, /*analyze=*/false);
 }
 
 Result<QueryResult> QueryEngine::RunPreparedAnalyzed(
-    const PreparedPlan& prepared, QueryGuard* guard) {
-  return PreparedImpl(prepared, guard, /*analyze=*/true);
+    const PreparedPlan& prepared, const std::string& sql, QueryGuard* guard) {
+  return PreparedImpl(prepared, sql, guard, /*analyze=*/true);
 }
 
 Result<QueryResult> QueryEngine::PreparedImpl(const PreparedPlan& prepared,
+                                              const std::string& sql,
                                               QueryGuard* guard,
                                               bool analyze) {
   if (prepared.plan == nullptr) {
@@ -283,19 +391,40 @@ Result<QueryResult> QueryEngine::PreparedImpl(const PreparedPlan& prepared,
   }
   QueryResult result;
   result.query_id = ResolveQueryId(guard);
-  result.plan = prepared.plan;
-  result.plan_text = prepared.plan_text;
-  result.qgm_text = prepared.qgm_text;
-  result.column_names = prepared.column_names;
-  result.namer = prepared.namer;
-  result.planned_from_cache = true;
-  result.degraded = config_.degraded_mode;
-  // There are no optimizer events to record: the plan.cached event says
-  // why.
+  const auto start = std::chrono::steady_clock::now();
+  ORDOPT_ASSIGN_OR_RETURN(BoundRequest request, BindRequest(sql, *db_));
   result.trace = StartTrace(result.query_id, analyze);
+  result.slot_values = std::move(request.slot_values);
+  result.custom_plan_reason =
+      GenericPlanMismatch(prepared, result.slot_values, *request.query,
+                          CostModel(config_.cost_params));
+  if (!result.custom_plan_reason.empty()) {
+    // Not provably the same plan: plan this request fresh. The caller does
+    // not publish it; the cached entry keeps serving its template.
+    if (result.trace != nullptr) {
+      result.trace->Add("optimizer", "plan_cache.custom_plan")
+          .Set("reason", result.custom_plan_reason);
+    }
+    ORDOPT_RETURN_NOT_OK(Optimize(*request.query, start, &result));
+    DescribeRequest(*request.query, &result);
+    return Finish(std::move(result), /*execute=*/true, guard, analyze);
+  }
+  result.plan = BindPlanSlots(prepared.plan, result.slot_values,
+                              request.query->namer());
+  result.plan_seconds = SecondsSince(start);
+  result.planned_from_cache = true;
+  DescribeRequest(*request.query, &result);
+  // There are no optimizer events to record: the plan.cached event says
+  // why, and whether the plan runs at literals other than its planning
+  // ones.
   if (result.trace != nullptr) {
     TraceEvent& e = result.trace->Add("service", "plan.cached");
     e.SetBool("planned_from_cache", true);
+    e.SetBool("generic", !std::equal(prepared.slot_values.begin(),
+                                     prepared.slot_values.end(),
+                                     result.slot_values.begin(),
+                                     result.slot_values.end(), SameLiteral));
+    e.SetInt("slots", static_cast<int64_t>(result.slot_values.size()));
     if (config_.degraded_mode) e.SetBool("degraded", true);
   }
   return Finish(std::move(result), /*execute=*/true, guard, analyze);

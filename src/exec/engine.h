@@ -1,6 +1,7 @@
 #ifndef ORDOPT_EXEC_ENGINE_H_
 #define ORDOPT_EXEC_ENGINE_H_
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,8 +29,8 @@ struct QueryResult {
   std::string qgm_text;
   RuntimeMetrics metrics;
   double elapsed_seconds = 0.0;
-  /// Wall time spent in parse + bind + optimize (0 for cached executions,
-  /// which skip all three).
+  /// Wall time spent in parse + bind + optimize; for a cached execution,
+  /// parse + bind + binding the request's literals into the cached plan.
   double plan_seconds = 0.0;
   /// End-to-end correlation id: taken from the caller's guard when the
   /// QueryService assigned one (stable across retries of the same ticket),
@@ -57,10 +58,17 @@ struct QueryResult {
   /// events plus, at kFull, exec-phase operator/metrics events.
   std::shared_ptr<TraceCollector> trace;
 
-  /// True when the plan was taken from a plan cache and execution skipped
-  /// parse/bind/optimize entirely (RunPrepared); plans_generated and the
-  /// reduce-cache counters are 0 for such runs.
+  /// True when the plan was taken from a plan cache and optimization was
+  /// skipped (RunPrepared bound this request's literals into it);
+  /// plans_generated and the reduce-cache counters are 0 for such runs.
   bool planned_from_cache = false;
+
+  /// The request's literal values by parser slot (SelectStmt::slot_values).
+  std::vector<Value> slot_values;
+  /// RunPrepared only: why the cached plan could not serve this request,
+  /// which was therefore planned fresh (a custom plan); empty when it was
+  /// served. See DESIGN.md §11.
+  std::string custom_plan_reason;
 
   /// Service resilience annotations (see service/resilience.h). The engine
   /// sets `degraded` from OptimizerConfig::degraded_mode; `retry_attempts`
@@ -70,9 +78,8 @@ struct QueryResult {
   int retry_attempts = 0;
 
   /// Column renderer for this query's plan (captures the bound column
-  /// names by value, so it stays valid after the Query object dies).
-  /// Carried into PreparedPlan so cached executions can render EXPLAIN
-  /// ANALYZE output with real column names.
+  /// names by value, so it stays valid after the Query object dies), used
+  /// by the EXPLAIN ANALYZE rendering.
   ColumnNamer namer;
 
   double SimulatedElapsedSeconds() const {
@@ -80,34 +87,53 @@ struct QueryResult {
   }
 };
 
-/// Everything needed to execute a query whose optimization already
-/// happened — the currency of the service's plan cache. The plan tree is
-/// immutable and shared; holders may execute it from many threads at once
-/// (each execution builds its own operator tree). Table pointers inside
-/// the plan stay valid as long as the Database outlives the holder, and
-/// the plan is only correct for the stats epoch it was built under —
-/// cache keys carry that epoch (see service/plan_cache.h).
+/// A cached plan serves a request only while no parameterized
+/// column-vs-constant predicate's estimated selectivity at the request's
+/// literal differs from the one at the planning literal by more than this
+/// factor either way; beyond it the request is planned fresh.
+inline constexpr double kCustomPlanSelectivityFactor = 4.0;
+
+/// A *generic plan*: the optimized plan of one query template, which
+/// RunPrepared executes for any request of that template by binding the
+/// request's literals into a per-execution copy (BindPlanSlots) — the
+/// currency of the service's plan cache. The plan tree is immutable and
+/// shared; holders may execute it from many threads at once. Table
+/// pointers inside the plan stay valid as long as the Database outlives
+/// the holder, and the plan is only correct for the stats epoch it was
+/// built under — cache keys carry that epoch (see service/plan_cache.h).
 struct PreparedPlan {
   PlanRef plan;
-  std::vector<std::string> column_names;
+  /// The literals it was planned with, by parser slot: the serve rule
+  /// compares a request's literals against them.
+  std::vector<Value> slot_values;
+  /// The plan as rendered at planning time (diagnostics; a cached run
+  /// renders its own text at the request's literals).
   std::string plan_text;
-  std::string qgm_text;
-  /// Self-contained column renderer (see QueryResult::namer); may be null
-  /// for hand-built plans, in which case labels fall back to c<t>.<i>.
-  ColumnNamer namer;
 
   /// Captures the planned artifacts of a QueryResult (from Explain or a
   /// full Run) for later re-execution.
   static PreparedPlan FromResult(const QueryResult& result) {
     PreparedPlan p;
     p.plan = result.plan;
-    p.column_names = result.column_names;
+    p.slot_values = result.slot_values;
     p.plan_text = result.plan_text;
-    p.qgm_text = result.qgm_text;
-    p.namer = result.namer;
     return p;
   }
 };
+
+/// The serve rule of a generic plan (DESIGN.md §11): `prepared` serves a
+/// request whose literals are `slot_values` (bound as `query`) only when
+/// the request is provably planned the same way. The slots must agree in
+/// number and type. The equality pattern among slots must agree, because
+/// the binder compares literal values when it shares identical aggregates
+/// and matches ORDER BY items to select items. And no parameterized
+/// column-vs-constant predicate may move its estimated selectivity by more
+/// than kCustomPlanSelectivityFactor, because cost is the only part of
+/// planning that reads a literal's value. Returns why not, or "" when the
+/// plan serves.
+std::string GenericPlanMismatch(const PreparedPlan& prepared,
+                                const std::vector<Value>& slot_values,
+                                const Query& query, const CostModel& cost);
 
 /// End-to-end facade: parse -> bind -> rewrite -> optimize -> execute.
 /// Toggle `config.enable_order_optimization` to run the paper's disabled
@@ -146,15 +172,24 @@ class QueryEngine {
   /// `analyzed_plan_text` / `op_profile` / `trace` in the result.
   Result<QueryResult> RunAnalyzed(const std::string& sql);
 
-  /// Executes an already-optimized plan, skipping parse/bind/optimize —
-  /// the plan-cache hit path. Runs under `guard` when non-null, else
-  /// under the engine's configured limits; spilling, guardrails, and
-  /// runtime order verification behave exactly as in Run. With tracing
-  /// configured (trace_level / trace_path / ORDOPT_TRACE) the run records
-  /// a `plan.cached` event plus, at kFull, per-operator execution stats —
-  /// the cache-hit hot path with tracing off still pays nothing.
-  /// result.planned_from_cache is set.
+  /// The plan-cache hit path: executes the cached generic plan for the
+  /// request `sql` (a text of the plan's template). Parses, binds and
+  /// rewrites `sql`, then, when `prepared` provably serves it (same slot
+  /// count and slot types, same equality pattern among slots, and no
+  /// parameterized predicate's selectivity moved by more than
+  /// kCustomPlanSelectivityFactor), executes a copy of the plan bound to
+  /// the request's literals — optimization is skipped and
+  /// result.planned_from_cache is set. Otherwise it plans `sql` fresh and
+  /// says why in result.custom_plan_reason and a
+  /// `plan_cache.custom_plan` optimizer decision. Plan and QGM text,
+  /// column names and EXPLAIN ANALYZE name the request's literals. Runs
+  /// under `guard` when non-null, else under the engine's configured
+  /// limits; spilling, guardrails, and runtime order verification behave
+  /// exactly as in Run. With tracing configured (trace_level / trace_path
+  /// / ORDOPT_TRACE) a served run records a `plan.cached` event plus, at
+  /// kFull, per-operator execution stats.
   Result<QueryResult> RunPrepared(const PreparedPlan& prepared,
+                                  const std::string& sql,
                                   QueryGuard* guard = nullptr);
 
   /// EXPLAIN ANALYZE for a cached plan: like RunPrepared but forces
@@ -162,6 +197,7 @@ class QueryEngine {
   /// `source: plan-cache` summary line instead of optimizer decisions —
   /// planning was skipped, so there are none).
   Result<QueryResult> RunPreparedAnalyzed(const PreparedPlan& prepared,
+                                          const std::string& sql,
                                           QueryGuard* guard = nullptr);
 
   /// Metrics of the most recent Run, populated even when the query failed —
@@ -179,7 +215,14 @@ class QueryEngine {
                               QueryGuard* guard, bool analyze);
 
   Result<QueryResult> PreparedImpl(const PreparedPlan& prepared,
-                                   QueryGuard* guard, bool analyze);
+                                   const std::string& sql, QueryGuard* guard,
+                                   bool analyze);
+
+  /// Optimizes `query` into `result` (plan and planner counters), with
+  /// planning time measured from `start`.
+  Status Optimize(const Query& query,
+                  std::chrono::steady_clock::time_point start,
+                  QueryResult* result) const;
 
   /// The query's trace collector at the configured level, raised to kFull
   /// for EXPLAIN ANALYZE or a trace export path; null when tracing is off.

@@ -231,6 +231,41 @@ bool PlanNode::ContainsKind(OpKind k) const {
   return false;
 }
 
+PlanRef BindPlanSlots(const PlanRef& plan, const std::vector<Value>& values,
+                      const ColumnNamer& namer) {
+  std::shared_ptr<PlanNode> copy;  // made on the first change
+  auto mutable_node = [&]() -> PlanNode& {
+    if (copy == nullptr) copy = std::make_shared<PlanNode>(*plan);
+    return *copy;
+  };
+  for (size_t i = 0; i < plan->children.size(); ++i) {
+    PlanRef child = BindPlanSlots(plan->children[i], values, namer);
+    if (child != plan->children[i]) mutable_node().children[i] = child;
+  }
+  for (auto field : {&PlanNode::predicates, &PlanNode::range_predicates}) {
+    const std::vector<Predicate>& preds = (*plan).*field;
+    for (size_t i = 0; i < preds.size(); ++i) {
+      if (preds[i].has_slots()) {
+        (mutable_node().*field)[i] = preds[i].BindSlots(values);
+      }
+    }
+  }
+  for (size_t i = 0; i < plan->projections.size(); ++i) {
+    const BoundExpr& expr = plan->projections[i].expr;
+    if (expr.has_slots()) {
+      mutable_node().projections[i].expr = expr.BindSlots(values);
+    }
+  }
+  for (size_t i = 0; i < plan->aggregates.size(); ++i) {
+    const AggregateSpec& agg = plan->aggregates[i];
+    if (agg.count_star || !agg.arg.has_slots()) continue;
+    AggregateSpec& bound = mutable_node().aggregates[i];
+    bound.arg = agg.arg.BindSlots(values);
+    if (namer) bound.name = namer(agg.output);
+  }
+  return copy != nullptr ? copy : plan;
+}
+
 void PlanNode::CollectKind(OpKind k, std::vector<const PlanNode*>* out) const {
   if (kind == k) out->push_back(this);
   for (const auto& child : children) child->CollectKind(k, out);

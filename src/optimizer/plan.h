@@ -127,6 +127,18 @@ struct PlanNode {
 
 using PlanRef = std::shared_ptr<const PlanNode>;
 
+/// The plan `plan` runs as for a request whose literal values are `values`
+/// (indexed by parser slot): every slotted literal in predicates (the
+/// expression and the classified constant), index range predicates,
+/// projections and aggregate arguments takes the request's value,
+/// exchange worker chains included. Nodes whose subtree holds no slot are
+/// shared with `plan`, which is never modified. An aggregate whose
+/// argument changed takes its display name from `namer` (the name spells
+/// the literal). Estimates and properties stay those of planning time:
+/// every order, key and FD property holds for any literal value (§4.1).
+PlanRef BindPlanSlots(const PlanRef& plan, const std::vector<Value>& values,
+                      const ColumnNamer& namer);
+
 }  // namespace ordopt
 
 #endif  // ORDOPT_OPTIMIZER_PLAN_H_

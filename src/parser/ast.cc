@@ -61,10 +61,11 @@ std::unique_ptr<Expr> Expr::Column(std::string qual, std::string col) {
   return e;
 }
 
-std::unique_ptr<Expr> Expr::Literal(Value v) {
+std::unique_ptr<Expr> Expr::Literal(Value v, int slot) {
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kLiteral;
   e->literal = std::move(v);
+  e->slot = slot;
   return e;
 }
 

@@ -46,8 +46,11 @@ struct Expr {
   std::string qualifier;
   std::string column;
 
-  // kLiteral
+  // kLiteral. `slot` numbers the literal tokens of the statement text in
+  // order (the sequence ParameterizeQueryText strips); -1 for NULL and for
+  // literals the parser synthesizes.
   Value literal;
+  int slot = -1;
 
   // kBinary
   BinOp op = BinOp::kAdd;
@@ -71,7 +74,7 @@ struct Expr {
   ~Expr();
 
   static std::unique_ptr<Expr> Column(std::string qual, std::string col);
-  static std::unique_ptr<Expr> Literal(Value v);
+  static std::unique_ptr<Expr> Literal(Value v, int slot = -1);
   static std::unique_ptr<Expr> Binary(BinOp op, std::unique_ptr<Expr> l,
                                       std::unique_ptr<Expr> r);
 
@@ -117,7 +120,11 @@ struct SelectStmt {
   std::vector<std::unique_ptr<Expr>> group_by;
   std::unique_ptr<Expr> having;  ///< null when absent
   std::vector<OrderItem> order_by;
-  int64_t limit = -1;  ///< -1 = no LIMIT
+  int64_t limit = -1;  ///< -1 = no LIMIT (the count is not a slot)
+
+  /// Root statement only: the value of every slotted literal, by slot. A
+  /// folded `-5` holds -5 and a `date('...')` holds the date.
+  std::vector<Value> slot_values;
 
   /// UNION chaining: this block UNION [ALL] `union_next`. Only the last
   /// block of a chain may carry ORDER BY / LIMIT, which then apply to the

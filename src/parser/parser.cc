@@ -46,6 +46,7 @@ class Parser {
     if (Peek().kind != TokenKind::kEndOfInput) {
       return Error("trailing input after statement");
     }
+    stmt->slot_values = std::move(slot_values_);
     return stmt;
   }
 
@@ -297,6 +298,7 @@ class Parser {
     out->qualifier = e.qualifier;
     out->column = e.column;
     out->literal = e.literal;
+    out->slot = e.slot;
     out->op = e.op;
     out->agg = e.agg;
     out->count_star = e.count_star;
@@ -349,14 +351,16 @@ class Parser {
     if (Peek().IsSymbol("-")) {
       Advance();
       ORDOPT_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseUnary());
-      // Fold -literal, otherwise rewrite as (0 - inner).
+      // Fold -literal (it keeps its token's slot), otherwise rewrite as
+      // (0 - inner).
       if (inner->kind == Expr::Kind::kLiteral &&
-          inner->literal.type() == DataType::kInt64) {
-        return Expr::Literal(Value::Int(-inner->literal.AsInt()));
-      }
-      if (inner->kind == Expr::Kind::kLiteral &&
-          inner->literal.type() == DataType::kDouble) {
-        return Expr::Literal(Value::Double(-inner->literal.AsDouble()));
+          (inner->literal.type() == DataType::kInt64 ||
+           inner->literal.type() == DataType::kDouble)) {
+        inner->literal = inner->literal.type() == DataType::kInt64
+                             ? Value::Int(-inner->literal.AsInt())
+                             : Value::Double(-inner->literal.AsDouble());
+        slot_values_[static_cast<size_t>(inner->slot)] = inner->literal;
+        return inner;
       }
       return Expr::Binary(BinOp::kSub, Expr::Literal(Value::Int(0)),
                           std::move(inner));
@@ -368,15 +372,15 @@ class Parser {
     const Token& t = Peek();
     if (t.kind == TokenKind::kInteger) {
       Advance();
-      return Expr::Literal(Value::Int(std::stoll(t.text)));
+      return SlotLiteral(Value::Int(std::stoll(t.text)));
     }
     if (t.kind == TokenKind::kFloat) {
       Advance();
-      return Expr::Literal(Value::Double(std::stod(t.text)));
+      return SlotLiteral(Value::Double(std::stod(t.text)));
     }
     if (t.kind == TokenKind::kString) {
       Advance();
-      return Expr::Literal(Value::Str(t.text));
+      return SlotLiteral(Value::Str(t.text));
     }
     if (t.IsSymbol("(")) {
       Advance();
@@ -448,11 +452,19 @@ class Parser {
           StrFormat("malformed date literal '%s' at offset %zu",
                     lit.text.c_str(), lit.offset));
     }
-    return Expr::Literal(Value::Date(days));
+    return SlotLiteral(Value::Date(days));
+  }
+
+  // A literal from one token of the text: it takes the next slot.
+  std::unique_ptr<Expr> SlotLiteral(Value v) {
+    slot_values_.push_back(v);
+    return Expr::Literal(std::move(v),
+                         static_cast<int>(slot_values_.size()) - 1);
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  std::vector<Value> slot_values_;
 };
 
 }  // namespace

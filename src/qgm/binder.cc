@@ -165,7 +165,7 @@ class Binder {
         return BoundExpr::Column(col.id, col.type, display);
       }
       case Expr::Kind::kLiteral:
-        return BoundExpr::Literal(expr.literal);
+        return BoundExpr::Literal(expr.literal, expr.slot);
       case Expr::Kind::kBinary: {
         ORDOPT_ASSIGN_OR_RETURN(BoundExpr l, BindScalar(*expr.left, scope));
         ORDOPT_ASSIGN_OR_RETURN(BoundExpr r, BindScalar(*expr.right, scope));
@@ -262,7 +262,7 @@ class Binder {
                                      : col.name);
       }
       case Expr::Kind::kLiteral:
-        return BoundExpr::Literal(expr.literal);
+        return BoundExpr::Literal(expr.literal, expr.slot);
       case Expr::Kind::kBinary: {
         ORDOPT_ASSIGN_OR_RETURN(BoundExpr l, BindGrouped(*expr.left, gs));
         ORDOPT_ASSIGN_OR_RETURN(BoundExpr r, BindGrouped(*expr.right, gs));

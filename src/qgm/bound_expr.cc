@@ -11,11 +11,13 @@ BoundExpr BoundExpr::Column(ColumnId col, DataType type, std::string name) {
   return e;
 }
 
-BoundExpr BoundExpr::Literal(Value v) {
+BoundExpr BoundExpr::Literal(Value v, int slot) {
   BoundExpr e;
   e.kind_ = Kind::kLiteral;
   e.type_ = v.type();
   e.literal_ = std::move(v);
+  e.slot_ = slot;
+  e.has_slots_ = slot >= 0;
   return e;
 }
 
@@ -25,6 +27,7 @@ BoundExpr BoundExpr::Binary(BinOp op, BoundExpr left, BoundExpr right,
   e.kind_ = Kind::kBinary;
   e.type_ = type;
   e.op_ = op;
+  e.has_slots_ = left.has_slots_ || right.has_slots_;
   e.left_ = std::make_shared<const BoundExpr>(std::move(left));
   e.right_ = std::make_shared<const BoundExpr>(std::move(right));
   return e;
@@ -35,6 +38,7 @@ BoundExpr BoundExpr::IsNull(BoundExpr child, bool negated) {
   e.kind_ = Kind::kIsNull;
   e.type_ = DataType::kInt64;
   e.is_null_negated_ = negated;
+  e.has_slots_ = child.has_slots_;
   e.left_ = std::make_shared<const BoundExpr>(std::move(child));
   return e;
 }
@@ -75,6 +79,24 @@ bool BoundExpr::Equals(const BoundExpr& other) const {
 }
 
 BoundExpr BoundExpr::Clone() const { return *this; }
+
+BoundExpr BoundExpr::BindSlots(const std::vector<Value>& values) const {
+  BoundExpr e = *this;
+  if (!has_slots_) return e;
+  if (kind_ == Kind::kLiteral) {
+    e.literal_ = values[static_cast<size_t>(slot_)];
+    e.type_ = e.literal_.type();
+    return e;
+  }
+  // kBinary or kIsNull: rebuild only the children that hold a slot.
+  if (left_->has_slots_) {
+    e.left_ = std::make_shared<const BoundExpr>(left_->BindSlots(values));
+  }
+  if (right_ != nullptr && right_->has_slots_) {
+    e.right_ = std::make_shared<const BoundExpr>(right_->BindSlots(values));
+  }
+  return e;
+}
 
 std::string BoundExpr::ToString() const {
   switch (kind_) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/column_id.h"
 #include "common/value.h"
@@ -21,7 +22,8 @@ class BoundExpr {
   BoundExpr() = default;
 
   static BoundExpr Column(ColumnId col, DataType type, std::string name);
-  static BoundExpr Literal(Value v);
+  /// `slot` is the literal's parameter slot (Expr::slot), -1 for none.
+  static BoundExpr Literal(Value v, int slot = -1);
   static BoundExpr Binary(BinOp op, BoundExpr left, BoundExpr right,
                           DataType type);
   static BoundExpr IsNull(BoundExpr child, bool negated);
@@ -33,8 +35,12 @@ class BoundExpr {
   const ColumnId& column() const { return column_; }
   bool IsColumn() const { return kind_ == Kind::kColumn; }
 
-  /// kLiteral accessor.
+  /// kLiteral accessors.
   const Value& literal() const { return literal_; }
+  int slot() const { return slot_; }
+
+  /// True when a slotted literal occurs anywhere in this expression.
+  bool has_slots() const { return has_slots_; }
 
   /// kBinary accessors.
   BinOp op() const { return op_; }
@@ -48,23 +54,32 @@ class BoundExpr {
   /// Adds every referenced ColumnId to `out`.
   void CollectColumns(ColumnSet* out) const;
 
-  /// Structural equality (used to match ORDER BY items to select items).
+  /// Structural equality (used to match ORDER BY items to select items
+  /// and to share identical aggregates). Literals compare by value, never
+  /// by slot.
   bool Equals(const BoundExpr& other) const;
 
-  /// Deep copy.
+  /// Deep copy (slots included).
   BoundExpr Clone() const;
+
+  /// A copy in which every slotted literal holds `values[slot]`. Subtrees
+  /// without slots stay shared with this expression.
+  BoundExpr BindSlots(const std::vector<Value>& values) const;
 
   /// Display text (column names as recorded at bind time).
   std::string ToString() const;
 
  private:
+  // The small fields share padding, so the slot costs no space.
   Kind kind_ = Kind::kLiteral;
   DataType type_ = DataType::kNull;
+  bool is_null_negated_ = false;
+  bool has_slots_ = false;
   ColumnId column_;
   std::string column_name_;
   Value literal_;
   BinOp op_ = BinOp::kAdd;
-  bool is_null_negated_ = false;
+  int slot_ = -1;
   std::shared_ptr<const BoundExpr> left_;   // shared: cheap clone
   std::shared_ptr<const BoundExpr> right_;
 };

@@ -36,6 +36,15 @@ BinOp Mirror(BinOp op) {
 
 }  // namespace
 
+Predicate Predicate::BindSlots(const std::vector<Value>& values) const {
+  Predicate p = *this;
+  p.expr = expr.BindSlots(values);
+  if (constant_slot >= 0) {
+    p.constant = values[static_cast<size_t>(constant_slot)];
+  }
+  return p;
+}
+
 Predicate ClassifyPredicate(BoundExpr conjunct) {
   Predicate p;
   conjunct.CollectColumns(&p.referenced);
@@ -54,6 +63,7 @@ Predicate ClassifyPredicate(BoundExpr conjunct) {
     } else if (l.IsColumn() && r.kind() == BoundExpr::Kind::kLiteral) {
       p.left_col = l.column();
       p.constant = r.literal();
+      p.constant_slot = r.slot();
       p.cmp = conjunct.op();
       p.kind = conjunct.op() == BinOp::kEq ? Predicate::Kind::kColEqConst
                                            : Predicate::Kind::kColCmpConst;
@@ -61,6 +71,7 @@ Predicate ClassifyPredicate(BoundExpr conjunct) {
     } else if (r.IsColumn() && l.kind() == BoundExpr::Kind::kLiteral) {
       p.left_col = r.column();
       p.constant = l.literal();
+      p.constant_slot = l.slot();
       p.cmp = Mirror(conjunct.op());
       p.kind = conjunct.op() == BinOp::kEq ? Predicate::Kind::kColEqConst
                                            : Predicate::Kind::kColCmpConst;

@@ -27,6 +27,7 @@ struct Predicate {
   ColumnId left_col;
   ColumnId right_col;
   Value constant;
+  int constant_slot = -1;  ///< parameter slot of `constant`, -1 for none
   BinOp cmp = BinOp::kEq;
 
   /// Default selectivity estimate by shape; refined by the cost model with
@@ -45,6 +46,13 @@ struct Predicate {
   }
 
   std::string ToString() const { return expr.ToString(); }
+
+  /// True when the conjunct holds a slotted literal.
+  bool has_slots() const { return expr.has_slots(); }
+
+  /// A copy whose slotted literals, `constant` included, hold the values
+  /// `values[slot]`; shape, columns and estimates are unchanged.
+  Predicate BindSlots(const std::vector<Value>& values) const;
 };
 
 /// Classifies a bound conjunct into a Predicate.

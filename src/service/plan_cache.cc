@@ -2,24 +2,10 @@
 
 #include <cctype>
 #include <chrono>
+#include <string_view>
 #include <utility>
 
 namespace ordopt {
-
-namespace {
-
-/// Joins a literal vector into a slot signature. '\x1f' (ASCII unit
-/// separator) cannot appear in parsed SQL text, so the join is injective.
-std::string JoinLiterals(const std::vector<std::string>& literals) {
-  std::string sig;
-  for (const std::string& lit : literals) {
-    sig += lit;
-    sig += '\x1f';
-  }
-  return sig;
-}
-
-}  // namespace
 
 PlanCache::PlanCache(size_t capacity, MetricsRegistry* registry)
     : capacity_(capacity) {
@@ -33,7 +19,7 @@ PlanCache::PlanCache(size_t capacity, MetricsRegistry* registry)
   c_evictions_ = registry->GetCounter("plan_cache.evictions");
   c_invalidations_ = registry->GetCounter("plan_cache.invalidations");
   c_stampede_waits_ = registry->GetCounter("plan_cache.stampede_waits");
-  c_literal_evictions_ = registry->GetCounter("plan_cache.literal_evictions");
+  c_custom_plans_ = registry->GetCounter("plan_cache.custom_plans");
   c_quarantined_ = registry->GetCounter("plan_cache.quarantined");
   c_quarantine_rejections_ =
       registry->GetCounter("plan_cache.quarantine_rejections");
@@ -99,9 +85,24 @@ std::string ParameterizeQueryText(const std::string& sql,
     return std::isalnum(static_cast<unsigned char>(p)) || p == '_' ||
            p == '.';
   };
+  // The LIMIT count is no literal slot: it follows the keyword `limit`.
+  auto after_limit = [&out]() {
+    std::string_view head(out);
+    if (!head.ends_with("limit ")) return false;
+    head.remove_suffix(6);
+    return head.empty() ||
+           !(std::isalnum(static_cast<unsigned char>(head.back())) ||
+             head.back() == '_');
+  };
   size_t i = 0;
   while (i < sql.size()) {
     char c = sql[i];
+    if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
+      // A line comment, dropped like whitespace (the tokenizer skips it).
+      while (i < sql.size() && sql[i] != '\n') ++i;
+      pending_space = !out.empty();
+      continue;
+    }
     if (std::isspace(static_cast<unsigned char>(c))) {
       pending_space = !out.empty();
       ++i;
@@ -141,6 +142,10 @@ std::string ParameterizeQueryText(const std::string& sql,
         lit += sql[i];
         ++i;
       }
+      if (after_limit()) {
+        out += lit;
+        continue;
+      }
       if (literals != nullptr) literals->push_back(lit);
       out += '?';
       continue;
@@ -153,9 +158,7 @@ std::string ParameterizeQueryText(const std::string& sql,
 
 std::shared_ptr<const PreparedPlan> PlanCache::GetOrBeginPlanning(
     const std::string& sql, uint64_t stats_epoch) {
-  std::vector<std::string> literals;
-  std::string key = ParameterizeQueryText(sql, &literals);
-  std::string sig = JoinLiterals(literals);
+  std::string key = ParameterizeQueryText(sql);
   std::unique_lock<std::mutex> lock(mu_);
   bool counted_wait = false;
   std::chrono::steady_clock::time_point wait_start;
@@ -185,7 +188,6 @@ std::shared_ptr<const PreparedPlan> PlanCache::GetOrBeginPlanning(
       // the LRU (it holds no plan yet).
       Slot slot;
       slot.stats_epoch = stats_epoch;
-      slot.literal_sig = sig;
       slot.planning = true;
       slots_.emplace(key, std::move(slot));
       c_misses_->Increment();
@@ -202,22 +204,13 @@ std::shared_ptr<const PreparedPlan> PlanCache::GetOrBeginPlanning(
         slots_.erase(it);
         continue;
       }
-      if (slot.literal_sig != sig) {
-        // Same template, different constants: the cached plan embeds the
-        // old literals and cannot be served. Replace rather than grow.
-        c_literal_evictions_->Increment();
-        if (slot.in_lru) lru_.erase(slot.lru_pos);
-        slots_.erase(it);
-        continue;
-      }
       c_hits_->Increment();
       TouchLocked(&slot, key);
       record_wait();
       return slot.plan;
     }
-    // A planner is in flight (possibly under an older epoch or different
-    // literals — its result will be checked when it lands). Wait for it
-    // to resolve.
+    // A planner is in flight (possibly under an older epoch — its result
+    // will be checked when it lands). Wait for it to resolve.
     if (!counted_wait) {
       c_stampede_waits_->Increment();
       counted_wait = true;
@@ -234,15 +227,12 @@ std::shared_ptr<const PreparedPlan> PlanCache::GetOrBeginPlanning(
 
 std::shared_ptr<const PreparedPlan> PlanCache::Peek(
     const std::string& sql, uint64_t stats_epoch) const {
-  std::vector<std::string> literals;
-  std::string key = ParameterizeQueryText(sql, &literals);
-  std::string sig = JoinLiterals(literals);
+  std::string key = ParameterizeQueryText(sql);
   std::lock_guard<std::mutex> lock(mu_);
   if (QuarantinedLocked(key, stats_epoch)) return nullptr;
   auto it = slots_.find(key);
   if (it == slots_.end() || it->second.planning ||
-      it->second.stats_epoch != stats_epoch ||
-      it->second.literal_sig != sig) {
+      it->second.stats_epoch != stats_epoch) {
     return nullptr;
   }
   return it->second.plan;
@@ -250,8 +240,7 @@ std::shared_ptr<const PreparedPlan> PlanCache::Peek(
 
 void PlanCache::Publish(const std::string& sql, uint64_t stats_epoch,
                         PreparedPlan plan) {
-  std::vector<std::string> literals;
-  std::string key = ParameterizeQueryText(sql, &literals);
+  std::string key = ParameterizeQueryText(sql);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (QuarantinedLocked(key, stats_epoch)) {
@@ -267,7 +256,6 @@ void PlanCache::Publish(const std::string& sql, uint64_t stats_epoch,
       Slot& slot = it->second;
       slot.plan = std::make_shared<const PreparedPlan>(std::move(plan));
       slot.stats_epoch = stats_epoch;
-      slot.literal_sig = JoinLiterals(literals);
       slot.planning = false;
       if (capacity_ == 0) {
         // Caching disabled: resolve waiters, keep nothing.
@@ -351,7 +339,7 @@ PlanCacheStats PlanCache::stats() const {
   s.evictions = snap.CounterValue("plan_cache.evictions");
   s.invalidations = snap.CounterValue("plan_cache.invalidations");
   s.stampede_waits = snap.CounterValue("plan_cache.stampede_waits");
-  s.literal_evictions = snap.CounterValue("plan_cache.literal_evictions");
+  s.custom_plans = snap.CounterValue("plan_cache.custom_plans");
   s.quarantined = snap.CounterValue("plan_cache.quarantined");
   s.quarantine_rejections =
       snap.CounterValue("plan_cache.quarantine_rejections");

@@ -29,7 +29,10 @@ std::string NormalizeQueryText(const std::string& sql);
 /// case). "where d >= date('1995-03-15') and p > 24" becomes
 /// "where d >= date(?) and p > ?" with literals {"'1995-03-15'", "24"} —
 /// so a literal-varying workload collapses onto one cache key per query
-/// *template*.
+/// *template*. The stripped sequence is the parser's slot sequence
+/// (Expr::slot): the LIMIT count stays in the template (it is no slot, and
+/// a different LIMIT is a different plan) and `--` comments are dropped as
+/// the tokenizer drops them.
 std::string ParameterizeQueryText(const std::string& sql,
                                   std::vector<std::string>* literals = nullptr);
 
@@ -40,10 +43,13 @@ struct PlanCacheStats {
   int64_t evictions = 0;     ///< entries dropped by the LRU capacity bound
   int64_t invalidations = 0; ///< entries dropped for a stale stats epoch
   int64_t stampede_waits = 0;///< lookups that blocked on an in-flight plan
-  /// Ready entries replaced because the same template arrived with
-  /// different literal values (the plan embeds constants, so it cannot be
-  /// served across literals; the key being shared bounds the footprint).
+  /// Always 0: a cached plan serves every literal value of its template.
+  /// Kept only because the suite benchmark reads it.
   int64_t literal_evictions = 0;
+  /// Hits whose request the entry could not serve (RecordCustomPlan): a
+  /// slot's type or the equality pattern among slots differed, or a
+  /// selectivity moved too far, so the request was planned fresh.
+  int64_t custom_plans = 0;
   /// Quarantine calls that newly quarantined a template.
   int64_t quarantined = 0;
   /// Lookups and publishes refused because the template is quarantined
@@ -53,17 +59,18 @@ struct PlanCacheStats {
 
 /// Fingerprint-keyed cache of optimized plans shared by every session of a
 /// QueryService. The key is the *parameterized* query text (literals
-/// stripped), so "price > 24" and "price > 25" share one entry slot; each
-/// slot remembers the exact literal values it was planned with and is only
-/// served when they match — this engine has no parameter markers, so a
-/// plan is correct only for the constants baked into it. A same-template,
-/// different-literal lookup evicts the entry and replans (the common
-/// literal-varying workload keeps a bounded one-slot-per-template
-/// footprint instead of flooding the LRU). Each slot is also stamped with
-/// the Database stats epoch it was planned under, and a lookup whose epoch
-/// differs drops the stale entry on the spot — the PR 4 epoch-invalidation
-/// rule lifted from Reduce/Test results to whole plans (see
-/// Database::stats_epoch). Capacity is bounded with LRU eviction.
+/// stripped), so "price > 24" and "price > 25" share one entry, and the
+/// entry is a *generic plan*: QueryEngine::RunPrepared binds each
+/// request's literals into a per-execution copy of it. That is sound
+/// because no order, key or FD property of a plan depends on a literal's
+/// value (§4.1: `col = const` yields `{} -> {col}` whatever the constant);
+/// only cost does, and the engine plans a request fresh (a *custom plan*,
+/// never published) when its literals are not provably served by the
+/// entry — see DESIGN.md §11. Each slot is also stamped with the Database
+/// stats epoch it was planned under, and a lookup whose epoch differs
+/// drops the stale entry on the spot — the reduce cache's
+/// epoch-invalidation rule lifted from Reduce/Test results to whole plans
+/// (see Database::stats_epoch). Capacity is bounded with LRU eviction.
 ///
 /// Stampede control: the first thread to miss on a key becomes its
 /// *planner* (GetOrBeginPlanning returns nullptr) and must finish with
@@ -99,11 +106,11 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Looks up `sql` (parameterizing internally) under `stats_epoch`.
-  /// Returns the ready entry on a hit (same template, same literals, same
-  /// epoch, not quarantined). Returns nullptr when the caller has been
-  /// elected planner for this key: the caller MUST later call exactly one
-  /// of Publish (success) or Abandon (failure), or every future lookup of
-  /// the key will block forever. (Quarantined lookups also return nullptr
+  /// Returns the ready entry on a hit (same template, same epoch, not
+  /// quarantined), whatever the request's literal values. Returns nullptr
+  /// when the caller has been elected planner for this key: the caller
+  /// MUST later call exactly one of Publish (success) or Abandon
+  /// (failure), or every future lookup of the key will block forever. (Quarantined lookups also return nullptr
   /// without creating a marker — Publish/Abandon stay safe to call and
   /// are simply refused.)
   std::shared_ptr<const PreparedPlan> GetOrBeginPlanning(
@@ -128,6 +135,10 @@ class PlanCache {
   /// observed under). Idempotent.
   void Quarantine(const std::string& sql, uint64_t stats_epoch);
 
+  /// Counts a hit whose request was planned fresh instead of served (see
+  /// PlanCacheStats::custom_plans).
+  void RecordCustomPlan() { c_custom_plans_->Increment(); }
+
   /// True when `sql`'s template is quarantined at `stats_epoch`.
   bool IsQuarantined(const std::string& sql, uint64_t stats_epoch) const;
 
@@ -150,9 +161,6 @@ class PlanCache {
     /// nullptr while a planner is in flight; set by Publish.
     std::shared_ptr<const PreparedPlan> plan;
     uint64_t stats_epoch = 0;
-    /// The literal values the plan was built with (joined signature);
-    /// a ready slot is served only on an exact match.
-    std::string literal_sig;
     bool planning = true;
     /// Planner generation: bumped on Abandon so waiters can tell "my
     /// planner resolved" from spurious wakeups.
@@ -186,7 +194,7 @@ class PlanCache {
   Counter* c_evictions_ = nullptr;
   Counter* c_invalidations_ = nullptr;
   Counter* c_stampede_waits_ = nullptr;
-  Counter* c_literal_evictions_ = nullptr;
+  Counter* c_custom_plans_ = nullptr;
   Counter* c_quarantined_ = nullptr;
   Counter* c_quarantine_rejections_ = nullptr;
   Histogram* h_stampede_wait_us_ = nullptr;

@@ -384,24 +384,29 @@ Result<QueryResult> QueryService::ExecuteAttempt(QueryEngine* engine,
   // mid-optimization can only make the published entry *stale* (dropped
   // at next lookup), never wrongly fresh.
   *epoch = db_->stats_epoch();
+  // A hit executes the cached generic plan at this ticket's literals, or
+  // plans fresh when the engine finds the plan does not serve them.
+  auto run_cached = [&](const PreparedPlan& cached) {
+    *from_cache = true;
+    Result<QueryResult> r =
+        engine->RunPrepared(cached, ticket->sql_, &ticket->guard_);
+    if (r.ok() && !r.value().custom_plan_reason.empty()) {
+      plan_cache_.RecordCustomPlan();
+    }
+    return r;
+  };
   if (degraded) {
     // Degraded admissions read the cache but never write it: Peek elects
     // no planner, so a miss carries no publish obligation and the squeezed
     // plan this attempt would build never pollutes the cache.
     std::shared_ptr<const PreparedPlan> cached =
         plan_cache_.Peek(ticket->sql_, *epoch);
-    if (cached != nullptr) {
-      *from_cache = true;
-      return engine->RunPrepared(*cached, &ticket->guard_);
-    }
+    if (cached != nullptr) return run_cached(*cached);
     return engine->Run(ticket->sql_, &ticket->guard_);
   }
   std::shared_ptr<const PreparedPlan> cached =
       plan_cache_.GetOrBeginPlanning(ticket->sql_, *epoch);
-  if (cached != nullptr) {
-    *from_cache = true;
-    return engine->RunPrepared(*cached, &ticket->guard_);
-  }
+  if (cached != nullptr) return run_cached(*cached);
   // This worker is the planner for the key: it must resolve the slot.
   // (Under quarantine the lookup elects no planner; Publish is refused
   // and Abandon no-ops, so the protocol below stays safe to run.)

@@ -149,9 +149,10 @@ using TicketRef = std::shared_ptr<QueryTicket>;
 /// kResourceExhausted immediately when the queue is at bound, the
 /// session's in-flight cap is reached, or the global memory budget is
 /// fully committed — admitted queries always run to an answer or a clean
-/// error. Repeated queries skip the optimizer via a shared
+/// error. Repeated query templates skip the optimizer via a shared
 /// fingerprint-keyed PlanCache (parameterized text + Database stats
-/// epoch).
+/// epoch): a hit binds the request's literals into the cached generic plan
+/// (QueryEngine::RunPrepared).
 ///
 /// Resilience (see service/resilience.h): queries that fail transiently
 /// are re-admitted with deterministic backoff, up to the configured retry

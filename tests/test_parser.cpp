@@ -112,6 +112,35 @@ TEST(Parser, UnaryMinusFolded) {
   EXPECT_EQ(stmt.value()->where->right->literal.AsInt(), -5);
 }
 
+// Every literal token takes the next slot, in text order, subqueries
+// included; a folded -5 and a date keep their token's slot, while NULL,
+// the synthesized 0 of (0 - x) and the LIMIT count take none.
+TEST(Parser, LiteralSlots) {
+  auto stmt = ParseSelect(
+      "select -5, x + 1 from t where d < date('1995-03-15') and y = null "
+      "and z in (select z from u where w > 2.5) and v > -(x) "
+      "and s = 'a' limit 7");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const SelectStmt& s = *stmt.value();
+  ASSERT_EQ(s.slot_values.size(), 5u);
+  EXPECT_EQ(s.slot_values[0].AsInt(), -5);
+  EXPECT_EQ(s.slot_values[1].AsInt(), 1);
+  EXPECT_EQ(s.slot_values[2].type(), DataType::kDate);
+  EXPECT_EQ(s.slot_values[3].AsDouble(), 2.5);
+  EXPECT_EQ(s.slot_values[4].AsString(), "a");
+  EXPECT_EQ(s.items[0].expr->slot, 0);
+  EXPECT_EQ(s.items[1].expr->right->slot, 1);
+  EXPECT_EQ(s.limit, 7);
+  // BETWEEN and IN lists clone their left side, literals and slots alike.
+  auto between = ParseSelect("select x from t where x + 3 between 1 and 9");
+  ASSERT_TRUE(between.ok());
+  const Expr& w = *between.value()->where;
+  EXPECT_EQ(w.left->left->right->slot, 0);
+  EXPECT_EQ(w.right->left->right->slot, 0);
+  EXPECT_EQ(w.right->right->slot, 2);
+  EXPECT_EQ(between.value()->slot_values.size(), 3u);
+}
+
 TEST(Parser, DerivedTable) {
   auto stmt =
       ParseSelect("select d.x from (select x from t where x > 1) d");

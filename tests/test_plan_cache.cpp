@@ -1,9 +1,9 @@
-// Plan-cache tests: parameterized-text keying (literal stripping and the
-// one-slot-per-template rule), LRU eviction, stats-epoch invalidation,
-// quarantine, the leader/waiter stampede protocol (one planner per key
-// however many threads race the lookup), and the integration behavior the
-// service relies on — a published plan re-executes to the same rows the
-// planning run produced.
+// Plan-cache tests: parameterized-text keying (literal stripping, one
+// entry per template whatever the literals), LRU eviction, stats-epoch
+// invalidation, quarantine, the leader/waiter stampede protocol (one
+// planner per key however many threads race the lookup), and the
+// integration behavior the service relies on — a published plan
+// re-executes to the same rows the planning run produced.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +73,33 @@ TEST(ParameterizeQueryText, PreservesIdentifierDigits) {
             "select x from t where f < ?");
   ASSERT_EQ(literals.size(), 1u);
   EXPECT_EQ(literals[0], "0.5");
+}
+
+// The LIMIT count is no literal slot: it stays in the template, so a
+// different LIMIT is a different entry.
+TEST(ParameterizeQueryText, KeepsLimitCount) {
+  std::vector<std::string> literals;
+  EXPECT_EQ(ParameterizeQueryText(
+                "select x from t where p > 3 order by x LIMIT 20", &literals),
+            "select x from t where p > ? order by x limit 20");
+  ASSERT_EQ(literals.size(), 1u);
+  EXPECT_EQ(literals[0], "3");
+  EXPECT_NE(ParameterizeQueryText("select x from t order by x limit 20"),
+            ParameterizeQueryText("select x from t order by x limit 5"));
+  // Only the keyword counts: a column that ends in "limit" does not.
+  EXPECT_EQ(ParameterizeQueryText("select x from t where my_limit > 7"),
+            "select x from t where my_limit > ?");
+}
+
+// `--` comments are dropped as the tokenizer drops them, so a literal
+// inside one is no slot.
+TEST(ParameterizeQueryText, DropsLineComments) {
+  std::vector<std::string> literals;
+  EXPECT_EQ(ParameterizeQueryText("select x -- note 5 'a'\nfrom t where p > 3",
+                                  &literals),
+            "select x from t where p > ?");
+  ASSERT_EQ(literals.size(), 1u);
+  EXPECT_EQ(literals[0], "3");
 }
 
 TEST(ParameterizeQueryText, HandlesEscapedQuotes) {
@@ -149,10 +176,9 @@ TEST(PlanCacheTest, LruEvictsOldest) {
   EXPECT_EQ(cache.Peek("select x from t3", 1), nullptr);
 }
 
-// Same template, different literal values: the cached plan embeds the old
-// constants and must not be served; the entry is replaced in place, so a
-// literal-sweeping workload occupies one slot instead of flooding the LRU.
-TEST(PlanCacheTest, SameTemplateDifferentLiteralsReplaces) {
+// Same template, different literal values: one generic entry serves them
+// all (the engine binds each request's literals into it).
+TEST(PlanCacheTest, SameTemplateDifferentLiteralsHits) {
   PlanCache cache(8);
   ASSERT_EQ(cache.GetOrBeginPlanning("select x from t where p > 24", 1),
             nullptr);
@@ -161,18 +187,16 @@ TEST(PlanCacheTest, SameTemplateDifferentLiteralsReplaces) {
   auto hit = cache.GetOrBeginPlanning("SELECT  x FROM t WHERE p > 24", 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->plan_text, "p24");
-  // Different literal: never served; the caller replans into the slot.
-  ASSERT_EQ(cache.GetOrBeginPlanning("select x from t where p > 25", 1),
-            nullptr);
-  EXPECT_EQ(cache.stats().literal_evictions, 1);
-  cache.Publish("select x from t where p > 25", 1, FakePlan("p25"));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 0);  // replacement, not LRU pressure
+  // Different literal: the same entry, served.
   hit = cache.GetOrBeginPlanning("select x from t where p > 25", 1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->plan_text, "p25");
-  // And the old literal now misses.
-  EXPECT_EQ(cache.Peek("select x from t where p > 24", 1), nullptr);
+  EXPECT_EQ(hit->plan_text, "p24");
+  EXPECT_NE(cache.Peek("select x from t where p > 99", 1), nullptr);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.literal_evictions, 0);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(PlanCacheTest, LiteralSweepKeepsOneSlot) {
@@ -180,13 +204,35 @@ TEST(PlanCacheTest, LiteralSweepKeepsOneSlot) {
   for (int p = 0; p < 10; ++p) {
     std::string sql =
         "select x from t where p > " + std::to_string(p * 7 + 1);
-    ASSERT_EQ(cache.GetOrBeginPlanning(sql, 1), nullptr) << sql;
-    cache.Publish(sql, 1, FakePlan(sql));
+    auto plan = cache.GetOrBeginPlanning(sql, 1);
+    if (p == 0) {
+      ASSERT_EQ(plan, nullptr) << sql;
+      cache.Publish(sql, 1, FakePlan(sql));
+    } else {
+      ASSERT_NE(plan, nullptr) << sql;
+      EXPECT_EQ(plan->plan_text, "select x from t where p > 1");
+    }
     EXPECT_EQ(cache.size(), 1u);
   }
   PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.literal_evictions, 9);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 9);
+  EXPECT_EQ(stats.literal_evictions, 0);
   EXPECT_EQ(stats.evictions, 0);
+}
+
+// A different LIMIT count is a different template, hence a second entry.
+TEST(PlanCacheTest, LimitCountsAreSeparateEntries) {
+  PlanCache cache(8);
+  const std::string top20 = "select x from t order by x limit 20";
+  const std::string top5 = "select x from t order by x limit 5";
+  ASSERT_EQ(cache.GetOrBeginPlanning(top20, 1), nullptr);
+  cache.Publish(top20, 1, FakePlan("top20"));
+  ASSERT_EQ(cache.GetOrBeginPlanning(top5, 1), nullptr);
+  cache.Publish(top5, 1, FakePlan("top5"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Peek(top20, 1)->plan_text, "top20");
+  EXPECT_EQ(cache.Peek(top5, 1)->plan_text, "top5");
 }
 
 TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
@@ -344,7 +390,8 @@ TEST(PlanCacheTest, QuarantineDoesNotStrandInFlightPlanner) {
 }
 
 // End-to-end: a plan published from a real planning run re-executes via
-// RunPrepared to exactly the rows the planning run produced.
+// RunPrepared, given the request text, to exactly the rows the planning run
+// produced.
 TEST(PlanCacheTest, PublishedPlanReexecutesIdentically) {
   Database db;
   BuildToyDatabase(&db, 11, 120);
@@ -361,7 +408,7 @@ TEST(PlanCacheTest, PublishedPlanReexecutesIdentically) {
 
   auto cached = cache.GetOrBeginPlanning(sql, epoch);
   ASSERT_NE(cached, nullptr);
-  Result<QueryResult> second = engine.RunPrepared(*cached);
+  Result<QueryResult> second = engine.RunPrepared(*cached, sql);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second.value().planned_from_cache);
   EXPECT_FALSE(first.value().planned_from_cache);
@@ -369,6 +416,8 @@ TEST(PlanCacheTest, PublishedPlanReexecutesIdentically) {
             Canonicalize(first.value().rows));
   EXPECT_EQ(second.value().column_names, first.value().column_names);
   EXPECT_EQ(second.value().plan_text, first.value().plan_text);
+  EXPECT_EQ(second.value().qgm_text, first.value().qgm_text);
+  EXPECT_TRUE(second.value().custom_plan_reason.empty());
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/analyze.h"
 #include "exec/engine.h"
@@ -330,7 +333,7 @@ TEST_F(TraceTest, CachedAndDegradedRunsSurfaceProvenance) {
             std::string::npos);
   PreparedPlan prepared = PreparedPlan::FromResult(first.value());
 
-  Result<QueryResult> cached = engine.RunPreparedAnalyzed(prepared);
+  Result<QueryResult> cached = engine.RunPreparedAnalyzed(prepared, sql);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   const QueryResult& q = cached.value();
   EXPECT_TRUE(q.planned_from_cache);
@@ -354,7 +357,7 @@ TEST_F(TraceTest, CachedAndDegradedRunsSurfaceProvenance) {
   degraded_cfg.degraded_mode = true;
   degraded_cfg.cost_params.sort_memory_rows = 64;
   QueryEngine degraded(&db_, degraded_cfg);
-  Result<QueryResult> d = degraded.RunPreparedAnalyzed(prepared);
+  Result<QueryResult> d = degraded.RunPreparedAnalyzed(prepared, sql);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE(d.value().degraded);
   EXPECT_NE(d.value().analyzed_plan_text.find("degraded=true"),
@@ -363,6 +366,88 @@ TEST_F(TraceTest, CachedAndDegradedRunsSurfaceProvenance) {
   EXPECT_GE(d.value().trace->Count("degraded"), 1);
   EXPECT_NE(d.value().trace->ToJsonLines().find("\"degraded\":true"),
             std::string::npos);
+}
+
+// A cached plan run at other literals names the request's literals
+// wherever it prints (plan text, QGM text, EXPLAIN ANALYZE, aggregate
+// names), says its estimates were made at the planning literals, and marks
+// its plan.cached event generic with the slot count.
+TEST_F(TraceTest, CachedRunAtOtherLiteralsNamesRequestLiterals) {
+  QueryEngine engine(&db_, OptimizerConfig());
+  const std::string planned =
+      "select dno, sum(salary * 2) from emp where salary > 123 "
+      "group by dno order by dno";
+  const std::string request =
+      "select dno, sum(salary * 3) from emp where salary > 145 "
+      "group by dno order by dno";
+  Result<QueryResult> first = engine.RunAnalyzed(planned);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  PreparedPlan prepared = PreparedPlan::FromResult(first.value());
+
+  Result<QueryResult> cached = engine.RunPreparedAnalyzed(prepared, request);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  const QueryResult& q = cached.value();
+  ASSERT_TRUE(q.planned_from_cache) << q.custom_plan_reason;
+  for (const std::string* text :
+       {&q.plan_text, &q.qgm_text, &q.analyzed_plan_text}) {
+    EXPECT_NE(text->find("145"), std::string::npos) << *text;
+    EXPECT_EQ(text->find("123"), std::string::npos) << *text;
+  }
+  for (const std::string* text : {&q.plan_text, &q.analyzed_plan_text}) {
+    EXPECT_NE(text->find("salary * 3"), std::string::npos) << *text;
+    EXPECT_EQ(text->find("salary * 2"), std::string::npos) << *text;
+  }
+  EXPECT_NE(q.analyzed_plan_text.find(
+                "service: source=plan-cache estimates=planning-literals"),
+            std::string::npos)
+      << q.analyzed_plan_text;
+  ASSERT_NE(q.trace, nullptr);
+  const TraceEvent* event = q.trace->Find("plan.cached");
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(event->Get("generic"), "true");
+  EXPECT_EQ(event->Get("slots"), "2");
+
+  // The same literals again: served, not generic.
+  Result<QueryResult> same = engine.RunPreparedAnalyzed(prepared, planned);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  ASSERT_NE(same.value().trace, nullptr);
+  EXPECT_EQ(same.value().trace->Find("plan.cached")->Get("generic"), "false");
+  EXPECT_EQ(same.value().plan_text, first.value().plan_text);
+
+  // And the rows are a fresh plan's.
+  Result<QueryResult> fresh = engine.Run(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(q.rows, fresh.value().rows);
+  EXPECT_EQ(q.column_names, fresh.value().column_names);
+}
+
+// Per-operator q-error lands in the exec.q_error histogram whenever
+// per-operator stats are collected, one sample per operator, and not at
+// all when they are off.
+TEST_F(TraceTest, QErrorHistogramFollowsOperatorStats) {
+  MetricsRegistry registry;
+  OptimizerConfig cfg;
+  cfg.metrics = &registry;
+  QueryEngine engine(&db_, cfg);
+  const std::string sql =
+      "select eno, salary from emp where salary > 150 order by salary";
+  ASSERT_TRUE(engine.Run(sql).ok());
+  const HistogramSnapshot* off = registry.Snap().FindHistogram("exec.q_error");
+  EXPECT_TRUE(off == nullptr || off->count == 0);
+
+  Result<QueryResult> r = engine.RunAnalyzed(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  MetricsSnapshot snap = registry.Snap();
+  const HistogramSnapshot* on = snap.FindHistogram("exec.q_error");
+  ASSERT_NE(on, nullptr);
+  EXPECT_EQ(on->count, r.value().plan->NodeCount());
+  EXPECT_GE(on->min, 1);
+  int64_t worst = 0;
+  for (const EstActualRow& row :
+       EstVsActualRows(r.value().plan, r.value().op_profile)) {
+    worst = std::max<int64_t>(worst, std::llround(row.q_error));
+  }
+  EXPECT_EQ(on->max, worst);
 }
 
 // An injected trace-write fault that outlasts the retry budget must fail
