@@ -5,6 +5,11 @@
 // regenerating the goldens. The query catalog lives in golden_queries.h,
 // shared with the plan-space differential oracle (test_plan_space).
 //
+// The same cases also pin the planner's search: plan_decisions.txt holds,
+// per case, the plans generated and retained, the reduce-cache hits and
+// misses, and a digest of every optimizer trace event, so a refactor that
+// keeps the plans but changes the decisions behind them fails too.
+//
 // The same cases also pin serial execution: exec_fingerprints.txt holds,
 // per case, a digest of the result rows plus every runtime counter, which
 // must read the same at batch 1024, 3 and 1 apart from the counters listed
@@ -100,18 +105,68 @@ TEST(PlanFingerprint, GoldenPlansAreStable) {
   ExpectMatchesGolden("plan_fingerprints.txt", lines);
 }
 
+// FNV-1a, folded one string at a time.
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+void FnvMix(uint64_t* h, const std::string& s) {
+  for (unsigned char ch : s) {
+    *h ^= ch;
+    *h *= 1099511628211ull;
+  }
+}
+
+std::string Hex64(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+// Planner effort and decision trail per golden case: the search counters
+// of an untraced Explain, then the count and FNV-1a digest of every
+// optimizer event (ToShortString, in emission order) of the same Explain
+// under TraceLevel::kOptimizer. A planner refactor that keeps every plan
+// but changes how many candidates it builds, what it reduces through the
+// cache, or which order decisions it reports, drifts here.
+TEST(PlanFingerprint, GoldenDecisionsAreStable) {
+  std::vector<std::string> lines;
+  CollectOverGoldenDatabases(
+      [&](Database* db, const std::vector<GoldenCase>& cases) {
+        for (const GoldenCase& c : cases) {
+          QueryEngine untraced(db, c.config);
+          Result<QueryResult> r = untraced.Explain(c.sql);
+          ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+          OptimizerConfig traced_config = c.config;
+          traced_config.trace_level = TraceLevel::kOptimizer;
+          QueryEngine traced(db, traced_config);
+          Result<QueryResult> t = traced.Explain(c.sql);
+          ASSERT_TRUE(t.ok()) << c.name << ": " << t.status().ToString();
+          ASSERT_NE(t.value().trace, nullptr) << c.name;
+          uint64_t digest = kFnvOffset;
+          int64_t events = 0;
+          for (const TraceEvent& e : t.value().trace->events()) {
+            if (e.phase() != "optimizer") continue;
+            FnvMix(&digest, e.ToShortString() + "\n");
+            ++events;
+          }
+          const QueryResult& q = r.value();
+          lines.push_back(
+              c.name + " generated=" + std::to_string(q.plans_generated) +
+              " retained=" + std::to_string(q.plans_retained) +
+              " reduce_hits=" + std::to_string(q.reduce_cache_hits) +
+              " reduce_misses=" + std::to_string(q.reduce_cache_misses) +
+              " events=" + std::to_string(events) +
+              " digest=" + Hex64(digest));
+        }
+      });
+  ExpectMatchesGolden("plan_decisions.txt", lines);
+}
+
 // FNV-1a over the rendered rows, in result order.
 uint64_t RowDigest(const std::vector<Row>& rows) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const std::string& s) {
-    for (unsigned char ch : s) {
-      h ^= ch;
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnvOffset;
   for (const Row& row : rows) {
-    for (const Value& v : row) mix(v.ToString() + "|");
-    mix("\n");
+    for (const Value& v : row) FnvMix(&h, v.ToString() + "|");
+    FnvMix(&h, "\n");
   }
   return h;
 }
@@ -146,12 +201,9 @@ std::string ExecFingerprint(Database* db, const GoldenCase& c,
   QueryEngine engine(db, config);
   Result<QueryResult> r = engine.Run(c.sql);
   if (!r.ok()) return c.name + " error: " + r.status().ToString();
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "%016" PRIx64,
-                RowDigest(r.value().rows));
   std::string line = c.name + " rows=" +
                      std::to_string(r.value().rows.size()) + " digest=" +
-                     digest;
+                     Hex64(RowDigest(r.value().rows));
   const RuntimeMetrics& m = r.value().metrics;
 #define ORDOPT_APPEND_COUNTER(field, ...)                            \
   line += " " #field "=" +                                           \
