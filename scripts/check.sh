@@ -93,6 +93,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Under ORDOPT_UPDATE_GOLDENS the golden suites (test_plan_fingerprint,
+# test_plan_space) rewrite their goldens and skip instead of comparing, so
+# a passing run would prove nothing. Regenerate goldens by running those
+# binaries directly; gate with it unset.
+if [ -n "${ORDOPT_UPDATE_GOLDENS+set}" ]; then
+  echo "FAIL: ORDOPT_UPDATE_GOLDENS is set; the golden suites would rewrite" >&2
+  echo "      their goldens and skip. Unset it to run the gate." >&2
+  exit 1
+fi
+
 # Planning-time regression gate: Q3 and region-revenue plan-only benchmark
 # vs the recorded baseline (times within max_time_ratio, identical plan
 # counts, reduce-cache hit rate above min_hit_rate). $1 is the JSON output

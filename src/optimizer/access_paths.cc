@@ -1,7 +1,7 @@
 // Leaf access-path generation: heap scans, forward/reverse index scans with
-// range-predicate absorption, derived-quantifier plans, and sort-ahead at
-// the leaves (§5.2), plus the Sort/Filter node constructors they share with
-// the rest of the planner.
+// range-predicate absorption, and derived-quantifier plans, plus the
+// Sort/Filter/Project/Limit node constructors the rest of the planner
+// shares.
 
 #include <algorithm>
 
@@ -23,9 +23,7 @@ PlanRef Planner::MakeSort(PlanRef input, OrderSpec spec) {
   return node;
 }
 
-PlanRef Planner::MakeFilter(PlanRef input, std::vector<Predicate> preds,
-                            const QgmBox* box) {
-  (void)box;
+PlanRef Planner::MakeFilter(PlanRef input, std::vector<Predicate> preds) {
   if (preds.empty()) return input;
   auto node = std::make_shared<PlanNode>();
   node->kind = OpKind::kFilter;
@@ -48,10 +46,45 @@ PlanRef Planner::MakeFilter(PlanRef input, std::vector<Predicate> preds,
   return node;
 }
 
+PlanRef Planner::MakeProject(PlanRef input, const QgmBox* box,
+                             double op_cost) const {
+  auto node = std::make_shared<PlanNode>();
+  node->kind = OpKind::kProject;
+  node->projections = box->outputs;
+  node->props = ProjectProperties(input->props, box->OutputColumns());
+  node->props.cost = input->props.cost + op_cost;
+  node->children.push_back(std::move(input));
+  return node;
+}
+
+PlanRef Planner::MakeLimit(PlanRef input, int64_t limit) const {
+  auto node = std::make_shared<PlanNode>();
+  node->kind = OpKind::kLimit;
+  node->limit = limit;
+  node->props = input->props;
+  node->props.cardinality =
+      std::min(input->props.cardinality, static_cast<double>(limit));
+  node->children.push_back(std::move(input));
+  return node;
+}
+
+Result<CandidateSet> Planner::AccessPaths(
+    const QgmBox* box, const Quantifier& q,
+    const std::vector<const Predicate*>& local_preds) {
+  if (q.IsBase()) return BaseAccessPaths(box, q, local_preds);
+  ORDOPT_ASSIGN_OR_RETURN(std::vector<PlanRef> child_plans, PlanBox(q.input));
+  std::vector<Predicate> preds;
+  for (const Predicate* p : local_preds) preds.push_back(*p);
+  CandidateSet paths;
+  for (PlanRef& child : child_plans) {
+    InsertCandidate(&paths, MakeFilter(std::move(child), preds));
+  }
+  return paths;
+}
+
 CandidateSet Planner::BaseAccessPaths(
     const QgmBox* box, const Quantifier& q,
-    const std::vector<const Predicate*>& local_preds,
-    const std::vector<OrderSpec>& sort_ahead) {
+    const std::vector<const Predicate*>& local_preds) {
   CandidateSet out;
   const Table& table = *q.table;
   PlanProperties base_props = BaseTableProperties(table, q.id);
@@ -60,7 +93,7 @@ CandidateSet Planner::BaseAccessPaths(
                           const std::vector<const Predicate*>& remaining) {
     std::vector<Predicate> preds;
     for (const Predicate* p : remaining) preds.push_back(*p);
-    return MakeFilter(std::move(scan), std::move(preds), box);
+    return MakeFilter(std::move(scan), std::move(preds));
   };
 
   // Heap scan.
@@ -172,70 +205,7 @@ CandidateSet Planner::BaseAccessPaths(
     }
   }
 
-  // Sort-ahead at the leaf (§5.2): sort the access on each interesting
-  // order homogenizable to this table's columns.
-  if (config_.enable_order_optimization && config_.enable_sort_ahead &&
-      !sort_ahead.empty() && !out.empty()) {
-    PlanRef cheapest = out.Cheapest();
-    const OrderContext& octx = order_scan_.info(box).optimistic_ctx;
-    ColumnSet targets;
-    for (size_t c = 0; c < table.def().columns.size(); ++c) {
-      targets.Add(ColumnId(q.id, static_cast<int32_t>(c)));
-    }
-    for (const OrderSpec& want : sort_ahead) {
-      OrderSpec homog = HomogenizeOrderPrefix(want, targets, *octx.eq, octx);
-      if (homog.empty()) continue;
-      if (tracing() && homog != want) {
-        trace_->Add("optimizer", "order.homogenize")
-            .Set("site", "leaf")
-            .Set("requested", want.ToString(query_.namer()))
-            .Set("translated", homog.ToString(query_.namer()));
-      }
-      if (OrderSatisfied(homog, *cheapest)) continue;
-      PlanRef sorted = MakeSort(cheapest, SortSpecFor(homog, *cheapest));
-      bool retained = InsertCandidate(&out, sorted);
-      TraceSortAhead("leaf", homog, *sorted, retained);
-    }
-  }
   return out;
-}
-
-Result<CandidateSet> Planner::QuantifierAccessPaths(const QgmBox* box,
-                                                    const SelectContext& sctx,
-                                                    size_t index) {
-  const Quantifier& q = box->quantifiers[index];
-  if (q.IsBase()) {
-    return BaseAccessPaths(box, q, sctx.local_preds[index], sctx.sort_ahead);
-  }
-  CandidateSet leafs;
-  ORDOPT_ASSIGN_OR_RETURN(std::vector<PlanRef> child_plans, PlanBox(q.input));
-  for (PlanRef& child : child_plans) {
-    std::vector<Predicate> preds;
-    for (const Predicate* p : sctx.local_preds[index]) preds.push_back(*p);
-    InsertCandidate(&leafs, MakeFilter(std::move(child), preds, box));
-  }
-  // Sort-ahead over a derived quantifier.
-  if (config_.enable_order_optimization && config_.enable_sort_ahead &&
-      !leafs.empty()) {
-    PlanRef cheapest = leafs.Cheapest();
-    for (const OrderSpec& want : sctx.sort_ahead) {
-      OrderSpec homog =
-          HomogenizeOrderPrefix(want, sctx.qcols[index],
-                                *sctx.info->optimistic_ctx.eq,
-                                sctx.info->optimistic_ctx);
-      if (homog.empty() || OrderSatisfied(homog, *cheapest)) continue;
-      if (tracing() && homog != want) {
-        trace_->Add("optimizer", "order.homogenize")
-            .Set("site", "derived")
-            .Set("requested", want.ToString(query_.namer()))
-            .Set("translated", homog.ToString(query_.namer()));
-      }
-      PlanRef sorted = MakeSort(cheapest, SortSpecFor(homog, *cheapest));
-      bool retained = InsertCandidate(&leafs, sorted);
-      TraceSortAhead("derived", homog, *sorted, retained);
-    }
-  }
-  return leafs;
 }
 
 }  // namespace ordopt

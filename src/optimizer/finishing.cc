@@ -1,5 +1,6 @@
 // Box finishing: DISTINCT / required output order / projection / LIMIT on
-// SELECT boxes, and the GROUP BY and UNION box planners.
+// SELECT boxes, the GROUP BY and UNION box planners, and the grouping
+// builder DISTINCT and GROUP BY share.
 
 #include <algorithm>
 #include <cmath>
@@ -9,15 +10,52 @@
 
 namespace ordopt {
 
-namespace {
+// ---------------------------------------------------------------------------
+// Grouping: stream when adjacent, else Sort + stream, or hash
+// ---------------------------------------------------------------------------
 
-// Naive order comparison used by the disabled baseline (§8): exact column
-// and direction prefix, no reduction, no equivalence classes.
-bool NaiveSatisfied(const OrderSpec& interesting, const OrderSpec& property) {
-  return interesting.IsPrefixOf(property);
+void Planner::AddGroupings(
+    const Grouping& g, const PlanRef& input, bool adjacent,
+    const std::function<std::vector<OrderSpec>()>& sort_specs,
+    CandidateSet* out) {
+  if (tracing()) {
+    const std::string property = input->props.order.ToString(query_.namer());
+    trace_->Add("optimizer", "order.test")
+        .Set("site", g.site)
+        .Set("interesting", g.requirement)
+        .Set("property", property)
+        .SetBool("satisfied", adjacent);
+    if (adjacent) {
+      trace_->Add("optimizer", "sort.avoided")
+          .Set("site", g.site)
+          .Set("property", property)
+          .SetDouble("input_rows", input->props.cardinality);
+    }
+  }
+  const double rows = input->props.cardinality;
+  auto add = [&](OpKind kind, PlanRef child, bool preserves_order,
+                 double op_cost) {
+    auto node = std::make_shared<PlanNode>();
+    node->kind = kind;
+    g.shape(node.get(), child->props, preserves_order);
+    node->props.cost = child->props.cost + op_cost;
+    node->children = {std::move(child)};
+    FinalInsert(out, std::move(node));
+  };
+  if (adjacent) {
+    add(g.stream, input, true,
+        cost_model_.StreamGroupByCost(rows, g.aggregates));
+    if (!enumerate_keep_all_) return;
+  }
+  for (const OrderSpec& spec : sort_specs()) {
+    TraceSortDecision(g.site, spec, *input, /*avoided=*/false, &spec);
+    add(g.sorted, MakeSort(input, spec), true,
+        cost_model_.StreamGroupByCost(rows, g.aggregates));
+  }
+  if (config_.enable_hash_grouping) {
+    add(g.hash, input, false, cost_model_.HashGroupByCost(rows, g.aggregates));
+  }
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SELECT box finishing: DISTINCT, required order, projection
@@ -26,196 +64,101 @@ bool NaiveSatisfied(const OrderSpec& interesting, const OrderSpec& property) {
 std::vector<PlanRef> Planner::FinishSelectBox(
     const QgmBox* box, const std::vector<PlanRef>& bases) {
   const BoxOrderInfo& info = order_scan_.info(box);
-
+  const OrderSpec& required = info.required_output;
+  const ColumnSet out_cols = box->OutputColumns();
+  std::vector<ColumnId> out_col_list;
   bool all_passthrough = true;
   for (const OutputColumn& oc : box->outputs) {
+    out_col_list.push_back(oc.id);
     if (!oc.expr.IsColumn() || oc.expr.column() != oc.id) {
       all_passthrough = false;
     }
   }
 
   CandidateSet finished;
+  // Projection and a pending LIMIT on top of an output-ordered plan.
+  auto finish = [&](PlanRef v, bool limit_pending) {
+    if (!all_passthrough) {
+      const double rows = v->props.cardinality;
+      v = MakeProject(v, box,
+                      rows * cost_model_.params().cpu_eval_cost *
+                          static_cast<double>(box->outputs.size()));
+    }
+    if (limit_pending) v = MakeLimit(v, box->limit);
+    FinalInsert(&finished, std::move(v));
+  };
   for (const PlanRef& base : bases) {
     std::vector<PlanRef> variants = {base};
-
     if (box->distinct) {
+      const double dcard = std::max(1.0, base->props.cardinality * 0.5);
+      const Grouping distinct{
+          "distinct", "DISTINCT grouping", OpKind::kStreamDistinct,
+          OpKind::kStreamDistinct, OpKind::kHashDistinct, 0,
+          [&](PlanNode* node, const PlanProperties& input, bool preserves) {
+            node->distinct_columns = out_cols;
+            node->props =
+                DistinctProperties(input, out_cols, preserves, dcard);
+          }};
+      bool adjacent =
+          Grouped(info.distinct_requirement, out_col_list, *base) ||
+          (config_.enable_order_optimization &&
+           base->props.keys.IsUniqueOn(out_cols));
       CandidateSet next;
-      ColumnSet out_cols = box->OutputColumns();
-      std::vector<ColumnId> out_col_list;
-      for (const OutputColumn& oc : box->outputs) {
-        out_col_list.push_back(oc.id);
-      }
-      for (const PlanRef& v : variants) {
-        double dcard = std::max(1.0, v->props.cardinality * 0.5);
-        bool adjacent;
+      AddGroupings(distinct, base, adjacent, [&]() -> std::vector<OrderSpec> {
+        OrderSpec spec = OrderSpec::Ascending(out_col_list);
         if (config_.enable_order_optimization) {
-          OrderContext ctx = v->props.Context(config_.transitive_fds);
-          adjacent = info.distinct_requirement.Satisfies(v->props.order, ctx) ||
-                     v->props.IsOneRecord() ||
-                     v->props.keys.IsUniqueOn(out_cols);
-        } else {
-          adjacent = NaiveSatisfied(OrderSpec::Ascending(out_col_list),
-                                    v->props.order);
-        }
-        if (tracing()) {
-          trace_->Add("optimizer", "order.test")
-              .Set("site", "distinct")
-              .Set("interesting", "DISTINCT grouping")
-              .Set("property", v->props.order.ToString(query_.namer()))
-              .SetBool("satisfied", adjacent);
-          if (adjacent) {
-            trace_->Add("optimizer", "sort.avoided")
+          OrderContext ctx = base->props.Context(config_.transitive_fds);
+          std::optional<OrderSpec> covered =
+              info.distinct_requirement.CoverConcrete(required, ctx);
+          if (tracing() && covered.has_value()) {
+            const ColumnNamer namer = query_.namer();
+            trace_->Add("optimizer", "order.cover")
                 .Set("site", "distinct")
-                .Set("property", v->props.order.ToString(query_.namer()))
-                .SetDouble("input_rows", v->props.cardinality);
+                .Set("i1", "DISTINCT grouping")
+                .Set("i2", required.ToString(namer))
+                .Set("cover", covered->ToString(namer));
           }
+          spec = covered.has_value()
+                     ? *covered
+                     : info.distinct_requirement.DefaultSortSpec(ctx);
         }
-        if (adjacent) {
-          auto node = std::make_shared<PlanNode>();
-          node->kind = OpKind::kStreamDistinct;
-          node->distinct_columns = out_cols;
-          node->children = {v};
-          node->props = DistinctProperties(v->props, out_cols,
-                                           /*preserves_order=*/true, dcard);
-          node->props.cost = v->props.cost + cost_model_.StreamGroupByCost(
-                                                 v->props.cardinality, 0);
-          FinalInsert(&next, node);
-        }
-        if (!adjacent || enumerate_keep_all_) {
-          // Sort-based distinct.
-          OrderSpec spec;
-          if (config_.enable_order_optimization) {
-            OrderContext ctx = v->props.Context(config_.transitive_fds);
-            std::optional<OrderSpec> covered =
-                info.distinct_requirement.CoverConcrete(info.required_output,
-                                                        ctx);
-            if (tracing() && covered.has_value()) {
-              const ColumnNamer namer = query_.namer();
-              trace_->Add("optimizer", "order.cover")
-                  .Set("site", "distinct")
-                  .Set("i1", "DISTINCT grouping")
-                  .Set("i2", info.required_output.ToString(namer))
-                  .Set("cover", covered->ToString(namer));
-            }
-            spec = covered.has_value()
-                       ? *covered
-                       : info.distinct_requirement.DefaultSortSpec(ctx);
-          } else {
-            spec = OrderSpec::Ascending(out_col_list);
-          }
-          if (!spec.empty()) {
-            TraceSortDecision("distinct", spec, *v, /*avoided=*/false, &spec);
-            PlanRef sorted = MakeSort(v, spec);
-            auto node = std::make_shared<PlanNode>();
-            node->kind = OpKind::kStreamDistinct;
-            node->distinct_columns = out_cols;
-            node->children = {sorted};
-            node->props = DistinctProperties(sorted->props, out_cols, true,
-                                             dcard);
-            node->props.cost =
-                sorted->props.cost +
-                cost_model_.StreamGroupByCost(sorted->props.cardinality, 0);
-            FinalInsert(&next, node);
-          }
-          // Hash distinct.
-          if (config_.enable_hash_grouping) {
-            auto node = std::make_shared<PlanNode>();
-            node->kind = OpKind::kHashDistinct;
-            node->distinct_columns = out_cols;
-            node->children = {v};
-            node->props = DistinctProperties(v->props, out_cols,
-                                             /*preserves_order=*/false, dcard);
-            node->props.cost = v->props.cost + cost_model_.HashGroupByCost(
-                                                   v->props.cardinality, 0);
-            FinalInsert(&next, node);
-          }
-        }
-      }
+        if (spec.empty()) return {};
+        return {spec};
+      }, &next);
       variants = std::move(next.mutable_plans());
     }
 
+    const bool limited = box->limit >= 0;
     for (const PlanRef& variant : variants) {
-      bool output_sat = info.required_output.empty() ||
-                        OrderSatisfied(info.required_output, *variant);
-      if (!info.required_output.empty()) {
-        TraceOrderTest("select.output", info.required_output, *variant,
-                       output_sat);
-        if (output_sat) {
-          TraceSortDecision("select.output", info.required_output, *variant,
-                            /*avoided=*/true, nullptr);
+      // Enumeration mode finishes one variant more than one way: the
+      // avoided sort's explicit-sort sibling and the Top-N's sort+limit
+      // sibling are the §4 alternatives the differential oracle
+      // cross-checks against the optimized choice.
+      PlanRef enforced = EnforceOrder("select.output", required, variant);
+      if (enforced == variant) {
+        finish(variant, limited);
+        if (enumerate_keep_all_ && !required.empty()) {
+          finish(SortFor(/*site=*/nullptr, required, variant), limited);
         }
-      }
-      // Plans with the output order enforced, paired with whether a LIMIT
-      // is still pending on top. Enumeration mode routes one variant more
-      // than one way: the avoided sort's explicit-sort sibling and the
-      // Top-N's sort+limit sibling are the §4 alternatives the
-      // differential oracle cross-checks against the optimized choice.
-      std::vector<std::pair<PlanRef, bool>> routed;
-      bool limited = box->limit >= 0;
-      if (output_sat) {
-        routed.emplace_back(variant, limited);
-        if (enumerate_keep_all_ && !info.required_output.empty()) {
-          OrderSpec spec = SortSpecFor(info.required_output, *variant);
-          if (spec.empty()) spec = info.required_output;
-          routed.emplace_back(MakeSort(variant, spec), limited);
-        }
+      } else if (limited) {
+        // ORDER BY + LIMIT fuse into a bounded-heap Top-N in place of the
+        // Sort; the Top-N already enforces the limit.
+        auto top = std::make_shared<PlanNode>(*enforced);
+        top->kind = OpKind::kTopN;
+        top->limit = box->limit;
+        top->props.cardinality = std::min(variant->props.cardinality,
+                                          static_cast<double>(box->limit));
+        double n = std::max(2.0, variant->props.cardinality);
+        double k = std::max(2.0, static_cast<double>(box->limit));
+        top->props.cost =
+            variant->props.cost +
+            n * std::log2(std::min(n, k)) *
+                cost_model_.params().cpu_compare_cost *
+                (0.5 + 0.5 * static_cast<double>(top->sort_spec.size()));
+        finish(std::move(top), false);
+        if (enumerate_keep_all_) finish(enforced, true);
       } else {
-        OrderSpec spec = SortSpecFor(info.required_output, *variant);
-        if (spec.empty()) spec = info.required_output;
-        TraceSortDecision("select.output", info.required_output, *variant,
-                          /*avoided=*/false, &spec);
-        if (limited) {
-          // ORDER BY + LIMIT fuse into a bounded-heap Top-N.
-          auto node = std::make_shared<PlanNode>();
-          node->kind = OpKind::kTopN;
-          node->sort_spec = spec;
-          node->limit = box->limit;
-          node->children = {variant};
-          node->props = SortProperties(variant->props, spec);
-          node->props.cardinality = std::min(
-              variant->props.cardinality, static_cast<double>(box->limit));
-          double n = std::max(2.0, variant->props.cardinality);
-          double k = std::max(2.0, static_cast<double>(box->limit));
-          node->props.cost = variant->props.cost +
-                             n * std::log2(std::min(n, k)) *
-                                 cost_model_.params().cpu_compare_cost *
-                                 (0.5 + 0.5 * static_cast<double>(spec.size()));
-          // The Top-N already enforced the limit.
-          routed.emplace_back(std::move(node), false);
-          if (enumerate_keep_all_) {
-            routed.emplace_back(MakeSort(variant, spec), true);
-          }
-        } else {
-          routed.emplace_back(MakeSort(variant, spec), false);
-        }
-      }
-      for (std::pair<PlanRef, bool>& r : routed) {
-        PlanRef v = std::move(r.first);
-        if (!all_passthrough) {
-          auto node = std::make_shared<PlanNode>();
-          node->kind = OpKind::kProject;
-          node->projections = box->outputs;
-          node->children = {v};
-          node->props = ProjectProperties(v->props, box->OutputColumns());
-          node->props.columns = box->OutputColumns();
-          node->props.cost = v->props.cost +
-                             v->props.cardinality *
-                                 cost_model_.params().cpu_eval_cost *
-                                 static_cast<double>(box->outputs.size());
-          v = node;
-        }
-        if (r.second) {
-          auto node = std::make_shared<PlanNode>();
-          node->kind = OpKind::kLimit;
-          node->limit = box->limit;
-          node->children = {v};
-          node->props = v->props;
-          node->props.cardinality = std::min(
-              v->props.cardinality, static_cast<double>(box->limit));
-          node->props.cost = v->props.cost;
-          v = node;
-        }
-        FinalInsert(&finished, std::move(v));
+        finish(enforced, false);
       }
     }
   }
@@ -237,101 +180,42 @@ Result<std::vector<PlanRef>> Planner::PlanGroupByBox(const QgmBox* box) {
 
   CandidateSet out;
   for (const PlanRef& child : children) {
-    double card = cost_model_.GroupCardinality(
+    const double card = cost_model_.GroupCardinality(
         box->group_columns, child->props.cardinality, query_);
-
-    bool grouped_input;
-    if (config_.enable_order_optimization) {
-      OrderContext ctx = child->props.Context(config_.transitive_fds);
-      grouped_input =
-          info.grouping_requirement.Satisfies(child->props.order, ctx) ||
-          child->props.IsOneRecord();
-    } else {
-      grouped_input = NaiveSatisfied(OrderSpec::Ascending(box->group_columns),
-                                     child->props.order);
-    }
-    if (tracing()) {
-      trace_->Add("optimizer", "order.test")
-          .Set("site", "groupby")
-          .Set("interesting", "GROUP BY grouping")
-          .Set("property", child->props.order.ToString(query_.namer()))
-          .SetBool("satisfied", grouped_input);
-      if (grouped_input) {
-        trace_->Add("optimizer", "sort.avoided")
-            .Set("site", "groupby")
-            .Set("property", child->props.order.ToString(query_.namer()))
-            .SetDouble("input_rows", child->props.cardinality);
-      }
-    }
-
-    if (grouped_input) {
-      auto node = std::make_shared<PlanNode>();
-      node->kind = OpKind::kStreamGroupBy;
-      node->group_columns = box->group_columns;
-      node->aggregates = box->aggregates;
-      node->children = {child};
-      node->props = GroupByProperties(child->props, box->group_columns,
-                                      agg_outputs, /*preserves_order=*/true,
-                                      card);
-      node->props.cost = child->props.cost +
-                         cost_model_.StreamGroupByCost(
-                             child->props.cardinality, box->aggregates.size());
-      FinalInsert(&out, node);
-    }
-    if (!grouped_input || enumerate_keep_all_) {
-      // Sort + streaming aggregation.
+    const Grouping group_by{
+        "groupby", "GROUP BY grouping", OpKind::kStreamGroupBy,
+        OpKind::kSortGroupBy, OpKind::kHashGroupBy, box->aggregates.size(),
+        [&](PlanNode* node, const PlanProperties& input, bool preserves) {
+          node->group_columns = box->group_columns;
+          node->aggregates = box->aggregates;
+          node->props = GroupByProperties(input, box->group_columns,
+                                          agg_outputs, preserves, card);
+        }};
+    bool adjacent = Grouped(info.grouping_requirement, box->group_columns,
+                            *child);
+    AddGroupings(group_by, child, adjacent, [&] {
       std::vector<OrderSpec> specs;
-      if (config_.enable_order_optimization) {
-        OrderContext ctx = child->props.Context(config_.transitive_fds);
-        for (const OrderSpec& pref : info.preferred_sorts) {
-          OrderSpec reduced = reduce_cache_.Reduce(pref, ctx);
-          TraceReduce("groupby.preferred", pref, reduced, ctx);
-          if (reduced.empty()) continue;
-          bool dup = false;
-          for (const OrderSpec& s : specs) dup = dup || s == reduced;
-          if (!dup) specs.push_back(reduced);
-        }
-        if (specs.empty()) {
-          OrderSpec fallback = info.grouping_requirement.DefaultSortSpec(ctx);
-          if (!fallback.empty()) specs.push_back(fallback);
-        }
-      } else {
+      if (!config_.enable_order_optimization) {
         specs.push_back(OrderSpec::Ascending(box->group_columns));
+        return specs;
       }
-      for (const OrderSpec& spec : specs) {
-        TraceSortDecision("groupby", spec, *child, /*avoided=*/false, &spec);
-        PlanRef sorted = MakeSort(child, spec);
-        auto node = std::make_shared<PlanNode>();
-        node->kind = OpKind::kSortGroupBy;
-        node->group_columns = box->group_columns;
-        node->aggregates = box->aggregates;
-        node->children = {sorted};
-        node->props = GroupByProperties(sorted->props, box->group_columns,
-                                        agg_outputs, /*preserves_order=*/true,
-                                        card);
-        node->props.cost = sorted->props.cost +
-                           cost_model_.StreamGroupByCost(
-                               sorted->props.cardinality,
-                               box->aggregates.size());
-        FinalInsert(&out, node);
+      // The preferred sorts cover the grouping with orders wanted above,
+      // so one sort can serve both.
+      OrderContext ctx = child->props.Context(config_.transitive_fds);
+      for (const OrderSpec& pref : info.preferred_sorts) {
+        OrderSpec reduced = reduce_cache_.Reduce(pref, ctx);
+        TraceReduce("groupby.preferred", pref, reduced, ctx);
+        if (!reduced.empty() &&
+            std::find(specs.begin(), specs.end(), reduced) == specs.end()) {
+          specs.push_back(reduced);
+        }
       }
-      // Hash aggregation.
-      if (config_.enable_hash_grouping) {
-        auto node = std::make_shared<PlanNode>();
-        node->kind = OpKind::kHashGroupBy;
-        node->group_columns = box->group_columns;
-        node->aggregates = box->aggregates;
-        node->children = {child};
-        node->props = GroupByProperties(child->props, box->group_columns,
-                                        agg_outputs,
-                                        /*preserves_order=*/false, card);
-        node->props.cost = child->props.cost +
-                           cost_model_.HashGroupByCost(
-                               child->props.cardinality,
-                               box->aggregates.size());
-        FinalInsert(&out, node);
+      if (specs.empty()) {
+        OrderSpec fallback = info.grouping_requirement.DefaultSortSpec(ctx);
+        if (!fallback.empty()) specs.push_back(fallback);
       }
-    }
+      return specs;
+    }, &out);
   }
   plans_retained_ += static_cast<int64_t>(out.size());
   return std::move(out.mutable_plans());
@@ -355,15 +239,9 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
       }
       if (same) return plan;
     }
-    auto node = std::make_shared<PlanNode>();
-    node->kind = OpKind::kProject;
-    node->projections = branch->outputs;
-    node->children = {plan};
-    node->props = ProjectProperties(plan->props, branch->OutputColumns());
-    node->props.columns = branch->OutputColumns();
-    node->props.cost = plan->props.cost + plan->props.cardinality *
-                                              cost_model_.params().cpu_eval_cost;
-    return node;
+    return MakeProject(plan, branch,
+                       plan->props.cardinality *
+                           cost_model_.params().cpu_eval_cost);
   };
 
   // Per branch: the cheapest plan, and (order optimization only) the
@@ -399,9 +277,7 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
       }
       if (best_ordered == nullptr) {
         // Sort the cheapest branch on (the reduced form of) the full list.
-        OrderSpec spec = SortSpecFor(want, *best);
-        if (spec.empty()) spec = want;
-        best_ordered = MakeSort(best, spec);
+        best_ordered = SortFor(/*site=*/nullptr, want, best);
       }
       // A reduced branch sort still yields a fully lexicographically
       // sorted stream: reduction only drops columns that are constant or
@@ -484,31 +360,8 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
   // Finishing: ORDER BY + LIMIT on the union.
   CandidateSet finished;
   for (PlanRef v : candidates.plans()) {
-    if (!info.required_output.empty()) {
-      bool sat = OrderSatisfied(info.required_output, *v);
-      TraceOrderTest("union.output", info.required_output, *v, sat);
-      if (!sat) {
-        OrderSpec spec = SortSpecFor(info.required_output, *v);
-        if (spec.empty()) spec = info.required_output;
-        TraceSortDecision("union.output", info.required_output, *v,
-                          /*avoided=*/false, &spec);
-        v = MakeSort(v, spec);
-      } else {
-        TraceSortDecision("union.output", info.required_output, *v,
-                          /*avoided=*/true, nullptr);
-      }
-    }
-    if (box->limit >= 0) {
-      auto node = std::make_shared<PlanNode>();
-      node->kind = OpKind::kLimit;
-      node->limit = box->limit;
-      node->children = {v};
-      node->props = v->props;
-      node->props.cardinality =
-          std::min(v->props.cardinality, static_cast<double>(box->limit));
-      node->props.cost = v->props.cost;
-      v = node;
-    }
+    v = EnforceOrder("union.output", info.required_output, std::move(v));
+    if (box->limit >= 0) v = MakeLimit(v, box->limit);
     FinalInsert(&finished, std::move(v));
   }
   plans_retained_ += static_cast<int64_t>(finished.size());

@@ -2,10 +2,26 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
 
 #include "common/macros.h"
 
 namespace ordopt {
+
+namespace {
+
+// The columns a quantifier contributes: every column of a base table, the
+// outputs of a derived box.
+ColumnSet QuantifierColumns(const Quantifier& q) {
+  if (!q.IsBase()) return q.input->OutputColumns();
+  ColumnSet cols;
+  for (size_t c = 0; c < q.table->def().columns.size(); ++c) {
+    cols.Add(ColumnId(q.id, static_cast<int32_t>(c)));
+  }
+  return cols;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SelectContext
@@ -26,14 +42,7 @@ SelectContext SelectContext::Build(const QgmBox* box, const BoxOrderInfo& info,
   // Per-quantifier column sets and the ColumnId.table -> quantifier map.
   ctx.qcols.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const Quantifier& q = box->quantifiers[i];
-    if (q.IsBase()) {
-      for (size_t c = 0; c < q.table->def().columns.size(); ++c) {
-        ctx.qcols[i].Add(ColumnId(q.id, static_cast<int32_t>(c)));
-      }
-    } else {
-      ctx.qcols[i] = q.input->OutputColumns();
-    }
+    ctx.qcols[i] = QuantifierColumns(box->quantifiers[i]);
     for (const ColumnId& c : ctx.qcols[i]) {
       ctx.owner[c.table] = i;
     }
@@ -44,16 +53,7 @@ SelectContext SelectContext::Build(const QgmBox* box, const BoxOrderInfo& info,
   // IS NULL anti-join filter). Defer each to the last step it references.
   std::vector<ColumnSet> oj_cols;
   for (const OuterJoinStep& step : box->outer_joins) {
-    const Quantifier& oq = step.quantifier;
-    ColumnSet cols;
-    if (oq.IsBase()) {
-      for (size_t c = 0; c < oq.table->def().columns.size(); ++c) {
-        cols.Add(ColumnId(oq.id, static_cast<int32_t>(c)));
-      }
-    } else {
-      cols = oq.input->OutputColumns();
-    }
-    oj_cols.push_back(std::move(cols));
+    oj_cols.push_back(QuantifierColumns(step.quantifier));
   }
   ctx.deferred.resize(box->outer_joins.size());
   std::vector<const Predicate*> dp_preds;
@@ -123,13 +123,15 @@ std::vector<size_t> SelectContext::ApplicablePreds(uint32_t mask) const {
 
 void JoinStrategy::FinishJoin(Planner& planner, const JoinSplit& split,
                               std::shared_ptr<PlanNode> node,
-                              const PlanRef& outer, const PlanRef& inner,
+                              const PlanProperties& outer,
+                              const PlanProperties& inner,
                               bool preserves_outer_order,
+                              const std::vector<Predicate>& residual,
                               CandidateSet* out) const {
   // Callers price the join before deriving properties; deriving replaces
   // node->props wholesale, so carry the cost across.
   double cost = node->props.cost;
-  node->props = JoinProperties(outer->props, inner->props, split.pairs,
+  node->props = JoinProperties(outer, inner, split.pairs,
                                preserves_outer_order, split.out_card);
   node->props.cost = cost;
   for (const auto& [l, r] : split.pairs) {
@@ -137,15 +139,15 @@ void JoinStrategy::FinishJoin(Planner& planner, const JoinSplit& split,
   }
   node->props.keys.Simplify(node->props.eq());
   PlanRef result = node;
-  if (!split.residual.empty()) {
+  if (!residual.empty()) {
     // Filter scales cardinality again; rescale to the mask's deterministic
     // estimate afterwards.
-    result = Filter(planner, result, split.residual, split.ctx->box);
+    result = planner.MakeFilter(result, residual);
     auto fixed = std::make_shared<PlanNode>(*result);
     fixed->props.cardinality = split.out_card;
     result = fixed;
   }
-  Insert(planner, out, std::move(result));
+  planner.InsertCandidate(out, std::move(result));
 }
 
 namespace {
@@ -165,7 +167,8 @@ class HashJoinStrategy : public JoinStrategy {
                        Cost(p).HashJoinCost(outer->props.cardinality,
                                             inner->props.cardinality,
                                             s.out_card);
-    FinishJoin(p, s, node, outer, inner, /*preserves_outer_order=*/false, out);
+    FinishJoin(p, s, node, outer->props, inner->props,
+               /*preserves_outer_order=*/false, s.residual, out);
   }
 };
 
@@ -177,10 +180,10 @@ class MergeJoinStrategy : public JoinStrategy {
             const PlanRef& inner, CandidateSet* out) const override {
     if (s.pairs.empty()) return;
     const OptimizerConfig& config = Config(p);
-    // Candidate outer orders: the merge order itself plus any sort-ahead
-    // order coverable with it (§5.2: "In the case of a merge-join, a cover
-    // with the merge-join order is also required").
-    std::vector<OrderSpec> outer_specs = {s.merge_outer};
+    // Sort-ahead orders coverable with the merge order (§5.2: "In the
+    // case of a merge-join, a cover with the merge-join order is also
+    // required"): each is one more way to sort an outer that needs a sort.
+    std::vector<OrderSpec> covers;
     if (config.enable_order_optimization && config.enable_sort_ahead) {
       OrderContext octx = outer->props.Context(config.transitive_fds);
       ColumnSet targets = s.ctx->MaskColumns(s.outer_mask);
@@ -200,39 +203,19 @@ class MergeJoinStrategy : public JoinStrategy {
                 .Set("i2", s.merge_outer.ToString(namer))
                 .Set("cover", covered->ToString(namer));
           }
-          outer_specs.push_back(*covered);
+          covers.push_back(*covered);
         }
       }
     }
-    std::vector<PlanRef> sorted_outers;
-    bool outer_sat = Satisfied(p, s.merge_outer, *outer);
-    EmitOrderTest(p, "merge_join.outer", s.merge_outer, *outer, outer_sat);
-    if (outer_sat) {
-      EmitSortDecision(p, "merge_join.outer", s.merge_outer, *outer,
-                       /*avoided=*/true, nullptr);
-      sorted_outers.push_back(outer);
-    } else {
-      for (const OrderSpec& spec : outer_specs) {
-        OrderSpec sorted = SortSpec(p, spec, *outer);
-        if (sorted.empty()) sorted = spec;
-        EmitSortDecision(p, "merge_join.outer", spec, *outer,
-                         /*avoided=*/false, &sorted);
-        sorted_outers.push_back(Sort(p, outer, sorted));
+    std::vector<PlanRef> sorted_outers = {
+        EnforceOrder(p, "merge_join.outer", s.merge_outer, outer)};
+    if (sorted_outers[0] != outer) {
+      for (const OrderSpec& cover : covers) {
+        sorted_outers.push_back(SortFor(p, "merge_join.outer", cover, outer));
       }
     }
-    PlanRef sorted_inner = inner;
-    bool inner_sat = Satisfied(p, s.merge_inner, *inner);
-    EmitOrderTest(p, "merge_join.inner", s.merge_inner, *inner, inner_sat);
-    if (!inner_sat) {
-      OrderSpec sorted = SortSpec(p, s.merge_inner, *inner);
-      if (sorted.empty()) sorted = s.merge_inner;
-      EmitSortDecision(p, "merge_join.inner", s.merge_inner, *inner,
-                       /*avoided=*/false, &sorted);
-      sorted_inner = Sort(p, inner, sorted);
-    } else {
-      EmitSortDecision(p, "merge_join.inner", s.merge_inner, *inner,
-                       /*avoided=*/true, nullptr);
-    }
+    PlanRef sorted_inner =
+        EnforceOrder(p, "merge_join.inner", s.merge_inner, inner);
     for (const PlanRef& so : sorted_outers) {
       auto node = std::make_shared<PlanNode>();
       node->kind = OpKind::kMergeJoin;
@@ -242,8 +225,8 @@ class MergeJoinStrategy : public JoinStrategy {
                          Cost(p).MergeJoinCost(so->props.cardinality,
                                                sorted_inner->props.cardinality,
                                                s.out_card);
-      FinishJoin(p, s, node, so, sorted_inner, /*preserves_outer_order=*/true,
-                 out);
+      FinishJoin(p, s, node, so->props, sorted_inner->props,
+                 /*preserves_outer_order=*/true, s.residual, out);
     }
   }
 };
@@ -262,7 +245,8 @@ class CartesianNLStrategy : public JoinStrategy {
                        Cost(p).NaiveNestedLoopCost(outer->props.cardinality,
                                                    inner->props.cardinality,
                                                    inner->props.cost);
-    FinishJoin(p, s, node, outer, inner, /*preserves_outer_order=*/true, out);
+    FinishJoin(p, s, node, outer->props, inner->props,
+               /*preserves_outer_order=*/true, s.residual, out);
   }
 };
 
@@ -274,9 +258,8 @@ class IndexNLStrategy : public JoinStrategy {
             const PlanRef& inner, CandidateSet* out) const override {
     (void)inner;  // the inner side is rebuilt as index probes
     if (s.pairs.empty() || __builtin_popcount(s.inner_mask) != 1) return;
-    const QgmBox* box = s.ctx->box;
     size_t qi = static_cast<size_t>(__builtin_ctz(s.inner_mask));
-    const Quantifier& q = box->quantifiers[qi];
+    const Quantifier& q = s.ctx->box->quantifiers[qi];
     if (!q.IsBase()) return;
     const Query& query = GetQuery(p);
     const OptimizerConfig& config = Config(p);
@@ -339,26 +322,12 @@ class IndexNLStrategy : public JoinStrategy {
       for (const Predicate* lp : s.ctx->local_preds[qi]) {
         probe_residual.push_back(*lp);
       }
-      node->props = JoinProperties(outer->props,
-                                   BaseTableProperties(*q.table, q.id),
-                                   s.pairs, /*preserves_outer_order=*/true,
-                                   s.out_card);
       node->props.cost = outer->props.cost +
                          Cost(p).IndexNestedLoopCost(
                              *q.table, idx.clustered, outer->props.cardinality,
                              rows_per_probe, ordered);
-      for (const auto& [l, r] : s.pairs) {
-        node->props.mutable_eq().AddEquivalence(l, r);
-      }
-      node->props.keys.Simplify(node->props.eq());
-      PlanRef result = node;
-      if (!probe_residual.empty()) {
-        result = Filter(p, result, probe_residual, box);
-        auto fixed = std::make_shared<PlanNode>(*result);
-        fixed->props.cardinality = s.out_card;
-        result = fixed;
-      }
-      Insert(p, out, std::move(result));
+      FinishJoin(p, s, node, outer->props, BaseTableProperties(*q.table, q.id),
+                 /*preserves_outer_order=*/true, probe_residual, out);
     }
   }
 };
@@ -486,26 +455,36 @@ void Planner::EnumerateJoins(SelectContext* sctx, Memo* memo) {
 
     // Sort-ahead at intermediate levels (§5.2: "an arbitrary number of
     // levels in a join tree").
-    if (config_.enable_order_optimization && config_.enable_sort_ahead &&
-        !group.empty() && mask != full) {
-      PlanRef cheapest = group.Cheapest();
-      ColumnSet targets = sctx->MaskColumns(mask);
-      for (const OrderSpec& want : sctx->sort_ahead) {
-        OrderSpec homog =
-            HomogenizeOrderPrefix(want, targets, *sctx->info->optimistic_ctx.eq,
-                                  sctx->info->optimistic_ctx);
-        if (homog.empty() || OrderSatisfied(homog, *cheapest)) continue;
-        if (tracing() && homog != want) {
-          trace_->Add("optimizer", "order.homogenize")
-              .Set("site", "intermediate")
-              .Set("requested", want.ToString(query_.namer()))
-              .Set("translated", homog.ToString(query_.namer()));
-        }
-        PlanRef sorted = MakeSort(cheapest, SortSpecFor(homog, *cheapest));
-        bool retained = InsertCandidate(&group, sorted);
-        TraceSortAhead("intermediate", homog, *sorted, retained);
-      }
+    if (mask != full) {
+      SortAhead("intermediate", *sctx, sctx->MaskColumns(mask), &group);
     }
+  }
+}
+
+void Planner::SortAhead(const char* site, const SelectContext& sctx,
+                        const ColumnSet& targets, CandidateSet* group) {
+  if (!config_.enable_order_optimization || !config_.enable_sort_ahead ||
+      group->empty()) {
+    return;
+  }
+  const OrderContext& octx = sctx.info->optimistic_ctx;
+  const bool report_every_homogenization = std::string_view(site) == "leaf";
+  PlanRef cheapest = group->Cheapest();
+  for (const OrderSpec& want : sctx.sort_ahead) {
+    OrderSpec homog = HomogenizeOrderPrefix(want, targets, *octx.eq, octx);
+    if (homog.empty()) continue;
+    bool satisfied = OrderSatisfied(homog, *cheapest);
+    if (tracing() && homog != want &&
+        (report_every_homogenization || !satisfied)) {
+      trace_->Add("optimizer", "order.homogenize")
+          .Set("site", site)
+          .Set("requested", want.ToString(query_.namer()))
+          .Set("translated", homog.ToString(query_.namer()));
+    }
+    if (satisfied) continue;
+    PlanRef sorted = SortFor(/*site=*/nullptr, homog, cheapest);
+    bool retained = InsertCandidate(group, sorted);
+    TraceSortAhead(site, homog, *sorted, retained);
   }
 }
 
@@ -518,15 +497,7 @@ Result<std::vector<PlanRef>> Planner::FoldOuterJoin(
     std::vector<PlanRef> outers) {
   const Quantifier& q = step.quantifier;
 
-  // Columns of the null-supplying side.
-  ColumnSet inner_cols;
-  if (q.IsBase()) {
-    for (size_t c = 0; c < q.table->def().columns.size(); ++c) {
-      inner_cols.Add(ColumnId(q.id, static_cast<int32_t>(c)));
-    }
-  } else {
-    inner_cols = q.input->OutputColumns();
-  }
+  const ColumnSet inner_cols = QuantifierColumns(q);  // null-supplying side
 
   // Split the ON conjuncts: predicates local to the null side can be
   // applied below the join (they only shrink the match set); equality
@@ -557,18 +528,8 @@ Result<std::vector<PlanRef>> Planner::FoldOuterJoin(
 
   // Access paths for the null-supplying side (no sort-ahead through it:
   // only the preserved side's order survives the join).
-  CandidateSet inners;
-  if (q.IsBase()) {
-    inners = BaseAccessPaths(box, q, inner_local, {});
-  } else {
-    ORDOPT_ASSIGN_OR_RETURN(std::vector<PlanRef> child_plans,
-                            PlanBox(q.input));
-    for (PlanRef& child : child_plans) {
-      std::vector<Predicate> preds;
-      for (const Predicate* p : inner_local) preds.push_back(*p);
-      InsertCandidate(&inners, MakeFilter(std::move(child), preds, box));
-    }
-  }
+  ORDOPT_ASSIGN_OR_RETURN(CandidateSet inners,
+                          AccessPaths(box, q, inner_local));
   if (inners.empty()) {
     return Status::Internal("no access path for outer-join quantifier " +
                             q.alias);
@@ -604,33 +565,10 @@ Result<std::vector<PlanRef>> Planner::FoldOuterJoin(
         InsertCandidate(&result, std::move(node));
       }
       // Merge-left: preserves the outer's order.
-      PlanRef sorted_outer = outer;
-      bool lo_sat = OrderSatisfied(merge_outer, *outer);
-      TraceOrderTest("merge_left_join.outer", merge_outer, *outer, lo_sat);
-      if (!lo_sat) {
-        OrderSpec s = SortSpecFor(merge_outer, *outer);
-        if (s.empty()) s = merge_outer;
-        TraceSortDecision("merge_left_join.outer", merge_outer, *outer,
-                          /*avoided=*/false, &s);
-        sorted_outer = MakeSort(outer, s);
-      } else {
-        TraceSortDecision("merge_left_join.outer", merge_outer, *outer,
-                          /*avoided=*/true, nullptr);
-      }
-      PlanRef sorted_inner = cheapest_inner;
-      bool li_sat = OrderSatisfied(merge_inner, *cheapest_inner);
-      TraceOrderTest("merge_left_join.inner", merge_inner, *cheapest_inner,
-                     li_sat);
-      if (!li_sat) {
-        OrderSpec s = SortSpecFor(merge_inner, *cheapest_inner);
-        if (s.empty()) s = merge_inner;
-        TraceSortDecision("merge_left_join.inner", merge_inner,
-                          *cheapest_inner, /*avoided=*/false, &s);
-        sorted_inner = MakeSort(cheapest_inner, s);
-      } else {
-        TraceSortDecision("merge_left_join.inner", merge_inner,
-                          *cheapest_inner, /*avoided=*/true, nullptr);
-      }
+      PlanRef sorted_outer =
+          EnforceOrder("merge_left_join.outer", merge_outer, outer);
+      PlanRef sorted_inner =
+          EnforceOrder("merge_left_join.inner", merge_inner, cheapest_inner);
       auto node = std::make_shared<PlanNode>();
       node->kind = OpKind::kMergeLeftJoin;
       node->join_pairs = pairs;

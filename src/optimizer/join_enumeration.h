@@ -95,43 +95,24 @@ class JoinStrategy {
   static const Query& GetQuery(const Planner& p) { return p.query_; }
   static bool Tracing(const Planner& p) { return p.tracing(); }
   static TraceCollector* Trace(const Planner& p) { return p.trace_; }
-  static bool Satisfied(const Planner& p, const OrderSpec& interesting,
-                        const PlanNode& plan) {
-    return p.OrderSatisfied(interesting, plan);
+  static PlanRef EnforceOrder(Planner& p, const char* site,
+                              const OrderSpec& interesting, PlanRef input) {
+    return p.EnforceOrder(site, interesting, std::move(input));
   }
-  static OrderSpec SortSpec(const Planner& p, const OrderSpec& interesting,
-                            const PlanNode& input) {
-    return p.SortSpecFor(interesting, input);
-  }
-  static PlanRef Sort(Planner& p, PlanRef input, OrderSpec spec) {
-    return p.MakeSort(std::move(input), std::move(spec));
-  }
-  static PlanRef Filter(Planner& p, PlanRef input, std::vector<Predicate> preds,
-                        const QgmBox* box) {
-    return p.MakeFilter(std::move(input), std::move(preds), box);
-  }
-  static bool Insert(Planner& p, CandidateSet* out, PlanRef plan) {
-    return p.InsertCandidate(out, std::move(plan));
-  }
-  static void EmitOrderTest(const Planner& p, const char* site,
-                            const OrderSpec& interesting, const PlanNode& plan,
-                            bool satisfied) {
-    p.TraceOrderTest(site, interesting, plan, satisfied);
-  }
-  static void EmitSortDecision(const Planner& p, const char* site,
-                               const OrderSpec& interesting,
-                               const PlanNode& input, bool avoided,
-                               const OrderSpec* sort_spec) {
-    p.TraceSortDecision(site, interesting, input, avoided, sort_spec);
+  static PlanRef SortFor(Planner& p, const char* site,
+                         const OrderSpec& interesting, PlanRef input) {
+    return p.SortFor(site, interesting, std::move(input));
   }
 
   /// Shared tail of every join emission: derives the join's properties
-  /// (preserving the cost the strategy already priced into `node`), adds
-  /// the join-pair equivalences, applies the split's residual predicates,
-  /// re-pins the mask's deterministic cardinality, and inserts the result.
+  /// from its inputs' (preserving the cost the strategy already priced
+  /// into `node`), adds the join-pair equivalences, applies `residual`
+  /// (the split's residual predicates, or more for an index join), re-pins
+  /// the mask's deterministic cardinality, and inserts the result.
   void FinishJoin(Planner& planner, const JoinSplit& split,
-                  std::shared_ptr<PlanNode> node, const PlanRef& outer,
-                  const PlanRef& inner, bool preserves_outer_order,
+                  std::shared_ptr<PlanNode> node, const PlanProperties& outer,
+                  const PlanProperties& inner, bool preserves_outer_order,
+                  const std::vector<Predicate>& residual,
                   CandidateSet* out) const;
 };
 

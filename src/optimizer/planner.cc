@@ -1,5 +1,6 @@
-// Planner orchestration. The heavy lifting lives in sibling translation
-// units: access_paths.cc (leaf access paths, Sort/Filter constructors),
+// Planner orchestration and the order enforcer (Test Order, then Sort only
+// when it fails). The heavy lifting lives in sibling translation units:
+// access_paths.cc (leaf access paths, node constructors),
 // join_enumeration.cc (the System-R DP over quantifier masks, JoinStrategy
 // implementations, outer-join folding), finishing.cc (DISTINCT / output
 // order / projection, GROUP BY and UNION boxes), planner_trace.cc (decision
@@ -39,8 +40,9 @@ bool Planner::OrderSatisfied(const OrderSpec& interesting,
                              const PlanNode& plan) const {
   if (interesting.empty()) return true;
   // Mutation seam for the verification oracles: a deliberately wrong test
-  // injected here corrupts every order-driven decision (domination, sort
-  // avoidance, stream grouping), and the oracles must catch the fallout.
+  // injected here corrupts every decision taken through this test
+  // (domination, every EnforceOrder site, sort-ahead), and the oracles must
+  // catch the fallout.
   if (config_.order_test_override != nullptr) {
     return config_.order_test_override->Satisfies(interesting, plan);
   }
@@ -72,6 +74,36 @@ OrderSpec Planner::SortSpecFor(const OrderSpec& interesting,
     visible.Append(OrderElement(member.value_or(e.col), e.dir));
   }
   return visible;
+}
+
+PlanRef Planner::EnforceOrder(const char* site, const OrderSpec& interesting,
+                              PlanRef input) {
+  bool satisfied = OrderSatisfied(interesting, *input);
+  TraceOrderTest(site, interesting, *input, satisfied);
+  if (!satisfied) return SortFor(site, interesting, std::move(input));
+  TraceSortDecision(site, interesting, *input, /*avoided=*/true, nullptr);
+  return input;
+}
+
+PlanRef Planner::SortFor(const char* site, const OrderSpec& interesting,
+                         PlanRef input) {
+  OrderSpec spec = SortSpecFor(interesting, *input);
+  if (spec.empty()) spec = interesting;
+  if (site != nullptr) {
+    TraceSortDecision(site, interesting, *input, /*avoided=*/false, &spec);
+  }
+  return MakeSort(std::move(input), std::move(spec));
+}
+
+bool Planner::Grouped(const GeneralOrderSpec& requirement,
+                      const std::vector<ColumnId>& columns,
+                      const PlanNode& input) const {
+  if (!config_.enable_order_optimization) {
+    return NaiveSatisfied(OrderSpec::Ascending(columns), input.props.order);
+  }
+  return requirement.Satisfies(input.props.order,
+                               input.props.Context(config_.transitive_fds)) ||
+         input.props.IsOneRecord();
 }
 
 bool Planner::InsertCandidate(CandidateSet* candidates, PlanRef plan) {
@@ -106,11 +138,12 @@ Result<std::vector<PlanRef>> Planner::PlanSelectBox(const QgmBox* box) {
   // every candidate of a mask to the mask's deterministic cardinality so
   // pruning compares like with like.
   for (size_t i = 0; i < n; ++i) {
+    const Quantifier& q = box->quantifiers[i];
     ORDOPT_ASSIGN_OR_RETURN(CandidateSet leafs,
-                            QuantifierAccessPaths(box, sctx, i));
+                            AccessPaths(box, q, sctx.local_preds[i]));
+    SortAhead(q.IsBase() ? "leaf" : "derived", sctx, sctx.qcols[i], &leafs);
     if (leafs.empty()) {
-      return Status::Internal("no access path for quantifier " +
-                              box->quantifiers[i].alias);
+      return Status::Internal("no access path for quantifier " + q.alias);
     }
     sctx.mask_card[1u << i] = leafs.plans().front()->props.cardinality;
     CandidateSet& group = memo.Group(1u << i);
@@ -140,7 +173,7 @@ Result<std::vector<PlanRef>> Planner::PlanSelectBox(const QgmBox* box) {
     if (!sctx.deferred[s].empty()) {
       CandidateSet filtered;
       for (const PlanRef& p : current) {
-        InsertCandidate(&filtered, MakeFilter(p, sctx.deferred[s], box));
+        InsertCandidate(&filtered, MakeFilter(p, sctx.deferred[s]));
       }
       current = std::move(filtered.mutable_plans());
     }
@@ -162,15 +195,7 @@ Result<std::vector<PlanRef>> Planner::PlanBox(const QgmBox* box) {
 // every enumerated candidate produces the query's declared output columns.
 PlanRef Planner::FinishRootCandidate(PlanRef candidate) const {
   if (candidate->kind == OpKind::kProject) return candidate;
-  auto node = std::make_shared<PlanNode>();
-  node->kind = OpKind::kProject;
-  node->projections = query_.root->outputs;
-  node->children = {candidate};
-  node->props = ProjectProperties(candidate->props,
-                                  query_.root->OutputColumns());
-  node->props.columns = query_.root->OutputColumns();
-  node->props.cost = candidate->props.cost;
-  return node;
+  return MakeProject(std::move(candidate), query_.root, /*op_cost=*/0.0);
 }
 
 Result<PlanRef> Planner::BuildPlan() {

@@ -1,6 +1,7 @@
 #ifndef ORDOPT_OPTIMIZER_PLANNER_H_
 #define ORDOPT_OPTIMIZER_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,11 +103,14 @@ struct OptimizerConfig {
   int parallel_workers = 1;
   /// Testing-only seam for the plan-space oracle's mutation check: when
   /// non-null, replaces the planner's order-satisfaction test (Test Order /
-  /// naive prefix) everywhere it drives decisions — candidate domination,
-  /// sort avoidance, stream-vs-sort grouping. Deliberately wrong
-  /// implementations let tests prove the differential and runtime oracles
-  /// catch the resulting plans. Must outlive the planner. Never set in
-  /// production configs.
+  /// naive prefix, Planner::OrderSatisfied) in candidate domination, in
+  /// every EnforceOrder site (merge-join and merge-left-join inputs, SELECT
+  /// and UNION output order), in sort-ahead's skip test, and in the choice
+  /// of a UNION branch's pre-ordered plan. DISTINCT and GROUP BY adjacency
+  /// (stream vs sort grouping) test the general order directly and are out
+  /// of its reach. Deliberately wrong implementations let tests prove the
+  /// differential and runtime oracles catch the resulting plans. Must
+  /// outlive the planner. Never set in production configs.
   const OrderDomination* order_test_override = nullptr;
 };
 
@@ -164,6 +168,20 @@ class Planner {
     const Planner* planner_;
   };
 
+  /// One grouping operator family for AddGroupings: DISTINCT or GROUP BY.
+  struct Grouping {
+    const char* site;         // trace site: "distinct" / "groupby"
+    const char* requirement;  // trace label of the grouping requirement
+    OpKind stream;            // over an input that is already grouped
+    OpKind sorted;            // over a Sort of the input
+    OpKind hash;
+    size_t aggregates;        // aggregate count, priced per input row
+    // Sets the operator's arguments and its properties over `input`.
+    std::function<void(PlanNode* node, const PlanProperties& input,
+                       bool preserves_order)>
+        shape;
+  };
+
   Result<std::vector<PlanRef>> PlanBox(const QgmBox* box);
 
   // Wraps a root-group candidate in the query's output Project when it is
@@ -189,6 +207,15 @@ class Planner {
   // top of the join-enumeration candidates of a SELECT box.
   std::vector<PlanRef> FinishSelectBox(const QgmBox* box,
                                        const std::vector<PlanRef>& bases);
+  // The grouping alternatives over `input`, DISTINCT and GROUP BY alike: a
+  // stream operator when `adjacent` (the input already groups equal rows,
+  // so the sort is avoided); otherwise, and in enumeration mode as well, a
+  // Sort + stream operator per spec of `sort_specs()` and, when hash
+  // grouping is enabled, a hash operator. Reports order.test at `g.site`,
+  // then sort.avoided or one sort.placed per spec.
+  void AddGroupings(const Grouping& g, const PlanRef& input, bool adjacent,
+                    const std::function<std::vector<OrderSpec>()>& sort_specs,
+                    CandidateSet* out);
 
   // --- join_enumeration.cc -------------------------------------------------
   // System-R DP over quantifier subsets: for every mask (by population
@@ -206,19 +233,27 @@ class Planner {
                                              const OuterJoinStep& step,
                                              std::vector<PlanRef> outers);
 
-  // --- access_paths.cc -----------------------------------------------------
-  // Leaf access paths for one base-table quantifier (scan, index scans,
-  // range scans), with local predicates applied.
-  CandidateSet BaseAccessPaths(const QgmBox* box, const Quantifier& q,
-                               const std::vector<const Predicate*>& local_preds,
-                               const std::vector<OrderSpec>& sort_ahead);
-  // Access paths for quantifier `index` of the SELECT box: BaseAccessPaths
-  // for a base table, recursive PlanBox + local filters (+ sort-ahead) for
-  // a derived quantifier.
-  Result<CandidateSet> QuantifierAccessPaths(const QgmBox* box,
-                                             const SelectContext& sctx,
-                                             size_t index);
+  // Sort-ahead (§5.2) on one candidate group of a SELECT box: for each of
+  // the box's sort-ahead orders, homogenized onto `targets`, that the
+  // group's cheapest plan does not satisfy yet, offers that plan sorted.
+  // `site` ("leaf", "derived", "intermediate") names the level in trace
+  // events; the leaf reports every homogenization it makes, the others
+  // only the ones they sort on.
+  void SortAhead(const char* site, const SelectContext& sctx,
+                 const ColumnSet& targets, CandidateSet* group);
 
+  // --- access_paths.cc -----------------------------------------------------
+  // Access paths for one quantifier with its local predicates applied: the
+  // heap, index and range scans of a base table, or the recursively
+  // planned derived box under a Filter.
+  Result<CandidateSet> AccessPaths(
+      const QgmBox* box, const Quantifier& q,
+      const std::vector<const Predicate*>& local_preds);
+  CandidateSet BaseAccessPaths(
+      const QgmBox* box, const Quantifier& q,
+      const std::vector<const Predicate*>& local_preds);
+
+  // --- planner.cc: the order enforcer (§4.2) --------------------------------
   // True when `property` (a plan's physical order) satisfies `interesting`
   // under this config: the paper's Test Order when enabled, a naive exact
   // prefix comparison when disabled.
@@ -228,6 +263,24 @@ class Planner {
   // minimal (reduced) when enabled, verbatim when disabled (§4.2).
   OrderSpec SortSpecFor(const OrderSpec& interesting,
                         const PlanNode& input) const;
+
+  // Every site that needs an order calls this: `input` itself when it
+  // satisfies `interesting` (OrderSatisfied), else SortFor. Reports
+  // order.test, then sort.avoided or sort.placed, at `site`.
+  PlanRef EnforceOrder(const char* site, const OrderSpec& interesting,
+                       PlanRef input);
+  // A Sort of `input` on SortSpecFor(interesting), or on `interesting`
+  // itself when that reduces away; reported as sort.placed at `site`
+  // unless `site` is null.
+  PlanRef SortFor(const char* site, const OrderSpec& interesting,
+                  PlanRef input);
+  // True when `input` already groups equal values together for
+  // `requirement` (DISTINCT / GROUP BY): the general order's Satisfies, or
+  // a one-record input, when order optimization is on; the naive prefix on
+  // `columns` when off.
+  bool Grouped(const GeneralOrderSpec& requirement,
+               const std::vector<ColumnId>& columns,
+               const PlanNode& input) const;
 
   // Adds `plan` to `candidates` under the (cost, order) domination rule —
   // CandidateSet::Insert with this planner's order test — and counts the
@@ -244,9 +297,12 @@ class Planner {
   // exactly the alternatives the differential oracle needs to execute.
   void FinalInsert(CandidateSet* candidates, PlanRef plan);
 
+  // Node constructors (access_paths.cc). MakeProject projects to `box`'s
+  // outputs and adds `op_cost`, the caller's price of the projection.
   PlanRef MakeSort(PlanRef input, OrderSpec spec);
-  PlanRef MakeFilter(PlanRef input, std::vector<Predicate> preds,
-                     const QgmBox* box);
+  PlanRef MakeFilter(PlanRef input, std::vector<Predicate> preds);
+  PlanRef MakeProject(PlanRef input, const QgmBox* box, double op_cost) const;
+  PlanRef MakeLimit(PlanRef input, int64_t limit) const;
 
   // --- planner_trace.cc: trace helpers (no-ops when trace_ is null) --------
   bool tracing() const { return trace_ != nullptr; }

@@ -32,44 +32,6 @@ PlanCache::~PlanCache() {
   metrics_->UnregisterCallbackGauge("plan_cache.entries");
 }
 
-std::string NormalizeQueryText(const std::string& sql) {
-  std::string out;
-  out.reserve(sql.size());
-  bool in_string = false;
-  bool pending_space = false;
-  for (size_t i = 0; i < sql.size(); ++i) {
-    char c = sql[i];
-    if (in_string) {
-      out += c;
-      // A doubled '' inside a literal is an escaped quote, not the end.
-      if (c == '\'') {
-        if (i + 1 < sql.size() && sql[i + 1] == '\'') {
-          out += '\'';
-          ++i;
-        } else {
-          in_string = false;
-        }
-      }
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
-      continue;
-    }
-    if (pending_space) {
-      out += ' ';
-      pending_space = false;
-    }
-    if (c == '\'') {
-      in_string = true;
-      out += c;
-    } else {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-  }
-  return out;
-}
-
 std::string ParameterizeQueryText(const std::string& sql,
                                   std::vector<std::string>* literals) {
   std::string out;

@@ -15,14 +15,10 @@
 
 namespace ordopt {
 
-/// Normalizes query text for plan-cache keying: lowercases everything
-/// outside single-quoted string literals and collapses runs of whitespace
-/// to one space, so "SELECT  x\nFROM t" and "select x from t" share a
-/// cache entry while "where name = 'Smith'" and "... = 'smith'" do not.
-std::string NormalizeQueryText(const std::string& sql);
-
-/// Parameterized normalization: NormalizeQueryText plus literal stripping.
-/// String literals ('...', with '' escapes) and numeric literals
+/// Normalizes query text into its plan-cache key: lowercases everything
+/// outside string literals, collapses runs of whitespace to one space (so
+/// "SELECT  x\nFROM t" and "select x from t" share an entry), and strips
+/// literals. String literals ('...', with '' escapes) and numeric literals
 /// (digit-dot runs not preceded by an identifier character, so `col2` and
 /// `e1.salary` survive intact) are replaced by `?` and appended to
 /// `*literals` in order of appearance (strings keep their quotes and

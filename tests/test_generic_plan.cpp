@@ -236,7 +236,7 @@ int CheckTemplate(Database* db, const std::string& name,
         const std::string context =
             StrFormat("%s [workers=%d batch=%lld] ", name.c_str(), workers,
                       static_cast<long long>(batch)) +
-            NormalizeQueryText(texts[i]);
+            texts[i];
         Result<QueryResult> generic = engine.RunPrepared(prepared, texts[i]);
         EXPECT_TRUE(generic.ok()) << context << generic.status().ToString();
         if (!generic.ok()) continue;
@@ -291,7 +291,7 @@ TEST(GenericPlanOracle, TpcdTemplatesAtBenchmarkLiteralSets) {
     ParameterizeQueryText(t.sql, &canonical);
     ASSERT_EQ(canonical, t.sets[0]);
     std::vector<std::string> texts = TpcdTemplateTexts(t);
-    served += CheckTemplate(&db, NormalizeQueryText(t.sql).substr(0, 40),
+    served += CheckTemplate(&db, std::string(t.sql).substr(0, 40),
                             texts, OptimizerConfig());
     runs += static_cast<int>(texts.size() * kProfiles);
   }

@@ -26,25 +26,6 @@ PreparedPlan FakePlan(const std::string& tag) {
   return p;
 }
 
-TEST(NormalizeQueryText, CollapsesWhitespaceAndCase) {
-  EXPECT_EQ(NormalizeQueryText("SELECT  x\n\tFROM   T"),
-            NormalizeQueryText("select x from t"));
-  EXPECT_EQ(NormalizeQueryText("  select 1  "), "select 1");
-}
-
-TEST(NormalizeQueryText, PreservesStringLiterals) {
-  // Case inside a literal is semantic; outside it is not.
-  EXPECT_EQ(NormalizeQueryText("SELECT 'MiXeD' FROM t"),
-            "select 'MiXeD' from t");
-  EXPECT_NE(NormalizeQueryText("select 'a' from t"),
-            NormalizeQueryText("select 'A' from t"));
-  // Whitespace inside a literal survives; a doubled quote does not end it.
-  EXPECT_EQ(NormalizeQueryText("select 'two  spaces' from t"),
-            "select 'two  spaces' from t");
-  EXPECT_EQ(NormalizeQueryText("select 'It''s  A' FROM T"),
-            "select 'It''s  A' from t");
-}
-
 TEST(ParameterizeQueryText, StripsLiteralsIntoTemplate) {
   std::vector<std::string> literals;
   EXPECT_EQ(ParameterizeQueryText(
