@@ -50,12 +50,13 @@
 // numbers (the check.sh --batch gate reads it and enforces >= 1.5x at
 // batch size 1024).
 //
-// --parallel-sweep instead runs Q3 at 1/2/4 exchange workers
+// --parallel-sweep instead runs Q3 (DB2/CS profile) and the pricing
+// summary (hash profile) at 1/2/4 exchange workers
 // (OptimizerConfig::parallel_workers), asserts every parallel row stream
 // is identical to serial, and reports the wall-clock speedup next to the
 // modeled critical-path speedup from per-thread CPU time. --json=PATH
 // emits the numbers (the check.sh --parallel gate reads it and enforces
-// >= 1.8x wall-clock speedup at 4 workers).
+// >= 1.8x wall-clock speedup at 4 workers on each query).
 
 #include <algorithm>
 #include <chrono>
@@ -558,57 +559,69 @@ int BatchSweep(Database* db, int runs, const std::string& json_path) {
   return rows_identical ? 0 : 1;
 }
 
-// Parallel-worker sweep: Q3 at 1/2/4 exchange workers. Correctness is a
-// hard gate — every parallel row stream must be identical to serial. The
-// speedup is measured on the wall clock (median exec time per mode,
-// serial over parallel). Beside it the sweep reports the *modeled
-// critical-path speedup* from per-thread CPU time: a run's critical path
-// is the main thread's execution CPU plus the busiest worker's CPU
-// (metrics.worker_busy_ns_max), i.e. the makespan with at least `workers`
-// idle cores. The serial run's critical path is simply its thread CPU.
-// Where the two disagree, the gap is scheduling: cores busy elsewhere, or
-// workers waiting on each other.
-int ParallelSweep(Database* db, int runs, const std::string& json_path) {
-  constexpr int kWorkers[] = {1, 2, 4};
-  constexpr int kNumModes = 3;
-  constexpr int kIterations = 7;
+// Parallel-worker sweep: Q3 (DB2/CS profile) and the pricing summary (hash
+// profile, whose group-by aggregates in the workers) at 1/2/4 exchange
+// workers. Correctness is a hard gate — every parallel row stream must be
+// identical to serial. The speedup is measured on the wall clock (median
+// exec time per mode, serial over parallel). Beside it the sweep reports
+// the *modeled critical-path speedup* from per-thread CPU time: a run's
+// critical path is the main thread's execution CPU plus the busiest
+// worker's CPU (metrics.worker_busy_ns_max), i.e. the makespan with at
+// least `workers` idle cores. The serial run's critical path is simply its
+// thread CPU. Where the two disagree, the gap is scheduling: cores busy
+// elsewhere, or workers waiting on each other.
+struct SweepQuery {
+  const char* name;
+  const char* sql;
+  bool hash;  ///< hash profile; else DB2/CS
+};
 
+constexpr int kSweepWorkers[] = {1, 2, 4};
+constexpr int kSweepModes = 3;
+
+struct SweepResult {
+  bool rows_identical = true;
+  int64_t exchange_batches[kSweepModes] = {0, 0, 0};
+  double wall_us[kSweepModes] = {0, 0, 0};
+  double critical_us[kSweepModes] = {0, 0, 0};
+};
+
+bool SweepOne(Database* db, const SweepQuery& q, int runs, int iterations,
+              SweepResult* out) {
   auto thread_cpu_ns = [] {
     timespec ts;
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
   };
+  auto config = [&q](int workers) {
+    OptimizerConfig cfg;
+    cfg.enable_order_optimization = true;
+    cfg.enable_hash_join = q.hash;
+    cfg.enable_hash_grouping = q.hash;
+    cfg.parallel_workers = workers;
+    return cfg;
+  };
 
   std::vector<Row> serial_rows;
-  bool rows_identical = true;
-  int64_t exchange_batches[kNumModes] = {0, 0, 0};
-  std::vector<double> wall_medians[kNumModes];
-  std::vector<double> critical_medians[kNumModes];
+  std::vector<double> wall_medians[kSweepModes];
+  std::vector<double> critical_medians[kSweepModes];
   // Warm-up: first touch of the tables and the allocator.
   {
-    OptimizerConfig cfg;
-    cfg.enable_hash_join = false;
-    cfg.enable_hash_grouping = false;
-    QueryEngine engine(db, cfg);
-    if (!engine.Run(tpcd_queries::kQuery3).ok()) return 1;
+    QueryEngine engine(db, config(1));
+    if (!engine.Run(q.sql).ok()) return false;
   }
-  for (int it = 0; it < kIterations; ++it) {
-    for (int m = 0; m < kNumModes; ++m) {
-      OptimizerConfig cfg;
-      cfg.enable_order_optimization = true;
-      cfg.enable_hash_join = false;
-      cfg.enable_hash_grouping = false;
-      cfg.parallel_workers = kWorkers[m];
-      QueryEngine engine(db, cfg);
+  for (int it = 0; it < iterations; ++it) {
+    for (int m = 0; m < kSweepModes; ++m) {
+      QueryEngine engine(db, config(kSweepWorkers[m]));
       std::vector<double> walls, criticals;
       for (int i = 0; i < runs; ++i) {
         int64_t cpu_before = thread_cpu_ns();
-        Result<QueryResult> r = engine.Run(tpcd_queries::kQuery3);
+        Result<QueryResult> r = engine.Run(q.sql);
         int64_t main_cpu = thread_cpu_ns() - cpu_before;
         if (!r.ok()) {
-          std::fprintf(stderr, "Q3 failed at %d workers: %s\n", kWorkers[m],
-                       r.status().ToString().c_str());
-          return 1;
+          std::fprintf(stderr, "%s failed at %d workers: %s\n", q.name,
+                       kSweepWorkers[m], r.status().ToString().c_str());
+          return false;
         }
         // Execution critical path: main-thread CPU minus the (serial,
         // identical-across-modes) planning phase, plus the busiest
@@ -620,11 +633,11 @@ int ParallelSweep(Database* db, int runs, const std::string& json_path) {
         walls.push_back(r.value().elapsed_seconds);
         criticals.push_back(critical / 1e9);
         if (it == 0 && i == 0) {
-          exchange_batches[m] = r.value().metrics.exchange_batches;
+          out->exchange_batches[m] = r.value().metrics.exchange_batches;
           if (m == 0) {
             serial_rows = std::move(r.value().rows);
           } else if (r.value().rows != serial_rows) {
-            rows_identical = false;
+            out->rows_identical = false;
           }
         }
       }
@@ -632,27 +645,42 @@ int ParallelSweep(Database* db, int runs, const std::string& json_path) {
       critical_medians[m].push_back(Median(criticals));
     }
   }
-
-  double wall_us[kNumModes], critical_us[kNumModes];
-  for (int m = 0; m < kNumModes; ++m) {
-    wall_us[m] = Median(wall_medians[m]) * 1e6;
-    critical_us[m] = Median(critical_medians[m]) * 1e6;
+  for (int m = 0; m < kSweepModes; ++m) {
+    out->wall_us[m] = Median(wall_medians[m]) * 1e6;
+    out->critical_us[m] = Median(critical_medians[m]) * 1e6;
   }
 
-  std::printf("--- parallel-worker sweep on Q3 (%d runs x%d paired "
-              "iterations) ---\n",
-              runs, kIterations);
+  std::printf("--- parallel-worker sweep on %s, %s profile (%d runs x%d "
+              "paired iterations) ---\n",
+              q.name, q.hash ? "hash" : "DB2/CS", runs, iterations);
   std::printf("%-8s %12s %13s %18s %16s %10s\n", "workers", "wall (us)",
               "wall speedup", "critical-path (us)", "modeled speedup",
               "exch bat");
-  for (int m = 0; m < kNumModes; ++m) {
-    std::printf("%-8d %12.1f %12.2fx %18.1f %15.2fx %10lld\n", kWorkers[m],
-                wall_us[m], wall_us[0] / wall_us[m], critical_us[m],
-                critical_us[0] / critical_us[m],
-                static_cast<long long>(exchange_batches[m]));
+  for (int m = 0; m < kSweepModes; ++m) {
+    std::printf("%-8d %12.1f %12.2fx %18.1f %15.2fx %10lld\n",
+                kSweepWorkers[m], out->wall_us[m],
+                out->wall_us[0] / out->wall_us[m], out->critical_us[m],
+                out->critical_us[0] / out->critical_us[m],
+                static_cast<long long>(out->exchange_batches[m]));
   }
-  std::printf("\nrow streams identical to serial: %s\n",
-              rows_identical ? "YES" : "NO  <-- FAIL");
+  std::printf("row streams identical to serial: %s\n\n",
+              out->rows_identical ? "YES" : "NO  <-- FAIL");
+  return true;
+}
+
+int ParallelSweep(Database* db, int runs, const std::string& json_path) {
+  constexpr int kIterations = 7;
+  const SweepQuery queries[] = {
+      {"tpcd_q3", tpcd_queries::kQuery3, /*hash=*/false},
+      {"tpcd_pricing", tpcd_queries::kPricingSummary, /*hash=*/true},
+  };
+  constexpr int kQueries = 2;
+  SweepResult results[kQueries];
+  bool rows_identical = true;
+  for (int i = 0; i < kQueries; ++i) {
+    if (!SweepOne(db, queries[i], runs, kIterations, &results[i])) return 1;
+    rows_identical = rows_identical && results[i].rows_identical;
+  }
 
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
@@ -662,22 +690,31 @@ int ParallelSweep(Database* db, int runs, const std::string& json_path) {
     }
     std::fprintf(f,
                  "{\n"
-                 "  \"query\": \"tpcd_q3\",\n"
                  "  \"runs\": %d,\n"
                  "  \"iterations\": %d,\n"
                  "  \"rows_identical\": %s,\n"
-                 "  \"workers\": [\n",
+                 "  \"queries\": [\n",
                  runs, kIterations, rows_identical ? "true" : "false");
-    for (int m = 0; m < kNumModes; ++m) {
+    for (int i = 0; i < kQueries; ++i) {
+      const SweepResult& r = results[i];
       std::fprintf(f,
-                   "    {\"workers\": %d, \"wall_us\": %.1f, "
-                   "\"wall_speedup\": %.4f, \"critical_path_us\": %.1f, "
-                   "\"modeled_speedup\": %.4f, \"exchange_batches\": "
-                   "%lld}%s\n",
-                   kWorkers[m], wall_us[m], wall_us[0] / wall_us[m],
-                   critical_us[m], critical_us[0] / critical_us[m],
-                   static_cast<long long>(exchange_batches[m]),
-                   m + 1 < kNumModes ? "," : "");
+                   "    {\"query\": \"%s\", \"profile\": \"%s\", "
+                   "\"rows_identical\": %s, \"workers\": [\n",
+                   queries[i].name, queries[i].hash ? "hash" : "db2",
+                   r.rows_identical ? "true" : "false");
+      for (int m = 0; m < kSweepModes; ++m) {
+        std::fprintf(f,
+                     "      {\"workers\": %d, \"wall_us\": %.1f, "
+                     "\"wall_speedup\": %.4f, \"critical_path_us\": %.1f, "
+                     "\"modeled_speedup\": %.4f, \"exchange_batches\": "
+                     "%lld}%s\n",
+                     kSweepWorkers[m], r.wall_us[m],
+                     r.wall_us[0] / r.wall_us[m], r.critical_us[m],
+                     r.critical_us[0] / r.critical_us[m],
+                     static_cast<long long>(r.exchange_batches[m]),
+                     m + 1 < kSweepModes ? "," : "");
+      }
+      std::fprintf(f, "    ]}%s\n", i + 1 < kQueries ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -69,11 +69,12 @@
 #                                         the guard thread-safety hammer) and
 #                                         the fuzz identity matrix under BOTH
 #                                         asan-ubsan and ThreadSanitizer,
-#                                         then runs the Q3 parallel-worker
-#                                         sweep into BENCH_parallel.json and
-#                                         enforces row-identity to serial
-#                                         plus >= 1.8x wall-clock speedup at
-#                                         4 workers (the modeled critical-path
+#                                         then runs the Q3 and pricing
+#                                         parallel-worker sweeps into
+#                                         BENCH_parallel.json and enforces
+#                                         row-identity to serial plus >= 1.8x
+#                                         wall-clock speedup at 4 workers on
+#                                         each (the modeled critical-path
 #                                         speedup is reported beside it)
 #        scripts/check.sh --metrics       observability gate: runs the
 #                                         metrics suite (histogram math,
@@ -341,8 +342,9 @@ fi
 # workers) under address/UB sanitizers AND ThreadSanitizer — exchange
 # workers, the shared morsel scheduler, and guard accounting are all
 # cross-thread, so TSan is the gate that keeps them honest. Finishes with
-# the Q3 parallel-worker sweep: rows must be identical to serial and the
-# wall-clock speedup must reach >= 1.8x at 4 workers; the modeled
+# the parallel-worker sweep of Q3 (DB2/CS) and pricing (hash, aggregating
+# in the workers): rows must be identical to serial and the wall-clock
+# speedup must reach >= 1.8x at 4 workers on each query; the modeled
 # critical-path speedup from per-thread CPU time (main thread + busiest
 # worker) is reported beside it. Other load on the host can push the wall
 # ratio down, so one passing attempt out of three proves the true value.
@@ -364,7 +366,7 @@ if [ "${1:-}" = "--parallel" ]; then
   PARALLEL_GATE_OK=0
   for attempt in 1 2 3; do
     if ! ./build/bench/bench_table1_q3 --parallel-sweep \
-      --json=BENCH_parallel.json | tail -n 9; then
+      --json=BENCH_parallel.json | tail -n 16; then
       echo "FAIL: parallel sweep reported a row-identity mismatch"
       exit 1
     fi
@@ -376,26 +378,32 @@ report = json.load(open("BENCH_parallel.json"))
 failures = []
 if not report["rows_identical"]:
     failures.append("parallel runs are not row-identical to serial")
-by_workers = {w["workers"]: w for w in report["workers"]}
-if 4 not in by_workers:
-    failures.append("sweep is missing the 4-worker mode")
-else:
+queries = {q["query"]: q for q in report["queries"]}
+for name in ("tpcd_q3", "tpcd_pricing"):
+    if name not in queries:
+        failures.append(f"sweep is missing {name}")
+        continue
+    by_workers = {w["workers"]: w for w in queries[name]["workers"]}
+    if 4 not in by_workers:
+        failures.append(f"{name}: sweep is missing the 4-worker mode")
+        continue
     speedup = by_workers[4]["wall_speedup"]
     if speedup < 1.8:
         failures.append(
-            f"wall-clock speedup {speedup:.2f}x at 4 workers is below 1.8x "
-            f"(modeled {by_workers[4]['modeled_speedup']:.2f}x)")
+            f"{name}: wall-clock speedup {speedup:.2f}x at 4 workers is "
+            f"below 1.8x (modeled {by_workers[4]['modeled_speedup']:.2f}x)")
     if by_workers[4]["exchange_batches"] <= 0:
-        failures.append("4-worker run reports no exchange batches")
+        failures.append(f"{name}: 4-worker run reports no exchange batches")
 
 if failures:
     for f in failures:
         print("    " + f)
     sys.exit(1)
-print("    " + ", ".join(
-    f"{w['workers']}w: {w['wall_speedup']:.2f}x wall "
-    f"({w['modeled_speedup']:.2f}x modeled)"
-    for w in report["workers"]) + "; rows identical to serial")
+for q in report["queries"]:
+    print(f"    {q['query']}: " + ", ".join(
+        f"{w['workers']}w: {w['wall_speedup']:.2f}x wall "
+        f"({w['modeled_speedup']:.2f}x modeled)"
+        for w in q["workers"]) + "; rows identical to serial")
 EOF
     then
       PARALLEL_GATE_OK=1

@@ -32,6 +32,8 @@ const char* CodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kUnavailable:
       return "Unavailable";
+    case StatusCode::kOutOfRange:
+      return "OutOfRange";
   }
   return "Unknown";
 }

@@ -25,6 +25,7 @@ enum class StatusCode {
   kIoError,           ///< a file operation failed (possibly transient)
   kUnavailable,       ///< fast-fail: a circuit breaker is open for the
                       ///< fault domain this request depends on
+  kOutOfRange,        ///< a result does not fit its type (int64 SUM)
 };
 
 /// Lightweight error-or-success value, RocksDB/Arrow style.
@@ -71,6 +72,9 @@ class Status {
   }
   static Status Unavailable(std::string m) {
     return Status(StatusCode::kUnavailable, std::move(m));
+  }
+  static Status OutOfRange(std::string m) {
+    return Status(StatusCode::kOutOfRange, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -35,8 +35,15 @@ ColumnSet NodeOwnColumns(const PlanNode& plan, bool verify_orders) {
   }
   for (const ColumnId& c : plan.group_columns) own.Add(c);
   for (const AggregateSpec& a : plan.aggregates) {
-    if (!a.count_star) a.arg.CollectColumns(&own);
+    // A final aggregation reads each aggregate's partial state, in the
+    // column of the aggregate's output.
+    if (plan.agg_phase == AggPhase::kFinal) {
+      own.Add(a.output);
+    } else if (!a.count_star) {
+      a.arg.CollectColumns(&own);
+    }
   }
+  if (plan.agg_phase == AggPhase::kPartial) own.Add(ProvenanceColumnId());
   for (const ColumnId& c : plan.distinct_columns) own.Add(c);
   for (const OutputColumn& oc : plan.projections) {
     oc.expr.CollectColumns(&own);
@@ -202,7 +209,8 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
     case OpKind::kHashGroupBy:
       built = OperatorPtr(new HashGroupByOp(std::move(children[0]),
                                             plan->group_columns,
-                                            plan->aggregates, ctx));
+                                            plan->aggregates, ctx,
+                                            plan->agg_phase));
       break;
     case OpKind::kStreamDistinct:
       built = OperatorPtr(new StreamDistinctOp(std::move(children[0]),

@@ -458,19 +458,27 @@ class HashJoinOp : public JoinOp {
 };
 
 /// Shared shape of the grouping operators, both on the grouping kernel:
-/// output layout (group columns then aggregate outputs), the key positions
-/// in the child layout, the accumulator, and one buffer account for what
-/// the operator retains.
+/// output layout (group columns then aggregate outputs; in the partial
+/// phase the provenance column sits between them), the key positions in
+/// the child layout, the accumulator, and one buffer account for what the
+/// operator retains.
 class GroupByOp : public Operator {
  public:
   void Close() override;
 
  protected:
   GroupByOp(OperatorPtr child, const std::vector<ColumnId>& group_columns,
-            std::vector<AggregateSpec> aggregates, ExecContext ctx);
+            std::vector<AggregateSpec> aggregates, ExecContext ctx,
+            AggPhase phase = AggPhase::kComplete);
+  /// Finalizes `group` of `acc` into `out`; false (the guard poisoned) on
+  /// an aggregate overflow.
+  bool Emit(AggAccumulator* acc, int64_t group, RowBatch* out);
 
   OperatorPtr child_;
   std::vector<int> group_positions_;
+  /// The accumulator's key columns: the group columns, then in the partial
+  /// phase the provenance column.
+  std::vector<int> key_positions_;
   BufferAccount buffer_;
   AggAccumulator acc_;
   RowBatch input_;  ///< scratch batch pulled from the child
@@ -571,12 +579,21 @@ class StreamGroupByOp : public GroupByOp {
 /// ascending key order (Value::Compare order; not claimed as an order
 /// property, just reproducible). Buffers one row per group (its key) and
 /// per retained DISTINCT-aggregate value, never one per input row.
+///
+/// Split around an exchange (DESIGN.md §15), the partial phase runs in
+/// each worker and emits one row per group — key, partial states, and the
+/// provenance of the group's first row — in first-seen order, which is
+/// provenance order; a global aggregate emits no row for an empty input.
+/// The final phase merges those states, and since the exchange hands it
+/// each group's globally first-seen partial first, it keeps the key values
+/// a serial run keeps.
 class HashGroupByOp : public GroupByOp {
  public:
   HashGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
-                std::vector<AggregateSpec> aggregates, ExecContext ctx)
+                std::vector<AggregateSpec> aggregates, ExecContext ctx,
+                AggPhase phase = AggPhase::kComplete)
       : GroupByOp(std::move(child), group_columns, std::move(aggregates),
-                  ctx) {}
+                  ctx, phase) {}
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;

@@ -120,6 +120,9 @@ std::string NodeLabel(const PlanNode& node_ref, const ColumnNamer& namer) {
     case OpKind::kStreamGroupBy:
     case OpKind::kSortGroupBy:
     case OpKind::kHashGroupBy: {
+      if (node->agg_phase != AggPhase::kComplete) {
+        *out += node->agg_phase == AggPhase::kPartial ? "(partial)" : "(final)";
+      }
       std::vector<std::string> cols;
       for (const ColumnId& c : node->group_columns) {
         cols.push_back(namer ? namer(c) : DefaultColumnName(c));

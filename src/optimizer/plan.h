@@ -86,6 +86,9 @@ struct PlanNode {
   // -- grouping / distinct ---------------------------------------------------
   std::vector<ColumnId> group_columns;
   std::vector<AggregateSpec> aggregates;
+  /// kHashGroupBy: complete, or one half of an aggregation split around an
+  /// exchange by the Parallelize post-pass.
+  AggPhase agg_phase = AggPhase::kComplete;
   ColumnSet distinct_columns;
 
   // -- projection -----------------------------------------------------------

@@ -58,6 +58,11 @@ struct AggregateSpec {
   std::string name;
 };
 
+/// Where a physical aggregation runs relative to a parallel exchange: the
+/// whole aggregation, the per-worker partial below the exchange, or the
+/// final merge of the partial states above it (DESIGN.md §15).
+enum class AggPhase { kComplete, kPartial, kFinal };
+
 /// A QGM box: SELECT (join + predicates + projection + optional DISTINCT
 /// and output order requirement), GROUP BY, or UNION (§3: "the basic set
 /// of boxes include those for SELECT, GROUP BY, and UNION"). ORDER BY is

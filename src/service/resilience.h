@@ -183,6 +183,7 @@ class ResilienceManager {
       case StatusCode::kTimeout:            // caller's deadline
       case StatusCode::kResourceExhausted:  // caller's limits / shared pool
       case StatusCode::kUnavailable:        // breaker fast-fail
+      case StatusCode::kOutOfRange:         // the data's total, not the plan
         return false;
       default:
         return true;

@@ -801,7 +801,10 @@ void ExpectSameRows(const std::vector<Row>& actual,
 // Brute force: groups found by linear search (first-seen key values kept),
 // values folded in input order, DISTINCT values deduplicated by Compare
 // (first seen kept) and folded in ascending order; groups emitted in
-// ascending key order. A global aggregate always has its one group.
+// ascending key order. A global aggregate always has its one group. Sums
+// are exact: an int64 sum while only int64s arrive, else the total
+// accumulated in __float128 (exact over these small ranges) and rounded
+// once.
 std::vector<Row> ReferenceGroupBy(const std::vector<Row>& input,
                                   const std::vector<int>& keys,
                                   const std::vector<AggregateSpec>& aggs) {
@@ -848,18 +851,18 @@ std::vector<Row> ReferenceGroupBy(const std::vector<Row>& input,
       }
       if (spec.distinct) std::sort(values.begin(), values.end());
       int64_t sum_i = 0;
-      double sum_d = 0.0;
+      __float128 exact = 0;
       bool is_int = true;
       Value best;
       const bool sums =
           spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg;
       for (const Value& v : values) {
-        if (sums && v.type() == DataType::kInt64 && is_int) {
+        if (sums && v.type() == DataType::kInt64) {
           sum_i += v.AsInt();
+          exact += static_cast<__float128>(v.AsInt());
         } else if (sums) {
-          if (is_int) sum_d = static_cast<double>(sum_i);
           is_int = false;
-          sum_d += v.AsDouble();
+          exact += static_cast<__float128>(v.AsDouble());
         }
         const int cmp = best.is_null() ? 0 : v.Compare(best);
         if (best.is_null() || (spec.func == AggFunc::kMin && cmp < 0) ||
@@ -868,7 +871,7 @@ std::vector<Row> ReferenceGroupBy(const std::vector<Row>& input,
         }
       }
       const int64_t n = static_cast<int64_t>(values.size());
-      const double total = is_int ? static_cast<double>(sum_i) : sum_d;
+      const double total = static_cast<double>(exact);
       switch (spec.func) {
         case AggFunc::kCount:
           row.push_back(Value::Int(n));
@@ -876,7 +879,7 @@ std::vector<Row> ReferenceGroupBy(const std::vector<Row>& input,
         case AggFunc::kSum:
           row.push_back(n == 0 ? Value::Null()
                                : is_int ? Value::Int(sum_i)
-                                        : Value::Double(sum_d));
+                                        : Value::Double(total));
           break;
         case AggFunc::kAvg:
           row.push_back(n == 0 ? Value::Null()
