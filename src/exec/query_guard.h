@@ -317,6 +317,14 @@ class BufferAccount {
     return guard_->OnRowsBuffered(1, bytes);
   }
 
+  /// Charges `bytes` of operator state that is not a row (an aggregate's
+  /// exact sum). Returns false once a buffer limit trips.
+  bool AddBytes(int64_t bytes) {
+    if (guard_ == nullptr) return true;
+    bytes_ += bytes;
+    return guard_->OnRowsBuffered(0, bytes);
+  }
+
   /// Re-prices one already-charged row that is being replaced in place
   /// (e.g. a Top-N heap eviction): swaps `old_row`'s bytes for
   /// `new_row`'s without changing the row count. Returns false once a
@@ -332,7 +340,7 @@ class BufferAccount {
 
   /// Releases everything charged so far.
   void Release() {
-    if (guard_ != nullptr && rows_ > 0) {
+    if (guard_ != nullptr && (rows_ > 0 || bytes_ > 0)) {
       guard_->OnBufferReleased(rows_, bytes_);
     }
     rows_ = 0;

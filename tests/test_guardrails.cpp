@@ -9,11 +9,14 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "exec/engine.h"
+#include "exec/exact_sum.h"
 #include "exec/query_guard.h"
 #include "query_test_util.h"
+#include "tpcd/tpcd.h"
 
 namespace ordopt {
 namespace {
@@ -96,6 +99,47 @@ TEST_F(GuardrailsTest, BufferedBytesLimitTripsOnBlockingSort) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("bytes"), std::string::npos);
   EXPECT_GT(engine.last_metrics().bytes_buffered_peak, 512);
+}
+
+// A SUM over doubles whose group needs an ExactSum — here every term is
+// +Inf, which only an ExactSum records — holds one per group, charged like
+// the group's key row: a high-cardinality double SUM then trips a byte
+// limit that the same group-by's key rows alone stay under.
+TEST(GuardrailsExactSum, BufferedBytesLimitCountsExactSums) {
+  Database db;
+  TpcdConfig tpcd;
+  tpcd.scale_factor = 0.001;
+  ASSERT_TRUE(LoadTpcd(&db, tpcd).ok());
+  const std::string keys_only =
+      "select l_extendedprice, count(*) from lineitem "
+      "group by l_extendedprice";
+  // l_extendedprice (at least 900) times 10^306 overflows to +Inf.
+  const std::string sums = "select l_extendedprice, sum(l_extendedprice * 1" +
+                           std::string(306, '0') +
+                           ".0) from lineitem group by l_extendedprice";
+  OptimizerConfig config;
+  config.enable_hash_grouping = true;
+  QueryEngine unlimited(&db, config);
+  auto keys = unlimited.Run(keys_only);
+  ASSERT_TRUE(keys.ok()) << keys.status().ToString();
+  const int64_t groups = static_cast<int64_t>(keys.value().rows.size());
+  ASSERT_GT(groups, 1000);
+  const int64_t key_bytes = keys.value().metrics.bytes_buffered_peak;
+  const int64_t exact_bytes = groups * static_cast<int64_t>(sizeof(ExactSum));
+  auto summed = unlimited.Run(sums);
+  ASSERT_TRUE(summed.ok()) << summed.status().ToString();
+  EXPECT_EQ(summed.value().rows[0][1].AsDouble(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_GE(summed.value().metrics.bytes_buffered_peak,
+            key_bytes + exact_bytes);
+
+  config.limits.max_buffered_bytes = key_bytes + exact_bytes / 2;
+  QueryEngine limited(&db, config);
+  EXPECT_TRUE(limited.Run(keys_only).ok());
+  auto tripped = limited.Run(sums);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(tripped.status().message().find("bytes"), std::string::npos);
 }
 
 TEST_F(GuardrailsTest, TinyDeadlineTripsWithTimeout) {
