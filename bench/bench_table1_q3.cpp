@@ -54,15 +54,18 @@
 // summary (hash profile) at 1/2/4 exchange workers
 // (OptimizerConfig::parallel_workers), asserts every parallel row stream
 // is identical to serial, and reports the wall-clock speedup next to the
-// modeled critical-path speedup from per-thread CPU time. --json=PATH
-// emits the numbers (the check.sh --parallel gate reads it and enforces
-// >= 1.8x wall-clock speedup at 4 workers on each query).
+// modeled critical-path speedup from per-thread CPU time, and the scan
+// self time per scanned row at 1 and 4 workers from one analyzed run each
+// (the parallel scan penalty; informational). --json=PATH emits the
+// numbers (the check.sh --parallel gate reads it and enforces >= 1.8x
+// wall-clock speedup at 4 workers on each query).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -579,12 +582,40 @@ struct SweepQuery {
 constexpr int kSweepWorkers[] = {1, 2, 4};
 constexpr int kSweepModes = 3;
 
+/// Worker counts whose scan self time per scanned row the sweep reports.
+constexpr int kScanCostWorkers[] = {1, 4};
+
 struct SweepResult {
   bool rows_identical = true;
   int64_t exchange_batches[kSweepModes] = {0, 0, 0};
   double wall_us[kSweepModes] = {0, 0, 0};
   double critical_us[kSweepModes] = {0, 0, 0};
+  /// Self time of the base-table scans per row they scanned, in ns, summed
+  /// over every worker; indexed like kScanCostWorkers.
+  double scan_ns_per_row[2] = {0, 0};
 };
+
+// Scan self time per scanned row in one analyzed run of `sql`: the table
+// and index scans are leaves, so their inclusive time is their self time,
+// and an exchange's workers' stats are already summed into one operator.
+bool ScanNsPerRow(Database* db, const OptimizerConfig& config,
+                  const char* sql, double* out) {
+  QueryEngine engine(db, config);
+  Result<QueryResult> r = engine.RunAnalyzed(sql);
+  if (!r.ok()) return false;
+  int64_t ns = 0;
+  int64_t rows = 0;
+  for (const OperatorProfile& p : r.value().op_profile) {
+    if (p.node->kind != OpKind::kTableScan &&
+        p.node->kind != OpKind::kIndexScan) {
+      continue;
+    }
+    ns += p.stats.total_ns();
+    rows += p.stats.rows_scanned;
+  }
+  *out = rows > 0 ? static_cast<double>(ns) / static_cast<double>(rows) : 0;
+  return true;
+}
 
 bool SweepOne(Database* db, const SweepQuery& q, int runs, int iterations,
               SweepResult* out) {
@@ -649,6 +680,12 @@ bool SweepOne(Database* db, const SweepQuery& q, int runs, int iterations,
     out->wall_us[m] = Median(wall_medians[m]) * 1e6;
     out->critical_us[m] = Median(critical_medians[m]) * 1e6;
   }
+  for (size_t i = 0; i < std::size(kScanCostWorkers); ++i) {
+    if (!ScanNsPerRow(db, config(kScanCostWorkers[i]), q.sql,
+                      &out->scan_ns_per_row[i])) {
+      return false;
+    }
+  }
 
   std::printf("--- parallel-worker sweep on %s, %s profile (%d runs x%d "
               "paired iterations) ---\n",
@@ -663,6 +700,11 @@ bool SweepOne(Database* db, const SweepQuery& q, int runs, int iterations,
                 out->critical_us[0] / out->critical_us[m],
                 static_cast<long long>(out->exchange_batches[m]));
   }
+  std::printf("scan self time per scanned row: %.1f ns at %d worker(s), "
+              "%.1f ns at %d (%.2fx)\n",
+              out->scan_ns_per_row[0], kScanCostWorkers[0],
+              out->scan_ns_per_row[1], kScanCostWorkers[1],
+              out->scan_ns_per_row[1] / out->scan_ns_per_row[0]);
   std::printf("row streams identical to serial: %s\n\n",
               out->rows_identical ? "YES" : "NO  <-- FAIL");
   return true;
@@ -699,9 +741,12 @@ int ParallelSweep(Database* db, int runs, const std::string& json_path) {
       const SweepResult& r = results[i];
       std::fprintf(f,
                    "    {\"query\": \"%s\", \"profile\": \"%s\", "
-                   "\"rows_identical\": %s, \"workers\": [\n",
+                   "\"rows_identical\": %s, \"scan_ns_per_row\": "
+                   "{\"%d\": %.1f, \"%d\": %.1f}, \"workers\": [\n",
                    queries[i].name, queries[i].hash ? "hash" : "db2",
-                   r.rows_identical ? "true" : "false");
+                   r.rows_identical ? "true" : "false", kScanCostWorkers[0],
+                   r.scan_ns_per_row[0], kScanCostWorkers[1],
+                   r.scan_ns_per_row[1]);
       for (int m = 0; m < kSweepModes; ++m) {
         std::fprintf(f,
                      "      {\"workers\": %d, \"wall_us\": %.1f, "

@@ -366,7 +366,7 @@ if [ "${1:-}" = "--parallel" ]; then
   PARALLEL_GATE_OK=0
   for attempt in 1 2 3; do
     if ! ./build/bench/bench_table1_q3 --parallel-sweep \
-      --json=BENCH_parallel.json | tail -n 16; then
+      --json=BENCH_parallel.json | tail -n 18; then
       echo "FAIL: parallel sweep reported a row-identity mismatch"
       exit 1
     fi

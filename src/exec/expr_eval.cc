@@ -19,7 +19,7 @@ int ExprEvaluator::PositionOf(const ColumnId& col) const {
   return it == positions_.end() ? -1 : it->second;
 }
 
-Value EvalBinary(BinOp op, const Value& l, const Value& r) {
+std::optional<Value> EvalBinary(BinOp op, const Value& l, const Value& r) {
   switch (op) {
     case BinOp::kAnd: {
       // Two-valued folding: NULL acts as false.
@@ -61,14 +61,21 @@ Value EvalBinary(BinOp op, const Value& l, const Value& r) {
                       r.type() == DataType::kInt64;
       if (both_int) {
         int64_t a = l.AsInt(), b = r.AsInt();
+        int64_t result = 0;
+        bool overflow = false;
         switch (op) {
           case BinOp::kAdd:
-            return Value::Int(a + b);
+            overflow = __builtin_add_overflow(a, b, &result);
+            break;
           case BinOp::kSub:
-            return Value::Int(a - b);
+            overflow = __builtin_sub_overflow(a, b, &result);
+            break;
           default:
-            return Value::Int(a * b);
+            overflow = __builtin_mul_overflow(a, b, &result);
+            break;
         }
+        if (overflow) return std::nullopt;
+        return Value::Int(result);
       }
       double a = l.AsDouble(), b = r.AsDouble();
       switch (op) {
@@ -109,7 +116,17 @@ Value ExprEvaluator::EvalAt(const BoundExpr& expr, const RowBatch& batch,
     case BoundExpr::Kind::kBinary: {
       Value l = EvalAt(expr.left(), batch, row);
       Value r = EvalAt(expr.right(), batch, row);
-      return EvalBinary(expr.op(), l, r);
+      std::optional<Value> v = EvalBinary(expr.op(), l, r);
+      if (v.has_value()) return *std::move(v);
+      Status overflow = Status::OutOfRange(StrFormat(
+          "integer overflow: %s %s %s exceeds the int64 range",
+          l.ToString().c_str(), BinOpName(expr.op()), r.ToString().c_str()));
+      if (guard_ != nullptr) {
+        guard_->Poison(std::move(overflow));
+        return Value::Null();
+      }
+      ORDOPT_CHECK_MSG(false, "%s", overflow.ToString().c_str());
+      return Value::Null();
     }
     case BoundExpr::Kind::kIsNull: {
       bool is_null = EvalAt(expr.is_null_child(), batch, row).is_null();

@@ -1,6 +1,7 @@
 #ifndef ORDOPT_EXEC_EXPR_EVAL_H_
 #define ORDOPT_EXEC_EXPR_EVAL_H_
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -21,7 +22,8 @@ class QueryGuard;
 ///
 /// When constructed with a guard, a reference to a column missing from the
 /// layout (a planner bug) poisons the guard and evaluates to NULL instead
-/// of aborting the process.
+/// of aborting the process; so does int64 arithmetic that overflows, with
+/// an OutOfRange status.
 class ExprEvaluator {
  public:
   explicit ExprEvaluator(const std::vector<ColumnId>& layout,
@@ -54,9 +56,10 @@ class ExprEvaluator {
   QueryGuard* guard_ = nullptr;
 };
 
-/// Arithmetic/comparison on two Values with NULL propagation; used by both
-/// the evaluator and the aggregate accumulators.
-Value EvalBinary(BinOp op, const Value& l, const Value& r);
+/// Arithmetic/comparison on two Values with NULL propagation. nullopt when
+/// an int64 +, - or * overflows; the evaluator turns that into an
+/// OutOfRange error.
+std::optional<Value> EvalBinary(BinOp op, const Value& l, const Value& r);
 
 }  // namespace ordopt
 

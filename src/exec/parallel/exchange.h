@@ -31,7 +31,10 @@ namespace ordopt {
 /// rows (see NextBatchImpl), and strips the provenance column while moving
 /// them out (RowBatch::MoveRangeFrom), handing whole worker batches over by
 /// swap. This is the engine's only form of intra-query parallelism, and
-/// the only place rows cross threads.
+/// the only place rows cross threads. A drained item (its batch columns,
+/// key arena and offsets) goes back to the worker that made it, which
+/// refills it, so a steady stream reuses its memory instead of allocating
+/// on one thread and freeing on another.
 ///
 /// Isolation: every worker runs with a private RuntimeMetrics and a
 /// private SpillManager (run files are process-uniquely named), against
@@ -78,6 +81,9 @@ class ExchangeOp : public Operator {
 
   struct Stream {
     std::deque<Item> queue;
+    /// Drained items the consumer handed back; the worker refills them
+    /// instead of allocating, so batch memory stays on the worker's side.
+    std::vector<Item> spares;
     bool done = false;
   };
 
@@ -92,11 +98,13 @@ class ExchangeOp : public Operator {
 
   /// Max batches buffered per worker stream before its producer blocks.
   static constexpr size_t kMaxQueuedBatches = 4;
+  /// Max drained items kept per stream for reuse (they cost memory).
+  static constexpr size_t kMaxSpareItems = 1;
 
   void WorkerMain(size_t index);
-  /// Loads the next item of stream `index` into heads_[index], blocking on
-  /// an empty queue; false when the stream is done (or the exchange
-  /// closed).
+  /// Hands the drained heads_[index] back to its worker, then loads the
+  /// stream's next item into it, blocking on an empty queue; false when
+  /// the stream is done (or the exchange closed).
   bool LoadHead(size_t index);
   void JoinWorkers();
   void MergeWorkerAccounting();

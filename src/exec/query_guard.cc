@@ -69,12 +69,30 @@ void QueryGuard::Poison(Status status) {
   tripped_.store(true, std::memory_order_release);
 }
 
-bool QueryGuard::TripScanLimit(int64_t scanned) {
+int64_t QueryGuard::OnRowsScanned(int64_t n) {
+  if (n <= 0) return 0;
+  const int64_t before =
+      rows_scanned_.fetch_add(n, std::memory_order_relaxed);
+  int64_t admitted = n;
+  if (limits_.max_rows_scanned > 0 &&
+      before + n > limits_.max_rows_scanned) {
+    admitted = std::clamp<int64_t>(limits_.max_rows_scanned - before, 0, n);
+    TripScanLimit(before + admitted + 1);
+  } else if (!PeriodicCheck(n)) {
+    admitted = 0;
+  }
+  // Rows past the tripping one were never read: take them back.
+  if (admitted + 1 < n) {
+    rows_scanned_.fetch_sub(n - admitted - 1, std::memory_order_relaxed);
+  }
+  return admitted;
+}
+
+void QueryGuard::TripScanLimit(int64_t scanned) {
   Poison(Status::ResourceExhausted(
       StrFormat("scan limit exceeded: %lld rows scanned, limit %lld",
                 static_cast<long long>(scanned),
                 static_cast<long long>(limits_.max_rows_scanned))));
-  return false;
 }
 
 bool QueryGuard::TripProducedLimit(int64_t produced) {
@@ -123,7 +141,7 @@ bool QueryGuard::OnRowsBuffered(int64_t rows, int64_t bytes) {
                   static_cast<long long>(limits_.max_buffered_bytes))));
     return false;
   }
-  return PeriodicCheck();
+  return PeriodicCheck(std::max<int64_t>(rows, 1));
 }
 
 void QueryGuard::OnBufferReleased(int64_t rows, int64_t bytes) {
@@ -171,6 +189,54 @@ void QueryGuard::ReportTo(RuntimeMetrics* metrics) const {
       std::max(metrics->rows_buffered_peak, buffered_rows_peak());
   metrics->bytes_buffered_peak =
       std::max(metrics->bytes_buffered_peak, buffered_bytes_peak());
+}
+
+namespace {
+
+/// The calling thread's accounts with pending (uncharged) rows.
+thread_local std::vector<BufferAccount*> t_pending_accounts;
+
+}  // namespace
+
+void BufferAccount::Enlist() { t_pending_accounts.push_back(this); }
+
+bool BufferAccount::FlushPending() {
+  std::vector<BufferAccount*>& pending = t_pending_accounts;
+  bool ok = true;
+  for (BufferAccount* account : pending) {
+    ok &= account->guard_->OnRowsBuffered(account->pending_rows_,
+                                          account->pending_bytes_);
+    account->pending_rows_ = 0;
+    account->pending_bytes_ = 0;
+  }
+  pending.clear();
+  return ok;
+}
+
+bool BufferAccount::AddBytes(int64_t bytes) {
+  if (guard_ == nullptr) return true;
+  FlushPending();
+  bytes_ += bytes;
+  return guard_->OnRowsBuffered(0, bytes);
+}
+
+void BufferAccount::Update(const Row& old_row, const Row& new_row) {
+  if (guard_ == nullptr) return;
+  FlushPending();
+  const int64_t old_bytes = ApproxRowBytes(old_row);
+  const int64_t new_bytes = ApproxRowBytes(new_row);
+  guard_->OnBufferReleased(0, old_bytes);
+  bytes_ += new_bytes - old_bytes;
+  guard_->OnRowsBuffered(0, new_bytes);
+}
+
+void BufferAccount::Release() {
+  if (guard_ != nullptr && (rows_ > 0 || bytes_ > 0)) {
+    FlushPending();
+    guard_->OnBufferReleased(rows_, bytes_);
+  }
+  rows_ = 0;
+  bytes_ = 0;
 }
 
 void ExecContext::Poison(Status status) const {

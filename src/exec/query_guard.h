@@ -18,9 +18,10 @@
 namespace ordopt {
 
 /// Per-query resource limits. Zero means unlimited; every limit is
-/// enforced cooperatively at row granularity inside the executor, so a
-/// runaway query degrades to a clean non-OK Status instead of consuming
-/// the machine.
+/// enforced cooperatively inside the executor, so a runaway query degrades
+/// to a clean non-OK Status instead of consuming the machine. The scan and
+/// output limits stop at the exact row; the buffer limits are charged at
+/// operator boundaries and may trip up to one batch late.
 struct QueryLimits {
   /// Wall-clock budget for execution, in seconds.
   double deadline_seconds = 0.0;
@@ -120,9 +121,10 @@ class SharedMemoryBudget {
 /// same guard. Every consumption counter is therefore atomic, the latched
 /// Status is published under a mutex behind an atomic `tripped_` flag, and
 /// the shared-budget charge bookkeeping uses CAS so concurrent releases
-/// never give back more than was charged. The fast paths stay wait-free
-/// relaxed atomics — exactness of the counters is preserved (fetch_add),
-/// only the peaks are racy-monotonic maxima.
+/// never give back more than was charged. Charges cover a batch of rows,
+/// never one row, so workers meet here once per batch. The fast paths stay
+/// wait-free relaxed atomics — exactness of the counters is preserved
+/// (fetch_add), only the peaks are racy-monotonic maxima.
 class QueryGuard {
  public:
   /// Unlimited guard: still usable for cancellation and poisoning.
@@ -194,16 +196,12 @@ class QueryGuard {
   /// Thread-safe: workers of one query race to poison, exactly one wins.
   void Poison(Status status);
 
-  /// One base-table row was scanned. Returns ok().
-  bool OnRowScanned() {
-    int64_t scanned =
-        rows_scanned_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (limits_.max_rows_scanned > 0 &&
-        scanned > limits_.max_rows_scanned) {
-      return TripScanLimit(scanned);
-    }
-    return PeriodicCheck();
-  }
+  /// `n` base-table rows were scanned, as one charge. Returns how many of
+  /// them, in order, may be emitted: all `n` under the scan limit, fewer
+  /// once a row trips the guard. The tripping row is counted but not
+  /// emitted; rows after it are neither, so rows_scanned() ends exactly as
+  /// a row-at-a-time charge would leave it.
+  int64_t OnRowsScanned(int64_t n);
 
   /// One row was emitted by the plan root. Returns ok().
   bool OnRowProduced() {
@@ -213,8 +211,13 @@ class QueryGuard {
         produced > limits_.max_rows_produced) {
       return TripProducedLimit(produced);
     }
-    return PeriodicCheck();
+    return PeriodicCheck(1);
   }
+
+  /// `n` rows left an operator as one batch: they count toward the next
+  /// deadline and cancellation check, so a join that multiplies rows
+  /// without scanning any still honors both. Returns ok().
+  bool OnRowsEmitted(int64_t n) { return PeriodicCheck(n); }
 
   /// `bytes` more row data is now buffered in a blocking operator.
   /// Returns ok().
@@ -254,14 +257,16 @@ class QueryGuard {
   /// the common-case cost of a check is one decrement and compare.
   static constexpr int64_t kCheckIntervalRows = 1024;
 
-  bool PeriodicCheck() {
+  /// Counts `events` guard events (rows) toward the next full check.
+  bool PeriodicCheck(int64_t events) {
     if (tripped_.load(std::memory_order_acquire)) return false;
-    if (events_until_check_.fetch_sub(1, std::memory_order_relaxed) > 1) {
+    if (events_until_check_.fetch_sub(events, std::memory_order_relaxed) >
+        events) {
       return true;
     }
     return ForceCheck();
   }
-  bool TripScanLimit(int64_t scanned);
+  void TripScanLimit(int64_t scanned);
   bool TripProducedLimit(int64_t produced);
 
   QueryLimits limits_;
@@ -293,6 +298,15 @@ class QueryGuard {
 /// Tracks the rows/bytes one blocking operator currently holds, charging
 /// them against the guard's shared buffered-total; Release (or the
 /// destructor) gives the charge back when the operator drops its buffer.
+///
+/// Add only accumulates locally: nothing shared is written per row. The
+/// account joins its thread's list of pending accounts, and FlushPending
+/// charges every pending account on the thread at once. The Operator
+/// wrappers flush at every Open/NextBatch entry and exit, and Release,
+/// Update and AddBytes flush before they touch the guard, so the guard's
+/// total is exact whenever it can fall and both buffered peaks equal a
+/// per-row charge's. A buffer limit therefore trips at the next flush, up
+/// to one batch after the row that crossed it.
 class BufferAccount {
  public:
   BufferAccount() = default;
@@ -305,53 +319,47 @@ class BufferAccount {
   BufferAccount& operator=(const BufferAccount&) = delete;
   ~BufferAccount() { Release(); }
 
-  /// Charges one buffered row. Returns false once a buffer limit trips.
-  bool Add(const Row& row) {
+  /// Charges one buffered row, pending until the thread's next flush.
+  void Add(const Row& row) {
     rows_ += 1;
     if (stats_ != nullptr && rows_ > stats_->buffered_rows_peak) {
       stats_->buffered_rows_peak = rows_;
     }
-    if (guard_ == nullptr) return true;
-    int64_t bytes = ApproxRowBytes(row);
+    if (guard_ == nullptr) return;
+    const int64_t bytes = ApproxRowBytes(row);
     bytes_ += bytes;
-    return guard_->OnRowsBuffered(1, bytes);
+    pending_bytes_ += bytes;
+    if (pending_rows_++ == 0) Enlist();
   }
 
   /// Charges `bytes` of operator state that is not a row (an aggregate's
   /// exact sum). Returns false once a buffer limit trips.
-  bool AddBytes(int64_t bytes) {
-    if (guard_ == nullptr) return true;
-    bytes_ += bytes;
-    return guard_->OnRowsBuffered(0, bytes);
-  }
+  bool AddBytes(int64_t bytes);
 
   /// Re-prices one already-charged row that is being replaced in place
   /// (e.g. a Top-N heap eviction): swaps `old_row`'s bytes for
-  /// `new_row`'s without changing the row count. Returns false once a
-  /// buffer limit trips.
-  bool Update(const Row& old_row, const Row& new_row) {
-    if (guard_ == nullptr) return true;
-    int64_t old_bytes = ApproxRowBytes(old_row);
-    int64_t new_bytes = ApproxRowBytes(new_row);
-    guard_->OnBufferReleased(0, old_bytes);
-    bytes_ += new_bytes - old_bytes;
-    return guard_->OnRowsBuffered(0, new_bytes);
-  }
+  /// `new_row`'s without changing the row count; the charge is immediate.
+  void Update(const Row& old_row, const Row& new_row);
 
   /// Releases everything charged so far.
-  void Release() {
-    if (guard_ != nullptr && (rows_ > 0 || bytes_ > 0)) {
-      guard_->OnBufferReleased(rows_, bytes_);
-    }
-    rows_ = 0;
-    bytes_ = 0;
-  }
+  void Release();
+
+  /// Charges every account with pending rows on the calling thread to its
+  /// guard. Returns false when a charge tripped a limit.
+  static bool FlushPending();
 
  private:
+  /// Joins the calling thread's pending list.
+  void Enlist();
+
   QueryGuard* guard_ = nullptr;
   OperatorStats* stats_ = nullptr;
-  int64_t rows_ = 0;
+  int64_t rows_ = 0;  ///< held, pending included
   int64_t bytes_ = 0;
+  /// Added since the last flush; nonzero exactly while the account is on
+  /// its thread's pending list.
+  int64_t pending_rows_ = 0;
+  int64_t pending_bytes_ = 0;
 };
 
 class SpillManager;
@@ -403,10 +411,19 @@ struct ExecContext {
 
   bool GuardOk() const { return guard == nullptr || guard->ok(); }
 
-  /// Null-safe guard notification for scan hot paths. Returns false once
-  /// the guard tripped (the operator should end its stream).
-  bool OnRowScanned() const {
-    return guard == nullptr || guard->OnRowScanned();
+  /// Null-safe OnRowsEmitted. A trip it causes surfaces through GuardOk.
+  void OnRowsEmitted(int64_t n) const {
+    if (guard != nullptr) guard->OnRowsEmitted(n);
+  }
+
+  /// Charges `n` scanned base-table rows to the metrics and (null-safe) the
+  /// guard in one step; returns how many of them may be emitted. Fewer
+  /// than `n` means the guard tripped and the scan's stream is over; the
+  /// tripping row is counted in rows_scanned but not emitted.
+  int64_t OnRowsScanned(int64_t n) const {
+    const int64_t admitted = guard == nullptr ? n : guard->OnRowsScanned(n);
+    metrics->rows_scanned += admitted < n ? admitted + 1 : n;
+    return admitted;
   }
 
   /// Reports an internal error. With a guard the query degrades to an

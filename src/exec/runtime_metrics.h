@@ -164,8 +164,20 @@ class PageTracker {
   /// touched are buffer hits (free): the operator-local working set models
   /// the 512 MB buffer pool of the paper's configuration, which easily
   /// holds the hot pages of a repeatedly-probed table.
-  void Access(int64_t rid) {
-    int64_t page = rid / rows_per_page_;
+  void Access(int64_t rid) { AccessPage(rid / rows_per_page_); }
+
+  /// Records fetching rows [begin, end) in order: the same charges as
+  /// Access on each rid, computed once per page.
+  void AccessRange(int64_t begin, int64_t end) {
+    if (begin >= end) return;
+    const int64_t last = (end - 1) / rows_per_page_;
+    for (int64_t page = begin / rows_per_page_; page <= last; ++page) {
+      AccessPage(page);
+    }
+  }
+
+ private:
+  void AccessPage(int64_t page) {
     if (page == last_page_) return;
     if (resident_.insert(page).second == false) {
       last_page_ = page;  // buffer hit
@@ -180,7 +192,6 @@ class PageTracker {
     last_page_ = page;
   }
 
- private:
   RuntimeMetrics* metrics_;
   int64_t rows_per_page_;
   int64_t last_page_ = -2;  // so the first access is random

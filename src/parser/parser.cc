@@ -1,5 +1,8 @@
 #include "parser/parser.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "common/str_util.h"
@@ -71,6 +74,18 @@ class Parser {
     return Status::ParseError(
         StrFormat("%s (at offset %zu, got %s)", what.c_str(), t.offset,
                   got.c_str()));
+  }
+  /// The value of the integer token at the cursor (not consumed); an
+  /// error when it does not fit an int64.
+  Result<int64_t> IntegerAtCursor() const {
+    const std::string& text = Peek().text;
+    int64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Error("integer literal exceeds the int64 range");
+    }
+    return v;
   }
   Status Expect(const char* symbol_or_kw) {
     if (Accept(symbol_or_kw)) return Status::OK();
@@ -161,7 +176,8 @@ class Parser {
       if (Peek().kind != TokenKind::kInteger) {
         return Error("expected row count after LIMIT");
       }
-      stmt->limit = std::stoll(Advance().text);
+      ORDOPT_ASSIGN_OR_RETURN(stmt->limit, IntegerAtCursor());
+      Advance();
     }
     if (Accept("union")) {
       if (!stmt->order_by.empty() || stmt->limit >= 0) {
@@ -371,12 +387,15 @@ class Parser {
   Result<std::unique_ptr<Expr>> ParsePrimary() {
     const Token& t = Peek();
     if (t.kind == TokenKind::kInteger) {
+      ORDOPT_ASSIGN_OR_RETURN(int64_t v, IntegerAtCursor());
       Advance();
-      return SlotLiteral(Value::Int(std::stoll(t.text)));
+      return SlotLiteral(Value::Int(v));
     }
     if (t.kind == TokenKind::kFloat) {
+      const double v = std::strtod(t.text.c_str(), nullptr);
+      if (std::isinf(v)) return Error("float literal exceeds the double range");
       Advance();
-      return SlotLiteral(Value::Double(std::stod(t.text)));
+      return SlotLiteral(Value::Double(v));
     }
     if (t.kind == TokenKind::kString) {
       Advance();

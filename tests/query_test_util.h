@@ -43,9 +43,12 @@ class RowEvaluator {
         ORDOPT_CHECK(pos >= 0);
         return row[static_cast<size_t>(pos)];
       }
-      case BoundExpr::Kind::kBinary:
-        return EvalBinary(expr.op(), Eval(expr.left(), row),
-                          Eval(expr.right(), row));
+      case BoundExpr::Kind::kBinary: {
+        std::optional<Value> v = EvalBinary(
+            expr.op(), Eval(expr.left(), row), Eval(expr.right(), row));
+        ORDOPT_CHECK_MSG(v.has_value(), "reference evaluator: int64 overflow");
+        return *std::move(v);
+      }
       case BoundExpr::Kind::kIsNull: {
         const bool is_null = Eval(expr.is_null_child(), row).is_null();
         return Value::Int(is_null != expr.is_null_negated() ? 1 : 0);

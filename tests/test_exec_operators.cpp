@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/str_util.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
 #include "exec/order_check.h"
@@ -206,6 +207,157 @@ TEST(ExecSort, SortsWithDirectionsAndCountsComparisons) {
   EXPECT_GT(m.comparisons, 0);
   EXPECT_EQ(m.sorts_performed, 1);
   EXPECT_EQ(m.rows_sorted, 4);
+}
+
+// ---- Batched guard accounting -------------------------------------------
+
+// A scan charges its rows to the guard once per batch, yet a scan limit
+// still stops it at the exact row: the tripping row is counted, nothing
+// past the limit is emitted, and the guard agrees with the metrics. Heap,
+// clustered (identity) and reverse (cursor) walks, at two batch sizes.
+TEST(ExecAccounting, ScanLimitStopsAtTheExactRow) {
+  auto t = MakeTable(200, true);
+  struct Walk {
+    int index;
+    bool reverse;
+  };
+  for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
+    for (Walk walk : {Walk{ScanOp::kHeap, false}, Walk{0, false},
+                      Walk{0, true}}) {
+      SCOPED_TRACE(StrFormat("batch_rows=%lld index=%d reverse=%d",
+                             static_cast<long long>(batch_rows), walk.index,
+                             walk.reverse));
+      QueryLimits limits;
+      limits.max_rows_scanned = 50;
+      QueryGuard guard(limits);
+      guard.Arm();
+      RuntimeMetrics m;
+      ExecContext ctx(&m, &guard);
+      ctx.batch_rows = batch_rows;
+      ScanOp scan(*t, 0, walk.index, walk.reverse, {}, ctx);
+      EXPECT_EQ(Drain(&scan).size(), 50u);
+      EXPECT_EQ(m.rows_scanned, 51);
+      EXPECT_EQ(guard.rows_scanned(), 51);
+      EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+}
+
+// The same for index probes: the join gathers a batch of matches, charges
+// them once, and keeps only the admitted ones.
+TEST(ExecAccounting, ProbeLimitStopsAtTheExactRow) {
+  auto t = MakeTable(50, true);
+  std::vector<Row> keys;
+  for (int64_t k = 0; k < 20; ++k) keys.push_back(R({k}));
+  QueryLimits limits;
+  limits.max_rows_scanned = 7;
+  QueryGuard guard(limits);
+  guard.Arm();
+  RuntimeMetrics m;
+  ExecContext ctx(&m, &guard);
+  auto outer = std::make_unique<RowSource>(std::vector<ColumnId>{{9, 0}},
+                                           std::move(keys), ctx);
+  IndexNLJoinOp join(std::move(outer), *t, 0, 0,
+                     {{ColumnId(9, 0), ColumnId(0, 0)}}, ctx);
+  std::vector<Row> rows = Drain(&join);
+  ASSERT_EQ(rows.size(), 7u);
+  EXPECT_EQ(rows.back(), R({6, 6, 12}));
+  EXPECT_EQ(m.rows_scanned, 8);
+  EXPECT_EQ(guard.rows_scanned(), 8);
+  EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A range of rows costs the pages that a per-row walk over it would.
+TEST(ExecAccounting, PageRangeMatchesPerRowAccess) {
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    RuntimeMetrics per_row;
+    RuntimeMetrics ranged;
+    PageTracker a(&per_row, kRowsPerPage);
+    PageTracker b(&ranged, kRowsPerPage);
+    for (int step = 0; step < 8; ++step) {
+      const int64_t begin = rng.Uniform(0, 5000);
+      const int64_t end = begin + rng.Uniform(0, 600);
+      for (int64_t rid = begin; rid < end; ++rid) a.Access(rid);
+      b.AccessRange(begin, end);
+      ASSERT_EQ(per_row.seq_pages, ranged.seq_pages);
+      ASSERT_EQ(per_row.random_pages, ranged.random_pages);
+    }
+  }
+}
+
+// Records the guard's buffered-row total each time it is pulled.
+class GuardWatchingSource : public RowSource {
+ public:
+  GuardWatchingSource(std::vector<ColumnId> layout, std::vector<Row> rows,
+                      ExecContext ctx)
+      : RowSource(std::move(layout), std::move(rows), ctx) {}
+  bool NextBatchImpl(RowBatch* out) override {
+    seen.push_back(ctx_.guard->buffered_rows());
+    return RowSource::NextBatchImpl(out);
+  }
+  std::vector<int64_t> seen;
+};
+
+// A sort's buffered rows are charged when it pulls its child again, not
+// per row; the peak is still exact, and Close returns the guard and the
+// shared budget to zero.
+TEST(ExecAccounting, SortChargeReachesTheGuardAtTheNextPull) {
+  QueryGuard guard;
+  SharedMemoryBudget budget;
+  guard.set_shared_budget(&budget);
+  guard.Arm();
+  RuntimeMetrics m;
+  ExecContext ctx(&m, &guard);
+  ctx.batch_rows = 4;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) rows.push_back(R({9 - i}));
+  auto src = std::make_unique<GuardWatchingSource>(
+      std::vector<ColumnId>{{0, 0}}, std::move(rows), ctx);
+  GuardWatchingSource* watch = src.get();
+  SortOp sort(std::move(src), OrderSpec{{ColumnId(0, 0)}}, ctx);
+  sort.Open();
+  // Three batches (4, 4, 2 rows), then the end-of-stream pull.
+  EXPECT_EQ(watch->seen, (std::vector<int64_t>{0, 4, 8, 10}));
+  EXPECT_EQ(guard.buffered_rows(), 10);
+  EXPECT_GT(budget.used_bytes(), 0);
+  EXPECT_EQ(budget.used_bytes(), guard.buffered_bytes());
+  RowBatch batch;
+  int64_t emitted = 0;
+  while (sort.NextBatch(&batch)) emitted += batch.size();
+  EXPECT_EQ(emitted, 10);
+  sort.Close();
+  EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+  EXPECT_EQ(guard.buffered_rows_peak(), 10);
+  EXPECT_EQ(guard.buffered_rows(), 0);
+  EXPECT_EQ(guard.buffered_bytes(), 0);
+  EXPECT_EQ(budget.used_bytes(), 0);
+}
+
+// A buffer limit smaller than one batch trips at the flush after the
+// batch that crossed it, and the tripped sort releases everything.
+TEST(ExecAccounting, BufferLimitBelowOneBatchTrips) {
+  QueryLimits limits;
+  limits.max_buffered_rows = 3;
+  QueryGuard guard(limits);
+  SharedMemoryBudget budget;
+  guard.set_shared_budget(&budget);
+  guard.Arm();
+  RuntimeMetrics m;
+  ExecContext ctx(&m, &guard);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) rows.push_back(R({i}));
+  auto src = std::make_unique<RowSource>(std::vector<ColumnId>{{0, 0}},
+                                         std::move(rows), ctx);
+  SortOp sort(std::move(src), OrderSpec{{ColumnId(0, 0)}}, ctx);
+  EXPECT_TRUE(Drain(&sort).empty());
+  ASSERT_FALSE(guard.ok());
+  EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(guard.status().message().find("buffer limit"), std::string::npos)
+      << guard.status().ToString();
+  EXPECT_EQ(guard.buffered_rows(), 0);
+  EXPECT_EQ(guard.buffered_bytes(), 0);
+  EXPECT_EQ(budget.used_bytes(), 0);
 }
 
 TEST(ExecMergeJoin, ManyToManyGroups) {

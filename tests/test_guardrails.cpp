@@ -391,11 +391,12 @@ TEST_F(GuardrailsTest, GuardStateDirectly) {
   QueryGuard guard(limits);
   guard.Arm();
   EXPECT_TRUE(guard.ok());
-  EXPECT_TRUE(guard.OnRowScanned());
-  EXPECT_TRUE(guard.OnRowScanned());
-  EXPECT_FALSE(guard.OnRowScanned());  // third row breaches the limit
+  EXPECT_EQ(guard.OnRowsScanned(1), 1);
+  EXPECT_EQ(guard.OnRowsScanned(1), 1);
+  EXPECT_EQ(guard.OnRowsScanned(1), 0);  // third row breaches the limit
   EXPECT_FALSE(guard.ok());
   EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(guard.rows_scanned(), 3);
   // First trip latches: later events do not overwrite the status.
   EXPECT_FALSE(guard.OnRowProduced());
   EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
@@ -403,6 +404,20 @@ TEST_F(GuardrailsTest, GuardStateDirectly) {
   RuntimeMetrics metrics;
   guard.ReportTo(&metrics);
   EXPECT_EQ(metrics.rows_buffered_peak, 0);
+
+  // A batch charge admits the rows up to the limit; the tripping row is
+  // counted, the rows after it are not.
+  QueryGuard batch_guard(limits);
+  batch_guard.Arm();
+  EXPECT_EQ(batch_guard.OnRowsScanned(5), 2);
+  EXPECT_FALSE(batch_guard.ok());
+  EXPECT_EQ(batch_guard.rows_scanned(), 3);
+  EXPECT_NE(batch_guard.status().message().find("3 rows scanned"),
+            std::string::npos)
+      << batch_guard.status().ToString();
+  // A tripped guard admits nothing and counts one row per charge.
+  EXPECT_EQ(batch_guard.OnRowsScanned(4), 0);
+  EXPECT_EQ(batch_guard.rows_scanned(), 4);
 }
 
 TEST_F(GuardrailsTest, ApproxRowBytesCountsStringPayload) {

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -625,6 +626,75 @@ TEST(ParallelDeterminism, EmptyResultAndSingleMorsel) {
                           OptimizerConfig());
 }
 
+// ---- Batched scan charges ------------------------------------------------
+
+// A scan limit on a multi-morsel table: serially the tripping row is the
+// 51st, at 4 workers each worker counts at most its own tripping row, and
+// on both paths the guard's count equals the merged rows_scanned metric.
+TEST(ParallelGuard, ScanLimitCountsMatchTheMetric) {
+  const char* sql =
+      "select l_orderkey, l_linenumber from lineitem "
+      "order by l_orderkey, l_linenumber";
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(StrFormat("parallel_workers=%d", workers));
+    OptimizerConfig config;
+    config.parallel_workers = workers;
+    QueryEngine engine(TpcdDb(), config);
+    QueryLimits limits;
+    limits.max_rows_scanned = 50;
+    QueryGuard guard(limits);
+    auto run = engine.Run(sql, &guard);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
+        << run.status().ToString();
+    EXPECT_EQ(guard.rows_scanned(), engine.last_metrics().rows_scanned);
+    if (workers == 1) {
+      EXPECT_EQ(guard.rows_scanned(), 51);
+    } else {
+      EXPECT_GT(guard.rows_scanned(), 50);
+      EXPECT_LE(guard.rows_scanned(), 50 + workers);
+    }
+  }
+}
+
+// ---- Arithmetic errors --------------------------------------------------
+
+// int64 +, - and * that overflow fail the query with OutOfRange instead of
+// wrapping, in a projection and in a predicate the workers evaluate, both
+// serially and at 4 workers; a result of exactly INT64_MIN stays legal.
+TEST(ParallelErrors, IntegerOverflowFailsTheQuery) {
+  const char* const failing[] = {
+      "select 9223372036854775807 + 1 from region",
+      "select r_regionkey * 4611686018427387904 from region "
+      "where r_regionkey = 2",
+      "select r_name from region "
+      "where r_regionkey - 9223372036854775807 - 2 < 0",
+  };
+  const char* const legal =
+      "select r_regionkey * -4611686018427387904, -9223372036854775807 - 1 "
+      "from region where r_regionkey = 2";
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(StrFormat("parallel_workers=%d", workers));
+    OptimizerConfig config;
+    config.parallel_workers = workers;
+    QueryEngine engine(TpcdDb(), config);
+    for (const char* sql : failing) {
+      SCOPED_TRACE(sql);
+      auto run = engine.Run(sql);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kOutOfRange)
+          << run.status().ToString();
+      EXPECT_NE(run.status().message().find("overflow"), std::string::npos)
+          << run.status().ToString();
+    }
+    auto run = engine.Run(legal);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run.value().rows.size(), 1u);
+    const Value kMin = Value::Int(std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(run.value().rows[0], (Row{kMin, kMin}));
+  }
+}
+
 // ---- Plan shape and the knob-off byte-identity claim -------------------
 
 TEST(ParallelPlanShape, ExchangeInPlanAndSerialUnchanged) {
@@ -910,6 +980,7 @@ TEST_F(ParallelFaultTest, PersistentFaultStillDrainsCleanly) {
 TEST(GuardThreadSafety, ConcurrentAccountingKeepsExactTotals) {
   constexpr int kThreads = 8;
   constexpr int kIterations = 4000;
+  static constexpr int64_t kRowsPerCharge = 3;
   QueryGuard guard;
   SharedMemoryBudget budget(1 << 30);
   guard.set_shared_budget(&budget);
@@ -920,7 +991,7 @@ TEST(GuardThreadSafety, ConcurrentAccountingKeepsExactTotals) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&guard] {
       for (int i = 0; i < kIterations; ++i) {
-        EXPECT_TRUE(guard.OnRowScanned());
+        EXPECT_EQ(guard.OnRowsScanned(kRowsPerCharge), kRowsPerCharge);
         EXPECT_TRUE(guard.OnRowsBuffered(1, 64));
         if (i % 16 == 0) guard.ForceCheck();
         guard.OnBufferReleased(1, 64);
@@ -930,7 +1001,8 @@ TEST(GuardThreadSafety, ConcurrentAccountingKeepsExactTotals) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_TRUE(guard.ok()) << guard.status().ToString();
-  EXPECT_EQ(guard.rows_scanned(), int64_t{kThreads} * kIterations);
+  EXPECT_EQ(guard.rows_scanned(),
+            int64_t{kThreads} * kIterations * kRowsPerCharge);
   EXPECT_EQ(guard.buffered_rows(), 0);
   EXPECT_GE(guard.buffered_rows_peak(), 1);
   EXPECT_EQ(budget.used_bytes(), 0);

@@ -161,6 +161,22 @@ TEST(Parser, Errors) {
   EXPECT_FALSE(ParseSelect("select from t").ok());
 }
 
+// Numeric literals that do not fit their type are parse errors, not a
+// process abort; INT64_MAX itself is still a literal.
+TEST(Parser, OutOfRangeNumbersAreErrors) {
+  const std::string huge_float =
+      "select 1" + std::string(400, '0') + ".0 from t";
+  for (const std::string& sql :
+       {std::string("select 9223372036854775808 from t"),
+        std::string("select x from t limit 99999999999999999999"),
+        huge_float}) {
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(ParseSelect(sql).status().code(), StatusCode::kParseError);
+  }
+  EXPECT_TRUE(ParseSelect("select 9223372036854775807 from t").ok());
+  EXPECT_TRUE(ParseSelect("select -9223372036854775807 from t").ok());
+}
+
 TEST(Parser, ToStringRoundTrip) {
   const char* sql =
       "select a.x as k, sum(b.y) from ta a, tb b where a.x = b.x "

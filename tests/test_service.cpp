@@ -32,6 +32,19 @@ constexpr const char* kSlowQuery =
     "select count(*) from emp e1, emp e2, emp e3 "
     "where e1.salary >= 30 and e2.salary >= 30 and e3.salary >= 30";
 
+// A query only a cancel or a deadline ends in test time: 120^4 joined rows,
+// about a hundred times kSlowQuery's work. Tests that need a query still
+// running when their cancel, close or deadline lands use this one, so a
+// faster engine cannot finish it first.
+constexpr const char* kUnboundedQuery =
+    "select count(*) from emp e1, emp e2, emp e3, emp e4";
+
+// A sort that buffers all 120^3 joined rows, about two seconds of work: a
+// cancel or deadline always lands while it is still buffering.
+constexpr const char* kLongSortQuery =
+    "select e1.eno, e2.eno, e3.eno from emp e1, emp e2, emp e3 "
+    "order by e1.salary, e2.salary, e3.eno";
+
 // Drains the service and asserts the shared budget returned every byte —
 // the leak invariant every scenario must uphold no matter how its queries
 // ended (success, shed, cancel, timeout, fault).
@@ -211,7 +224,7 @@ TEST_F(ServiceTest, CancelRunningQueryTripsCooperatively) {
   config.workers = 1;
   QueryService service(&db_, config);
   int64_t session = service.OpenSession();
-  Result<TicketRef> running = service.Submit(session, kSlowQuery);
+  Result<TicketRef> running = service.Submit(session, kUnboundedQuery);
   ASSERT_TRUE(running.ok());
   // Let the worker pick it up, then cancel mid-flight. If the cancel
   // happens to land while still queued, the outcome is the same code.
@@ -230,7 +243,7 @@ TEST_F(ServiceTest, SessionDeadlineTimesOut) {
   QueryLimits limits;
   limits.deadline_seconds = 0.05;
   int64_t session = service.OpenSession(limits);
-  Result<QueryResult> result = service.Execute(session, kSlowQuery);
+  Result<QueryResult> result = service.Execute(session, kUnboundedQuery);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
   ExpectCleanDrain(&service);
@@ -241,9 +254,9 @@ TEST_F(ServiceTest, CloseSessionCancelsInflightAndRejectsNew) {
   config.workers = 1;
   QueryService service(&db_, config);
   int64_t session = service.OpenSession();
-  Result<TicketRef> running = service.Submit(session, kSlowQuery);
+  Result<TicketRef> running = service.Submit(session, kUnboundedQuery);
   ASSERT_TRUE(running.ok());
-  Result<TicketRef> queued = service.Submit(session, kSlowQuery);
+  Result<TicketRef> queued = service.Submit(session, kUnboundedQuery);
   ASSERT_TRUE(queued.ok());
   service.CloseSession(session);
   EXPECT_EQ(service.Submit(session, "select 1 from dept").status().code(),
@@ -304,19 +317,13 @@ TEST_F(ServiceTest, CancelMidSortReleasesBudget) {
   config.global_budget_bytes = 256 << 20;
   QueryService service(&db_, config);
   int64_t session = service.OpenSession();
-  // 14400 buffered rows: enough to be mid-sort when the cancel lands.
-  Result<TicketRef> t = service.Submit(
-      session,
-      "select e1.eno, e2.eno from emp e1, emp e2 order by e2.eno, e1.eno");
+  Result<TicketRef> t = service.Submit(session, kLongSortQuery);
   ASSERT_TRUE(t.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   t.value()->Cancel();
   const Result<QueryResult>& r = t.value()->Wait();
-  // A fast machine may finish before the cancel lands; either way the
-  // budget must drain to exactly zero.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  }
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   ExpectCleanDrain(&service);
 }
 
@@ -329,12 +336,9 @@ TEST_F(ServiceTest, TimeoutReleasesBudget) {
   QueryLimits limits;
   limits.deadline_seconds = 0.02;
   int64_t session = service.OpenSession(limits);
-  Result<QueryResult> r = service.Execute(
-      session,
-      "select e1.eno, e2.eno from emp e1, emp e2 order by e2.eno, e1.eno");
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  }
+  Result<QueryResult> r = service.Execute(session, kLongSortQuery);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
   ExpectCleanDrain(&service);
 }
 
