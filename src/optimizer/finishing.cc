@@ -1,6 +1,6 @@
 // Box finishing: DISTINCT / required output order / projection / LIMIT on
 // SELECT boxes, the GROUP BY and UNION box planners, and the grouping
-// builder DISTINCT and GROUP BY share.
+// builder DISTINCT, GROUP BY and UNION DISTINCT share.
 
 #include <algorithm>
 #include <cmath>
@@ -277,7 +277,7 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
       }
       if (best_ordered == nullptr) {
         // Sort the cheapest branch on (the reduced form of) the full list.
-        best_ordered = SortFor(/*site=*/nullptr, want, best);
+        best_ordered = SortFor("union.branch", want, best);
       }
       // A reduced branch sort still yields a fully lexicographically
       // sorted stream: reduction only drops columns that are constant or
@@ -301,39 +301,25 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
   if (!box->distinct) {
     candidates.mutable_plans().push_back(union_all);
   } else {
-    double dcard = std::max(1.0, total_card * 0.7);
-    // Hash-based duplicate elimination over the concatenation.
-    if (config_.enable_hash_grouping) {
-      auto node = std::make_shared<PlanNode>();
-      node->kind = OpKind::kHashDistinct;
-      node->distinct_columns = out_cols;
-      node->children = {union_all};
-      node->props = DistinctProperties(union_all->props, out_cols,
-                                       /*preserves_order=*/false, dcard);
-      node->props.cost = union_all->props.cost +
-                         cost_model_.HashGroupByCost(total_card, 0);
-      InsertCandidate(&candidates, std::move(node));
-    }
-    // Sort-based: sort the concatenation, then stream.
-    {
-      std::vector<ColumnId> cols;
-      for (const OutputColumn& oc : box->outputs) cols.push_back(oc.id);
-      PlanRef sorted = MakeSort(union_all, OrderSpec::Ascending(cols));
-      auto node = std::make_shared<PlanNode>();
-      node->kind = OpKind::kStreamDistinct;
-      node->distinct_columns = out_cols;
-      node->children = {sorted};
-      node->props = DistinctProperties(sorted->props, out_cols,
-                                       /*preserves_order=*/true, dcard);
-      node->props.cost = sorted->props.cost +
-                         cost_model_.StreamGroupByCost(total_card, 0);
-      InsertCandidate(&candidates, std::move(node));
-    }
-    // Order-optimized: merge pre-sorted branches, stream-dedupe; the
-    // output arrives sorted on all output columns.
-    if (config_.enable_order_optimization && !ordered.empty()) {
-      std::vector<ColumnId> cols;
-      for (const OutputColumn& oc : box->outputs) cols.push_back(oc.id);
+    std::vector<ColumnId> cols;
+    for (const OutputColumn& oc : box->outputs) cols.push_back(oc.id);
+    const double dcard = std::max(1.0, total_card * 0.7);
+    const Grouping distinct{
+        "union.distinct", "UNION DISTINCT grouping", OpKind::kStreamDistinct,
+        OpKind::kStreamDistinct, OpKind::kHashDistinct, 0,
+        [&](PlanNode* node, const PlanProperties& input, bool preserves) {
+          node->distinct_columns = out_cols;
+          node->props = DistinctProperties(input, out_cols, preserves, dcard);
+        }};
+    auto all_ascending = [&] {
+      return std::vector<OrderSpec>{OrderSpec::Ascending(cols)};
+    };
+    // Over the concatenation: Sort + stream, or hash.
+    AddGroupings(distinct, union_all, /*adjacent=*/false, all_ascending,
+                 &candidates);
+    // Order-optimized: merging the pre-sorted branches yields the output
+    // sorted on all output columns, so the stream needs no sort.
+    if (!ordered.empty()) {
       auto merge = std::make_shared<PlanNode>();
       merge->kind = OpKind::kMergeUnion;
       merge->projections = box->outputs;
@@ -345,15 +331,8 @@ Result<std::vector<PlanRef>> Planner::PlanUnionBox(const QgmBox* box) {
       for (const PlanRef& c : ordered) merge->props.cost += c->props.cost;
       merge->props.cost += total_card * cost_model_.params().cpu_compare_cost *
                            static_cast<double>(cols.size());
-      auto node = std::make_shared<PlanNode>();
-      node->kind = OpKind::kStreamDistinct;
-      node->distinct_columns = out_cols;
-      node->children = {merge};
-      node->props = DistinctProperties(merge->props, out_cols,
-                                       /*preserves_order=*/true, dcard);
-      node->props.cost = merge->props.cost +
-                         cost_model_.StreamGroupByCost(total_card, 0);
-      InsertCandidate(&candidates, std::move(node));
+      AddGroupings(distinct, merge, /*adjacent=*/true, all_ascending,
+                   &candidates);
     }
   }
 

@@ -168,9 +168,10 @@ class Planner {
     const Planner* planner_;
   };
 
-  /// One grouping operator family for AddGroupings: DISTINCT or GROUP BY.
+  /// One grouping operator family for AddGroupings: DISTINCT, GROUP BY or
+  /// UNION DISTINCT.
   struct Grouping {
-    const char* site;         // trace site: "distinct" / "groupby"
+    const char* site;         // trace site, e.g. "distinct" / "groupby"
     const char* requirement;  // trace label of the grouping requirement
     OpKind stream;            // over an input that is already grouped
     OpKind sorted;            // over a Sort of the input
@@ -210,12 +211,13 @@ class Planner {
   // top of the join-enumeration candidates of a SELECT box.
   std::vector<PlanRef> FinishSelectBox(const QgmBox* box,
                                        const std::vector<PlanRef>& bases);
-  // The grouping alternatives over `input`, DISTINCT and GROUP BY alike: a
-  // stream operator when `adjacent` (the input already groups equal rows,
-  // so the sort is avoided); otherwise, and in enumeration mode as well, a
-  // Sort + stream operator per spec of `sort_specs()` and, when hash
-  // grouping is enabled, a hash operator. Reports order.test at `g.site`,
-  // then sort.avoided or one sort.placed per spec.
+  // The grouping alternatives over `input`, DISTINCT, GROUP BY and UNION
+  // DISTINCT alike: a stream operator when `adjacent` (the input already
+  // groups equal rows, so the sort is avoided); otherwise, and in
+  // enumeration mode as well, a Sort + stream operator per spec of
+  // `sort_specs()` and, when hash grouping is enabled, a hash operator.
+  // Reports order.test at `g.site`, then sort.avoided or one sort.placed
+  // per spec.
   void AddGroupings(const Grouping& g, const PlanRef& input, bool adjacent,
                     const std::function<std::vector<OrderSpec>()>& sort_specs,
                     CandidateSet* out);

@@ -47,7 +47,7 @@ struct Expr {
   std::string column;
 
   // kLiteral. `slot` numbers the literal tokens of the statement text in
-  // order (the sequence ParameterizeQueryText strips); -1 for NULL and for
+  // order (the `?`s of its ParameterizeQueryText key); -1 for NULL and for
   // literals the parser synthesizes.
   Value literal;
   int slot = -1;

@@ -494,4 +494,25 @@ Result<std::unique_ptr<SelectStmt>> ParseSelect(const std::string& sql) {
   return parser.Parse();
 }
 
+std::string ParameterizeQueryText(const std::string& sql) {
+  Result<std::vector<Token>> tokens = Tokenize(sql);
+  // No token is spelled with a leading `!` (`!=` becomes `<>`), so rejected
+  // text can never share a key with text that tokenizes.
+  if (!tokens.ok()) return "!" + sql;
+  std::string key;
+  key.reserve(sql.size());
+  bool after_limit = false;
+  for (const Token& t : tokens.value()) {
+    if (t.kind == TokenKind::kEndOfInput) break;
+    if (!key.empty()) key += ' ';
+    // Every literal token is a slot but the LIMIT count (SlotLiteral).
+    const bool slot = t.kind == TokenKind::kString ||
+                      t.kind == TokenKind::kFloat ||
+                      (t.kind == TokenKind::kInteger && !after_limit);
+    key += slot ? "?" : t.text;
+    after_limit = t.IsKeyword("limit");
+  }
+  return key;
+}
+
 }  // namespace ordopt

@@ -23,6 +23,15 @@ namespace ordopt {
 /// sum/count/min/max/avg (with count(*) and agg(distinct x)).
 Result<std::unique_ptr<SelectStmt>> ParseSelect(const std::string& sql);
 
+/// The plan-cache key of `sql`: its tokens joined by one space, with every
+/// literal that takes a parser slot (Expr::slot) spelled `?`. Spellings that
+/// differ only in spacing, case, `--` comments, `!=` for `<>` or literal
+/// values share one key, so a literal-varying workload collapses onto one
+/// key per query template; the LIMIT count takes no slot and stays. Text
+/// the tokenizer rejects keys as itself behind a `!`, which no valid key
+/// starts with (ParseSelect fails it).
+std::string ParameterizeQueryText(const std::string& sql);
+
 }  // namespace ordopt
 
 #endif  // ORDOPT_PARSER_PARSER_H_

@@ -1,9 +1,9 @@
 #include "service/plan_cache.h"
 
-#include <cctype>
 #include <chrono>
-#include <string_view>
 #include <utility>
+
+#include "parser/parser.h"
 
 namespace ordopt {
 
@@ -30,92 +30,6 @@ PlanCache::PlanCache(size_t capacity, MetricsRegistry* registry)
 
 PlanCache::~PlanCache() {
   metrics_->UnregisterCallbackGauge("plan_cache.entries");
-}
-
-std::string ParameterizeQueryText(const std::string& sql,
-                                  std::vector<std::string>* literals) {
-  std::string out;
-  out.reserve(sql.size());
-  bool pending_space = false;
-  // A digit run is a numeric literal only when it does not continue an
-  // identifier: `24` and the `24` in `p > 24` are literals, the `2` in
-  // `col2` and the `1` in `e1.salary` are not. The last emitted character
-  // decides (a flushed space or punctuation means a fresh token).
-  auto continues_identifier = [&out]() {
-    if (out.empty()) return false;
-    char p = out.back();
-    return std::isalnum(static_cast<unsigned char>(p)) || p == '_' ||
-           p == '.';
-  };
-  // The LIMIT count is no literal slot: it follows the keyword `limit`.
-  auto after_limit = [&out]() {
-    std::string_view head(out);
-    if (!head.ends_with("limit ")) return false;
-    head.remove_suffix(6);
-    return head.empty() ||
-           !(std::isalnum(static_cast<unsigned char>(head.back())) ||
-             head.back() == '_');
-  };
-  size_t i = 0;
-  while (i < sql.size()) {
-    char c = sql[i];
-    if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
-      // A line comment, dropped like whitespace (the tokenizer skips it).
-      while (i < sql.size() && sql[i] != '\n') ++i;
-      pending_space = !out.empty();
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
-      ++i;
-      continue;
-    }
-    if (pending_space) {
-      out += ' ';
-      pending_space = false;
-    }
-    if (c == '\'') {
-      // String literal, '' escapes included, captured verbatim.
-      std::string lit(1, '\'');
-      ++i;
-      while (i < sql.size()) {
-        char s = sql[i];
-        lit += s;
-        ++i;
-        if (s == '\'') {
-          if (i < sql.size() && sql[i] == '\'') {
-            lit += '\'';
-            ++i;
-          } else {
-            break;
-          }
-        }
-      }
-      if (literals != nullptr) literals->push_back(lit);
-      out += '?';
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) &&
-        !continues_identifier()) {
-      std::string lit;
-      while (i < sql.size() &&
-             (std::isdigit(static_cast<unsigned char>(sql[i])) ||
-              sql[i] == '.')) {
-        lit += sql[i];
-        ++i;
-      }
-      if (after_limit()) {
-        out += lit;
-        continue;
-      }
-      if (literals != nullptr) literals->push_back(lit);
-      out += '?';
-      continue;
-    }
-    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    ++i;
-  }
-  return out;
 }
 
 std::shared_ptr<const PreparedPlan> PlanCache::GetOrBeginPlanning(
@@ -263,13 +177,6 @@ void PlanCache::Quarantine(const std::string& sql, uint64_t stats_epoch) {
       slots_.erase(it);
     }
   }
-}
-
-bool PlanCache::IsQuarantined(const std::string& sql,
-                              uint64_t stats_epoch) const {
-  std::string key = ParameterizeQueryText(sql);
-  std::lock_guard<std::mutex> lock(mu_);
-  return QuarantinedLocked(key, stats_epoch);
 }
 
 void PlanCache::Clear() {

@@ -15,23 +15,6 @@
 
 namespace ordopt {
 
-/// Normalizes query text into its plan-cache key: lowercases everything
-/// outside string literals, collapses runs of whitespace to one space (so
-/// "SELECT  x\nFROM t" and "select x from t" share an entry), and strips
-/// literals. String literals ('...', with '' escapes) and numeric literals
-/// (digit-dot runs not preceded by an identifier character, so `col2` and
-/// `e1.salary` survive intact) are replaced by `?` and appended to
-/// `*literals` in order of appearance (strings keep their quotes and
-/// case). "where d >= date('1995-03-15') and p > 24" becomes
-/// "where d >= date(?) and p > ?" with literals {"'1995-03-15'", "24"} —
-/// so a literal-varying workload collapses onto one cache key per query
-/// *template*. The stripped sequence is the parser's slot sequence
-/// (Expr::slot): the LIMIT count stays in the template (it is no slot, and
-/// a different LIMIT is a different plan) and `--` comments are dropped as
-/// the tokenizer drops them.
-std::string ParameterizeQueryText(const std::string& sql,
-                                  std::vector<std::string>* literals = nullptr);
-
 /// Counter snapshot of one cache's lifetime behavior.
 struct PlanCacheStats {
   int64_t hits = 0;          ///< lookups served an entry (planning skipped)
@@ -54,8 +37,9 @@ struct PlanCacheStats {
 };
 
 /// Fingerprint-keyed cache of optimized plans shared by every session of a
-/// QueryService. The key is the *parameterized* query text (literals
-/// stripped), so "price > 24" and "price > 25" share one entry, and the
+/// QueryService. The key is the *parameterized* query text
+/// (ParameterizeQueryText: the token spelling with each literal slot
+/// spelled `?`), so "price > 24" and "price>25" share one entry, and the
 /// entry is a *generic plan*: QueryEngine::RunPrepared binds each
 /// request's literals into a per-execution copy of it. That is sound
 /// because no order, key or FD property of a plan depends on a literal's
@@ -134,9 +118,6 @@ class PlanCache {
   /// Counts a hit whose request was planned fresh instead of served (see
   /// PlanCacheStats::custom_plans).
   void RecordCustomPlan() { c_custom_plans_->Increment(); }
-
-  /// True when `sql`'s template is quarantined at `stats_epoch`.
-  bool IsQuarantined(const std::string& sql, uint64_t stats_epoch) const;
 
   /// Drops every ready entry (in-flight markers are left to their
   /// planners) and all quarantine marks.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "exec/engine.h"
+#include "parser/parser.h"
 #include "query_test_util.h"
 #include "service/plan_cache.h"
 
@@ -27,14 +28,9 @@ PreparedPlan FakePlan(const std::string& tag) {
 }
 
 TEST(ParameterizeQueryText, StripsLiteralsIntoTemplate) {
-  std::vector<std::string> literals;
   EXPECT_EQ(ParameterizeQueryText(
-                "select x from t where d >= date('1995-03-15') and p > 24",
-                &literals),
-            "select x from t where d >= date(?) and p > ?");
-  ASSERT_EQ(literals.size(), 2u);
-  EXPECT_EQ(literals[0], "'1995-03-15'");
-  EXPECT_EQ(literals[1], "24");
+                "select x from t where d >= date('1995-03-15') and p > 24"),
+            "select x from t where d >= date ( ? ) and p > ?");
   // Different literal values share one template — the whole point.
   EXPECT_EQ(ParameterizeQueryText("select x from t where p > 24"),
             ParameterizeQueryText("SELECT  x FROM t WHERE p > 25"));
@@ -42,29 +38,38 @@ TEST(ParameterizeQueryText, StripsLiteralsIntoTemplate) {
             ParameterizeQueryText("select x from t where n = 'Jones'"));
 }
 
+// The key is the token spelling: spacing, case, `--` comments and `!=` for
+// `<>` do not split a template.
+TEST(ParameterizeQueryText, KeysAreTheTokenSpelling) {
+  const std::string key = ParameterizeQueryText("select x from t where p>24");
+  EXPECT_EQ(key, "select x from t where p > ?");
+  EXPECT_EQ(ParameterizeQueryText("SELECT x\nFROM T WHERE P > 25"), key);
+  const std::string ne = ParameterizeQueryText("select x from t where p != 27");
+  EXPECT_EQ(ne, "select x from t where p <> ?");
+  EXPECT_EQ(ParameterizeQueryText("select x from t where p  <>  26 -- x"), ne);
+  EXPECT_EQ(ParameterizeQueryText("select x\n-- note 5\nfrom t where p<>1"),
+            ne);
+}
+
 TEST(ParameterizeQueryText, PreservesIdentifierDigits) {
   // Digits that continue an identifier are not literals.
   EXPECT_EQ(ParameterizeQueryText("select e1.salary from emp e1"),
-            "select e1.salary from emp e1");
+            "select e1 . salary from emp e1");
   EXPECT_EQ(ParameterizeQueryText("select col2 from t2 where col2 > 7"),
             "select col2 from t2 where col2 > ?");
-  // Decimal literals are captured whole.
-  std::vector<std::string> literals;
-  EXPECT_EQ(ParameterizeQueryText("select x from t where f < 0.5", &literals),
+  EXPECT_NE(ParameterizeQueryText("select x from t where col2 > 7"),
+            ParameterizeQueryText("select x from t where col > 27"));
+  // Decimal literals are one slot.
+  EXPECT_EQ(ParameterizeQueryText("select x from t where f < 0.5"),
             "select x from t where f < ?");
-  ASSERT_EQ(literals.size(), 1u);
-  EXPECT_EQ(literals[0], "0.5");
 }
 
 // The LIMIT count is no literal slot: it stays in the template, so a
 // different LIMIT is a different entry.
 TEST(ParameterizeQueryText, KeepsLimitCount) {
-  std::vector<std::string> literals;
   EXPECT_EQ(ParameterizeQueryText(
-                "select x from t where p > 3 order by x LIMIT 20", &literals),
+                "select x from t where p > 3 order by x LIMIT 20"),
             "select x from t where p > ? order by x limit 20");
-  ASSERT_EQ(literals.size(), 1u);
-  EXPECT_EQ(literals[0], "3");
   EXPECT_NE(ParameterizeQueryText("select x from t order by x limit 20"),
             ParameterizeQueryText("select x from t order by x limit 5"));
   // Only the keyword counts: a column that ends in "limit" does not.
@@ -75,24 +80,20 @@ TEST(ParameterizeQueryText, KeepsLimitCount) {
 // `--` comments are dropped as the tokenizer drops them, so a literal
 // inside one is no slot.
 TEST(ParameterizeQueryText, DropsLineComments) {
-  std::vector<std::string> literals;
-  EXPECT_EQ(ParameterizeQueryText("select x -- note 5 'a'\nfrom t where p > 3",
-                                  &literals),
+  EXPECT_EQ(ParameterizeQueryText("select x -- note 5 'a'\nfrom t where p > 3"),
             "select x from t where p > ?");
-  ASSERT_EQ(literals.size(), 1u);
-  EXPECT_EQ(literals[0], "3");
 }
 
 TEST(ParameterizeQueryText, HandlesEscapedQuotes) {
-  std::vector<std::string> literals;
-  EXPECT_EQ(
-      ParameterizeQueryText("select x from t where n = 'It''s'", &literals),
-      "select x from t where n = ?");
-  ASSERT_EQ(literals.size(), 1u);
-  EXPECT_EQ(literals[0], "'It''s'");
-  // Literal case is captured verbatim (it is semantic), template is not.
-  ParameterizeQueryText("SELECT 'MiXeD' FROM T", &literals);
-  EXPECT_EQ(literals.back(), "'MiXeD'");
+  EXPECT_EQ(ParameterizeQueryText("select x from t where n = 'It''s'"),
+            "select x from t where n = ?");
+  // Text the tokenizer rejects (an unterminated string) keys as itself
+  // behind a `!`, so it can never equal a key of text that tokenizes: `?`
+  // is rejected, yet spelled where a literal stands it matches no template.
+  EXPECT_EQ(ParameterizeQueryText("select 'open from dept"),
+            "!select 'open from dept");
+  EXPECT_NE(ParameterizeQueryText("select x from t where p > ?"),
+            ParameterizeQueryText("select x from t where p > 7"));
 }
 
 TEST(PlanCacheTest, MissPublishHit) {
@@ -332,11 +333,16 @@ TEST(PlanCacheTest, QuarantineBlocksTemplateForEpoch) {
   ASSERT_NE(cache.Peek(sql, 1), nullptr);
 
   cache.Quarantine(sql, 1);
-  EXPECT_TRUE(cache.IsQuarantined(sql, 1));
+  EXPECT_EQ(cache.stats().quarantined, 1);
   EXPECT_EQ(cache.Peek(sql, 1), nullptr);  // evicted on the spot
   EXPECT_EQ(cache.size(), 0u);
-  // Quarantine is per-template: a different literal is equally blocked.
-  EXPECT_TRUE(cache.IsQuarantined("select x from t where p > 99", 1));
+  // Quarantine is per-template: a different literal is equally blocked (its
+  // lookup is refused, counted as a rejection, and caches nothing).
+  const std::string other = "select x from t where p > 99";
+  const int64_t before_other = cache.stats().quarantine_rejections;
+  EXPECT_EQ(cache.GetOrBeginPlanning(other, 1), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().quarantine_rejections, before_other + 1);
 
   // Lookups return planner-role without a marker: repeated calls must not
   // block on each other, and a Publish must be refused.
@@ -348,9 +354,10 @@ TEST(PlanCacheTest, QuarantineBlocksTemplateForEpoch) {
   EXPECT_EQ(cache.stats().quarantined, 1);
 
   // A new stats epoch means a fresh plan would be a different plan: the
-  // quarantine lifts and normal caching resumes.
-  EXPECT_FALSE(cache.IsQuarantined(sql, 2));
+  // quarantine lifts (the lookup is not refused) and normal caching resumes.
+  const int64_t rejections = cache.stats().quarantine_rejections;
   ASSERT_EQ(cache.GetOrBeginPlanning(sql, 2), nullptr);
+  EXPECT_EQ(cache.stats().quarantine_rejections, rejections);
   cache.Publish(sql, 2, FakePlan("rebuilt"));
   auto hit = cache.Peek(sql, 2);
   ASSERT_NE(hit, nullptr);

@@ -96,6 +96,34 @@ TEST_F(ServiceTest, QueryErrorsComeBackAsStatuses) {
   Result<QueryResult> bad = service.Execute(session, "select * from nope");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(service.stats().failed, 1);
+  // Text the tokenizer rejects keys the plan cache as itself and fails in
+  // the parser, twice alike: the first failure leaves no planning marker
+  // for the second to wait on.
+  for (int i = 0; i < 2; ++i) {
+    Result<QueryResult> rejected =
+        service.Execute(session, "select 'open from dept");
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kParseError)
+        << rejected.status().ToString();
+  }
+  EXPECT_EQ(service.stats().failed, 3);
+  EXPECT_EQ(service.plan_cache_stats().stampede_waits, 0);
+  EXPECT_EQ(service.metrics().Snap().GaugeValue("plan_cache.entries"), 0);
+  // A literal spelled `?` is rejected text too, and must not share the key
+  // of the healthy template it mimics: that template stays cached and
+  // unquarantined.
+  ASSERT_TRUE(service.Execute(session, "select dname from dept where dno < 5")
+                  .ok());
+  Result<QueryResult> mimic =
+      service.Execute(session, "select dname from dept where dno < ?");
+  ASSERT_FALSE(mimic.ok());
+  EXPECT_EQ(mimic.status().code(), StatusCode::kParseError)
+      << mimic.status().ToString();
+  Result<QueryResult> cached =
+      service.Execute(session, "select dname from dept where dno < 7");
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(cached.value().planned_from_cache);
+  EXPECT_EQ(service.plan_cache_stats().quarantined, 0);
   // The service survives a failed query; the next one is fine.
   Result<QueryResult> good =
       service.Execute(session, "select dname from dept order by dname");

@@ -564,6 +564,68 @@ TEST(TraceTpcdTest, PricingSummaryInSortAggregationProfilesPairWithPlan) {
   }
 }
 
+// UNION DISTINCT decides its sorts through the grouping builder, so the
+// decisions block names them: a Sort over the concatenation, the sort the
+// merge union avoids, and a branch sorted for the merge.
+TEST(TraceTpcdTest, UnionDistinctSortsAreDecisions) {
+  const char* kUnion =
+      "select o_custkey from orders where o_orderkey < 50 union "
+      "select c_custkey from customer where c_custkey < 40";
+  // The decisions-block lines for `event` at `site`.
+  auto decided = [](const QueryResult& q, const std::string& event,
+                    const std::string& site) {
+    const std::string& text = q.analyzed_plan_text;
+    const size_t start = text.find("decisions:\n");
+    if (start == std::string::npos) return 0;
+    std::istringstream block(text.substr(start));
+    int lines = 0;
+    std::string line;
+    while (std::getline(block, line)) {
+      if (line.find(" " + event + " ") != std::string::npos &&
+          line.find(" site=" + site + " ") != std::string::npos) {
+        ++lines;
+      }
+    }
+    return lines;
+  };
+  auto analyze = [&](Database* db, const OptimizerConfig& cfg) {
+    QueryEngine engine(db, cfg);
+    Result<QueryResult> r = engine.RunAnalyzed(kUnion);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value() : QueryResult();
+  };
+
+  Database db;
+  TpcdConfig data;
+  data.scale_factor = 0.001;
+  ASSERT_TRUE(LoadTpcd(&db, data).ok());
+  // Hash grouping and order optimization off: Sort + StreamDistinct.
+  OptimizerConfig off;
+  off.enable_hash_grouping = false;
+  off.enable_order_optimization = false;
+  const QueryResult plain = analyze(&db, off);
+  EXPECT_GE(decided(plain, "sort.placed", "union.distinct"), 1)
+      << plain.analyzed_plan_text;
+  // Both on: the merge union's stream needs no sort. Each branch has an
+  // ordered access path here (orders_custkey, customer_pk).
+  const QueryResult merged = analyze(&db, OptimizerConfig());
+  EXPECT_GE(decided(merged, "sort.avoided", "union.distinct"), 1)
+      << merged.analyzed_plan_text;
+
+  // Without indexes or sort-ahead no branch arrives ordered: each is
+  // sorted for the merge union.
+  Database bare;
+  data.with_indexes = false;
+  ASSERT_TRUE(LoadTpcd(&bare, data).ok());
+  OptimizerConfig no_sort_ahead;
+  no_sort_ahead.enable_sort_ahead = false;
+  const QueryResult sorted = analyze(&bare, no_sort_ahead);
+  EXPECT_GE(decided(sorted, "sort.placed", "union.branch"), 1)
+      << sorted.analyzed_plan_text;
+  EXPECT_GE(decided(sorted, "sort.avoided", "union.distinct"), 1)
+      << sorted.analyzed_plan_text;
+}
+
 // The decisions block prints each distinct line once, suffixed " xN" for N
 // repeats; the counts add back up to the optimizer events. Hash operators
 // on widen the join enumeration, so Q3 re-tests the same orders often.
