@@ -50,8 +50,8 @@
 // numbers (the check.sh --batch gate reads it and enforces >= 1.5x at
 // batch size 1024).
 //
-// --parallel-sweep instead runs Q3 (DB2/CS profile) and the pricing
-// summary (hash profile) at 1/2/4 exchange workers
+// --parallel-sweep instead runs Q3 (under the DB2/CS and the hash
+// profiles) and the pricing summary (hash profile) at 1/2/4 exchange workers
 // (OptimizerConfig::parallel_workers), asserts every parallel row stream
 // is identical to serial, and reports the wall-clock speedup next to the
 // modeled critical-path speedup from per-thread CPU time, and the scan
@@ -714,9 +714,10 @@ int ParallelSweep(Database* db, int runs, const std::string& json_path) {
   constexpr int kIterations = 7;
   const SweepQuery queries[] = {
       {"tpcd_q3", tpcd_queries::kQuery3, /*hash=*/false},
+      {"tpcd_q3_hash", tpcd_queries::kQuery3, /*hash=*/true},
       {"tpcd_pricing", tpcd_queries::kPricingSummary, /*hash=*/true},
   };
-  constexpr int kQueries = 2;
+  constexpr int kQueries = static_cast<int>(std::size(queries));
   SweepResult results[kQueries];
   bool rows_identical = true;
   for (int i = 0; i < kQueries; ++i) {

@@ -69,7 +69,8 @@
 #                                         the guard thread-safety hammer) and
 #                                         the fuzz identity matrix under BOTH
 #                                         asan-ubsan and ThreadSanitizer,
-#                                         then runs the Q3 and pricing
+#                                         then runs the Q3 (DB2/CS and
+#                                         hash) and pricing
 #                                         parallel-worker sweeps into
 #                                         BENCH_parallel.json and enforces
 #                                         row-identity to serial plus >= 1.8x
@@ -342,8 +343,9 @@ fi
 # workers) under address/UB sanitizers AND ThreadSanitizer — exchange
 # workers, the shared morsel scheduler, and guard accounting are all
 # cross-thread, so TSan is the gate that keeps them honest. Finishes with
-# the parallel-worker sweep of Q3 (DB2/CS) and pricing (hash, aggregating
-# in the workers): rows must be identical to serial and the wall-clock
+# the parallel-worker sweep of Q3 (DB2/CS, and hash: its hash join probes
+# in the workers) and pricing (hash, aggregating in the workers): rows
+# must be identical to serial and the wall-clock
 # speedup must reach >= 1.8x at 4 workers on each query; the modeled
 # critical-path speedup from per-thread CPU time (main thread + busiest
 # worker) is reported beside it. Other load on the host can push the wall
@@ -366,7 +368,7 @@ if [ "${1:-}" = "--parallel" ]; then
   PARALLEL_GATE_OK=0
   for attempt in 1 2 3; do
     if ! ./build/bench/bench_table1_q3 --parallel-sweep \
-      --json=BENCH_parallel.json | tail -n 18; then
+      --json=BENCH_parallel.json | tail -n 26; then
       echo "FAIL: parallel sweep reported a row-identity mismatch"
       exit 1
     fi
@@ -379,7 +381,7 @@ failures = []
 if not report["rows_identical"]:
     failures.append("parallel runs are not row-identical to serial")
 queries = {q["query"]: q for q in report["queries"]}
-for name in ("tpcd_q3", "tpcd_pricing"):
+for name in ("tpcd_q3", "tpcd_q3_hash", "tpcd_pricing"):
     if name not in queries:
         failures.append(f"sweep is missing {name}")
         continue

@@ -71,11 +71,47 @@ bool AggregatesInSort(const PlanNode& plan) {
   return true;
 }
 
+Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
+                              const RequiredColumns& required,
+                              Operator** unwrapped = nullptr);
+
+/// The shared build of `join`, a hash join in an exchange's worker chain
+/// (DESIGN.md §15): the first worker tree to reach the join builds its
+/// build subtree, against the exchange's context and under `required`; the
+/// rest reuse it.
+Result<const HashJoinBuild*> ShareBuild(const PlanRef& join,
+                                        const RequiredColumns& required,
+                                        SharedBuilds* shared) {
+  if (const SharedBuilds::Entry* e = shared->Find(join.get())) {
+    return e->build.get();
+  }
+  auto entry = std::make_unique<SharedBuilds::Entry>();
+  entry->join = join.get();
+  entry->metrics = std::make_unique<RuntimeMetrics>();
+  ExecContext ctx = shared->ctx;
+  if (ctx.spill != nullptr) {
+    entry->spill = std::make_unique<SpillManager>(ctx.spill->config(),
+                                                  entry->metrics.get());
+  }
+  ctx.metrics = entry->metrics.get();
+  ctx.spill = entry->spill.get();
+  if (ctx.op_registry != nullptr) ctx.op_registry = &entry->registry;
+  ORDOPT_ASSIGN_OR_RETURN(OperatorPtr inner,
+                          BuildTree(join->children[1], ctx, required));
+  std::vector<ColumnId> keys;
+  for (const auto& pair : join->join_pairs) keys.push_back(pair.second);
+  entry->build = std::make_unique<HashJoinBuild>(std::move(inner), keys, ctx,
+                                                 &entry->stats);
+  if (!ctx.GuardOk()) return ctx.guard->status();
+  shared->entries.push_back(std::move(entry));
+  return shared->entries.back()->build.get();
+}
+
 /// Builds `plan`'s operator; `*unwrapped` (when given) receives it before
 /// any OrderCheckOp wrapping.
 Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
                               const RequiredColumns& required,
-                              Operator** unwrapped = nullptr) {
+                              Operator** unwrapped) {
   // Effective requirement on this node's output: what the parent needs
   // plus what the node itself touches. Scans prune their emitted columns
   // down to it; everything else derives its layout from its children and
@@ -128,9 +164,15 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
       break;
   }
 
+  // A hash join in a worker chain builds its probe side only; its build
+  // side is shared (ShareBuild).
+  const size_t child_count = ctx.shared_builds != nullptr &&
+                                     IsHashJoin(plan->kind)
+                                 ? 1
+                                 : plan->children.size();
   std::vector<OperatorPtr> children;
-  std::vector<Operator*> unwrapped_children(plan->children.size());
-  for (size_t i = 0; i < plan->children.size(); ++i) {
+  std::vector<Operator*> unwrapped_children(child_count);
+  for (size_t i = 0; i < child_count; ++i) {
     ORDOPT_ASSIGN_OR_RETURN(
         OperatorPtr op, BuildTree(plan->children[i], ctx, child_req,
                                   &unwrapped_children[i]));
@@ -169,13 +211,21 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
           ctx));
       break;
     case OpKind::kHashJoin:
-    case OpKind::kHashLeftJoin:
-      built = OperatorPtr(new HashJoinOp(
-          std::move(children[0]), std::move(children[1]), plan->join_pairs,
-          plan->kind == OpKind::kHashJoin ? JoinKind::kInner
-                                          : JoinKind::kLeft,
-          ctx));
+    case OpKind::kHashLeftJoin: {
+      const JoinKind kind = plan->kind == OpKind::kHashJoin ? JoinKind::kInner
+                                                            : JoinKind::kLeft;
+      if (ctx.shared_builds == nullptr) {
+        built = OperatorPtr(new HashJoinOp(std::move(children[0]),
+                                           std::move(children[1]),
+                                           plan->join_pairs, kind, ctx));
+        break;
+      }
+      ORDOPT_ASSIGN_OR_RETURN(const HashJoinBuild* build,
+                              ShareBuild(plan, child_req, ctx.shared_builds));
+      built = OperatorPtr(new HashJoinOp(std::move(children[0]), build,
+                                         plan->join_pairs, kind, ctx));
       break;
+    }
     case OpKind::kNaiveNLJoin:
       // Cartesian product: the join's residual predicates sit in a Filter
       // above it.

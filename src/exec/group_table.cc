@@ -15,16 +15,35 @@ namespace ordopt {
 // GroupTable
 // ---------------------------------------------------------------------------
 
-int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted,
-                                 bool may_insert) {
+void GroupTable::EncodeKey(const RowBatch& batch, int64_t row,
+                           const std::vector<int>& positions,
+                           std::string* out) {
+  out->clear();
+  for (int p : positions) {
+    AppendNormalizedKeyColumn(batch.At(static_cast<size_t>(p), row),
+                              /*descending=*/false, out);
+  }
+}
+
+int64_t GroupTable::Find(std::string_view key) const {
+  if (slots_.empty()) return -1;
+  const uint64_t hash = std::hash<std::string_view>()(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.group < 0) return -1;
+    if (slot.hash == hash && this->key(slot.group) == key) return slot.group;
+  }
+}
+
+int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted) {
   if (static_cast<size_t>(size() + 1) * 2 > slots_.size()) Grow();
   const uint64_t hash = std::hash<std::string_view>()(key);
   const size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     Slot& slot = slots_[i];
     if (slot.group < 0) {
-      *inserted = may_insert;
-      if (!may_insert) return -1;
+      *inserted = true;
       slot.hash = hash;
       slot.group = size();
       arena_.append(key);
@@ -40,13 +59,9 @@ int64_t GroupTable::FindOrInsert(std::string_view key, bool* inserted,
 
 int64_t GroupTable::FindOrInsert(const RowBatch& batch, int64_t row,
                                  const std::vector<int>& positions,
-                                 bool* inserted, bool may_insert) {
-  scratch_.clear();
-  for (int p : positions) {
-    AppendNormalizedKeyColumn(batch.At(static_cast<size_t>(p), row),
-                              /*descending=*/false, &scratch_);
-  }
-  return FindOrInsert(scratch_, inserted, may_insert);
+                                 bool* inserted) {
+  EncodeKey(batch, row, positions, &scratch_);
+  return FindOrInsert(scratch_, inserted);
 }
 
 void GroupTable::Grow() {

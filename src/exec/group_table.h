@@ -32,16 +32,21 @@ namespace ordopt {
 /// arena range.
 class GroupTable {
  public:
+  /// Replaces `*out` with the key bytes of row `row` of `batch` (the
+  /// columns at `positions`).
+  static void EncodeKey(const RowBatch& batch, int64_t row,
+                        const std::vector<int>& positions, std::string* out);
+
+  /// The group whose key bytes equal `key`; -1 when there is none. Reads
+  /// only, so any number of threads may probe a table no one modifies.
+  int64_t Find(std::string_view key) const;
   /// The group whose key bytes equal `key`. When there is none a new group
-  /// (index size()) is appended — or, with `may_insert` false, -1 is
-  /// returned; `*inserted` says whether a group was appended.
-  int64_t FindOrInsert(std::string_view key, bool* inserted,
-                       bool may_insert = true);
+  /// (index size()) is appended; `*inserted` says whether one was.
+  int64_t FindOrInsert(std::string_view key, bool* inserted);
   /// Encodes the key of row `row` of `batch` (the columns at `positions`)
   /// and finds or inserts its group.
   int64_t FindOrInsert(const RowBatch& batch, int64_t row,
-                       const std::vector<int>& positions, bool* inserted,
-                       bool may_insert = true);
+                       const std::vector<int>& positions, bool* inserted);
 
   int64_t size() const { return static_cast<int64_t>(offsets_.size()) - 1; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <tuple>
 
 #include "exec/sort_key.h"
 
@@ -951,31 +952,32 @@ void NaiveNLJoinOp::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// HashJoinOp
+// HashJoinBuild / HashJoinOp
 // ---------------------------------------------------------------------------
 
-HashJoinOp::HashJoinOp(OperatorPtr outer, OperatorPtr inner,
-                       std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                       JoinKind kind, ExecContext ctx)
-    : JoinOp(std::move(outer), std::move(inner), pairs, kind, ctx) {}
+HashJoinBuild::HashJoinBuild(OperatorPtr inner,
+                             const std::vector<ColumnId>& keys,
+                             ExecContext ctx, OperatorStats* stats)
+    : inner_(std::move(inner)),
+      positions_(PositionsOf(keys, inner_->layout(), ctx)),
+      buffer_(ctx.guard, stats) {}
 
-void HashJoinOp::OpenImpl() {
-  outer_->Open();
+void HashJoinBuild::Run() {
   inner_->Open();
   table_.Clear();
   rows_.clear();
   buffer_.Release();
-  // Build: each non-NULL-keyed inner row joins its key's group; the rows
-  // are then laid out group by group, each group in inner order.
+  // Each non-NULL-keyed inner row joins its key's group; the rows are then
+  // laid out group by group, each group in inner order.
   std::vector<Row> built;
   std::vector<int64_t> group_of;
   RowBatch batch;
   bool inserted = false;
   while (inner_->NextBatch(&batch)) {
     for (int64_t i = 0; i < batch.size(); ++i) {
-      if (AnyNull(batch, i, inner_positions_)) continue;
+      if (AnyNull(batch, i, positions_)) continue;
       const int64_t group =
-          table_.FindOrInsert(batch, i, inner_positions_, &inserted);
+          table_.FindOrInsert(batch, i, positions_, &inserted);
       Row row = batch.TakeRow(i);
       buffer_.Add(row);
       built.push_back(std::move(row));
@@ -990,6 +992,52 @@ void HashJoinOp::OpenImpl() {
   for (size_t i = 0; i < built.size(); ++i) {
     rows_[next[static_cast<size_t>(group_of[i])]++] = std::move(built[i]);
   }
+}
+
+void HashJoinBuild::Close() {
+  inner_->Close();
+  table_.Clear();
+  rows_.clear();
+  starts_.clear();
+  buffer_.Release();
+}
+
+std::pair<size_t, size_t> HashJoinBuild::Matches(std::string_view key) const {
+  const int64_t group = table_.Find(key);
+  if (group < 0) return {0, 0};
+  const size_t g = static_cast<size_t>(group);
+  return {starts_[g], starts_[g + 1]};
+}
+
+HashJoinOp::HashJoinOp(OperatorPtr outer, OperatorPtr inner,
+                       std::vector<std::pair<ColumnId, ColumnId>> pairs,
+                       JoinKind kind, ExecContext ctx)
+    : JoinOp(std::move(outer), nullptr, pairs, kind, ctx) {
+  std::vector<ColumnId> keys;
+  for (const auto& pair : pairs) keys.push_back(pair.second);
+  owned_ = std::make_unique<HashJoinBuild>(std::move(inner), keys, ctx,
+                                           &stats_);
+  BindBuild(owned_.get());
+}
+
+HashJoinOp::HashJoinOp(OperatorPtr outer, const HashJoinBuild* build,
+                       std::vector<std::pair<ColumnId, ColumnId>> pairs,
+                       JoinKind kind, ExecContext ctx)
+    : JoinOp(std::move(outer), nullptr, pairs, kind, ctx) {
+  BindBuild(build);
+}
+
+void HashJoinOp::BindBuild(const HashJoinBuild* build) {
+  build_ = build;
+  for (const ColumnId& c : build_->layout()) {
+    inner_ordinals_.push_back(static_cast<int32_t>(inner_ordinals_.size()));
+    layout_.push_back(c);
+  }
+}
+
+void HashJoinOp::OpenImpl() {
+  outer_->Open();
+  if (owned_ != nullptr) owned_->Run();
   ResetOuter();
   match_pos_ = match_end_ = 0;
 }
@@ -999,20 +1047,14 @@ bool HashJoinOp::NextBatchImpl(RowBatch* out) {
   const int64_t cap = out->capacity();
   while (Pending(*out) < cap && ctx_.GuardOk()) {
     if (match_pos_ < match_end_) {
-      Gather(&rows_[match_pos_++]);
+      Gather(&build_->row(match_pos_++));
       continue;
     }
     if (!AdvanceOuter(out)) break;
     if (!OuterKeyHasNull()) {
-      bool inserted = false;
-      const int64_t group = table_.FindOrInsert(
-          outer_batch_, outer_pos_, outer_positions_, &inserted,
-          /*may_insert=*/false);
-      if (group >= 0) {
-        match_pos_ = starts_[static_cast<size_t>(group)];
-        match_end_ = starts_[static_cast<size_t>(group) + 1];
-        if (match_pos_ < match_end_) continue;
-      }
+      GroupTable::EncodeKey(outer_batch_, outer_pos_, outer_positions_, &key_);
+      std::tie(match_pos_, match_end_) = build_->Matches(key_);
+      if (match_pos_ < match_end_) continue;
     }
     if (kind_ == JoinKind::kLeft) Gather(nullptr);
   }
@@ -1022,9 +1064,7 @@ bool HashJoinOp::NextBatchImpl(RowBatch* out) {
 
 void HashJoinOp::Close() {
   JoinOp::Close();
-  table_.Clear();
-  rows_.clear();
-  starts_.clear();
+  if (owned_ != nullptr) owned_->Close();
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,9 +1129,10 @@ bool StreamGroupByOp::Absorb(const RowBatch& batch, int64_t row,
   Resident& r = *resident_;
   if (row == 0) r.acc.EvaluateArgs(batch);
   bool inserted = false;
-  const int64_t group =
-      r.table.FindOrInsert(batch, row, group_positions_, &inserted,
-                           /*may_insert=*/r.table.size() < r.max_groups);
+  GroupTable::EncodeKey(batch, row, group_positions_, &r.key);
+  const int64_t group = r.table.size() < r.max_groups
+                            ? r.table.FindOrInsert(r.key, &inserted)
+                            : r.table.Find(r.key);
   *absorbed = group >= 0;
   if (!*absorbed) return true;
   if (inserted) {

@@ -3,6 +3,9 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/expr_eval.h"
@@ -28,7 +31,10 @@ namespace ordopt {
 /// delta across it to this operator's OperatorStats. The delta spans the
 /// whole call — including nested child pulls — so stats are inclusive of
 /// the subtree and a parent's self cost is its value minus the sum over its
-/// children. When stats collection is off the wrappers cost one branch.
+/// children. Work that belongs to operators elsewhere in the plan (an
+/// exchange's shared hash-join builds) is left out of the timing of the
+/// calls enclosing it (ExcludeTime). When stats collection is off the
+/// wrappers cost one branch.
 /// At batch granularity next_calls counts NextBatch invocations and
 /// rows_out accumulates emitted batch sizes.
 class Operator {
@@ -43,9 +49,10 @@ class Operator {
       OpenImpl();
     } else {
       MetricsSnapshot before = Snapshot();
+      const int64_t excluded = excluded_ns_;
       auto start = std::chrono::steady_clock::now();
       OpenImpl();
-      stats_.open_ns += ElapsedNs(start);
+      stats_.open_ns += ElapsedNs(start, excluded);
       AccumulateDelta(before);
     }
     BufferAccount::FlushPending();
@@ -65,9 +72,10 @@ class Operator {
       produced = NextBatchImpl(out) || EndOfStream(out);
     } else {
       MetricsSnapshot before = Snapshot();
+      const int64_t excluded = excluded_ns_;
       auto start = std::chrono::steady_clock::now();
       produced = NextBatchImpl(out) || EndOfStream(out);
-      stats_.next_ns += ElapsedNs(start);
+      stats_.next_ns += ElapsedNs(start, excluded);
       AccumulateDelta(before);
       ++stats_.next_calls;
       if (produced) stats_.rows_out += out->size();
@@ -105,11 +113,26 @@ class Operator {
         .count();
   }
 
+  /// Wall time since `start` not yet excluded by a nested ExcludeTime.
+  static int64_t ElapsedNs(std::chrono::steady_clock::time_point start,
+                           int64_t excluded_at_start) {
+    return ElapsedNs(start) - (excluded_ns_ - excluded_at_start);
+  }
+  static int64_t ExcludedNs() { return excluded_ns_; }
+  /// Leaves `ns` of wall time just spent on this thread out of the timing
+  /// of every Open/NextBatch call now running on it: the work belongs to
+  /// operators elsewhere in the plan (an exchange's shared hash-join
+  /// builds, DESIGN.md §15), whose stats carry it.
+  static void ExcludeTime(int64_t ns) { excluded_ns_ += ns; }
+
   ExecContext ctx_;
   std::vector<ColumnId> layout_;
   OperatorStats stats_;
 
  private:
+  /// This thread's total of ExcludeTime.
+  static inline thread_local int64_t excluded_ns_ = 0;
+
   /// The RuntimeMetrics counters attributed per-operator; rows_produced /
   /// sorts / buffered peaks are tracked elsewhere (rows_out counts this
   /// operator's own emissions, buffered_rows_peak via BufferAccount).
@@ -303,20 +326,21 @@ enum class JoinKind { kInner, kLeft };
 
 /// Shared shape of the binary joins: outer columns then inner columns, the
 /// equality key positions on either side, one buffer account for whatever
-/// the algorithm holds of the inner, the outer batch cursor, and one emit
+/// the algorithm holds of the inner (a hash join's build keeps its own),
+/// the outer batch cursor, and one emit
 /// step. Subclasses gather output rows as (outer row of the current outer
 /// batch, held inner row or the LEFT pad) pairs, and EmitGathered writes
 /// them column at a time — outer columns, then the inner row's emitted
-/// columns or NULLs. The stream joins (merge, hash, nested loop) read the
-/// inner from an operator; the index join reads base-table rows. NULL join
-/// keys never match.
+/// columns or NULLs. The merge and nested-loop joins read the inner from
+/// an operator, the hash join from its build, and the index join reads
+/// base-table rows. NULL join keys never match.
 class JoinOp : public Operator {
  public:
   void Close() override;
 
  protected:
-  /// With a null `inner` (the index join) the subclass appends the inner
-  /// columns to layout_ and fills inner_ordinals_ itself.
+  /// With a null `inner` (the index and hash joins) the subclass appends
+  /// the inner columns to layout_ and fills inner_ordinals_ itself.
   JoinOp(OperatorPtr outer, OperatorPtr inner,
          const std::vector<std::pair<ColumnId, ColumnId>>& pairs,
          JoinKind kind, ExecContext ctx);
@@ -451,28 +475,70 @@ class NaiveNLJoinOp : public JoinOp {
   SelectionVector sel_;
 };
 
-/// Hash join on the grouping kernel: the inner's rows are grouped by their
-/// key's GroupTable group (NULL keys are skipped, as GroupTable puts all
-/// NULLs in one group), and each outer row probes with the same encoding.
-/// Outer order is NOT preserved by contract, although probing happens in
-/// outer order. Shares GroupTable's key-encoding caveat (sort_key.h).
+/// A hash join's build side on the grouping kernel: the inner's rows
+/// grouped by their key's GroupTable group (NULL keys are skipped, as
+/// GroupTable puts all NULLs in one group), each group's rows in inner
+/// order. A serial HashJoinOp owns its build. Inside an exchange, the
+/// chain's joins borrow one build that the exchange ran before its workers
+/// started (DESIGN.md §15): once Run returns, a build is read-only, so
+/// every worker probes it without a lock.
+class HashJoinBuild {
+ public:
+  /// `keys` are the inner's join-key columns; `stats` (may be null)
+  /// receives the buffered-rows peak of the held rows.
+  HashJoinBuild(OperatorPtr inner, const std::vector<ColumnId>& keys,
+                ExecContext ctx, OperatorStats* stats);
+
+  /// Opens the inner and drains it into the table, charging every held
+  /// row to the buffer account.
+  void Run();
+  /// Closes the inner and drops the table and its charge.
+  void Close();
+
+  const std::vector<ColumnId>& layout() const { return inner_->layout(); }
+  Operator* inner() const { return inner_.get(); }
+  /// The held rows whose key bytes equal `key`: [first, second).
+  std::pair<size_t, size_t> Matches(std::string_view key) const;
+  const Row& row(size_t i) const { return rows_[i]; }
+
+ private:
+  OperatorPtr inner_;
+  std::vector<int> positions_;  ///< the key columns in the inner layout
+  BufferAccount buffer_;
+  GroupTable table_;
+  /// Group g's rows are rows_[starts_[g], starts_[g + 1]).
+  std::vector<Row> rows_;
+  std::vector<size_t> starts_;
+};
+
+/// Hash join: each outer row probes the build with its key's GroupTable
+/// encoding. Outer order is NOT preserved by contract, although probing
+/// happens in outer order, each outer row's matches in inner order. Shares
+/// GroupTable's key-encoding caveat (sort_key.h).
 class HashJoinOp : public JoinOp {
  public:
+  /// A serial join, owning its build of `inner`.
   HashJoinOp(OperatorPtr outer, OperatorPtr inner,
              std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
              ExecContext ctx = ExecContext());
+  /// A chain join in an exchange worker, probing `build`, which the
+  /// exchange runs and closes.
+  HashJoinOp(OperatorPtr outer, const HashJoinBuild* build,
+             std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
+             ExecContext ctx);
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
-  GroupTable table_;
-  /// The inner rows, grouped: group g's rows are
-  /// rows_[starts_[g], starts_[g + 1]), in inner order.
-  std::vector<Row> rows_;
-  std::vector<size_t> starts_;
+  /// Probes `build` and appends its columns to the layout.
+  void BindBuild(const HashJoinBuild* build);
+
+  std::unique_ptr<HashJoinBuild> owned_;  ///< null for a chain join
+  const HashJoinBuild* build_ = nullptr;
+  std::string key_;       ///< the current outer row's key bytes
   size_t match_pos_ = 0;  ///< the current outer row's matches left:
-  size_t match_end_ = 0;  ///< rows_[match_pos_, match_end_)
+  size_t match_end_ = 0;  ///< build_->row(match_pos_ .. match_end_ - 1)
 };
 
 /// Shared shape of the grouping operators, both on the grouping kernel:
@@ -565,6 +631,7 @@ class StreamGroupByOp : public GroupByOp {
     int64_t max_groups = 0;
     BufferAccount buffer;  ///< one row per resident group
     GroupTable table;
+    std::string key;  ///< the absorbed row's group key bytes
     AggAccumulator acc;
     std::string spec_keys;
     std::vector<size_t> spec_offsets{0};

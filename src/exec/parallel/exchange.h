@@ -17,6 +17,37 @@
 
 namespace ordopt {
 
+/// The build sides of the hash joins in one exchange's worker chain
+/// (DESIGN.md §15), shared by every worker's copy of the chain.
+/// BuildOperatorTree builds a join's build subtree the first time a worker
+/// tree reaches the join, against the exchange's guard and settings, so
+/// each exists once per exchange. ExchangeOp runs them on the consuming
+/// thread before any worker starts, and closes them after the last worker
+/// ends. Like a worker, a build counts into private metrics (and spills
+/// through a private SpillManager) that the exchange merges at Close.
+struct SharedBuilds {
+  struct Entry {
+    const PlanNode* join = nullptr;  ///< a chain HashJoin / HashLeftJoin
+    std::unique_ptr<RuntimeMetrics> metrics;
+    std::unique_ptr<SpillManager> spill;  ///< null when the query has none
+    OperatorStats stats;  ///< the build's buffered-rows peak
+    std::unique_ptr<HashJoinBuild> build;
+    /// The build subtree's (plan node, operator) pairs, in post-order.
+    std::vector<std::pair<const PlanNode*, Operator*>> registry;
+    int64_t run_ns = 0;  ///< wall time of the last Run
+  };
+
+  Entry* Find(const PlanNode* join) const {
+    for (const auto& e : entries) {
+      if (e->join == join) return e.get();
+    }
+    return nullptr;
+  }
+
+  ExecContext ctx;  ///< the exchange's
+  std::vector<std::unique_ptr<Entry>> entries;
+};
+
 /// Morsel-parallel exchange: runs `exchange_workers` copies of the child
 /// subtree (the parallelized chain) on worker threads, each pulling morsels
 /// from a shared MorselScheduler, and recombines their batch streams on the
@@ -36,6 +67,10 @@ namespace ordopt {
 /// refills it, so a steady stream reuses its memory instead of allocating
 /// on one thread and freeing on another.
 ///
+/// A hash join in the chain probes a build the exchange ran once, on the
+/// consuming thread in Open, before starting any worker (SharedBuilds);
+/// after a failed build no worker starts.
+///
 /// Isolation: every worker runs with a private RuntimeMetrics and a
 /// private SpillManager (run files are process-uniquely named), against
 /// the query's shared thread-safe QueryGuard. Worker metrics, spill
@@ -49,10 +84,11 @@ namespace ordopt {
 /// leaks a thread, a buffered batch, or a worker's spill charge.
 class ExchangeOp : public Operator {
  public:
-  /// Builds the worker operator trees immediately (so EXPLAIN ANALYZE's
-  /// plan-node/operator registry pairing sees them in post-order before
-  /// this exchange itself is registered). `node` is the kExchange plan
-  /// node; `required_columns` is the column requirement computed at the
+  /// Builds the worker operator trees and the chain joins' shared build
+  /// subtrees immediately (so EXPLAIN ANALYZE's plan-node/operator
+  /// registry pairing sees them in post-order before this exchange itself
+  /// is registered). `node` is the kExchange plan node;
+  /// `required_columns` is the column requirement computed at the
   /// exchange, passed through to the workers' scans for pruning. A build
   /// failure poisons the guard; BuildOperatorTree surfaces it.
   ExchangeOp(const PlanNode& node, ExecContext ctx,
@@ -110,6 +146,7 @@ class ExchangeOp : public Operator {
   void MergeWorkerAccounting();
 
   MorselScheduler morsels_;
+  SharedBuilds shared_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Positions of the merge-key columns / provenance column in the worker

@@ -366,6 +366,7 @@ class SpillManager;
 class Operator;
 class MorselScheduler;
 struct PlanNode;
+struct SharedBuilds;
 
 /// Everything the operator tree needs from its environment: runtime
 /// counters plus the (optional) guard and spill manager. Passed by value
@@ -408,6 +409,10 @@ struct ExecContext {
   /// worker's operator tree. The chain's driving scan pulls rid/ordinal
   /// ranges from it instead of scanning its full range.
   MorselScheduler* morsels = nullptr;
+  /// The build sides of the chain's hash joins, shared by every worker of
+  /// the enclosing ExchangeOp; non-null only inside a worker's operator
+  /// tree, where each hash join builds no inner of its own.
+  SharedBuilds* shared_builds = nullptr;
 
   bool GuardOk() const { return guard == nullptr || guard->ok(); }
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,20 +14,24 @@ bool IsLeafScan(OpKind kind) {
   return kind == OpKind::kTableScan || kind == OpKind::kIndexScan;
 }
 
-/// Chain-interior operators: single-child operators a morsel worker can run
-/// over its partition with the partition's serial semantics intact. Filter
-/// is trivially partitionable; IndexNLJoin probes a read-only base table per
-/// outer row, so partitioning the outer stream partitions the join; in a
-/// Sort the workers sort their partitions and the exchange merges the sorted
-/// streams — parallel run formation, with the sorted order carried through
-/// the exchange instead of re-established above it (§4.2 Test Order).
+/// Chain-interior operators: operators a morsel worker can run over its
+/// partition of their first child's stream with the partition's serial
+/// semantics intact. Filter is trivially partitionable. IndexNLJoin probes
+/// a read-only base table per outer row, so partitioning the outer stream
+/// partitions the join; a hash join probes a read-only build the same way
+/// (its second child, a region of its own that the exchange runs once
+/// before the workers start, DESIGN.md §15). In a Sort the workers sort
+/// their partitions and the exchange merges the sorted streams — parallel
+/// run formation, with the sorted order carried through the exchange
+/// instead of re-established above it (§4.2 Test Order).
 bool ChainInterior(OpKind kind) {
   return kind == OpKind::kFilter || kind == OpKind::kIndexNLJoin ||
-         kind == OpKind::kSort;
+         kind == OpKind::kSort || IsHashJoin(kind);
 }
 
-/// True when `node` heads a parallelizable chain: a linear path of
-/// chain-interior operators ending in a base-table leaf scan.
+/// True when `node` heads a parallelizable chain: a path of chain-interior
+/// operators through their first children ending in a base-table leaf
+/// scan.
 bool IsChain(const PlanNode* node) {
   while (ChainInterior(node->kind)) {
     node = node->children[0].get();
@@ -49,9 +54,11 @@ OrderElement ProvenanceElement() {
 /// (the serial SortOp breaks ties by input order, which *is* provenance
 /// order). `merge_spec` receives the topmost Sort's extended spec — the
 /// order the chain's output stream actually has, hence the exchange's merge
-/// key; it stays untouched for sortless chains.
-PlanRef CloneChainForWorkers(const PlanNode* node, bool* saw_sort,
-                             OrderSpec* merge_spec) {
+/// key; it stays untouched for sortless chains. A hash join's build child
+/// is not cloned but parallelized as a region of its own by `parallelize`.
+PlanRef CloneChainForWorkers(
+    const PlanNode* node, const std::function<PlanRef(PlanRef)>& parallelize,
+    bool* saw_sort, OrderSpec* merge_spec) {
   auto clone = std::make_shared<PlanNode>(*node);
   if (IsLeafScan(node->kind)) {
     clone->morsel_driver = true;
@@ -67,8 +74,11 @@ PlanRef CloneChainForWorkers(const PlanNode* node, bool* saw_sort,
       *merge_spec = std::move(extended);
     }
   }
-  clone->children = {
-      CloneChainForWorkers(node->children[0].get(), saw_sort, merge_spec)};
+  clone->children[0] = CloneChainForWorkers(node->children[0].get(),
+                                            parallelize, saw_sort, merge_spec);
+  if (IsHashJoin(node->kind)) {
+    clone->children[1] = parallelize(node->children[1]);
+  }
   return clone;
 }
 
@@ -116,7 +126,8 @@ const char* PartialAggregationBlocker(const PlanNode& group_by, int workers) {
 
 /// HashGroupBy(final) <- Exchange <- HashGroupBy(partial) <- the chain
 /// under `group_by`, cloned for the workers (DESIGN.md §15).
-PlanRef SplitAggregation(const PlanRef& group_by, int workers) {
+PlanRef SplitAggregation(const PlanRef& group_by, int workers,
+                         const std::function<PlanRef(PlanRef)>& parallelize) {
   bool saw_sort = false;
   OrderSpec unused;
   // Neither half below the final claims an order or a key: the exchange
@@ -128,8 +139,8 @@ PlanRef SplitAggregation(const PlanRef& group_by, int workers) {
   partial->props.cardinality =
       std::min(group_by->props.cardinality * workers,
                group_by->children[0]->props.cardinality);
-  partial->children = {CloneChainForWorkers(group_by->children[0].get(),
-                                            &saw_sort, &unused)};
+  partial->children = {CloneChainForWorkers(
+      group_by->children[0].get(), parallelize, &saw_sort, &unused)};
   auto exchange = std::make_shared<PlanNode>();
   exchange->kind = OpKind::kExchange;
   exchange->exchange_workers = workers;
@@ -150,13 +161,18 @@ PlanRef SplitAggregation(const PlanRef& group_by, int workers) {
 PlanRef Planner::Parallelize(PlanRef plan) const {
   const int workers = std::clamp(config_.parallel_workers, 1, 64);
   if (workers <= 1) return plan;
+  const auto parallelize = [this](PlanRef p) {
+    return Parallelize(std::move(p));
+  };
 
   // A hash group-by directly over a chain aggregates in the workers when
   // the final merge can reproduce the serial result.
   if (plan->kind == OpKind::kHashGroupBy && IsChain(plan->children[0].get())) {
     const char* blocker = PartialAggregationBlocker(*plan, workers);
     TracePartialAggregation(*plan, blocker);
-    if (blocker == nullptr) return SplitAggregation(plan, workers);
+    if (blocker == nullptr) {
+      return SplitAggregation(plan, workers, parallelize);
+    }
   }
 
   // A maximal chain: `plan` heads one, and the caller (recursing only into
@@ -165,7 +181,7 @@ PlanRef Planner::Parallelize(PlanRef plan) const {
     bool saw_sort = false;
     OrderSpec merge_spec;
     PlanRef worker_chain =
-        CloneChainForWorkers(plan.get(), &saw_sort, &merge_spec);
+        CloneChainForWorkers(plan.get(), parallelize, &saw_sort, &merge_spec);
     auto exchange = std::make_shared<PlanNode>();
     exchange->kind = OpKind::kExchange;
     exchange->exchange_workers = workers;

@@ -39,6 +39,10 @@ enum class OpKind {
 
 const char* OpKindName(OpKind kind);
 
+inline bool IsHashJoin(OpKind kind) {
+  return kind == OpKind::kHashJoin || kind == OpKind::kHashLeftJoin;
+}
+
 struct PlanNode;
 
 /// One-line label for a plan node: the operator kind plus its defining

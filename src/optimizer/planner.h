@@ -195,9 +195,11 @@ class Planner {
 
   // --- parallelize.cc ------------------------------------------------------
   // Post-pass over the chosen plan (BuildPlan only — never the enumeration
-  // oracle): wraps every maximal parallelizable scan chain in an Exchange,
-  // choosing the order-preserving merge variant when the chain's top claims
-  // an order and tracing the sort decision at the new site; a hash group-by
+  // oracle): wraps every maximal parallelizable scan chain in an Exchange
+  // (a chain runs through hash joins' probe sides; their build sides are
+  // parallelized as regions of their own), choosing the order-preserving
+  // merge variant when the chain's top claims an order and tracing the
+  // sort decision at the new site; a hash group-by
   // directly over a chain splits into a partial group-by in the workers and
   // a final one above the exchange where that reproduces serial results and
   // its estimated groups are few against its input rows (DESIGN.md §15).

@@ -29,12 +29,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "exec/engine.h"
+#include "exec/executor.h"
 #include "exec/operators.h"
 #include "exec/parallel/morsel.h"
 #include "exec/query_guard.h"
@@ -840,14 +842,16 @@ TEST(ParallelPlanShape, ManyGroupsStayAboveTheExchange) {
                           DefaultConfig());
 }
 
-// ---- A serial Sort that spills above an exchange ------------------------
+// ---- Sorts that spill above and below an exchange -----------------------
 
-// A Sort over a hash join cannot join a chain, so it runs serially above
-// the exchange that parallelizes the join's probe side. Under a small row
-// budget it spills through the query's own SpillManager: the rows must
-// match serial, the shared budget must drain to zero, and no run file may
-// be left behind.
-TEST(ParallelSpill, SerialSortSpillsAboveExchange) {
+// A Sort over a HashGroupBy with about one group per ten input rows: the
+// group-by stays above the exchange that parallelizes its scan, and so does
+// the Sort. Under a small row budget it spills through the query's own
+// SpillManager. Runs `sql` serially and at 4 workers under a shared memory
+// budget; the rows must match serial, the sort must have spilled, the
+// shared budget must drain to zero, and no run file may be left behind.
+// Returns the parallel plan.
+std::string ExpectSpillingSortMatchesSerial(const char* sql) {
   std::string dir = ::testing::TempDir() + "ordopt-parallel-serial-spill";
   std::filesystem::create_directories(dir);
   ScopedTmpdirEnv env(dir);
@@ -855,13 +859,10 @@ TEST(ParallelSpill, SerialSortSpillsAboveExchange) {
   OptimizerConfig config = DefaultConfig();
   config.cost_params.sort_memory_rows = 64;
   config.verify_orders = true;
-  const char* sql =
-      "select l_orderkey, l_linenumber, o_orderdate from orders, lineitem "
-      "where o_orderkey = l_orderkey and l_shipdate > date('1995-01-01') "
-      "order by o_orderdate, l_orderkey, l_linenumber";
   QueryEngine serial(TpcdMultiMorselDb(), config);
   auto serial_run = serial.Run(sql);
-  ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+  EXPECT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+  if (!serial_run.ok()) return "";
 
   config.parallel_workers = 4;
   SharedMemoryBudget budget(64 << 20);
@@ -869,18 +870,293 @@ TEST(ParallelSpill, SerialSortSpillsAboveExchange) {
   guard.set_shared_budget(&budget);
   QueryEngine engine(TpcdMultiMorselDb(), config);
   auto run = engine.Run(sql, &guard);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return "";
   const std::string& plan = run.value().plan_text;
-  const size_t sort = plan.find("Sort");
-  ASSERT_NE(sort, std::string::npos) << plan;
-  EXPECT_NE(plan.find("HashJoin", sort), std::string::npos) << plan;
-  EXPECT_NE(plan.find("Exchange(merge", sort), std::string::npos) << plan;
-  EXPECT_EQ(plan.rfind("Exchange", sort), std::string::npos)
-      << "the Sort must run above every exchange:\n" << plan;
   EXPECT_EQ(run.value().rows, serial_run.value().rows) << plan;
   EXPECT_GT(run.value().metrics.spill_runs, 0) << plan;
   EXPECT_EQ(budget.used_bytes(), 0);
   EXPECT_EQ(SpillFilesIn(dir), 0);
+  return plan;
+}
+
+TEST(ParallelSpill, SerialSortSpillsAboveExchange) {
+  const std::string plan = ExpectSpillingSortMatchesSerial(
+      "select o_custkey, sum(o_totalprice) as t from orders "
+      "group by o_custkey order by t, o_custkey");
+  const size_t sort = plan.find("Sort");
+  ASSERT_NE(sort, std::string::npos) << plan;
+  EXPECT_NE(plan.find("HashGroupBy", sort), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Exchange(merge", sort), std::string::npos) << plan;
+  EXPECT_EQ(plan.rfind("Exchange", sort), std::string::npos)
+      << "the Sort must run above every exchange:\n" << plan;
+}
+
+// A Sort over a hash join joins the chain that probes in the workers: each
+// worker sorts its partition and spills through its own SpillManager.
+TEST(ParallelSpill, SortOverHashJoinSpillsInWorkers) {
+  const std::string plan = ExpectSpillingSortMatchesSerial(
+      "select l_orderkey, l_linenumber, o_orderdate from orders, lineitem "
+      "where o_orderkey = l_orderkey and l_shipdate > date('1995-01-01') "
+      "order by o_orderdate, l_orderkey, l_linenumber");
+  const size_t exchange = plan.find("Exchange(merge");
+  ASSERT_NE(exchange, std::string::npos) << plan;
+  const size_t sort = plan.find("Sort", exchange);
+  ASSERT_NE(sort, std::string::npos)
+      << "the Sort must run inside the exchange's chain:\n" << plan;
+  EXPECT_NE(plan.find("HashJoin", sort), std::string::npos) << plan;
+}
+
+// ---- Hash joins in the workers -----------------------------------------
+
+// A probe table p (5000 rows, five morsels) and a build table b (2500 rows,
+// larger than one morsel) whose join key k repeats: about three build rows
+// share a key, so a probe row has several matches, drawn from different
+// build morsels. k is NULL on every 13th probe row and every 11th build
+// row, and p's keys 700..899 match nothing. g has four values in b.
+Database* JoinDb() {
+  static Database* db = [] {
+    auto* d = new Database();
+    TableDef pdef;
+    pdef.name = "p";
+    pdef.columns = {{"id", DataType::kInt64},
+                    {"k", DataType::kInt64},
+                    {"g", DataType::kInt64}};
+    Table* p = d->CreateTable(std::move(pdef)).value();
+    for (int64_t i = 0; i < 5000; ++i) {
+      const int64_t x = (i * 7919) % 5000;  // a permutation of 0..4999
+      EXPECT_TRUE(p->AppendRow({Value::Int(i),
+                                x % 13 == 0 ? Value::Null()
+                                            : Value::Int(x % 900),
+                                Value::Int(i % 3)})
+                      .ok());
+    }
+    TableDef bdef;
+    bdef.name = "b";
+    bdef.columns = {{"k", DataType::kInt64},
+                    {"w", DataType::kInt64},
+                    {"g", DataType::kInt64}};
+    Table* b = d->CreateTable(std::move(bdef)).value();
+    for (int64_t i = 0; i < 2500; ++i) {
+      EXPECT_TRUE(b->AppendRow({i % 11 == 0 ? Value::Null()
+                                            : Value::Int((i * 31) % 700),
+                                Value::Int(2500 - i), Value::Int(i % 4)})
+                      .ok());
+    }
+    EXPECT_TRUE(d->FinalizeAll().ok());
+    return d;
+  }();
+  return db;
+}
+
+// Whether an exchange in `plan` probes a hash join in its workers: the
+// join sits on the path of first children below the exchange.
+bool JoinProbesInWorkers(const PlanNode& plan) {
+  if (plan.kind == OpKind::kExchange) {
+    for (const PlanNode* n = plan.children[0].get(); !n->children.empty();
+         n = n->children[0].get()) {
+      if (IsHashJoin(n->kind)) return true;
+    }
+  }
+  for (const PlanRef& child : plan.children) {
+    if (JoinProbesInWorkers(*child)) return true;
+  }
+  return false;
+}
+
+const NamedQuery kChainJoinQueries[] = {
+    {"inner", "select p.id, p.k, b.w from p, b where p.k = b.k"},
+    {"left", "select p.id, b.w from p left join b on p.k = b.k"},
+    {"empty build", "select p.id, b.w from p, b where p.k = b.k and b.w < 0"},
+    {"left, empty build",
+     "select p.id, b.w from p left join b on p.k = b.k and b.w < 0"},
+    {"sort over the join",
+     "select p.id, b.w from p, b where p.k = b.k order by b.w, p.id"},
+    {"partial group-by over the join",
+     "select b.g, count(*) as n, sum(p.id) as s, min(b.w) as lo "
+     "from p, b where p.k = b.k group by b.g"},
+    {"group-by above the exchange",
+     "select p.id, count(*) as n from p, b where p.k = b.k group by p.id"},
+};
+
+// Every query probes its hash join in the workers, and its rows are
+// identical to serial at 2/4/8 workers with order verification on.
+TEST(ChainHashJoin, RowIdenticalToSerial) {
+  for (const NamedQuery& q : kChainJoinQueries) {
+    SCOPED_TRACE(q.name);
+    OptimizerConfig config = DefaultConfig();
+    config.parallel_workers = 4;
+    QueryEngine engine(JoinDb(), config);
+    auto run = engine.Run(q.sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(JoinProbesInWorkers(*run.value().plan))
+        << run.value().plan_text;
+    ExpectParallelIdentical(JoinDb(), q.name, q.sql, DefaultConfig());
+  }
+}
+
+// A hash group-by directly over a chain join is split when its groups are
+// few, and the decision is traced either way.
+TEST(ChainHashJoin, GroupByOverTheJoinTracesThePartialDecision) {
+  const struct {
+    const char* sql;
+    bool partial;
+  } cases[] = {{kChainJoinQueries[5].sql, true},
+               {kChainJoinQueries[6].sql, false}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    OptimizerConfig config = DefaultConfig();
+    config.parallel_workers = 4;
+    config.trace_level = TraceLevel::kOptimizer;
+    QueryEngine engine(JoinDb(), config);
+    auto run = engine.RunAnalyzed(c.sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string& text = run.value().analyzed_plan_text;
+    EXPECT_EQ(text.find("HashGroupBy(partial)") != std::string::npos,
+              c.partial)
+        << text;
+    EXPECT_NE(text.find(c.partial ? "site=exchange.partial_agg pushed=true"
+                                  : "site=exchange.partial_agg pushed=false "
+                                    "reason="),
+              std::string::npos)
+        << text;
+  }
+}
+
+// The planner never sorts a hash join's probe side (the join does not
+// claim its outer order), so this plan is built by hand: a Sort below the
+// join on the probe side sets the exchange's merge key, (p.k, provenance).
+// A probe row's matches share its provenance and sit together in its one
+// worker stream, in build order, so the merged rows equal the serial run's
+// at every batch size.
+TEST(ChainHashJoin, ProbeSideSortSetsTheMergeKey) {
+  const Table* p = JoinDb()->GetTable("p");
+  const Table* b = JoinDb()->GetTable("b");
+  const ColumnId pk(0, 1);
+  const ColumnId bk(1, 0);
+  auto scan = [](const Table* table, int table_id, bool morsels) {
+    auto node = std::make_shared<PlanNode>();
+    node->kind = OpKind::kTableScan;
+    node->table = table;
+    node->table_id = table_id;
+    node->morsel_driver = morsels;
+    node->emit_provenance = morsels;
+    return node;
+  };
+  auto sort = [](PlanRef child, OrderSpec spec) {
+    auto node = std::make_shared<PlanNode>();
+    node->kind = OpKind::kSort;
+    node->sort_spec = std::move(spec);
+    node->children = {std::move(child)};
+    return node;
+  };
+  auto join = [&](PlanRef probe) {
+    auto node = std::make_shared<PlanNode>();
+    node->kind = OpKind::kHashJoin;
+    node->join_pairs = {{pk, bk}};
+    node->children = {std::move(probe), scan(b, 1, false)};
+    return node;
+  };
+  const OrderElement by_k(pk, SortDirection::kAscending);
+  const OrderElement by_prov(ProvenanceColumnId(), SortDirection::kAscending);
+  PlanRef serial = join(sort(scan(p, 0, false), OrderSpec({by_k})));
+  auto exchange = std::make_shared<PlanNode>();
+  exchange->kind = OpKind::kExchange;
+  exchange->exchange_workers = 4;
+  exchange->sort_spec = OrderSpec({by_k, by_prov});
+  exchange->children = {
+      join(sort(scan(p, 0, true), OrderSpec({by_k, by_prov})))};
+
+  RuntimeMetrics serial_metrics;
+  auto want = ExecutePlan(serial, &serial_metrics);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_GT(want.value().size(), 5000u);
+  for (int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+    SCOPED_TRACE(StrFormat("batch_rows=%lld",
+                           static_cast<long long>(batch_rows)));
+    RuntimeMetrics metrics;
+    auto got = ExecutePlan(exchange, &metrics, nullptr, nullptr, nullptr,
+                           /*verify_orders=*/false, batch_rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want.value());
+    EXPECT_GT(metrics.exchange_batches, 0);
+  }
+}
+
+// The build holds its rows once for the whole query, not once per worker:
+// the query's buffered-rows peak equals the serial run's, and so does the
+// join's own in EXPLAIN ANALYZE.
+TEST(ChainHashJoin, BuildIsBufferedOnce) {
+  const char* sql = kChainJoinQueries[0].sql;
+  int64_t peaks[2] = {0, 0};
+  int64_t join_peaks[2] = {0, 0};
+  const int worker_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    OptimizerConfig config = DefaultConfig();
+    config.parallel_workers = worker_counts[i];
+    QueryEngine engine(JoinDb(), config);
+    auto run = engine.RunAnalyzed(sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    peaks[i] = run.value().metrics.rows_buffered_peak;
+    for (const OperatorProfile& prof : run.value().op_profile) {
+      if (prof.node->kind == OpKind::kHashJoin) {
+        join_peaks[i] = prof.stats.buffered_rows_peak;
+      }
+    }
+  }
+  EXPECT_GT(peaks[0], 2000);
+  EXPECT_EQ(peaks[1], peaks[0]);
+  EXPECT_EQ(join_peaks[1], join_peaks[0]);
+}
+
+// EXPLAIN ANALYZE of Q3 under the hash profile at 4 workers: the hash join
+// probes in the workers, and the profile lists the serial plan's operators
+// in the serial post-order with the serial act= counts — the exchanges
+// aside. So the build subtree shows once, with its serial counts, and each
+// chain operator's act=, summed over the workers, equals serial. (tpcdbench
+// pairs its exec.op.* metrics by the same post-order.) A chain join's
+// time includes its build's, so its self time is never negative.
+TEST(ChainHashJoin, Q3ProfilePairsWithSerial) {
+  auto analyzed = [](int workers) {
+    OptimizerConfig config = DefaultConfig();
+    config.parallel_workers = workers;
+    QueryEngine engine(TpcdMultiMorselDb(), config);
+    return engine.RunAnalyzed(tpcd_queries::kQuery3);
+  };
+  auto serial = analyzed(1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  auto parallel = analyzed(4);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  const std::string& text = parallel.value().analyzed_plan_text;
+  EXPECT_TRUE(JoinProbesInWorkers(*parallel.value().plan)) << text;
+
+  auto counts = [](const std::vector<OperatorProfile>& profile) {
+    std::vector<std::pair<OpKind, int64_t>> out;
+    for (const OperatorProfile& prof : profile) {
+      if (prof.node->kind == OpKind::kExchange) continue;
+      out.push_back({prof.node->kind, prof.stats.rows_out});
+    }
+    return out;
+  };
+  EXPECT_EQ(counts(parallel.value().op_profile),
+            counts(serial.value().op_profile))
+      << text;
+
+  std::map<const PlanNode*, const OperatorStats*> stats;
+  for (const OperatorProfile& prof : parallel.value().op_profile) {
+    stats[prof.node] = &prof.stats;
+  }
+  int joins = 0;
+  for (const OperatorProfile& prof : parallel.value().op_profile) {
+    if (prof.node->kind != OpKind::kHashJoin) continue;
+    ++joins;
+    int64_t child_ns = 0;
+    for (const PlanRef& child : prof.node->children) {
+      child_ns += stats.at(child.get())->total_ns();
+    }
+    EXPECT_GE(prof.stats.total_ns(), child_ns) << text;
+  }
+  EXPECT_EQ(joins, 1) << text;
 }
 
 // ---- Fault injection: one worker's failure cancels the query -----------
@@ -969,6 +1245,108 @@ TEST_F(ParallelFaultTest, PersistentFaultStillDrainsCleanly) {
       << run.status().ToString();
   EXPECT_EQ(budget.used_bytes(), 0);
   EXPECT_EQ(SpillFilesIn(dir), 0);
+}
+
+// ---- Failures around a shared build ------------------------------------
+
+// The sort-over-the-join query, whose workers sort and spill what they
+// probe; the build scans b's 2500 rows before any probe row is scanned.
+constexpr int64_t kBuildRows = 2500;
+
+// Plans the sort-over-the-join query at 4 workers on JoinDb, then runs the
+// plan through ExecutePlan under `guard` (a 64 MB shared budget attached)
+// with per-operator stats, a 64-row sort budget and spill files in a
+// private directory; `fault_site`, when given, is armed to fire on its
+// first hit. Expects the run to fail with `code` (and a message naming
+// the fault site), the shared budget to drain to zero while the guard
+// lives, and no spill file to remain. Returns the probe scan's stats.
+OperatorStats ExpectFailedJoinRun(QueryGuard* guard, StatusCode code,
+                                  const char* fault_site,
+                                  int64_t batch_rows) {
+  std::string dir = ::testing::TempDir() + "ordopt-parallel-join-fault";
+  std::filesystem::create_directories(dir);
+  OptimizerConfig config = DefaultConfig();
+  config.parallel_workers = 4;
+  QueryEngine engine(JoinDb(), config);
+  auto planned = engine.Run(kChainJoinQueries[4].sql);
+  EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+  if (!planned.ok()) return OperatorStats();
+  EXPECT_TRUE(JoinProbesInWorkers(*planned.value().plan));
+
+  if (fault_site != nullptr) {
+    FaultInjector::Global().Arm(fault_site, 0, /*fire_count=*/1);
+  }
+  SharedMemoryBudget budget(64 << 20);
+  guard->set_shared_budget(&budget);
+  SpillConfig spill;
+  spill.sort_memory_rows = 64;
+  spill.temp_dir = dir;
+  RuntimeMetrics metrics;
+  std::vector<OperatorProfile> profile;
+  auto run = ExecutePlan(planned.value().plan, &metrics, guard, &spill,
+                         &profile, /*verify_orders=*/true, batch_rows);
+  EXPECT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), code) << run.status().ToString();
+  if (fault_site != nullptr) {
+    EXPECT_NE(run.status().message().find(fault_site), std::string::npos)
+        << run.status().ToString();
+    EXPECT_EQ(FaultInjector::Global().FireCount(fault_site), 1);
+  }
+  EXPECT_EQ(budget.used_bytes(), 0) << "leaked shared-budget charge";
+  EXPECT_EQ(SpillFilesIn(dir), 0) << "leaked spill files";
+  guard->set_shared_budget(nullptr);
+  for (const OperatorProfile& prof : profile) {
+    if (prof.node->morsel_driver && prof.node->table->name() == "p") {
+      return prof.stats;
+    }
+  }
+  ADD_FAILURE() << "no probe scan in the profile";
+  return OperatorStats();
+}
+
+// A fault inside the build subtree (the first morsel claim of the build's
+// own exchange) fails the query before any probe worker starts: the probe
+// scan was never opened.
+TEST_F(ParallelFaultTest, FaultInBuildStartsNoWorker) {
+  QueryGuard guard;
+  const OperatorStats probe =
+      ExpectFailedJoinRun(&guard, StatusCode::kInternal,
+                          "exec.parallel.morsel", kDefaultBatchRows);
+  EXPECT_EQ(probe.next_calls, 0);
+  EXPECT_EQ(probe.open_ns, 0);
+}
+
+// A rows-scanned limit that trips while the build scans b ends the query
+// with ResourceExhausted, again before any probe worker starts.
+TEST_F(ParallelFaultTest, ScanLimitInBuildStartsNoWorker) {
+  QueryLimits limits;
+  limits.max_rows_scanned = 100;
+  QueryGuard guard(limits);
+  const OperatorStats probe = ExpectFailedJoinRun(
+      &guard, StatusCode::kResourceExhausted, nullptr, kDefaultBatchRows);
+  EXPECT_LE(guard.rows_scanned(), kBuildRows);
+  EXPECT_EQ(probe.next_calls, 0);
+  EXPECT_EQ(probe.open_ns, 0);
+}
+
+// A cancel that lands while the workers probe (the build is done and probe
+// rows are being scanned) ends the query with Cancelled. Single-row batches
+// keep the probe running long after the first probe row is scanned.
+TEST_F(ParallelFaultTest, CancelDuringProbe) {
+  QueryGuard guard;
+  std::atomic<bool> stop{false};
+  std::thread canceller([&] {
+    while (!stop.load() && guard.rows_scanned() <= kBuildRows) {
+      std::this_thread::yield();
+    }
+    guard.RequestCancel();
+  });
+  const OperatorStats probe = ExpectFailedJoinRun(
+      &guard, StatusCode::kCancelled, nullptr, /*batch_rows=*/1);
+  stop.store(true);
+  canceller.join();
+  EXPECT_GT(guard.rows_scanned(), kBuildRows);
+  EXPECT_GT(probe.next_calls, 0);
 }
 
 // ---- QueryGuard thread-safety regression (tsan) ------------------------
